@@ -55,7 +55,7 @@ class ScoreMatrix:
         v = self.values
         if v.ndim != 2 or v.shape[0] != len(self.scene_ids):
             raise ValueError("values must be (n_scenes, k)")
-        if v.size and (v.min() < 0.0 or v.max() > 1.0):
+        if not np.all((v >= 0.0) & (v <= 1.0)):  # also rejects NaN
             raise ValueError("scores must lie in [0, 1]")
         v.setflags(write=False)
 
@@ -155,8 +155,15 @@ class _Checkpoint:
                 f"{self.path}: existing checkpoint does not match this run "
                 f"(header {magic!r} v{version} {s}x{k}, expected {self.n_scenes}x{self.k})"
             )
+        # a torn append leaves a last line without its newline: that row's
+        # bytes may be incomplete, so it is not trusted and is cut off before
+        # the next append could extend it into another index
+        text = self.done_path.read_text()
+        complete = text[: text.rfind("\n") + 1]
+        if complete != text:
+            self.done_path.write_text(complete)
         done = {}
-        for line in self.done_path.read_text().split():
+        for line in complete.split():
             idx = int(line)
             off = _HEADER.size + idx * self.row_bytes
             done[idx] = np.frombuffer(raw, dtype="<f8", count=self.k, offset=off).copy()

@@ -91,7 +91,7 @@ class Polygon:
     caller's contract and is not checked.
     """
 
-    __slots__ = ("vertices",)
+    __slots__ = ("vertices", "_edges")
 
     def __init__(self, vertices):
         v = np.asarray(vertices, dtype=float)
@@ -106,6 +106,30 @@ class Polygon:
             v = v[::-1].copy()
         self.vertices = v
         self.vertices.setflags(write=False)
+        self._edges = None
+
+    def _edge_arrays(self):
+        """(end points, start x, start y, end y, dx, dy, squared length) of
+        every edge, edge i running from vertex i to vertex i+1; all but the
+        end points are (n, 1) columns, to broadcast against rows of points.
+
+        Built on the first geometric query and kept: many polygons, such as
+        those of generated scenes used only for their human trajectory, are
+        never queried.  Two threads may both build them; the results are
+        equal, and either may be kept.
+        """
+        edges = self._edges
+        if edges is None:
+            v = self.vertices
+            nxt = np.concatenate([v[1:], v[:1]])
+            e = nxt - v
+            nxt.setflags(write=False)
+            e.setflags(write=False)  # before taking views, which keep the flag they start with
+            ex, ey = e[:, 0:1], e[:, 1:2]
+            len2 = ex * ex + ey * ey
+            len2.setflags(write=False)
+            edges = self._edges = (nxt, v[:, 0:1], v[:, 1:2], nxt[:, 1:2], ex, ey, len2)
+        return edges
 
     @property
     def area(self) -> float:
@@ -122,7 +146,7 @@ class Polygon:
 class Polyline:
     """Ordered point chain, >= 1 point, no consecutive duplicates (> 1e-9 m)."""
 
-    __slots__ = ("points", "_cum")
+    __slots__ = ("points", "_cum", "_segs")
 
     def __init__(self, points):
         p = np.asarray(points, dtype=float)
@@ -139,6 +163,22 @@ class Polyline:
             self._cum = np.zeros(1)
         self.points = p
         self.points.setflags(write=False)
+        self._segs = None
+
+    def _segment_arrays(self):
+        """(start x, start y, dx, dy, squared length, length) of every
+        segment, built on the first projection and kept, as for polygons;
+        all but the lengths are (n, 1) columns."""
+        segs = self._segs
+        if segs is None:
+            p = self.points
+            d = np.diff(p, axis=0)
+            len2 = np.sum(d * d, axis=1)
+            seg_len = np.sqrt(len2)
+            for arr in (d, len2, seg_len):
+                arr.setflags(write=False)
+            segs = self._segs = (p[:-1, 0:1], p[:-1, 1:2], d[:, 0:1], d[:, 1:2], len2[:, None], seg_len)
+        return segs
 
     def __len__(self):
         return len(self.points)
@@ -237,32 +277,34 @@ def obb_overlap(a: OrientedBox, b: OrientedBox) -> bool:
 def points_in_polygon(points: np.ndarray, poly: Polygon) -> np.ndarray:
     """Even-odd containment for an (n, 2) array; boundary points are inside."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    v = poly.vertices
-    a = v
-    b = np.roll(v, -1, axis=0)
+    return xy_in_polygon(pts[:, 0], pts[:, 1], poly)
 
-    px = pts[:, 0:1]  # (n, 1) against (edges,)
-    py = pts[:, 1:2]
-    ax_, ay = a[:, 0], a[:, 1]
-    bx_, by = b[:, 0], b[:, 1]
 
+def xy_in_polygon(px: np.ndarray, py: np.ndarray, poly: Polygon) -> np.ndarray:
+    """points_in_polygon for points given as (n,) x and y arrays.
+
+    Work arrays are (edges, points), so numpy's inner loops run over the
+    many points rather than the few edges.
+    """
+    _, ax, ay, by, ex, ey, len2 = poly._edge_arrays()
+    ry = py - ay
     # crossing number: edge straddles the horizontal ray through the point
     cond = (ay > py) != (by > py)
     # x coordinate where the edge crosses the ray
     with np.errstate(divide="ignore", invalid="ignore"):
-        x_cross = ax_ + (py - ay) * (bx_ - ax_) / (by - ay)
-    crossings = np.sum(cond & (px < x_cross), axis=1)
+        x_cross = ax + ry * ex / ey
+    crossings = np.sum(cond & (px < x_cross), axis=0)
     inside = (crossings % 2) == 1
+    if inside.all():
+        return inside  # the boundary test below could only add points
 
     # boundary inclusion: squared distance to each edge segment under tolerance
-    ex = bx_ - ax_
-    ey = by - ay
-    seg_len2 = ex * ex + ey * ey
-    t = ((px - ax_) * ex + (py - ay) * ey) / seg_len2
+    rx = px - ax
+    t = (rx * ex + ry * ey) / len2
     t = np.clip(t, 0.0, 1.0)
-    dx = px - (ax_ + t * ex)
+    dx = px - (ax + t * ex)
     dy = py - (ay + t * ey)
-    on_edge = np.any(dx * dx + dy * dy <= _EDGE_EPS * _EDGE_EPS, axis=1)
+    on_edge = np.any(dx * dx + dy * dy <= _EDGE_EPS * _EDGE_EPS, axis=0)
     return inside | on_edge
 
 
@@ -392,6 +434,22 @@ def arc_length(line: Polyline) -> float:
     return float(line._cum[-1])
 
 
+def _closest_segments(line: Polyline, px: np.ndarray, py: np.ndarray):
+    """For (n,) point coordinates: (segments, points) arrays of the offsets
+    from each segment start, the clamped segment parameters and the squared
+    distances, and the closest segment of each point (ties to the lowest)."""
+    if len(line) < 2:
+        raise ValueError("projection needs a polyline with at least 2 points")
+    ax, ay, dx, dy, len2, _ = line._segment_arrays()
+    rx = px - ax
+    ry = py - ay
+    t = np.clip((rx * dx + ry * dy) / len2, 0.0, 1.0)
+    qx = rx - t * dx
+    qy = ry - t * dy
+    d2 = qx * qx + qy * qy
+    return rx, ry, t, d2, np.argmin(d2, axis=0)
+
+
 def project_many(line: Polyline, points: np.ndarray):
     """Project points onto a polyline.
 
@@ -400,34 +458,31 @@ def project_many(line: Polyline, points: np.ndarray):
     segment's direction (left positive), true distance to the polyline, and
     the closest segment index.  Equidistant segments break to the lowest index.
     """
-    if len(line) < 2:
-        raise ValueError("projection needs a polyline with at least 2 points")
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    p = line.points
-    a = p[:-1]
-    d = np.diff(p, axis=0)
-    len2 = np.sum(d * d, axis=1)
-    seg_len = np.sqrt(len2)
-
-    rx = pts[:, 0:1] - a[:, 0]
-    ry = pts[:, 1:2] - a[:, 1]
-    t = np.clip((rx * d[:, 0] + ry * d[:, 1]) / len2, 0.0, 1.0)
-    qx = rx - t * d[:, 0]
-    qy = ry - t * d[:, 1]
-    d2 = qx * qx + qy * qy
-    seg = np.argmin(d2, axis=1)
-
-    rows = np.arange(len(pts))
-    t_best = t[rows, seg]
-    s = line._cum[seg] + t_best * seg_len[seg]
-    dist = np.sqrt(d2[rows, seg])
+    rx, ry, t, d2, seg = _closest_segments(line, pts[:, 0], pts[:, 1])
+    _, _, dx, dy, _, seg_len = line._segment_arrays()
+    cols = np.arange(len(pts))
+    s = line._cum[seg] + t[seg, cols] * seg_len[seg]
+    dist = np.sqrt(d2[seg, cols])
     # sign from the cross product of segment direction with the offset vector
-    cross = d[seg, 0] * ry[rows, seg] - d[seg, 1] * rx[rows, seg]
+    cross = dx[seg, 0] * ry[seg, cols] - dy[seg, 0] * rx[seg, cols]
     lat_sign = np.where(cross >= 0, 1.0, -1.0)
     # perpendicular component only (beyond the ends the closest point is a
     # vertex, where the raw distance also carries a longitudinal part)
     lateral = lat_sign * np.abs(cross) / seg_len[seg]
     return s, lateral, dist, seg
+
+
+def arc_positions(line: Polyline, px: np.ndarray, py: np.ndarray) -> np.ndarray:
+    """The `s` of project_many for (n,) point coordinates."""
+    _, _, t, _, seg = _closest_segments(line, px, py)
+    return line._cum[seg] + t[seg, np.arange(len(px))] * line._segment_arrays()[5][seg]
+
+
+def nearest_segments(line: Polyline, px: np.ndarray, py: np.ndarray):
+    """The `(dist, seg)` of project_many for (n,) point coordinates."""
+    _, _, _, d2, seg = _closest_segments(line, px, py)
+    return np.sqrt(d2[seg, np.arange(len(px))]), seg
 
 
 def project_onto(line: Polyline, p) -> tuple[float, float]:
@@ -460,7 +515,10 @@ def segments_intersect_batch(p1, p2, q1, q2) -> np.ndarray:
     d2 = orient(q1, q2, p2)
     d3 = orient(p1, p2, q1)
     d4 = orient(p1, p2, q2)
-    proper = ((d1 > 0) != (d2 > 0)) & ((d3 > 0) != (d4 > 0)) & (d1 != 0) & (d2 != 0) & (d3 != 0) & (d4 != 0)
+    collinear = (d1 == 0) | (d2 == 0) | (d3 == 0) | (d4 == 0)
+    proper = ((d1 > 0) != (d2 > 0)) & ((d3 > 0) != (d4 > 0)) & ~collinear
+    if not collinear.any():
+        return proper  # a touch needs a collinear triple
 
     def on_box(a, b, c):
         return (

@@ -8,6 +8,7 @@ plan with a PID-controlled kinematic bicycle.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -158,40 +159,28 @@ def bicycle_step(s: EgoState, accel_cmd: float, steer_cmd: float, cfg: Kinematic
     return EgoState(Pose(x, y, psi), v, a, steer)
 
 
-def _interp_targets(plan: Trajectory, init: EgoState, dt: float, ticks: int):
-    """Target (x, y, psi) and target arc length per tick time 0 .. (ticks-1)*dt.
+@functools.lru_cache(maxsize=16)
+def _tick_schedule(m: int, dt: float, ticks: int) -> tuple:
+    """Where each tick time 0 .. (ticks-1)*dt falls among the plan nodes.
 
-    Targets interpolate linearly in time between the waypoint nodes (implicit
-    start node = init at t=0); heading interpolates along the shortest arc.
-    Returned as plain Python lists for the scalar control loop.
+    The nodes sit at t = 0 (the initial state) and 0.5*(i+1) for the m
+    waypoints.  Entry k is (j, w), the interval j holding time k*dt and the
+    interpolation weight within it, or None once k*dt reaches the last node.
+    It depends on nothing but the plan length and the clock, so it is
+    computed once per (m, dt, ticks).
     """
-    nodes_t = [0.0] + [PLAN_DT * (i + 1) for i in range(plan.m)]
-    nodes_x = [init.pose.x] + [float(v) for v in plan.poses[:, 0]]
-    nodes_y = [init.pose.y] + [float(v) for v in plan.poses[:, 1]]
-    nodes_psi = [init.pose.psi] + [float(v) for v in plan.poses[:, 2]]
-    nodes_s = [0.0]
-    for i in range(1, len(nodes_x)):
-        nodes_s.append(nodes_s[-1] + math.hypot(nodes_x[i] - nodes_x[i - 1], nodes_y[i] - nodes_y[i - 1]))
-
-    tx, ty, tpsi, ts = [], [], [], []
+    nodes_t = [0.0] + [PLAN_DT * (i + 1) for i in range(m)]
+    out = []
     j = 0
     for k in range(ticks):
         t = k * dt
         while j + 1 < len(nodes_t) - 1 and nodes_t[j + 1] < t:
             j += 1
         if t >= nodes_t[-1]:
-            tx.append(nodes_x[-1])
-            ty.append(nodes_y[-1])
-            tpsi.append(nodes_psi[-1])
-            ts.append(nodes_s[-1])
-            continue
-        w = (t - nodes_t[j]) / (nodes_t[j + 1] - nodes_t[j])
-        tx.append(nodes_x[j] + w * (nodes_x[j + 1] - nodes_x[j]))
-        ty.append(nodes_y[j] + w * (nodes_y[j + 1] - nodes_y[j]))
-        dpsi = wrap_angle(nodes_psi[j + 1] - nodes_psi[j])
-        tpsi.append(nodes_psi[j] + w * dpsi)
-        ts.append(nodes_s[j] + w * (nodes_s[j + 1] - nodes_s[j]))
-    return tx, ty, tpsi, ts
+            out.append(None)
+        else:
+            out.append((j, (t - nodes_t[j]) / (nodes_t[j + 1] - nodes_t[j])))
+    return tuple(out)
 
 
 def pid_track(plan: Trajectory, init: EgoState, cfg: KinematicsConfig | None = None) -> DenseTrajectory:
@@ -200,7 +189,9 @@ def pid_track(plan: Trajectory, init: EgoState, cfg: KinematicsConfig | None = N
     Longitudinal: PID on the gap between the time-interpolated target arc
     length and the distance actually traveled.  Lateral: PD steering from the
     cross-track error to the time-interpolated target pose, damped by the
-    heading mismatch scaled by speed.  Plan and init must share one frame.
+    heading mismatch scaled by speed.  Targets interpolate linearly in time
+    between the plan nodes (init is the node at t=0); heading interpolates
+    along the shortest arc.  Plan and init must share one frame.
     Deterministic; infeasible plans saturate the commands and roll out as-is.
     """
     if plan.m < 2:
@@ -208,52 +199,89 @@ def pid_track(plan: Trajectory, init: EgoState, cfg: KinematicsConfig | None = N
     if cfg is None:
         cfg = KinematicsConfig()
     dt = cfg.dt
-    tx, ty, tpsi, ts = _interp_targets(plan, init, dt, DENSE_TICKS)
+    # the control step at tick k tracks the target at tick time k - 1
+    schedule = _tick_schedule(plan.m, dt, DENSE_TICKS - 1)
 
-    xs = [0.0] * DENSE_TICKS
-    ys = [0.0] * DENSE_TICKS
-    psis = [0.0] * DENSE_TICKS
-    vs = [0.0] * DENSE_TICKS
-    accs = [0.0] * DENSE_TICKS
-    steers = [0.0] * DENSE_TICKS
+    nodes_x = [init.pose.x] + plan.poses[:, 0].tolist()
+    nodes_y = [init.pose.y] + plan.poses[:, 1].tolist()
+    nodes_psi = [init.pose.psi] + plan.poses[:, 2].tolist()
+    nodes_s = [0.0]
+    for i in range(1, len(nodes_x)):
+        nodes_s.append(nodes_s[-1] + math.hypot(nodes_x[i] - nodes_x[i - 1], nodes_y[i] - nodes_y[i - 1]))
+    # per interval: node deltas, heading delta along the shortest arc
+    n = len(nodes_x) - 1
+    dx = [nodes_x[i + 1] - nodes_x[i] for i in range(n)]
+    dy = [nodes_y[i + 1] - nodes_y[i] for i in range(n)]
+    dpsi = [wrap_angle(nodes_psi[i + 1] - nodes_psi[i]) for i in range(n)]
+    ds = [nodes_s[i + 1] - nodes_s[i] for i in range(n)]
+    last = (nodes_x[-1], nodes_y[-1], nodes_psi[-1], nodes_s[-1])
+
+    kp_lon, ki_lon, kd_lon = cfg.kp_lon, cfg.ki_lon, cfg.kd_lon
+    kp_lat, kd_lat = cfg.kp_lat, cfg.kd_lat
+    accel_min, accel_max = cfg.accel_min, cfg.accel_max
+    steer_min, steer_max = -cfg.steer_max, cfg.steer_max
+    wheelbase = cfg.wheelbase
+    cos, sin, tan, remainder = math.cos, math.sin, math.tan, math.remainder
+    pi = math.pi
+    tau = math.tau
+
     x, y, psi, v = init.pose.x, init.pose.y, init.pose.psi, init.v
-    xs[0], ys[0], psis[0], vs[0] = x, y, psi, v
-    accs[0], steers[0] = init.a, init.steer
-
+    xs, ys, psis, vs, accs, steers = [x], [y], [psi], [v], [init.a], [init.steer]
     traveled = 0.0
     e_s_prev = 0.0
     e_s_int = 0.0
-    pi = math.pi
-    tau = math.tau
-    for k in range(1, DENSE_TICKS):
-        cos_psi = math.cos(psi)
-        sin_psi = math.sin(psi)
+    for target in schedule:
+        if target is None:
+            tx, ty, tpsi, ts = last
+        else:
+            j, w = target
+            tx = nodes_x[j] + w * dx[j]
+            ty = nodes_y[j] + w * dy[j]
+            tpsi = nodes_psi[j] + w * dpsi[j]
+            ts = nodes_s[j] + w * ds[j]
+        cos_psi = cos(psi)
+        sin_psi = sin(psi)
         # longitudinal PID on arc-length progress at the current tick time
-        e_s = ts[k - 1] - traveled
+        e_s = ts - traveled
         e_s_int += e_s * dt
-        accel_cmd = cfg.kp_lon * e_s + cfg.ki_lon * e_s_int + cfg.kd_lon * (e_s - e_s_prev) / dt
+        accel_cmd = kp_lon * e_s + ki_lon * e_s_int + kd_lon * (e_s - e_s_prev) / dt
         e_s_prev = e_s
         # lateral PD: cross-track error plus speed-scaled heading mismatch
-        ex = tx[k - 1] - x
-        ey_w = ty[k - 1] - y
+        ex = tx - x
+        ey_w = ty - y
         e_y = -sin_psi * ex + cos_psi * ey_w
-        e_psi = tpsi[k - 1] - psi
-        e_psi = math.remainder(e_psi, tau)
-        steer_cmd = cfg.kp_lat * e_y + cfg.kd_lat * v * math.sin(e_psi)
+        e_psi = remainder(tpsi - psi, tau)
+        steer_cmd = kp_lat * e_y + kd_lat * v * sin(e_psi)
 
-        a = min(max(accel_cmd, cfg.accel_min), cfg.accel_max)
-        steer = min(max(steer_cmd, -cfg.steer_max), cfg.steer_max)
+        # the clamps are min(max(cmd, lo), hi), written as comparisons
+        a = accel_cmd
+        if a < accel_min:
+            a = accel_min
+        if a > accel_max:
+            a = accel_max
+        steer = steer_cmd
+        if steer < steer_min:
+            steer = steer_min
+        if steer > steer_max:
+            steer = steer_max
         step = v * dt
         x += step * cos_psi
         y += step * sin_psi
-        psi += (v / cfg.wheelbase) * math.tan(steer) * dt
+        psi += (v / wheelbase) * tan(steer) * dt
         if psi > pi or psi <= -pi:
-            psi = math.remainder(psi, tau)
+            psi = remainder(psi, tau)
             if psi <= -pi:
                 psi += tau
-        v = max(0.0, v + a * dt)
+        v += a * dt
+        if not v > 0.0:  # max(0.0, v), which also turns -0.0 into 0.0
+            v = 0.0
         traveled += step
-        xs[k], ys[k], psis[k], vs[k], accs[k], steers[k] = x, y, psi, v, a, steer
+        xs.append(x)
+        ys.append(y)
+        psis.append(psi)
+        vs.append(v)
+        accs.append(a)
+        steers.append(steer)
 
     return DenseTrajectory(xs, ys, psis, vs, accs, steers)
 
@@ -301,7 +329,7 @@ def trajectory_to_world(t: Trajectory, frame: Pose) -> Trajectory:
     out = np.empty_like(p)
     out[:, 0] = frame.x + c * p[:, 0] - s * p[:, 1]
     out[:, 1] = frame.y + s * p[:, 0] + c * p[:, 1]
-    out[:, 2] = np.vectorize(wrap_angle)(p[:, 2] + frame.psi)
+    out[:, 2] = [wrap_angle(a) for a in (p[:, 2] + frame.psi).tolist()]
     return Trajectory(out)
 
 
@@ -323,5 +351,5 @@ def trajectory_to_ego(t: Trajectory, frame: Pose) -> Trajectory:
     out = np.empty_like(p)
     out[:, 0] = c * dx + s * dy
     out[:, 1] = -s * dx + c * dy
-    out[:, 2] = np.vectorize(wrap_angle)(p[:, 2] - frame.psi)
+    out[:, 2] = [wrap_angle(a) for a in (p[:, 2] - frame.psi).tolist()]
     return Trajectory(out)

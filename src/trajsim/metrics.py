@@ -3,11 +3,16 @@
 Produces the nine rule-based subscores (NC, DAC, DDC, TLC, EP, TTC, LK, HC,
 EC), their multiplicative/weighted aggregates, per-waypoint auxiliary labels,
 and the proposal-set diversity measure.  The scene is immutable during
-scoring and every function here is pure, so (trajectory, scene) pairs can be
-scored concurrently.
+scoring and every function here returns a value that depends only on its
+arguments, so (trajectory, scene) pairs can be scored concurrently.
 
 Scoring many rollouts against one scene should go through ``ScoreContext``,
 which precomputes the replay arrays and the human reference rollout once.
+A context also memoizes the lane geometry of the last rollout that DDC or
+LK scored, so the other of the two reuses it.  The memo is one immutable
+``(rollout, value)`` tuple, read and replaced whole and matched by rollout
+identity (rollouts are immutable), so threads sharing a context can at worst
+recompute it and never receive another rollout's geometry.
 """
 
 from __future__ import annotations
@@ -20,11 +25,14 @@ from .geom import (
     Polygon,
     Polyline,
     arc_length,
+    arc_positions,
     buffer_rasterize,
     grid_union,
+    nearest_segments,
     obb_overlap_batch,
     points_in_polygon,
     segments_intersect_batch,
+    xy_in_polygon,
 )
 from .kinematics import (
     DENSE_TICKS,
@@ -290,13 +298,15 @@ class ScoreContext:
     """Per-scene precomputation shared across many rollout evaluations.
 
     The human reference rollout (needed by EP) is computed on first use.
+    The lane geometry of the last rollout scored by DDC or LK is kept, so
+    that the other of the two reuses it (see ``_lane_state``).
     """
 
     __slots__ = (
         "scene", "metric_cfg", "kin_cfg",
         "agent_x", "agent_y", "agent_psi", "agent_hl", "agent_hw",
         "agent_vx", "agent_vy", "n_agents",
-        "lane_dirs", "_reference", "_ref_progress",
+        "lane_dirs", "_reference", "_ref_progress", "_lane_memo",
         "hist_x", "hist_y", "hist_psi", "hist_v",
     )
 
@@ -339,6 +349,7 @@ class ScoreContext:
 
         self._reference = reference
         self._ref_progress = None
+        self._lane_memo = None
 
     @property
     def reference(self) -> DenseTrajectory:
@@ -360,20 +371,18 @@ def _ctx(s) -> ScoreContext:
 
 def route_progress(d: DenseTrajectory, route: Polyline) -> float:
     """Arc length gained along the route between first and last rollout pose."""
-    from .geom import project_many
-
-    pts = np.array([[d.x[0], d.y[0]], [d.x[-1], d.y[-1]]])
-    s, _, _, _ = project_many(route, pts)
+    s = arc_positions(route, np.array([d.x[0], d.x[-1]]), np.array([d.y[0], d.y[-1]]))
     return float(s[1] - s[0])
 
 
-def _ego_corners(d: DenseTrajectory, hl: float, hw: float) -> np.ndarray:
-    """(41, 4, 2) world corners of the ego box along a rollout."""
-    c, s = np.cos(d.psi), np.sin(d.psi)
-    local = np.array([[hl, hw], [-hl, hw], [-hl, -hw], [hl, -hw]])
-    cx = d.x[:, None] + local[:, 0] * c[:, None] - local[:, 1] * s[:, None]
-    cy = d.y[:, None] + local[:, 0] * s[:, None] + local[:, 1] * c[:, None]
-    return np.stack([cx, cy], axis=2)
+def _ego_corners(d: DenseTrajectory, hl: float, hw: float, c: np.ndarray, s: np.ndarray):
+    """(4, 41) world x and y of the ego box corners along a rollout, CCW from
+    front-left; c and s are the cosine and sine of the rollout heading."""
+    lx = np.array([[hl], [-hl], [-hl], [hl]])
+    ly = np.array([[hw], [hw], [-hw], [-hw]])
+    cx = d.x + lx * c - ly * s
+    cy = d.y + lx * s + ly * c
+    return cx, cy
 
 
 def _ego_at_fault(ex, ey, epsi, ev, ax, ay, avx, avy):
@@ -418,34 +427,46 @@ def score_nc(d: DenseTrajectory, s) -> float:
 def score_dac(d: DenseTrajectory, s) -> float:
     """Drivable-area compliance: all ego corners inside the drivable union."""
     ctx = _ctx(s)
-    corners = _ego_corners(d, ctx.scene.ego_half_length, ctx.scene.ego_half_width).reshape(-1, 2)
-    covered = np.zeros(len(corners), dtype=bool)
+    cx, cy = _ego_corners(d, ctx.scene.ego_half_length, ctx.scene.ego_half_width, np.cos(d.psi), np.sin(d.psi))
+    px, py = cx.ravel(), cy.ravel()
+    covered = np.zeros(len(px), dtype=bool)
     for poly in ctx.scene.drivable:
-        covered |= points_in_polygon(corners, poly)
+        covered |= xy_in_polygon(px, py, poly)
         if covered.all():
             return 1.0
     return 1.0 if covered.all() else 0.0
 
 
-def _outside_intersections(ctx, pts: np.ndarray) -> np.ndarray:
-    outside = np.ones(len(pts), dtype=bool)
-    for inter in ctx.scene.intersections:
-        outside &= ~points_in_polygon(pts, inter.polygon)
-    return outside
+_TICKS = np.arange(DENSE_TICKS)
 
 
-def _lane_projections(ctx, pts: np.ndarray, heading: np.ndarray):
-    """Per lane: distance to centerline and legal-direction alignment."""
-    from .geom import project_many
+def _lane_state(d: DenseTrajectory, ctx: ScoreContext):
+    """Lane geometry of a rollout that DDC and LK share, per lane and tick.
 
-    hx, hy = np.cos(heading), np.sin(heading)
+    Returns (dists, aligned, outside): (L, 41) distances to each centerline,
+    (L, 41) whether the heading agrees with that lane's legal direction, and
+    (41,) whether the ego center is outside every intersection.  The result
+    of the last rollout is memoized on the context as one (rollout, value)
+    tuple, which is read and replaced whole, so a context shared between
+    threads can never pair a rollout with another rollout's lane geometry.
+    """
+    memo = ctx._lane_memo
+    if memo is not None and memo[0] is d:
+        return memo[1]
+    px, py = d.x, d.y
+    hx, hy = np.cos(d.psi), np.sin(d.psi)
     dists, aligned = [], []
     for lane, dirs in zip(ctx.scene.lanes, ctx.lane_dirs):
-        _, _, dist, seg = project_many(lane.centerline, pts)
+        dist, seg = nearest_segments(lane.centerline, px, py)
         tangent = dirs[seg]
         dists.append(dist)
         aligned.append(hx * tangent[:, 0] + hy * tangent[:, 1] > 0)
-    return dists, aligned
+    outside = np.ones(DENSE_TICKS, dtype=bool)
+    for inter in ctx.scene.intersections:
+        outside &= ~xy_in_polygon(px, py, inter.polygon)
+    value = (np.stack(dists), np.stack(aligned), outside)
+    ctx._lane_memo = (d, value)
+    return value
 
 
 def score_ddc(d: DenseTrajectory, s) -> float:
@@ -454,13 +475,11 @@ def score_ddc(d: DenseTrajectory, s) -> float:
     cfg = ctx.metric_cfg
     if not ctx.scene.lanes:
         return 1.0
-    pts = d.xy
-    dists, aligned = _lane_projections(ctx, pts, d.psi)
-    nearest = np.argmin(np.stack(dists), axis=0)
-    opposing = ~np.stack(aligned)[nearest, np.arange(DENSE_TICKS)]
-    cond = opposing & _outside_intersections(ctx, pts)
-    steps = np.hypot(np.diff(d.x), np.diff(d.y))
-    wrong_way = float(np.sum(steps[cond[:-1]]))
+    dists, aligned, outside = _lane_state(d, ctx)
+    opposing = ~aligned[np.argmin(dists, axis=0), _TICKS]
+    wrong = (opposing & outside)[:-1]
+    # the sum over no steps is 0.0, so the steps are measured only when needed
+    wrong_way = float(np.sum(np.hypot(np.diff(d.x), np.diff(d.y))[wrong])) if wrong.any() else 0.0
     if wrong_way < cfg.ddc_minor_m:
         return 1.0
     if wrong_way < cfg.ddc_major_m:
@@ -468,35 +487,43 @@ def score_ddc(d: DenseTrajectory, s) -> float:
     return 0.0
 
 
-def _box_in_polygon_per_tick(d: DenseTrajectory, hl, hw, poly: Polygon) -> np.ndarray:
-    """Whether the ego box intersects the polygon, per tick (bool (41,))."""
-    corners = _ego_corners(d, hl, hw)  # (41, 4, 2)
-    corner_in = points_in_polygon(corners.reshape(-1, 2), poly).reshape(DENSE_TICKS, 4).any(axis=1)
+def _box_in_polygon_per_tick(d: DenseTrajectory, hl, hw, c, s, cx, cy, poly: Polygon) -> np.ndarray:
+    """Whether the ego box intersects the polygon, per tick (bool (41,)).
+
+    c and s are the cosine and sine of the rollout heading, cx and cy the
+    (4, 41) box corners from _ego_corners.  Work arrays keep the 41 ticks as
+    their last axis, so numpy's inner loops run over ticks, not corners.
+    """
+    corner_in = xy_in_polygon(cx.ravel(), cy.ravel(), poly).reshape(4, DENSE_TICKS).any(axis=0)
 
     # polygon vertex inside the box, tested in the box frame
-    v = poly.vertices
-    c, s = np.cos(d.psi), np.sin(d.psi)
-    dx = v[None, :, 0] - d.x[:, None]
-    dy = v[None, :, 1] - d.y[:, None]
-    lon = dx * c[:, None] + dy * s[:, None]
-    lat = -dx * s[:, None] + dy * c[:, None]
-    vert_in = ((np.abs(lon) <= hl) & (np.abs(lat) <= hw)).any(axis=1)
+    next_vertices, ax, ay = poly._edge_arrays()[:3]
+    dx = ax - d.x                                     # (E, 41)
+    dy = ay - d.y
+    lon = dx * c + dy * s
+    lat = -dx * s + dy * c
+    vert_in = ((np.abs(lon) <= hl) & (np.abs(lat) <= hw)).any(axis=0)
 
     # edge crossings between the 4 box edges and the polygon boundary
-    p1 = corners[:, :, None, :]                       # (41, 4, 1, 2)
-    p2 = np.roll(corners, -1, axis=1)[:, :, None, :]
-    q1 = v[None, None, :, :]                          # (1, 1, E, 2)
-    q2 = np.roll(v, -1, axis=0)[None, None, :, :]
-    edge_cross = segments_intersect_batch(p1, p2, q1, q2).any(axis=(1, 2))
+    corners = np.stack([cx, cy], axis=2)
+    p1 = corners[None, :, :, :]                       # (1, 4, 41, 2)
+    p2 = corners[None, [1, 2, 3, 0], :, :]
+    q1 = poly.vertices[:, None, None, :]              # (E, 1, 1, 2)
+    q2 = next_vertices[:, None, None, :]
+    edge_cross = segments_intersect_batch(p1, p2, q1, q2).any(axis=(0, 1))
     return corner_in | vert_in | edge_cross
 
 
 def score_tlc(d: DenseTrajectory, s) -> float:
     """Traffic-light compliance: only the tick of first entry is checked."""
     ctx = _ctx(s)
+    if not ctx.scene.intersections:
+        return 1.0
     hl, hw = ctx.scene.ego_half_length, ctx.scene.ego_half_width
+    cos_psi, sin_psi = np.cos(d.psi), np.sin(d.psi)
+    cx, cy = _ego_corners(d, hl, hw, cos_psi, sin_psi)
     for inter in ctx.scene.intersections:
-        inside = _box_in_polygon_per_tick(d, hl, hw, inter.polygon)
+        inside = _box_in_polygon_per_tick(d, hl, hw, cos_psi, sin_psi, cx, cy, inter.polygon)
         entries = np.flatnonzero(inside[1:] & ~inside[:-1]) + 1
         if np.any(inter.light.phases[entries] != PHASE_GREEN):
             return 0.0
@@ -551,15 +578,13 @@ def score_lk(d: DenseTrajectory, s) -> float:
     cfg = ctx.metric_cfg
     if not ctx.scene.lanes:
         return 1.0
-    pts = d.xy
-    dists, aligned = _lane_projections(ctx, pts, d.psi)
-    offset = np.full(DENSE_TICKS, np.inf)
-    for dist, ok in zip(dists, aligned):
-        offset = np.where(ok, np.minimum(offset, dist), offset)
-    viol = (offset > cfg.lk_offset_m) & _outside_intersections(ctx, pts)
+    dists, aligned, outside = _lane_state(d, ctx)
+    # distance to the nearest centerline whose legal direction the heading follows
+    offset = np.where(aligned, dists, np.inf).min(axis=0)
+    viol = (offset > cfg.lk_offset_m) & outside
 
     run = longest = 0
-    for flag in viol:
+    for flag in viol.tolist():
         run = run + 1 if flag else 0
         longest = max(longest, run)
     return 0.0 if longest > cfg.lk_window_ticks else 1.0

@@ -219,13 +219,20 @@ def save_scene(scene: Scene, path) -> None:
         raise
 
 
-def load_scene(path) -> Scene:
+def _load_json_object(path) -> dict:
+    """The top-level JSON object of a file; SceneFormatError names the file."""
     path = Path(path)
     try:
         doc = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise SceneFormatError(f"{path}: not valid JSON ({exc})") from None
-    return scene_from_doc(doc)
+    if not isinstance(doc, dict):
+        raise SceneFormatError(f"{path}: top-level JSON value must be an object, not {type(doc).__name__}")
+    return doc
+
+
+def load_scene(path) -> Scene:
+    return scene_from_doc(_load_json_object(path))
 
 
 # ---------------------------------------------------------------------------
@@ -534,7 +541,7 @@ def save_trajectory_map(trajs: dict, path) -> None:
 
 
 def load_trajectory_map(path) -> dict:
-    doc = json.loads(Path(path).read_text())
+    doc = _load_json_object(path)
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise SceneFormatError(f"unsupported schema_version in {path}")
     return {k: Trajectory(v) for k, v in doc["trajectories"].items()}
@@ -546,7 +553,7 @@ def save_proposal_set(proposals, path) -> None:
 
 
 def load_proposal_set(path) -> list:
-    doc = json.loads(Path(path).read_text())
+    doc = _load_json_object(path)
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise SceneFormatError(f"unsupported schema_version in {path}")
     return [Trajectory(p) for p in doc["proposals"]]
@@ -554,7 +561,7 @@ def load_proposal_set(path) -> list:
 
 def load_proposal_frames(path) -> list:
     """[(scene_id, [Trajectory] proposals)] for frame-by-frame selection."""
-    doc = json.loads(Path(path).read_text())
+    doc = _load_json_object(path)
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise SceneFormatError(f"unsupported schema_version in {path}")
     return [(f["scene_id"], [Trajectory(p) for p in f["proposals"]]) for f in doc["frames"]]
@@ -562,7 +569,7 @@ def load_proposal_frames(path) -> list:
 
 def load_score_frames(path) -> dict:
     """scene_id -> external score vector, aligned with proposal frames."""
-    doc = json.loads(Path(path).read_text())
+    doc = _load_json_object(path)
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise SceneFormatError(f"unsupported schema_version in {path}")
     return {f["scene_id"]: np.asarray(f["scores"], dtype=float) for f in doc["frames"]}

@@ -31,7 +31,7 @@ class ProposalSet:
             raise ValueError("need at least one proposal")
         if scores.shape != (len(self.proposals),):
             raise ValueError("scores must align one-to-one with proposals")
-        if scores.min() < 0.0 or scores.max() > 1.0:
+        if not np.all((scores >= 0.0) & (scores <= 1.0)):  # also rejects NaN
             raise ValueError("scores must lie in [0, 1]")
         object.__setattr__(self, "scores", scores)
         scores.setflags(write=False)

@@ -167,3 +167,352 @@ def pdms_formula(nc, dac, ep, ttc, c):
 
 def epdms_formula(nc, dac, ddc, tlc, ep, ttc, lk, hc, ec):
     return nc * dac * ddc * tlc * (5 * (ep + ttc) + 2 * (lk + hc + ec)) / 16
+
+
+# ---------------------------------------------------------------------------
+# Exactness oracles: the rollout and rule-scoring paths as they were before
+# per-scene geometry was precomputed, the PID tick schedule cached and the
+# lane projections shared between DDC and LK.  The library must reproduce
+# them bit for bit, so they keep the original arithmetic, operation order,
+# numpy calls and array layouts.  NC, TTC and HC, whose paths were not
+# changed, are taken from the library.
+
+
+def wrap_angle(a):
+    r = math.remainder(a, math.tau)
+    if r <= -math.pi:
+        r += math.tau
+    return r
+
+
+def trajectory_to_world(t, frame):
+    from trajsim.kinematics import Trajectory
+
+    c, s = math.cos(frame.psi), math.sin(frame.psi)
+    p = t.poses
+    out = np.empty_like(p)
+    out[:, 0] = frame.x + c * p[:, 0] - s * p[:, 1]
+    out[:, 1] = frame.y + s * p[:, 0] + c * p[:, 1]
+    out[:, 2] = np.vectorize(wrap_angle)(p[:, 2] + frame.psi)
+    return Trajectory(out)
+
+
+def _interp_targets(plan, init, dt, ticks):
+    nodes_t = [0.0] + [0.5 * (i + 1) for i in range(plan.m)]
+    nodes_x = [init.pose.x] + [float(v) for v in plan.poses[:, 0]]
+    nodes_y = [init.pose.y] + [float(v) for v in plan.poses[:, 1]]
+    nodes_psi = [init.pose.psi] + [float(v) for v in plan.poses[:, 2]]
+    nodes_s = [0.0]
+    for i in range(1, len(nodes_x)):
+        nodes_s.append(nodes_s[-1] + math.hypot(nodes_x[i] - nodes_x[i - 1], nodes_y[i] - nodes_y[i - 1]))
+
+    tx, ty, tpsi, ts = [], [], [], []
+    j = 0
+    for k in range(ticks):
+        t = k * dt
+        while j + 1 < len(nodes_t) - 1 and nodes_t[j + 1] < t:
+            j += 1
+        if t >= nodes_t[-1]:
+            tx.append(nodes_x[-1])
+            ty.append(nodes_y[-1])
+            tpsi.append(nodes_psi[-1])
+            ts.append(nodes_s[-1])
+            continue
+        w = (t - nodes_t[j]) / (nodes_t[j + 1] - nodes_t[j])
+        tx.append(nodes_x[j] + w * (nodes_x[j + 1] - nodes_x[j]))
+        ty.append(nodes_y[j] + w * (nodes_y[j + 1] - nodes_y[j]))
+        dpsi = wrap_angle(nodes_psi[j + 1] - nodes_psi[j])
+        tpsi.append(nodes_psi[j] + w * dpsi)
+        ts.append(nodes_s[j] + w * (nodes_s[j + 1] - nodes_s[j]))
+    return tx, ty, tpsi, ts
+
+
+def pid_track(plan, init, cfg=None):
+    from trajsim.kinematics import DENSE_TICKS, DenseTrajectory, KinematicsConfig
+
+    if plan.m < 2:
+        raise ValueError("plan needs at least 2 waypoints")
+    if cfg is None:
+        cfg = KinematicsConfig()
+    dt = cfg.dt
+    tx, ty, tpsi, ts = _interp_targets(plan, init, dt, DENSE_TICKS)
+
+    xs = [0.0] * DENSE_TICKS
+    ys = [0.0] * DENSE_TICKS
+    psis = [0.0] * DENSE_TICKS
+    vs = [0.0] * DENSE_TICKS
+    accs = [0.0] * DENSE_TICKS
+    steers = [0.0] * DENSE_TICKS
+    x, y, psi, v = init.pose.x, init.pose.y, init.pose.psi, init.v
+    xs[0], ys[0], psis[0], vs[0] = x, y, psi, v
+    accs[0], steers[0] = init.a, init.steer
+
+    traveled = 0.0
+    e_s_prev = 0.0
+    e_s_int = 0.0
+    pi = math.pi
+    tau = math.tau
+    for k in range(1, DENSE_TICKS):
+        cos_psi = math.cos(psi)
+        sin_psi = math.sin(psi)
+        e_s = ts[k - 1] - traveled
+        e_s_int += e_s * dt
+        accel_cmd = cfg.kp_lon * e_s + cfg.ki_lon * e_s_int + cfg.kd_lon * (e_s - e_s_prev) / dt
+        e_s_prev = e_s
+        ex = tx[k - 1] - x
+        ey_w = ty[k - 1] - y
+        e_y = -sin_psi * ex + cos_psi * ey_w
+        e_psi = tpsi[k - 1] - psi
+        e_psi = math.remainder(e_psi, tau)
+        steer_cmd = cfg.kp_lat * e_y + cfg.kd_lat * v * math.sin(e_psi)
+
+        a = min(max(accel_cmd, cfg.accel_min), cfg.accel_max)
+        steer = min(max(steer_cmd, -cfg.steer_max), cfg.steer_max)
+        step = v * dt
+        x += step * cos_psi
+        y += step * sin_psi
+        psi += (v / cfg.wheelbase) * math.tan(steer) * dt
+        if psi > pi or psi <= -pi:
+            psi = math.remainder(psi, tau)
+            if psi <= -pi:
+                psi += tau
+        v = max(0.0, v + a * dt)
+        traveled += step
+        xs[k], ys[k], psis[k], vs[k], accs[k], steers[k] = x, y, psi, v, a, steer
+
+    return DenseTrajectory(xs, ys, psis, vs, accs, steers)
+
+
+def points_in_polygon(points, vertices, edge_eps=1e-9):
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    v = np.asarray(vertices, dtype=float)
+    a = v
+    b = np.roll(v, -1, axis=0)
+
+    px = pts[:, 0:1]
+    py = pts[:, 1:2]
+    ax_, ay = a[:, 0], a[:, 1]
+    bx_, by = b[:, 0], b[:, 1]
+
+    cond = (ay > py) != (by > py)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x_cross = ax_ + (py - ay) * (bx_ - ax_) / (by - ay)
+    crossings = np.sum(cond & (px < x_cross), axis=1)
+    inside = (crossings % 2) == 1
+
+    ex = bx_ - ax_
+    ey = by - ay
+    seg_len2 = ex * ex + ey * ey
+    t = ((px - ax_) * ex + (py - ay) * ey) / seg_len2
+    t = np.clip(t, 0.0, 1.0)
+    dx = px - (ax_ + t * ex)
+    dy = py - (ay + t * ey)
+    on_edge = np.any(dx * dx + dy * dy <= edge_eps * edge_eps, axis=1)
+    return inside | on_edge
+
+
+def project_many(line_points, points):
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    p = np.asarray(line_points, dtype=float)
+    cum = np.concatenate([[0.0], np.cumsum(np.linalg.norm(np.diff(p, axis=0), axis=1))])
+    a = p[:-1]
+    d = np.diff(p, axis=0)
+    len2 = np.sum(d * d, axis=1)
+    seg_len = np.sqrt(len2)
+
+    rx = pts[:, 0:1] - a[:, 0]
+    ry = pts[:, 1:2] - a[:, 1]
+    t = np.clip((rx * d[:, 0] + ry * d[:, 1]) / len2, 0.0, 1.0)
+    qx = rx - t * d[:, 0]
+    qy = ry - t * d[:, 1]
+    d2 = qx * qx + qy * qy
+    seg = np.argmin(d2, axis=1)
+
+    rows = np.arange(len(pts))
+    t_best = t[rows, seg]
+    s = cum[seg] + t_best * seg_len[seg]
+    dist = np.sqrt(d2[rows, seg])
+    cross = d[seg, 0] * ry[rows, seg] - d[seg, 1] * rx[rows, seg]
+    lat_sign = np.where(cross >= 0, 1.0, -1.0)
+    lateral = lat_sign * np.abs(cross) / seg_len[seg]
+    return s, lateral, dist, seg
+
+
+def _ego_corners(d, hl, hw):
+    c, s = np.cos(d.psi), np.sin(d.psi)
+    local = np.array([[hl, hw], [-hl, hw], [-hl, -hw], [hl, -hw]])
+    cx = d.x[:, None] + local[:, 0] * c[:, None] - local[:, 1] * s[:, None]
+    cy = d.y[:, None] + local[:, 0] * s[:, None] + local[:, 1] * c[:, None]
+    return np.stack([cx, cy], axis=2)
+
+
+def route_progress(d, route):
+    pts = np.array([[d.x[0], d.y[0]], [d.x[-1], d.y[-1]]])
+    s, _, _, _ = project_many(route.points, pts)
+    return float(s[1] - s[0])
+
+
+def score_dac(d, scene):
+    corners = _ego_corners(d, scene.ego_half_length, scene.ego_half_width).reshape(-1, 2)
+    covered = np.zeros(len(corners), dtype=bool)
+    for poly in scene.drivable:
+        covered |= points_in_polygon(corners, poly.vertices)
+        if covered.all():
+            return 1.0
+    return 1.0 if covered.all() else 0.0
+
+
+def _outside_intersections(scene, pts):
+    outside = np.ones(len(pts), dtype=bool)
+    for inter in scene.intersections:
+        outside &= ~points_in_polygon(pts, inter.polygon.vertices)
+    return outside
+
+
+def _lane_projections(scene, pts, heading):
+    hx, hy = np.cos(heading), np.sin(heading)
+    dists, aligned = [], []
+    for lane in scene.lanes:
+        d = np.diff(lane.centerline.points, axis=0)
+        d /= np.linalg.norm(d, axis=1, keepdims=True)
+        dirs = lane.direction_sign * d
+        _, _, dist, seg = project_many(lane.centerline.points, pts)
+        tangent = dirs[seg]
+        dists.append(dist)
+        aligned.append(hx * tangent[:, 0] + hy * tangent[:, 1] > 0)
+    return dists, aligned
+
+
+def score_ddc(d, scene, cfg):
+    if not scene.lanes:
+        return 1.0
+    pts = d.xy
+    dists, aligned = _lane_projections(scene, pts, d.psi)
+    nearest = np.argmin(np.stack(dists), axis=0)
+    opposing = ~np.stack(aligned)[nearest, np.arange(len(pts))]
+    cond = opposing & _outside_intersections(scene, pts)
+    steps = np.hypot(np.diff(d.x), np.diff(d.y))
+    wrong_way = float(np.sum(steps[cond[:-1]]))
+    if wrong_way < cfg.ddc_minor_m:
+        return 1.0
+    if wrong_way < cfg.ddc_major_m:
+        return 0.5
+    return 0.0
+
+
+def score_lk(d, scene, cfg):
+    if not scene.lanes:
+        return 1.0
+    pts = d.xy
+    dists, aligned = _lane_projections(scene, pts, d.psi)
+    offset = np.full(len(pts), np.inf)
+    for dist, ok in zip(dists, aligned):
+        offset = np.where(ok, np.minimum(offset, dist), offset)
+    viol = (offset > cfg.lk_offset_m) & _outside_intersections(scene, pts)
+    run = longest = 0
+    for flag in viol:
+        run = run + 1 if flag else 0
+        longest = max(longest, run)
+    return 0.0 if longest > cfg.lk_window_ticks else 1.0
+
+
+def segments_intersect_batch(p1, p2, q1, q2, edge_eps=1e-9):
+    p1 = np.asarray(p1, float)
+    p2 = np.asarray(p2, float)
+    q1 = np.asarray(q1, float)
+    q2 = np.asarray(q2, float)
+
+    def orient(a, b, c):
+        return (b[..., 0] - a[..., 0]) * (c[..., 1] - a[..., 1]) - (
+            b[..., 1] - a[..., 1]
+        ) * (c[..., 0] - a[..., 0])
+
+    d1 = orient(q1, q2, p1)
+    d2 = orient(q1, q2, p2)
+    d3 = orient(p1, p2, q1)
+    d4 = orient(p1, p2, q2)
+    proper = ((d1 > 0) != (d2 > 0)) & ((d3 > 0) != (d4 > 0)) & (d1 != 0) & (d2 != 0) & (d3 != 0) & (d4 != 0)
+
+    def on_box(a, b, c):
+        return (
+            (np.minimum(a[..., 0], b[..., 0]) - edge_eps <= c[..., 0])
+            & (c[..., 0] <= np.maximum(a[..., 0], b[..., 0]) + edge_eps)
+            & (np.minimum(a[..., 1], b[..., 1]) - edge_eps <= c[..., 1])
+            & (c[..., 1] <= np.maximum(a[..., 1], b[..., 1]) + edge_eps)
+        )
+
+    touch = (
+        ((d1 == 0) & on_box(q1, q2, p1))
+        | ((d2 == 0) & on_box(q1, q2, p2))
+        | ((d3 == 0) & on_box(p1, p2, q1))
+        | ((d4 == 0) & on_box(p1, p2, q2))
+    )
+    return proper | touch
+
+
+def _box_in_polygon_per_tick(d, hl, hw, vertices):
+    corners = _ego_corners(d, hl, hw)
+    corner_in = points_in_polygon(corners.reshape(-1, 2), vertices).reshape(len(d.x), 4).any(axis=1)
+    v = vertices
+    c, s = np.cos(d.psi), np.sin(d.psi)
+    dx = v[None, :, 0] - d.x[:, None]
+    dy = v[None, :, 1] - d.y[:, None]
+    lon = dx * c[:, None] + dy * s[:, None]
+    lat = -dx * s[:, None] + dy * c[:, None]
+    vert_in = ((np.abs(lon) <= hl) & (np.abs(lat) <= hw)).any(axis=1)
+    p1 = corners[:, :, None, :]
+    p2 = np.roll(corners, -1, axis=1)[:, :, None, :]
+    q1 = v[None, None, :, :]
+    q2 = np.roll(v, -1, axis=0)[None, None, :, :]
+    edge_cross = segments_intersect_batch(p1, p2, q1, q2).any(axis=(1, 2))
+    return corner_in | vert_in | edge_cross
+
+
+def score_tlc(d, scene):
+    hl, hw = scene.ego_half_length, scene.ego_half_width
+    for inter in scene.intersections:
+        inside = _box_in_polygon_per_tick(d, hl, hw, inter.polygon.vertices)
+        entries = np.flatnonzero(inside[1:] & ~inside[:-1]) + 1
+        if np.any(inter.light.phases[entries] != 0):
+            return 0.0
+    return 1.0
+
+
+def score_ep(d, scene, kin_cfg, cfg):
+    reference = pid_track(trajectory_to_world(scene.human_trajectory, scene.ego_init.pose), scene.ego_init, kin_cfg)
+    ref_progress = route_progress(reference, scene.route)
+    if ref_progress < cfg.ep_min_ref_progress_m:
+        return 1.0
+    ratio = route_progress(d, scene.route) / ref_progress
+    return float(min(max(ratio, 0.0), 1.0))
+
+
+def subscores(d, ctx):
+    """The eight rollout subscores of one rollout, by name."""
+    from trajsim import metrics
+
+    scene, cfg = ctx.scene, ctx.metric_cfg
+    return {
+        "nc": metrics.score_nc(d, ctx),
+        "dac": score_dac(d, scene),
+        "ddc": score_ddc(d, scene, cfg),
+        "tlc": score_tlc(d, scene),
+        "ep": score_ep(d, scene, ctx.kin_cfg, cfg),
+        "ttc": metrics.score_ttc(d, ctx),
+        "lk": score_lk(d, scene, cfg),
+        "hc": metrics.score_hc(d, ctx),
+    }
+
+
+def epdms_row(scene, centers):
+    """score_scene_row through the oracle rollout and subscores."""
+    from trajsim.metrics import ScoreContext
+
+    ctx = ScoreContext(scene)
+    row = []
+    for center in centers:
+        rollout = pid_track(trajectory_to_world(center, scene.ego_init.pose), scene.ego_init, ctx.kin_cfg)
+        sub = subscores(rollout, ctx)
+        row.append(epdms_formula(sub["nc"], sub["dac"], sub["ddc"], sub["tlc"], sub["ep"], sub["ttc"],
+                                 sub["lk"], sub["hc"], 1.0))
+    return np.array(row)

@@ -86,6 +86,14 @@ class TestScore:
         assert code != 0
         assert "no trajectory for scene" in capsys.readouterr().err
 
+    def test_non_object_json_fails_without_traceback(self, clean_dir, tmp_path, capsys):
+        tmap = tmp_path / "trajs.json"
+        tmap.write_text("[]")
+        code = main(["score", "--scenes", str(clean_dir), "--traj", str(tmap), "--out", str(tmp_path / "r.json")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "trajs.json" in err and "Traceback" not in err
+
     def test_missing_dir_fails(self, tmp_path, capsys):
         code = main(["score", "--scenes", str(tmp_path / "nope"), "--traj", "human",
                      "--out", str(tmp_path / "r.json")])

@@ -87,6 +87,25 @@ class TestScoreVocabulary:
         assert np.array_equal(resumed.values[0], poisoned)
         assert np.array_equal(resumed.values[1:], full.values[1:])
 
+    def test_torn_done_line_not_trusted(self, small_world, tmp_path):
+        scenes, vocab = small_world
+        path = tmp_path / "matrix.bin"
+        full = score_vocabulary(scenes, vocab, workers=1, checkpoint=path)
+        # a run interrupted after rows 0 and 1 and while appending "2\n",
+        # before row 2's scores reached the matrix file
+        raw = bytearray(path.read_bytes())
+        row_bytes = vocab.k * 8
+        header = len(raw) - len(scenes) * row_bytes
+        raw[header + 2 * row_bytes:] = bytes(len(raw) - header - 2 * row_bytes)
+        path.write_bytes(bytes(raw))
+        done = path.with_name(path.name + ".done")
+        done.write_text("0\n1\n2")
+
+        resumed = score_vocabulary(scenes, vocab, workers=1, checkpoint=path)
+        assert np.array_equal(resumed.values, full.values)
+        assert sorted(int(i) for i in done.read_text().split()) == list(range(len(scenes)))
+        assert done.read_text().endswith("\n")
+
     def test_checkpoint_mismatch_rejected(self, small_world, tmp_path):
         scenes, vocab = small_world
         path = tmp_path / "matrix.bin"
@@ -239,6 +258,10 @@ class TestSelfConsistency:
 
 
 class TestPersistence:
+    def test_nan_score_rejected(self):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            ScoreMatrix(("a",), np.array([[np.nan, 0.2]]))
+
     def test_matrix_round_trip(self, tmp_path):
         rng = np.random.default_rng(32)
         m = ScoreMatrix(scene_ids=("a", "b", "c"), values=rng.uniform(0, 1, (3, 5)))

@@ -1,0 +1,198 @@
+"""The rollout and scoring layers reproduce their reference paths bit for bit.
+
+The references in oracles.py keep the arithmetic of the per-call paths as
+they were before per-scene geometry was precomputed, the PID tick schedule
+cached and the lane projections shared between DDC and LK.  Every comparison
+here is on the bytes of the float64 values, so -0.0 against 0.0 fails too.
+"""
+
+import math
+import sys
+import threading
+
+import numpy as np
+import pytest
+
+from trajsim.distill import score_scene_row
+from trajsim.geom import Polygon, Polyline, Pose, points_in_polygon, project_many, segments_intersect_batch
+from trajsim.kinematics import EgoState, Trajectory, pid_track, trajectory_to_world
+from trajsim.metrics import ScoreContext, score_ddc, score_lk
+from trajsim import metrics
+from trajsim.scene_io import TEMPLATES, SyntheticSpec, generate_scene
+from trajsim.vocabulary import TrajectoryCorpus, kmeans
+
+import oracles
+
+FIELDS = ("x", "y", "psi", "v", "a", "steer")
+RULES = ("nc", "dac", "ddc", "tlc", "ep", "ttc", "lk", "hc")
+
+
+def bits(x) -> bytes:
+    return np.asarray(x, dtype=np.float64).tobytes()
+
+
+def assert_same_rollout(got, want):
+    for f in FIELDS:
+        assert bits(getattr(got, f)) == bits(getattr(want, f)), f
+
+
+@pytest.fixture(scope="module")
+def scenes():
+    return [generate_scene(SyntheticSpec(t, seed=seed)) for t in TEMPLATES for seed in (3, 11)]
+
+
+@pytest.fixture(scope="module")
+def vocab():
+    corpus = TrajectoryCorpus(
+        generate_scene(SyntheticSpec(TEMPLATES[j % len(TEMPLATES)], seed=900 + j // len(TEMPLATES))).human_trajectory
+        for j in range(192)
+    )
+    return kmeans(corpus, k=32, seed=5, workers=1)
+
+
+@pytest.fixture(scope="module")
+def centers(vocab):
+    return vocab.centers
+
+
+def test_rollouts_match_oracle(scenes, centers):
+    for scene in scenes:
+        for plan in (scene.human_trajectory, *centers):
+            world = trajectory_to_world(plan, scene.ego_init.pose)
+            want_world = oracles.trajectory_to_world(plan, scene.ego_init.pose)
+            assert bits(world.poses) == bits(want_world.poses)
+            assert_same_rollout(pid_track(world, scene.ego_init), oracles.pid_track(want_world, scene.ego_init))
+
+
+def test_each_subscore_matches_oracle(scenes, centers):
+    for scene in scenes:
+        ctx = ScoreContext(scene)
+        for center in centers:
+            rollout = pid_track(trajectory_to_world(center, scene.ego_init.pose), scene.ego_init, ctx.kin_cfg)
+            want = oracles.subscores(rollout, ctx)
+            # in the order evaluate_rollout and the row use, so DDC fills the lane memo for LK
+            for rule in RULES:
+                got = getattr(metrics, f"score_{rule}")(rollout, ctx)
+                assert bits(got) == bits(want[rule]), (scene.scene_id, rule)
+
+
+def test_score_scene_row_matches_oracle(scenes, vocab):
+    for scene in scenes:
+        assert bits(score_scene_row(scene, vocab)) == bits(oracles.epdms_row(scene, vocab.centers)), scene.scene_id
+
+
+def test_headings_that_need_wrapping():
+    # frames and plan headings near +-pi, so sums leave (-pi, pi] and the
+    # interpolated heading crosses the seam between waypoints
+    rng = np.random.default_rng(17)
+    for _ in range(200):
+        frame = Pose(rng.uniform(-50, 50), rng.uniform(-50, 50), rng.choice([-1, 1]) * rng.uniform(3.0, math.pi))
+        m = int(rng.integers(2, 9))
+        xy = np.cumsum(rng.uniform(-6, 6, size=(m, 2)), axis=0)
+        psi = np.where(rng.random(m) < 0.5, math.pi, -math.pi) - rng.uniform(-0.2, 0.2, size=m)
+        plan = Trajectory(np.column_stack([xy, np.vectorize(oracles.wrap_angle)(psi)]))
+        world = trajectory_to_world(plan, frame)
+        want_world = oracles.trajectory_to_world(plan, frame)
+        assert bits(world.poses) == bits(want_world.poses)
+        init = EgoState(frame, v=float(rng.uniform(0, 15)), a=float(rng.uniform(-2, 2)), steer=float(rng.uniform(-0.3, 0.3)))
+        assert_same_rollout(pid_track(world, init), oracles.pid_track(want_world, init))
+
+
+def test_points_on_polygon_edges_match_oracle():
+    rng = np.random.default_rng(23)
+    polys = [
+        [[0, 0], [4, 0], [4, 3], [0, 3]],                    # horizontal and vertical edges
+        [[0, 0], [5, 1], [3, 4], [1, 3.5], [-1, 2]],          # slanted, given CCW
+        [[0, 0], [0, 2], [1, 1], [2, 2], [2, 0]],             # concave, given CW
+    ]
+    for verts in polys:
+        poly = Polygon(verts)
+        v, nxt = poly.vertices, np.roll(poly.vertices, -1, axis=0)
+        w = rng.uniform(0, 1, size=(40, 1))
+        on_edges = np.concatenate([v, v + w[: len(v)] * (nxt - v), 0.5 * (v + nxt)])
+        inner = v.mean(axis=0) + rng.uniform(-0.05, 0.05, size=(30, 2))
+        around = rng.uniform(v.min(axis=0) - 1, v.max(axis=0) + 1, size=(200, 2))
+        for pts in (on_edges, inner, around, np.concatenate([inner, on_edges])):
+            got = points_in_polygon(pts, poly)
+            assert bits(got.astype(float)) == bits(oracles.points_in_polygon(pts, poly.vertices).astype(float))
+        assert points_in_polygon(on_edges, poly).all()
+
+
+def test_segment_intersections_match_oracle():
+    # end points on a small integer grid, so collinear triples and touching
+    # or overlapping segments are common
+    rng = np.random.default_rng(31)
+    p1, p2 = rng.integers(0, 4, size=(2, 60, 1, 2)).astype(float)
+    q1, q2 = rng.integers(0, 4, size=(2, 1, 60, 2)).astype(float)
+    got = segments_intersect_batch(p1, p2, q1, q2)
+    want = oracles.segments_intersect_batch(p1, p2, q1, q2)
+    assert np.array_equal(got, want) and want.any() and not want.all()
+    # and in general position, where no orientation is exactly zero
+    p1, p2 = rng.uniform(0, 4, size=(2, 60, 1, 2))
+    q1, q2 = rng.uniform(0, 4, size=(2, 1, 60, 2))
+    assert np.array_equal(segments_intersect_batch(p1, p2, q1, q2), oracles.segments_intersect_batch(p1, p2, q1, q2))
+
+
+def test_project_many_matches_oracle():
+    rng = np.random.default_rng(29)
+    for _ in range(50):
+        pts = np.cumsum(rng.uniform(0.5, 4.0, size=(int(rng.integers(2, 8)), 2)) * rng.choice([-1, 1], size=2), axis=0)
+        line = Polyline(pts)
+        queries = np.concatenate([pts, rng.uniform(pts.min() - 5, pts.max() + 5, size=(60, 2))])
+        for got, want in zip(project_many(line, queries), oracles.project_many(pts, queries)):
+            assert bits(got) == bits(want)
+
+
+def _distinct_pair(scene, rule, centers):
+    """Two rollouts of `scene` whose `rule` subscores differ."""
+    plans = [scene.human_trajectory, *centers]
+    rollouts = [pid_track(trajectory_to_world(p, scene.ego_init.pose), scene.ego_init) for p in plans]
+    values = [getattr(metrics, f"score_{rule}")(r, ScoreContext(scene)) for r in rollouts]
+    first = values[0]
+    other = next(i for i, val in enumerate(values) if val != first)
+    return rollouts[0], rollouts[other]
+
+
+@pytest.mark.parametrize("template, first, then", [
+    ("lane_drift", score_ddc, score_lk),
+    ("oncoming_lane", score_lk, score_ddc),
+])
+def test_lane_memo_never_serves_another_rollout(template, first, then, centers):
+    scene = generate_scene(SyntheticSpec(template, seed=4))
+    name = then.__name__.removeprefix("score_")
+    a, b = _distinct_pair(scene, name, centers)
+    ctx = ScoreContext(scene)
+    first(a, ctx)
+    assert bits(then(b, ctx)) == bits(then(b, ScoreContext(scene)))
+    first(b, ctx)
+    assert bits(then(a, ctx)) == bits(then(a, ScoreContext(scene)))
+
+
+def test_shared_context_across_threads(centers):
+    """Threads sharing one context and interleaving DDC and LK on different
+    rollouts get the single-threaded scores."""
+    scene = generate_scene(SyntheticSpec("oncoming_lane", seed=4))
+    rollouts = [pid_track(trajectory_to_world(c, scene.ego_init.pose), scene.ego_init) for c in centers]
+    want = [(score_ddc(r, ScoreContext(scene)), score_lk(r, ScoreContext(scene))) for r in rollouts]
+    ctx = ScoreContext(scene)
+    wrong = []
+
+    def work(offset):
+        for rep in range(20):
+            for i in range(len(rollouts)):
+                j = (i + offset + rep) % len(rollouts)
+                if (score_ddc(rollouts[j], ctx), score_lk(rollouts[j], ctx)) != want[j]:
+                    wrong.append(j)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []

@@ -12,8 +12,11 @@ from trajsim.scene_io import (
     SyntheticSpec,
     generate_scene,
     load_corpus,
+    load_proposal_frames,
     load_proposal_set,
     load_scene,
+    load_score_frames,
+    load_trajectory_map,
     save_proposal_set,
     save_scene,
     scene_from_doc,
@@ -82,6 +85,16 @@ class TestValidation:
         path.write_text("{not json")
         with pytest.raises(SceneFormatError):
             load_scene(path)
+
+    @pytest.mark.parametrize("loader", [
+        load_scene, load_trajectory_map, load_proposal_set, load_proposal_frames, load_score_frames,
+    ])
+    @pytest.mark.parametrize("top", ["[1, 2]", "null"])
+    def test_top_level_must_be_an_object(self, tmp_path, loader, top):
+        path = tmp_path / "odd.json"
+        path.write_text(top)
+        with pytest.raises(SceneFormatError, match="odd.json: top-level JSON value must be an object"):
+            loader(path)
 
 
 class TestGenerator:

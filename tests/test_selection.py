@@ -111,6 +111,10 @@ class TestSelect:
         with pytest.raises(ValueError):
             ProposalSet((straight(),), np.array([1.2]))
 
+    def test_nan_score_rejected(self):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            ProposalSet((straight(), straight()), np.array([np.nan, 0.5]))
+
 
 class TestTenFrameSequence:
     """A fixed proposal set with one temporally consistent chain: momentum-aware
