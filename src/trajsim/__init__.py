@@ -4,57 +4,24 @@ Simulates candidate ego trajectories against log-replayed scenes, computes
 the PDMS/EPDMS rule subscores, clusters a trajectory vocabulary, mines
 multimodal pseudo-teacher trajectories, performs momentum-aware selection,
 and reports proposal-set diversity.
+
+The top level holds what the library example in the README uses; everything
+else is imported from its submodule: ``geom``, ``kinematics``, ``metrics``,
+``scene_io``, ``vocabulary``, ``distill``, ``selection`` and ``render``.
 """
 
-from .geom import (
-    OccupancyGrid,
-    OrientedBox,
-    Polygon,
-    Polyline,
-    Pose,
-    arc_length,
-    box_in_polygons,
-    buffer_rasterize,
-    grid_iou,
-    obb_overlap,
-    point_in_polygon,
-    project_onto,
-)
-from .kinematics import (
-    DenseTrajectory,
-    EgoState,
-    KinematicsConfig,
-    Trajectory,
-    bicycle_step,
-    derive_profiles,
-    pid_track,
-)
-from .metrics import (
-    Agent,
-    AuxLabels,
-    Intersection,
-    Lane,
-    MetricConfig,
-    Scene,
-    ScoreContext,
-    SubScores,
-    TrafficLight,
-    aggregate_epdms,
-    aggregate_pdms,
-    aux_labels,
-    diversity,
-    evaluate_rollout,
-)
-from .vocabulary import TrajectoryCorpus, Vocabulary, kmeans, nearest_center
-from .distill import (
-    DistillConfig,
-    PseudoTeacherSet,
-    ScoreMatrix,
-    distill_loss,
-    score_vocabulary,
-    select_pseudo_teachers,
-)
-from .selection import ProposalSet, SelectionState, comfort_scores, recalibrate, select
-from .scene_io import SyntheticSpec, generate_scene, load_corpus, load_scene, save_scene
+from .kinematics import pid_track
+from .metrics import ScoreContext, aggregate_epdms, evaluate_rollout
+from .scene_io import SyntheticSpec, generate_scene, save_scene
+
+__all__ = [
+    "SyntheticSpec",
+    "generate_scene",
+    "save_scene",
+    "ScoreContext",
+    "evaluate_rollout",
+    "aggregate_epdms",
+    "pid_track",
+]
 
 __version__ = "0.1.0"

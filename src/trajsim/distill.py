@@ -10,6 +10,7 @@ checkpoint makes long runs resumable one scene row at a time.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import struct
@@ -21,6 +22,7 @@ import numpy as np
 
 from .kinematics import KinematicsConfig, Trajectory, pid_track, trajectory_to_world
 from .metrics import MetricConfig, Scene, ScoreContext, aggregate_epdms, evaluate_rollout
+from .scene_io import scene_to_doc
 from .seeding import stable_seed
 from .vocabulary import Vocabulary
 
@@ -121,6 +123,19 @@ def score_scene_row(
     return out
 
 
+def _run_fingerprint(scenes, vocab: Vocabulary, kin_cfg, metric_cfg) -> str:
+    """SHA-256 hex digest of everything a score matrix depends on: the scene
+    contents in row order, the vocabulary centers and both configs."""
+    h = hashlib.sha256()
+    for scene in scenes:
+        h.update(json.dumps(scene_to_doc(scene), sort_keys=True).encode() + b"\n")
+    for center in vocab.centers:
+        h.update(repr(center.poses.shape).encode() + center.poses.astype("<f8").tobytes())
+    h.update(repr(kin_cfg or KinematicsConfig()).encode())
+    h.update(repr(metric_cfg or MetricConfig()).encode())
+    return h.hexdigest()
+
+
 def resolve_workers(workers: int | None) -> int:
     """Effective worker count: an explicit value wins, else TRAJSIM_THREADS, else 1."""
     if workers is not None:
@@ -130,7 +145,11 @@ def resolve_workers(workers: int | None) -> int:
 
 
 class _Checkpoint:
-    """Row-granular resume state: the matrix file plus a .done sidecar."""
+    """Row-granular resume state: the matrix file plus a .done sidecar.
+
+    The sidecar's first line is ``sha256:<fingerprint>`` of the run that
+    created the checkpoint; each further line is a completed scene index.
+    """
 
     def __init__(self, path, n_scenes: int, k: int):
         self.path = Path(path)
@@ -139,14 +158,21 @@ class _Checkpoint:
         self.k = k
         self.row_bytes = k * 8
 
-    def load_done(self) -> dict:
-        """{scene_index: row} for rows already completed in a previous run."""
-        if not (self.path.exists() and self.done_path.exists()):
+    def load_done(self, fingerprint: str) -> dict:
+        """{scene_index: row} for rows already completed by an earlier run
+        with the same fingerprint; a checkpoint of any other run is refused."""
+        tag = f"sha256:{fingerprint}\n"
+        text = self.done_path.read_text() if self.path.exists() and self.done_path.exists() else ""
+        # a torn append leaves a last line without its newline: that row's
+        # bytes may be incomplete, so it is not trusted and is cut off before
+        # the next append could extend it into another index
+        complete = text[: text.rfind("\n") + 1]
+        if not complete:  # not even the fingerprint line: nothing was recorded
             self.path.write_bytes(
                 _HEADER.pack(_MAGIC, _VERSION, self.n_scenes, self.k)
                 + b"\x00" * (self.n_scenes * self.row_bytes)
             )
-            self.done_path.write_text("")
+            self.done_path.write_text(tag)
             return {}
         raw = self.path.read_bytes()
         magic, version, s, k = _HEADER.unpack_from(raw)
@@ -155,15 +181,15 @@ class _Checkpoint:
                 f"{self.path}: existing checkpoint does not match this run "
                 f"(header {magic!r} v{version} {s}x{k}, expected {self.n_scenes}x{self.k})"
             )
-        # a torn append leaves a last line without its newline: that row's
-        # bytes may be incomplete, so it is not trusted and is cut off before
-        # the next append could extend it into another index
-        text = self.done_path.read_text()
-        complete = text[: text.rfind("\n") + 1]
+        if not complete.startswith(tag):
+            raise ValueError(
+                f"{self.path}: existing checkpoint was written for other scenes, vocabulary or "
+                f"configs (the first line of {self.done_path.name} is not sha256:{fingerprint})"
+            )
         if complete != text:
             self.done_path.write_text(complete)
         done = {}
-        for line in complete.split():
+        for line in complete[len(tag):].split():
             idx = int(line)
             off = _HEADER.size + idx * self.row_bytes
             done[idx] = np.frombuffer(raw, dtype="<f8", count=self.k, offset=off).copy()
@@ -189,8 +215,10 @@ def score_vocabulary(
     """Score every (scene, center) pair; bitwise stable across worker counts.
 
     `checkpoint` names a score-matrix file to maintain incrementally; rerun
-    with the same arguments to resume after an interruption.  `progress` is
-    an optional callable invoked with (scene_index,) as rows complete.
+    with the same arguments to resume after an interruption.  A checkpoint
+    written for other scenes, centers or configs raises ValueError.
+    `progress` is an optional callable invoked with (scene_index,) as rows
+    complete.
     """
     scenes = list(scenes)
     if not scenes or vocab.k < 1:
@@ -198,7 +226,9 @@ def score_vocabulary(
     workers = resolve_workers(workers)
 
     ckpt = _Checkpoint(checkpoint, len(scenes), vocab.k) if checkpoint else None
-    rows: dict[int, np.ndarray] = ckpt.load_done() if ckpt else {}
+    rows: dict[int, np.ndarray] = {}
+    if ckpt:
+        rows = ckpt.load_done(_run_fingerprint(scenes, vocab, kin_cfg, metric_cfg))
     todo = [i for i in range(len(scenes)) if i not in rows]
 
     def finish(idx: int, row: np.ndarray):

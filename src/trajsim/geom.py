@@ -22,16 +22,14 @@ __all__ = [
     "Polyline",
     "OccupancyGrid",
     "wrap_angle",
-    "obb_overlap",
     "obb_overlap_batch",
-    "point_in_polygon",
     "points_in_polygon",
-    "box_in_polygons",
+    "xy_in_polygon",
     "buffer_rasterize",
     "grid_union",
-    "grid_iou",
     "arc_length",
-    "project_onto",
+    "arc_positions",
+    "nearest_segments",
     "segments_intersect_batch",
 ]
 
@@ -58,9 +56,6 @@ class Pose:
         if not (math.isfinite(self.x) and math.isfinite(self.y) and math.isfinite(self.psi)):
             raise ValueError(f"pose components must be finite, got ({self.x}, {self.y}, {self.psi})")
         object.__setattr__(self, "psi", wrap_angle(self.psi))
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.psi], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -217,15 +212,6 @@ class OccupancyGrid:
 # oriented-box overlap (separating axis test)
 
 
-def _boxes_to_arrays(boxes):
-    cx = np.array([b.center.x for b in boxes])
-    cy = np.array([b.center.y for b in boxes])
-    psi = np.array([b.center.psi for b in boxes])
-    hl = np.array([b.half_length for b in boxes])
-    hw = np.array([b.half_width for b in boxes])
-    return cx, cy, psi, hl, hw
-
-
 def obb_overlap_batch(ax, ay, apsi, ahl, ahw, bx, by, bpsi, bhl, bhw) -> np.ndarray:
     """Vectorized SAT overlap for paired boxes; touching counts as overlap.
 
@@ -258,16 +244,6 @@ def obb_overlap_batch(ax, ay, apsi, ahl, ahw, bx, by, bpsi, bhl, bhw) -> np.ndar
     overlap &= np.abs(u_lon) <= bhl + ra_lon
     overlap &= np.abs(u_lat) <= bhw + ra_lat
     return overlap
-
-
-def obb_overlap(a: OrientedBox, b: OrientedBox) -> bool:
-    """Exact rectangle intersection test; closed boxes, edges touching count."""
-    return bool(
-        obb_overlap_batch(
-            a.center.x, a.center.y, a.center.psi, a.half_length, a.half_width,
-            b.center.x, b.center.y, b.center.psi, b.half_length, b.half_width,
-        )
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -308,27 +284,8 @@ def xy_in_polygon(px: np.ndarray, py: np.ndarray, poly: Polygon) -> np.ndarray:
     return inside | on_edge
 
 
-def point_in_polygon(p, poly: Polygon) -> bool:
-    """Even-odd containment for a single point; boundary counts as inside."""
-    return bool(points_in_polygon(np.asarray(p, dtype=float)[None, :], poly)[0])
-
-
-def box_in_polygons(b: OrientedBox, polys) -> bool:
-    """True iff all 4 corners of the box lie inside the union of the polygons."""
-    polys = list(polys)
-    if not polys:
-        raise ValueError("need at least one polygon")
-    corners = b.corners()
-    covered = np.zeros(4, dtype=bool)
-    for poly in polys:
-        covered |= points_in_polygon(corners, poly)
-        if covered.all():
-            return True
-    return bool(covered.all())
-
-
 # ---------------------------------------------------------------------------
-# rasterization and grid IoU
+# rasterization and grid union
 
 
 def _snap(value: float, cell: float) -> float:
@@ -405,27 +362,6 @@ def grid_union(grids) -> OccupancyGrid:
     return OccupancyGrid(origin=(ox, oy), cell_size=cell, width=nx, height=ny, bits=bits)
 
 
-def grid_iou(a: OccupancyGrid, b: OccupancyGrid) -> float:
-    """Intersection over union of occupied cells; 0 if the union is empty."""
-    if a.cell_size != b.cell_size:
-        raise ValueError("grid cell sizes differ")
-    cell = a.cell_size
-    ox = min(a.origin[0], b.origin[0])
-    oy = min(a.origin[1], b.origin[1])
-    nx = max(_lattice_offset(ox, g.origin[0], cell) + g.width for g in (a, b))
-    ny = max(_lattice_offset(oy, g.origin[1], cell) + g.height for g in (a, b))
-    bits_a = np.zeros((ny, nx), dtype=bool)
-    bits_b = np.zeros((ny, nx), dtype=bool)
-    for bits, g in ((bits_a, a), (bits_b, b)):
-        kx = _lattice_offset(ox, g.origin[0], cell)
-        ky = _lattice_offset(oy, g.origin[1], cell)
-        bits[ky : ky + g.height, kx : kx + g.width] = g.bits
-    union = np.count_nonzero(bits_a | bits_b)
-    if union == 0:
-        return 0.0
-    return float(np.count_nonzero(bits_a & bits_b) / union)
-
-
 # ---------------------------------------------------------------------------
 # polylines: arc length and projection
 
@@ -435,9 +371,9 @@ def arc_length(line: Polyline) -> float:
 
 
 def _closest_segments(line: Polyline, px: np.ndarray, py: np.ndarray):
-    """For (n,) point coordinates: (segments, points) arrays of the offsets
-    from each segment start, the clamped segment parameters and the squared
-    distances, and the closest segment of each point (ties to the lowest)."""
+    """For (n,) point coordinates: (segments, points) arrays of the clamped
+    segment parameters and the squared distances, and the closest segment of
+    each point (equidistant segments break to the lowest index)."""
     if len(line) < 2:
         raise ValueError("projection needs a polyline with at least 2 points")
     ax, ay, dx, dy, len2, _ = line._segment_arrays()
@@ -447,48 +383,21 @@ def _closest_segments(line: Polyline, px: np.ndarray, py: np.ndarray):
     qx = rx - t * dx
     qy = ry - t * dy
     d2 = qx * qx + qy * qy
-    return rx, ry, t, d2, np.argmin(d2, axis=0)
-
-
-def project_many(line: Polyline, points: np.ndarray):
-    """Project points onto a polyline.
-
-    Returns (s, lateral, dist, seg): arc length of the closest point (clamped
-    to [0, total length]), signed perpendicular offset relative to the closest
-    segment's direction (left positive), true distance to the polyline, and
-    the closest segment index.  Equidistant segments break to the lowest index.
-    """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    rx, ry, t, d2, seg = _closest_segments(line, pts[:, 0], pts[:, 1])
-    _, _, dx, dy, _, seg_len = line._segment_arrays()
-    cols = np.arange(len(pts))
-    s = line._cum[seg] + t[seg, cols] * seg_len[seg]
-    dist = np.sqrt(d2[seg, cols])
-    # sign from the cross product of segment direction with the offset vector
-    cross = dx[seg, 0] * ry[seg, cols] - dy[seg, 0] * rx[seg, cols]
-    lat_sign = np.where(cross >= 0, 1.0, -1.0)
-    # perpendicular component only (beyond the ends the closest point is a
-    # vertex, where the raw distance also carries a longitudinal part)
-    lateral = lat_sign * np.abs(cross) / seg_len[seg]
-    return s, lateral, dist, seg
+    return t, d2, np.argmin(d2, axis=0)
 
 
 def arc_positions(line: Polyline, px: np.ndarray, py: np.ndarray) -> np.ndarray:
-    """The `s` of project_many for (n,) point coordinates."""
-    _, _, t, _, seg = _closest_segments(line, px, py)
+    """Arc length of the closest polyline point to each of the (n,) points,
+    clamped to [0, total length]."""
+    t, _, seg = _closest_segments(line, px, py)
     return line._cum[seg] + t[seg, np.arange(len(px))] * line._segment_arrays()[5][seg]
 
 
 def nearest_segments(line: Polyline, px: np.ndarray, py: np.ndarray):
-    """The `(dist, seg)` of project_many for (n,) point coordinates."""
-    _, _, _, d2, seg = _closest_segments(line, px, py)
+    """(distance to the polyline, closest segment index) of each of the (n,)
+    points."""
+    _, d2, seg = _closest_segments(line, px, py)
     return np.sqrt(d2[seg, np.arange(len(px))]), seg
-
-
-def project_onto(line: Polyline, p) -> tuple[float, float]:
-    """(arc length of closest point, signed lateral offset, left positive)."""
-    s, lat, _, _ = project_many(line, np.asarray(p, dtype=float)[None, :])
-    return float(s[0]), float(lat[0])
 
 
 # ---------------------------------------------------------------------------

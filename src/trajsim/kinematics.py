@@ -11,7 +11,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -22,14 +21,9 @@ __all__ = [
     "EgoState",
     "DenseTrajectory",
     "KinematicsConfig",
-    "MotionProfiles",
-    "bicycle_step",
     "pid_track",
-    "derive_profiles",
     "finite_difference",
     "trajectory_to_world",
-    "trajectory_to_ego",
-    "dense_to_world",
     "DENSE_TICKS",
     "PLAN_DT",
     "TICK_DT",
@@ -63,10 +57,6 @@ class Trajectory:
     def xy(self) -> np.ndarray:
         return self.poses[:, :2]
 
-    def waypoint(self, i: int) -> Pose:
-        x, y, psi = self.poses[i]
-        return Pose(x, y, psi)
-
     def __len__(self):
         return len(self.poses)
 
@@ -87,8 +77,12 @@ class EgoState:
     steer: float = 0.0
 
     def __post_init__(self):
-        if self.v < 0:
-            raise ValueError("speed must be non-negative")
+        if not (math.isfinite(self.v) and self.v >= 0):
+            raise ValueError(f"speed v must be finite and non-negative, got {self.v}")
+        if not math.isfinite(self.a):
+            raise ValueError(f"acceleration a must be finite, got {self.a}")
+        if not math.isfinite(self.steer):
+            raise ValueError(f"steer must be finite, got {self.steer}")
 
 
 class DenseTrajectory:
@@ -112,10 +106,6 @@ class DenseTrajectory:
 
     def state(self, i: int) -> EgoState:
         return EgoState(Pose(self.x[i], self.y[i], self.psi[i]), self.v[i], self.a[i], self.steer[i])
-
-    @property
-    def states(self) -> list[EgoState]:
-        return [self.state(i) for i in range(DENSE_TICKS)]
 
     @property
     def xy(self) -> np.ndarray:
@@ -146,17 +136,6 @@ class KinematicsConfig:
     def __post_init__(self):
         if self.wheelbase <= 0 or self.dt <= 0:
             raise ValueError("wheelbase and dt must be positive")
-
-
-def bicycle_step(s: EgoState, accel_cmd: float, steer_cmd: float, cfg: KinematicsConfig) -> EgoState:
-    """One forward-Euler step; commands are clamped, never rejected."""
-    a = min(max(accel_cmd, cfg.accel_min), cfg.accel_max)
-    steer = min(max(steer_cmd, -cfg.steer_max), cfg.steer_max)
-    x = s.pose.x + s.v * math.cos(s.pose.psi) * cfg.dt
-    y = s.pose.y + s.v * math.sin(s.pose.psi) * cfg.dt
-    psi = s.pose.psi + (s.v / cfg.wheelbase) * math.tan(steer) * cfg.dt
-    v = max(0.0, s.v + a * cfg.dt)
-    return EgoState(Pose(x, y, psi), v, a, steer)
 
 
 @functools.lru_cache(maxsize=16)
@@ -286,14 +265,6 @@ def pid_track(plan: Trajectory, init: EgoState, cfg: KinematicsConfig | None = N
     return DenseTrajectory(xs, ys, psis, vs, accs, steers)
 
 
-class MotionProfiles(NamedTuple):
-    lon_accel: np.ndarray
-    lat_accel: np.ndarray
-    jerk: np.ndarray
-    yaw_rate: np.ndarray
-    yaw_accel: np.ndarray
-
-
 def finite_difference(values: np.ndarray, dt: float) -> np.ndarray:
     """Central differences on interior points, one-sided at the ends."""
     v = np.asarray(values, dtype=float)
@@ -304,22 +275,8 @@ def finite_difference(values: np.ndarray, dt: float) -> np.ndarray:
     return out
 
 
-def profiles_from_arrays(v: np.ndarray, psi: np.ndarray, dt: float) -> MotionProfiles:
-    lon_accel = finite_difference(v, dt)
-    yaw_rate = finite_difference(np.unwrap(psi), dt)
-    yaw_accel = finite_difference(yaw_rate, dt)
-    lat_accel = v * yaw_rate
-    jerk = np.hypot(finite_difference(lon_accel, dt), finite_difference(lat_accel, dt))
-    return MotionProfiles(lon_accel, lat_accel, jerk, yaw_rate, yaw_accel)
-
-
-def derive_profiles(d: DenseTrajectory, dt: float = TICK_DT) -> MotionProfiles:
-    """Acceleration, jerk-magnitude, and yaw profiles of a rollout."""
-    return profiles_from_arrays(d.v, d.psi, dt)
-
-
 # ---------------------------------------------------------------------------
-# frame changes between the ego frame and the world frame
+# frame change from the ego frame to the world frame
 
 
 def trajectory_to_world(t: Trajectory, frame: Pose) -> Trajectory:
@@ -330,26 +287,4 @@ def trajectory_to_world(t: Trajectory, frame: Pose) -> Trajectory:
     out[:, 0] = frame.x + c * p[:, 0] - s * p[:, 1]
     out[:, 1] = frame.y + s * p[:, 0] + c * p[:, 1]
     out[:, 2] = [wrap_angle(a) for a in (p[:, 2] + frame.psi).tolist()]
-    return Trajectory(out)
-
-
-def dense_to_world(d: DenseTrajectory, frame: Pose) -> DenseTrajectory:
-    """Express an ego-frame dense rollout in the world frame of `frame`."""
-    c, s = math.cos(frame.psi), math.sin(frame.psi)
-    x = frame.x + c * d.x - s * d.y
-    y = frame.y + s * d.x + c * d.y
-    psi = np.array([wrap_angle(p + frame.psi) for p in d.psi])
-    return DenseTrajectory(x, y, psi, d.v.copy(), d.a.copy(), d.steer.copy())
-
-
-def trajectory_to_ego(t: Trajectory, frame: Pose) -> Trajectory:
-    """Express a world-frame trajectory in the ego frame at `frame`."""
-    c, s = math.cos(frame.psi), math.sin(frame.psi)
-    p = t.poses
-    dx = p[:, 0] - frame.x
-    dy = p[:, 1] - frame.y
-    out = np.empty_like(p)
-    out[:, 0] = c * dx + s * dy
-    out[:, 1] = -s * dx + c * dy
-    out[:, 2] = [wrap_angle(a) for a in (p[:, 2] - frame.psi).tolist()]
     return Trajectory(out)

@@ -17,6 +17,7 @@ recompute it and never receive another rollout's geometry.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,7 +45,6 @@ from .kinematics import (
     Trajectory,
     finite_difference,
     pid_track,
-    profiles_from_arrays,
     trajectory_to_world,
 )
 
@@ -90,11 +90,14 @@ class Agent:
     __slots__ = ("id", "half_length", "half_width", "x", "y", "psi", "is_static")
 
     def __init__(self, id, half_length, half_width, states, is_static=False):
-        if half_length <= 0 or half_width <= 0:
-            raise ValueError(f"agent {id!r}: extents must be positive")
+        for name, value in (("half_length", half_length), ("half_width", half_width)):
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"agent {id!r}: {name} must be finite and positive, got {value}")
         s = np.asarray(states, dtype=float)
         if s.shape != (DENSE_TICKS, 3):
             raise ValueError(f"agent {id!r}: states must be ({DENSE_TICKS}, 3), got {s.shape}")
+        if not np.isfinite(s).all():
+            raise ValueError(f"agent {id!r}: states must be finite")
         self.id = id
         self.half_length = float(half_length)
         self.half_width = float(half_width)
@@ -202,8 +205,10 @@ class Scene:
             raise ValueError("ego history needs at least 16 states (1.5 s plus margin)")
         if self.command not in COMMANDS:
             raise ValueError(f"command must be one of {COMMANDS}")
-        if self.ego_half_length <= 0 or self.ego_half_width <= 0:
-            raise ValueError("ego box extents must be positive")
+        for name in ("ego_half_length", "ego_half_width"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
 
     def __eq__(self, other):
         if not isinstance(other, Scene):
@@ -297,7 +302,8 @@ _DEFAULT_KIN_CFG = KinematicsConfig()
 class ScoreContext:
     """Per-scene precomputation shared across many rollout evaluations.
 
-    The human reference rollout (needed by EP) is computed on first use.
+    The human reference rollout (needed by EP) is computed on first use,
+    unless ``reference`` supplies one.
     The lane geometry of the last rollout scored by DDC or LK is kept, so
     that the other of the two reuses it (see ``_lane_state``).
     """
@@ -530,10 +536,10 @@ def score_tlc(d: DenseTrajectory, s) -> float:
     return 1.0
 
 
-def score_ep(d: DenseTrajectory, s, reference: DenseTrajectory | None = None) -> float:
+def score_ep(d: DenseTrajectory, s) -> float:
     """Ego progress along the route relative to the reference rollout."""
     ctx = _ctx(s)
-    ref_progress = ctx.ref_progress if reference is None else route_progress(reference, ctx.scene.route)
+    ref_progress = ctx.ref_progress
     if ref_progress < ctx.metric_cfg.ep_min_ref_progress_m:
         return 1.0
     ratio = route_progress(d, ctx.scene.route) / ref_progress
@@ -596,16 +602,20 @@ def score_hc(d: DenseTrajectory, s) -> float:
     cfg = ctx.metric_cfg
     v = np.concatenate([ctx.hist_v, d.v])
     psi = np.concatenate([ctx.hist_psi, d.psi])
-    prof = profiles_from_arrays(v, psi, TICK_DT)
-    lon_jerk = finite_difference(prof.lon_accel, TICK_DT)
+    lon_accel = finite_difference(v, TICK_DT)
+    yaw_rate = finite_difference(np.unwrap(psi), TICK_DT)
+    yaw_accel = finite_difference(yaw_rate, TICK_DT)
+    lat_accel = v * yaw_rate
+    lon_jerk = finite_difference(lon_accel, TICK_DT)
+    jerk = np.hypot(lon_jerk, finite_difference(lat_accel, TICK_DT))
     ok = (
-        prof.lon_accel.min() >= cfg.lon_accel_min
-        and prof.lon_accel.max() <= cfg.lon_accel_max
-        and np.abs(prof.lat_accel).max() <= cfg.lat_accel_max
+        lon_accel.min() >= cfg.lon_accel_min
+        and lon_accel.max() <= cfg.lon_accel_max
+        and np.abs(lat_accel).max() <= cfg.lat_accel_max
         and np.abs(lon_jerk).max() <= cfg.lon_jerk_max
-        and prof.jerk.max() <= cfg.jerk_max
-        and np.abs(prof.yaw_rate).max() <= cfg.yaw_rate_max
-        and np.abs(prof.yaw_accel).max() <= cfg.yaw_accel_max
+        and jerk.max() <= cfg.jerk_max
+        and np.abs(yaw_rate).max() <= cfg.yaw_rate_max
+        and np.abs(yaw_accel).max() <= cfg.yaw_accel_max
     )
     return 1.0 if ok else 0.0
 

@@ -100,6 +100,8 @@ def _state_from(doc: dict, where: str) -> EgoState:
         )
     except KeyError as exc:
         raise SceneFormatError(f"{where}: missing field {exc}") from None
+    except ValueError as exc:
+        raise SceneFormatError(f"{where}: {exc}") from None
 
 
 def scene_to_doc(scene: Scene) -> dict:
@@ -183,7 +185,7 @@ def scene_from_doc(doc: dict) -> Scene:
         scene = Scene(
             scene_id=doc["scene_id"],
             ego_init=_state_from(ego["init"], "ego.init"),
-            ego_history=[_state_from(s, "ego.history") for s in ego["history"]],
+            ego_history=[_state_from(s, f"ego.history[{i}]") for i, s in enumerate(ego["history"])],
             agents=agents,
             drivable=[Polygon(v) for v in doc["drivable_polygons_m"]],
             route=Polyline(doc["route_polyline_m"]),
@@ -527,15 +529,11 @@ def load_corpus(directory):
     return TrajectoryCorpus([load_scene(p).human_trajectory for p in paths])
 
 
-def _traj_to_list(t: Trajectory):
-    return t.poses.tolist()
-
-
 def save_trajectory_map(trajs: dict, path) -> None:
     """Write a scene_id -> trajectory map ('*' applies to any scene)."""
     doc = {
         "schema_version": SCHEMA_VERSION,
-        "trajectories": {k: _traj_to_list(v) for k, v in trajs.items()},
+        "trajectories": {k: v.poses.tolist() for k, v in trajs.items()},
     }
     Path(path).write_text(json.dumps(doc, indent=2) + "\n")
 
@@ -548,7 +546,7 @@ def load_trajectory_map(path) -> dict:
 
 
 def save_proposal_set(proposals, path) -> None:
-    doc = {"schema_version": SCHEMA_VERSION, "proposals": [_traj_to_list(p) for p in proposals]}
+    doc = {"schema_version": SCHEMA_VERSION, "proposals": [p.poses.tolist() for p in proposals]}
     Path(path).write_text(json.dumps(doc, indent=2) + "\n")
 
 

@@ -487,6 +487,37 @@ def score_ep(d, scene, kin_cfg, cfg):
     return float(min(max(ratio, 0.0), 1.0))
 
 
+def _finite_difference(v, dt):
+    out = np.empty_like(v)
+    out[1:-1] = (v[2:] - v[:-2]) / (2 * dt)
+    out[0] = (v[1] - v[0]) / dt
+    out[-1] = (v[-1] - v[-2]) / dt
+    return out
+
+
+def score_hc(d, scene, cfg, dt=0.1):
+    """HC with the motion profiles derived first, lon jerk differenced again."""
+    hist = scene.ego_history[-cfg.history_pad_ticks:]
+    v = np.concatenate([[s.v for s in hist], d.v])
+    psi = np.concatenate([[s.pose.psi for s in hist], d.psi])
+    lon_accel = _finite_difference(v, dt)
+    yaw_rate = _finite_difference(np.unwrap(psi), dt)
+    yaw_accel = _finite_difference(yaw_rate, dt)
+    lat_accel = v * yaw_rate
+    jerk = np.hypot(_finite_difference(lon_accel, dt), _finite_difference(lat_accel, dt))
+    lon_jerk = _finite_difference(lon_accel, dt)
+    ok = (
+        lon_accel.min() >= cfg.lon_accel_min
+        and lon_accel.max() <= cfg.lon_accel_max
+        and np.abs(lat_accel).max() <= cfg.lat_accel_max
+        and np.abs(lon_jerk).max() <= cfg.lon_jerk_max
+        and jerk.max() <= cfg.jerk_max
+        and np.abs(yaw_rate).max() <= cfg.yaw_rate_max
+        and np.abs(yaw_accel).max() <= cfg.yaw_accel_max
+    )
+    return 1.0 if ok else 0.0
+
+
 def subscores(d, ctx):
     """The eight rollout subscores of one rollout, by name."""
     from trajsim import metrics
@@ -500,7 +531,7 @@ def subscores(d, ctx):
         "ep": score_ep(d, scene, ctx.kin_cfg, cfg),
         "ttc": metrics.score_ttc(d, ctx),
         "lk": score_lk(d, scene, cfg),
-        "hc": metrics.score_hc(d, ctx),
+        "hc": score_hc(d, scene, cfg),
     }
 
 

@@ -14,8 +14,10 @@ from trajsim.distill import (
     score_vocabulary,
     select_pseudo_teachers,
 )
-from trajsim.kinematics import Trajectory
-from trajsim.scene_io import SyntheticSpec, generate_scene
+from trajsim.geom import Pose
+from trajsim.kinematics import KinematicsConfig, Trajectory
+from trajsim.metrics import MetricConfig
+from trajsim.scene_io import SyntheticSpec, generate_scene, transform_scene
 from trajsim.vocabulary import TrajectoryCorpus, Vocabulary, headings_from_tangents, kmeans
 
 
@@ -99,11 +101,14 @@ class TestScoreVocabulary:
         raw[header + 2 * row_bytes:] = bytes(len(raw) - header - 2 * row_bytes)
         path.write_bytes(bytes(raw))
         done = path.with_name(path.name + ".done")
-        done.write_text("0\n1\n2")
+        fingerprint = done.read_text().splitlines()[0]
+        done.write_text(f"{fingerprint}\n0\n1\n2")
 
         resumed = score_vocabulary(scenes, vocab, workers=1, checkpoint=path)
         assert np.array_equal(resumed.values, full.values)
-        assert sorted(int(i) for i in done.read_text().split()) == list(range(len(scenes)))
+        lines = done.read_text().split()
+        assert lines[0] == fingerprint
+        assert sorted(int(i) for i in lines[1:]) == list(range(len(scenes)))
         assert done.read_text().endswith("\n")
 
     def test_checkpoint_mismatch_rejected(self, small_world, tmp_path):
@@ -112,6 +117,41 @@ class TestScoreVocabulary:
         score_vocabulary(scenes[:2], vocab, checkpoint=path)
         with pytest.raises(ValueError):
             score_vocabulary(scenes, vocab, checkpoint=path)
+
+    def test_checkpoint_of_another_vocabulary_refused(self, small_world, tmp_path):
+        scenes, vocab = small_world
+        path = tmp_path / "matrix.bin"
+        first = Vocabulary(centers=list(vocab.centers[:3]), k=3, seed=5, inertia=vocab.inertia)
+        other = Vocabulary(centers=list(vocab.centers[3:6]), k=3, seed=5, inertia=vocab.inertia)
+        score_vocabulary(scenes[:2], first, checkpoint=path)
+        before = path.read_bytes()
+        with pytest.raises(ValueError, match="matrix.bin: existing checkpoint was written for other"):
+            score_vocabulary(scenes[:2], other, checkpoint=path)
+        assert path.read_bytes() == before
+
+    @pytest.mark.parametrize("change", ["scene", "kin_cfg", "metric_cfg"])
+    def test_checkpoint_of_other_inputs_refused(self, small_world, tmp_path, change):
+        scenes, vocab = small_world
+        path = tmp_path / "matrix.bin"
+        score_vocabulary(scenes[:2], vocab, checkpoint=path)
+        rerun = {"scenes": scenes[:2], "vocab": vocab, "checkpoint": path}
+        rerun.update({
+            # same scene ids, one scene moved by 1 m
+            "scene": {"scenes": [scenes[0], transform_scene(scenes[1], Pose(1.0, 0.0, 0.0))]},
+            "kin_cfg": {"kin_cfg": KinematicsConfig(kp_lon=2.5)},
+            "metric_cfg": {"metric_cfg": MetricConfig(lk_offset_m=0.6)},
+        }[change])
+        with pytest.raises(ValueError, match="written for other"):
+            score_vocabulary(**rerun)
+
+    def test_identical_rerun_resumes(self, small_world, tmp_path):
+        scenes, vocab = small_world
+        path = tmp_path / "matrix.bin"
+        full = score_vocabulary(scenes, vocab, checkpoint=path, kin_cfg=KinematicsConfig())
+        resumed_rows = []
+        again = score_vocabulary(scenes, vocab, checkpoint=path, progress=resumed_rows.append)
+        assert resumed_rows == []  # every row came from the checkpoint
+        assert np.array_equal(again.values, full.values)
 
     def test_empty_inputs_rejected(self, small_world):
         _, vocab = small_world

@@ -2,8 +2,9 @@
 
 The references in oracles.py keep the arithmetic of the per-call paths as
 they were before per-scene geometry was precomputed, the PID tick schedule
-cached and the lane projections shared between DDC and LK.  Every comparison
-here is on the bytes of the float64 values, so -0.0 against 0.0 fails too.
+cached, the lane projections shared between DDC and LK and the comfort
+profiles folded into HC.  Every comparison here is on the bytes of the
+float64 values, so -0.0 against 0.0 fails too.
 """
 
 import math
@@ -14,7 +15,9 @@ import numpy as np
 import pytest
 
 from trajsim.distill import score_scene_row
-from trajsim.geom import Polygon, Polyline, Pose, points_in_polygon, project_many, segments_intersect_batch
+from trajsim.geom import (
+    Polygon, Polyline, Pose, arc_positions, nearest_segments, points_in_polygon, segments_intersect_batch,
+)
 from trajsim.kinematics import EgoState, Trajectory, pid_track, trajectory_to_world
 from trajsim.metrics import ScoreContext, score_ddc, score_lk
 from trajsim import metrics
@@ -139,8 +142,10 @@ def test_project_many_matches_oracle():
         pts = np.cumsum(rng.uniform(0.5, 4.0, size=(int(rng.integers(2, 8)), 2)) * rng.choice([-1, 1], size=2), axis=0)
         line = Polyline(pts)
         queries = np.concatenate([pts, rng.uniform(pts.min() - 5, pts.max() + 5, size=(60, 2))])
-        for got, want in zip(project_many(line, queries), oracles.project_many(pts, queries)):
-            assert bits(got) == bits(want)
+        s, _, dist, seg = oracles.project_many(pts, queries)
+        got_dist, got_seg = nearest_segments(line, queries[:, 0], queries[:, 1])
+        assert bits(arc_positions(line, queries[:, 0], queries[:, 1])) == bits(s)
+        assert bits(got_dist) == bits(dist) and np.array_equal(got_seg, seg)
 
 
 def _distinct_pair(scene, rule, centers):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -10,21 +11,41 @@ from trajsim.geom import (
     Polyline,
     Pose,
     arc_length,
-    box_in_polygons,
+    arc_positions,
     buffer_rasterize,
-    grid_iou,
     grid_union,
-    obb_overlap,
-    point_in_polygon,
-    project_onto,
+    obb_overlap_batch,
+    points_in_polygon,
     wrap_angle,
 )
+from trajsim.scene_io import SyntheticSpec, generate_scene
 
 import oracles
 
 
 def box(x, y, psi, hl, hw):
     return OrientedBox(Pose(x, y, psi), hl, hw)
+
+
+def overlaps(pa, pb) -> bool:
+    """obb_overlap_batch on two boxes given as (x, y, psi, hl, hw)."""
+    return bool(obb_overlap_batch(*pa, *pb))
+
+
+def inside(p, poly) -> bool:
+    return bool(points_in_polygon([p], poly)[0])
+
+
+def corners_covered(b: OrientedBox, polys) -> bool:
+    """All four box corners inside the union of the polygons, as DAC tests."""
+    covered = np.zeros(4, dtype=bool)
+    for poly in polys:
+        covered |= points_in_polygon(b.corners(), poly)
+    return bool(covered.all())
+
+
+def arc_at(line: Polyline, p) -> float:
+    return float(arc_positions(line, np.array([p[0]], float), np.array([p[1]], float))[0])
 
 
 UNIT_SQUARE = Polygon([[0, 0], [1, 0], [1, 1], [0, 1]])
@@ -47,30 +68,28 @@ class TestPose:
 
 class TestObbOverlap:
     def test_identical_boxes(self):
-        a = box(1, 2, 0.3, 2, 1)
-        assert obb_overlap(a, a)
+        a = (1, 2, 0.3, 2, 1)
+        assert overlaps(a, a)
 
     def test_separated_axis_aligned(self):
         # 4x2 m boxes, centers 10 m apart
-        assert not obb_overlap(box(0, 0, 0, 2, 1), box(10, 0, 0, 2, 1))
+        assert not overlaps((0, 0, 0, 2, 1), (10, 0, 0, 2, 1))
 
     def test_rotated_case_matches_sampling_oracle(self):
-        a = box(0, 0, 0, 2, 1)
-        b = box(3.9, 0, math.pi / 4, 2, 1)
+        a = (0, 0, 0, 2, 1)
+        b = (3.9, 0, math.pi / 4, 2, 1)
         rng = np.random.default_rng(0)
-        expected = oracles.sampling_overlap(rng, (0, 0, 0, 2, 1), (3.9, 0, math.pi / 4, 2, 1))
-        assert obb_overlap(a, b) == expected
+        assert overlaps(a, b) == oracles.sampling_overlap(rng, a, b)
 
     def test_touching_edges_count_as_overlap(self):
-        assert obb_overlap(box(0, 0, 0, 2, 1), box(4, 0, 0, 2, 1))
+        assert overlaps((0, 0, 0, 2, 1), (4, 0, 0, 2, 1))
 
     def test_symmetry_randomized(self):
         rng = np.random.default_rng(1)
         for _ in range(500):
             pa = (*rng.uniform(-5, 5, 2), rng.uniform(-math.pi, math.pi), *rng.uniform(0.3, 3, 2))
             pb = (*rng.uniform(-5, 5, 2), rng.uniform(-math.pi, math.pi), *rng.uniform(0.3, 3, 2))
-            a, b = box(*pa), box(*pb)
-            assert obb_overlap(a, b) == obb_overlap(b, a)
+            assert overlaps(pa, pb) == overlaps(pb, pa)
 
     def test_agreement_with_sampling_oracle(self):
         # smaller version of the acceptance sweep, margin band excluded
@@ -82,7 +101,7 @@ class TestObbOverlap:
             if abs(oracles.box_axes_measure(pa, pb)) < 0.01:
                 continue
             checked += 1
-            if obb_overlap(box(*pa), box(*pb)) != oracles.sampling_overlap(rng, pa, pb, n=2000):
+            if overlaps(pa, pb) != oracles.sampling_overlap(rng, pa, pb, n=2000):
                 disagree += 1
         assert checked > 1500
         assert disagree / checked <= 0.001
@@ -94,52 +113,55 @@ class TestObbOverlap:
 
 class TestPointInPolygon:
     def test_centroid_inside(self):
-        assert point_in_polygon((0.5, 0.5), UNIT_SQUARE)
+        assert inside((0.5, 0.5), UNIT_SQUARE)
 
     def test_far_point_outside(self):
-        assert not point_in_polygon((100, 100), UNIT_SQUARE)
+        assert not inside((100, 100), UNIT_SQUARE)
 
     def test_edge_midpoint_counts_inside(self):
         p = (0.5, 0.0)
-        assert point_in_polygon(p, UNIT_SQUARE)
+        assert inside(p, UNIT_SQUARE)
         assert oracles.winding_number_inside(p, UNIT_SQUARE.vertices)
 
     def test_vertex_counts_inside(self):
-        assert point_in_polygon((1.0, 1.0), UNIT_SQUARE)
+        assert inside((1.0, 1.0), UNIT_SQUARE)
 
     def test_matches_winding_oracle_randomized(self):
         rng = np.random.default_rng(3)
         # an L-shaped (non-convex) polygon
         poly = Polygon([[0, 0], [4, 0], [4, 2], [2, 2], [2, 4], [0, 4]])
-        for _ in range(500):
-            p = tuple(rng.uniform(-1, 5, 2))
-            assert point_in_polygon(p, poly) == oracles.winding_number_inside(p, poly.vertices)
+        pts = rng.uniform(-1, 5, size=(500, 2))
+        got = points_in_polygon(pts, poly)
+        assert got.tolist() == [oracles.winding_number_inside(tuple(p), poly.vertices) for p in pts]
 
     def test_cw_input_normalized(self):
         cw = Polygon([[0, 0], [0, 1], [1, 1], [1, 0]])
         assert cw.area > 0
-        assert point_in_polygon((0.5, 0.5), cw)
+        assert inside((0.5, 0.5), cw)
 
 
 class TestBoxInPolygons:
     def test_small_box_in_big_polygon(self):
         big = Polygon([[-50, -50], [50, -50], [50, 50], [-50, 50]])
-        assert box_in_polygons(box(0, 0, 0.4, 0.5, 0.5), [big])
+        assert corners_covered(box(0, 0, 0.4, 0.5, 0.5), [big])
 
     def test_straddling_edge_fails(self):
-        assert not box_in_polygons(box(0.9, 0.5, 0.0, 0.3, 0.2), [UNIT_SQUARE])
+        assert not corners_covered(box(0.9, 0.5, 0.0, 0.3, 0.2), [UNIT_SQUARE])
 
     def test_union_of_abutting_polygons(self):
         left = Polygon([[0, 0], [1, 0], [1, 2], [0, 2]])
         right = Polygon([[1, 0], [2, 0], [2, 2], [1, 2]])
         spanning = box(1.0, 1.0, 0.0, 0.5, 0.4)
-        assert not box_in_polygons(spanning, [left])
-        assert not box_in_polygons(spanning, [right])
-        assert box_in_polygons(spanning, [left, right])
+        assert not corners_covered(spanning, [left])
+        assert not corners_covered(spanning, [right])
+        assert corners_covered(spanning, [left, right])
 
     def test_empty_polygon_list(self):
-        with pytest.raises(ValueError):
-            box_in_polygons(box(0, 0, 0, 1, 1), [])
+        # DAC tests the union of a scene's drivable polygons, and a scene
+        # must have at least one
+        scene = generate_scene(SyntheticSpec("clean_straight", seed=0))
+        with pytest.raises(ValueError, match="drivable"):
+            dataclasses.replace(scene, drivable=[])
 
 
 class TestBufferRasterize:
@@ -177,45 +199,52 @@ class TestBufferRasterize:
 
 
 class TestGridIou:
-    def _row_grid(self, occupied, width=31):
+    """The corridor union that diversity divides each corridor's area by."""
+
+    def _row_grid(self, occupied, width=31, x0=0.0):
         bits = np.zeros((1, width), dtype=bool)
         bits[0, list(occupied)] = True
-        return OccupancyGrid(origin=(0.0, 0.0), cell_size=0.25, width=width, height=1, bits=bits)
+        return OccupancyGrid(origin=(x0, 0.0), cell_size=0.25, width=width, height=1, bits=bits)
 
     def test_self_iou_is_one(self):
         g = self._row_grid(range(1, 21))
-        assert grid_iou(g, g) == 1.0
+        union = grid_union([g, g])
+        assert union.origin == g.origin and np.array_equal(union.bits, g.bits)
 
     def test_disjoint_grids(self):
-        assert grid_iou(self._row_grid(range(0, 5)), self._row_grid(range(20, 25))) == 0.0
+        assert grid_union([self._row_grid(range(0, 5)), self._row_grid(range(20, 25))]).count() == 10
 
     def test_hand_counted_overlap(self):
         a = self._row_grid(range(1, 21))
         b = self._row_grid(range(11, 31))
-        assert grid_iou(a, b) == pytest.approx(10 / 30)
+        assert grid_union([a, b]).count() == 30
 
     def test_empty_union_is_zero(self):
-        assert grid_iou(self._row_grid([]), self._row_grid([])) == 0.0
+        assert grid_union([self._row_grid([]), self._row_grid([])]).count() == 0
 
     def test_mismatched_cell_size_rejected(self):
         a = self._row_grid(range(3))
         b = OccupancyGrid(origin=(0.0, 0.0), cell_size=0.5, width=4, height=1, bits=np.ones((1, 4), bool))
         with pytest.raises(ValueError):
-            grid_iou(a, b)
+            grid_union([a, b])
 
     def test_monotone_under_shared_occupancy(self):
         a = self._row_grid(range(0, 10))
         b = self._row_grid(range(5, 15))
         grown_a = self._row_grid(list(range(0, 10)) + [20])
         grown_b = self._row_grid(list(range(5, 15)) + [20])
-        assert grid_iou(grown_a, grown_b) >= grid_iou(a, b)
+        assert grid_union([grown_a, grown_b]).count() == grid_union([a, b]).count() + 1
 
     def test_offset_origins_resampled(self):
         a = buffer_rasterize(Polyline([[0, 0], [5, 0]]), 2.0, 0.25)
         b = buffer_rasterize(Polyline([[40, 40], [45, 40]]), 2.0, 0.25)
-        assert grid_iou(a, b) == 0.0
         union = grid_union([a, b])
         assert union.count() == a.count() + b.count()
+        # a one-cell shift lands on the same lattice, a third of a cell does not
+        shifted = self._row_grid(range(0, 4), width=4, x0=0.25)
+        assert grid_union([self._row_grid(range(0, 4), width=4), shifted]).count() == 5
+        with pytest.raises(ValueError):
+            grid_union([self._row_grid([0]), self._row_grid([0], x0=0.25 / 3)])
 
 
 class TestPolyline:
@@ -228,13 +257,11 @@ class TestPolyline:
 
     def test_projection_axis_aligned(self):
         line = Polyline([[0, 0], [10, 0]])
-        s, lat = project_onto(line, (3.0, 2.0))
-        assert s == pytest.approx(3.0)
-        assert lat == pytest.approx(2.0)
+        assert arc_at(line, (3.0, 2.0)) == pytest.approx(3.0)
 
     def test_projection_beyond_end_clamps(self):
         line = Polyline([[0, 0], [4, 0], [4, 6]])
-        s, _ = project_onto(line, (5.0, 8.0))
+        s = arc_at(line, (5.0, 8.0))
         assert s == pytest.approx(10.0)
         s_oracle, _ = oracles.dense_projection(line.points, (5.0, 8.0))
         assert s == pytest.approx(s_oracle, abs=1e-3)
@@ -243,19 +270,11 @@ class TestPolyline:
         rng = np.random.default_rng(4)
         pts = np.cumsum(rng.uniform(-2, 3, size=(6, 2)), axis=0)
         line = Polyline(pts)
-        for _ in range(50):
-            p = rng.uniform(-5, 10, 2)
-            s, _ = project_onto(line, p)
-            s_oracle, d_oracle = oracles.dense_projection(pts, p)
+        queries = rng.uniform(-5, 10, size=(50, 2))
+        for s, p in zip(arc_positions(line, queries[:, 0], queries[:, 1]), queries):
+            s_oracle, _ = oracles.dense_projection(pts, p)
             assert s == pytest.approx(s_oracle, abs=2e-3)
-
-    def test_lateral_sign_flips_under_mirror(self):
-        line = Polyline([[0, 0], [10, 0]])
-        _, lat_up = project_onto(line, (5.0, 1.5))
-        _, lat_down = project_onto(line, (5.0, -1.5))
-        assert lat_up == pytest.approx(-lat_down)
-        assert lat_up > 0  # left of travel direction is positive
 
     def test_needs_two_points_for_projection(self):
         with pytest.raises(ValueError):
-            project_onto(Polyline([[0, 0]]), (1, 1))
+            arc_at(Polyline([[0, 0]]), (1, 1))

@@ -1,21 +1,21 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from trajsim.geom import Pose
+from trajsim.geom import Pose, wrap_angle
 from trajsim.kinematics import (
     DENSE_TICKS,
     DenseTrajectory,
     EgoState,
     KinematicsConfig,
     Trajectory,
-    bicycle_step,
-    derive_profiles,
     pid_track,
-    trajectory_to_ego,
     trajectory_to_world,
 )
+from trajsim.metrics import MetricConfig, ScoreContext, score_hc
+from trajsim.scene_io import SyntheticSpec, generate_scene
 
 CFG = KinematicsConfig()
 
@@ -30,34 +30,40 @@ def state(x=0.0, y=0.0, psi=0.0, v=0.0, a=0.0, steer=0.0):
 
 
 class TestBicycleStep:
+    """The forward-Euler bicycle step that pid_track applies every tick."""
+
     def test_rest_is_fixed_point(self):
-        s = state()
-        out = bicycle_step(s, 0.0, 0.0, CFG)
-        assert (out.pose.x, out.pose.y, out.pose.psi, out.v) == (0.0, 0.0, 0.0, 0.0)
+        d = pid_track(Trajectory(np.zeros((8, 3))), state())
+        for field in (d.x, d.y, d.psi, d.v, d.a, d.steer):
+            assert field.tolist() == [0.0] * DENSE_TICKS
 
     def test_straight_advance(self):
-        out = bicycle_step(state(v=10.0), 0.0, 0.0, CFG)
-        assert out.pose.x == pytest.approx(1.0)
-        assert out.pose.y == 0.0
+        d = pid_track(straight_plan(10.0), state(v=10.0))
+        assert d.x[1] == pytest.approx(1.0)
+        assert d.y[1] == 0.0
 
     def test_constant_steer_heading_sum(self):
-        # 40 steps at constant speed and steer: heading change has a closed form
-        v, steer = 5.0, 0.1
-        s = state(v=v)
-        total = 0.0
-        for _ in range(40):
-            s = bicycle_step(s, 0.0, steer, CFG)
-            total += (v / CFG.wheelbase) * math.tan(steer) * CFG.dt
-        assert s.pose.psi == pytest.approx(total, abs=1e-9)
+        # each tick turns by (v / wheelbase) * tan(steer) * dt with the speed
+        # before the tick and the steer command recorded at it
+        plan = Trajectory([[4.0 * (i + 1), 0.4 * (i + 1) ** 2, 0.2 * (i + 1)] for i in range(8)])
+        d = pid_track(plan, state(v=8.0))
+        total = sum((d.v[k] / CFG.wheelbase) * math.tan(d.steer[k + 1]) * CFG.dt for k in range(DENSE_TICKS - 1))
+        assert d.psi[-1] == pytest.approx(total, abs=1e-9)
+        assert 0.5 < total < math.pi
 
     def test_commands_clamped_and_recorded(self):
-        out = bicycle_step(state(v=5.0), accel_cmd=100.0, steer_cmd=-3.0, cfg=CFG)
-        assert out.a == CFG.accel_max
-        assert out.steer == -CFG.steer_max
+        # waypoints far ahead and far to the right saturate both commands
+        plan = Trajectory([[50.0 * (i + 1), -20.0 * (i + 1), 0.0] for i in range(8)])
+        d = pid_track(plan, state(v=5.0))
+        assert d.a.max() == CFG.accel_max
+        assert d.steer.min() == -CFG.steer_max
 
     def test_speed_floors_at_zero(self):
-        out = bicycle_step(state(v=0.2), accel_cmd=-6.0, steer_cmd=0.0, cfg=CFG)
-        assert out.v == 0.0
+        # a plan that stays at the start makes the moving ego brake to a stop
+        d = pid_track(Trajectory(np.zeros((8, 3))), state(v=5.0))
+        floored = [k for k in range(1, DENSE_TICKS) if d.v[k - 1] + d.a[k] * CFG.dt < 0.0]
+        assert floored and all(d.v[k] == 0.0 for k in floored)
+        assert d.v.min() == 0.0
 
 
 class TestPidTrack:
@@ -106,15 +112,11 @@ class TestPidTrack:
         assert np.abs(d.steer[1:]).max() <= CFG.steer_max
 
     def test_tracks_dynamically_feasible_plan(self):
-        # build the plan by running the bicycle model itself, then re-track it
-        s = state(v=8.0)
-        poses = []
-        for k in range(1, DENSE_TICKS):
-            steer = 0.15 * math.sin(0.05 * k)
-            s = bicycle_step(s, 0.3, steer, CFG)
-            if k % 5 == 0:
-                poses.append([s.pose.x, s.pose.y, s.pose.psi])
-        plan = Trajectory(poses)
+        # sample the plan from a rollout of the bicycle model itself, then re-track it
+        t = 0.5 * (np.arange(8) + 1)
+        curve = Trajectory(np.stack([8.0 * t, 0.2 * t * t, np.arctan2(0.4 * t, 8.0)], axis=1))
+        rollout = pid_track(curve, state(v=8.0))
+        plan = Trajectory([[rollout.x[k], rollout.y[k], rollout.psi[k]] for k in range(5, DENSE_TICKS, 5)])
         d = pid_track(plan, state(v=8.0))
         for i, (px, py, _) in enumerate(plan.poses):
             tick = 5 * (i + 1)
@@ -122,35 +124,51 @@ class TestPidTrack:
 
 
 class TestDeriveProfiles:
-    def _dense(self, x, y, psi, v, a=None, steer=None):
+    """The comfort profiles that score_hc bounds, over the history-padded rollout."""
+
+    def _hc(self, v, psi, **bounds):
+        """score_hc of a rollout whose speeds and headings over the padded
+        window (15 history ticks, then 41 rollout ticks) are v(t) and psi(t)."""
+        t = CFG.dt * np.arange(-16, DENSE_TICKS)
+        vs, psis = v(t), psi(t)
+        scene = generate_scene(SyntheticSpec("clean_straight", seed=0))
+        history = [EgoState(Pose(0.0, 0.0, p), s) for s, p in zip(vs[:16], psis[:16])]
+        scene = dataclasses.replace(scene, ego_history=history)
         z = np.zeros(DENSE_TICKS)
-        return DenseTrajectory(x, y, psi, v, z if a is None else a, z if steer is None else steer)
+        d = DenseTrajectory(z, z, [wrap_angle(p) for p in psis[16:]], vs[16:], z, z)
+        return score_hc(d, ScoreContext(scene, metric_cfg=MetricConfig(**bounds)))
 
     def test_constant_velocity_all_zero(self):
-        t = CFG.dt * np.arange(DENSE_TICKS)
-        d = self._dense(10 * t, np.zeros_like(t), np.zeros_like(t), np.full_like(t, 10.0))
-        p = derive_profiles(d)
-        for arr in p:
-            assert np.abs(arr).max() <= 1e-9
+        tight = dict(lon_accel_min=-1e-9, lon_accel_max=1e-9, lat_accel_max=1e-9, lon_jerk_max=1e-9,
+                     jerk_max=1e-9, yaw_rate_max=1e-9, yaw_accel_max=1e-9)
+        assert self._hc(lambda t: np.full_like(t, 10.0), np.zeros_like, **tight) == 1.0
 
     def test_uniform_acceleration(self):
-        t = CFG.dt * np.arange(DENSE_TICKS)
-        v = 5.0 + 2.0 * t
-        d = self._dense(5 * t + t * t, np.zeros_like(t), np.zeros_like(t), v)
-        p = derive_profiles(d)
-        assert np.allclose(p.lon_accel, 2.0, atol=1e-9)
-        assert np.abs(p.jerk).max() <= 1e-9
+        def hc(**bounds):
+            return self._hc(lambda t: 8.0 + 2.0 * t, np.zeros_like, jerk_max=1e-9, lon_jerk_max=1e-9, **bounds)
+
+        assert hc(lon_accel_min=2.0 - 1e-9, lon_accel_max=2.0 + 1e-9) == 1.0
+        assert hc(lon_accel_max=2.0 - 1e-6) == 0.0
+        assert hc(lon_accel_min=2.0 + 1e-6) == 0.0
 
     def test_circular_motion(self):
         # v = 5 m/s on a 25 m radius: lat accel v^2/r = 1.0, yaw rate v/r = 0.2
         r, v = 25.0, 5.0
-        w = v / r
-        t = CFG.dt * np.arange(DENSE_TICKS)
-        d = self._dense(r * np.sin(w * t), r * (1 - np.cos(w * t)), w * t, np.full_like(t, v))
-        p = derive_profiles(d)
-        interior = slice(1, -1)
-        assert np.allclose(p.lat_accel[interior], 1.0, rtol=0.05)
-        assert np.allclose(p.yaw_rate[interior], 0.2, rtol=0.05)
+
+        def hc(**bounds):
+            return self._hc(lambda t: np.full_like(t, v), lambda t: (v / r) * t, **bounds)
+
+        assert hc(lat_accel_max=1.0 + 1e-9, yaw_rate_max=0.2 + 1e-9, jerk_max=1e-9, yaw_accel_max=1e-9) == 1.0
+        assert hc(lat_accel_max=1.0 - 1e-6) == 0.0
+        assert hc(yaw_rate_max=0.2 - 1e-6) == 0.0
+
+
+def world_to_ego(t: Trajectory, frame: Pose) -> Trajectory:
+    """The inverse of trajectory_to_world."""
+    c, s = math.cos(frame.psi), math.sin(frame.psi)
+    dx, dy = t.poses[:, 0] - frame.x, t.poses[:, 1] - frame.y
+    psi = [wrap_angle(p - frame.psi) for p in t.poses[:, 2]]
+    return Trajectory(np.stack([c * dx + s * dy, -s * dx + c * dy, psi], axis=1))
 
 
 class TestFrames:
@@ -158,8 +176,10 @@ class TestFrames:
         rng = np.random.default_rng(11)
         frame = Pose(12.3, -4.5, 2.2)
         t = Trajectory(rng.uniform(-20, 20, size=(8, 3)))
-        back = trajectory_to_ego(trajectory_to_world(t, frame), frame)
+        back = world_to_ego(trajectory_to_world(t, frame), frame)
         assert np.allclose(back.poses[:, :2], t.poses[:, :2], atol=1e-9)
+        wrapped = [wrap_angle(p) for p in t.poses[:, 2]]
+        assert np.allclose(np.remainder(back.poses[:, 2] - wrapped + math.pi, 2 * math.pi), math.pi, atol=1e-9)
 
     def test_dense_trajectory_requires_41(self):
         with pytest.raises(ValueError):

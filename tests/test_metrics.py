@@ -1,15 +1,18 @@
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from trajsim.geom import Polygon, Polyline, Pose
+from trajsim.geom import Polygon, Polyline, Pose, wrap_angle
 from trajsim.kinematics import (
     DENSE_TICKS,
     DenseTrajectory,
     EgoState,
     Trajectory,
-    dense_to_world,
+    pid_track,
+    trajectory_to_world,
 )
 from trajsim.metrics import (
     PHASE_GREEN,
@@ -36,7 +39,7 @@ from trajsim.metrics import (
     score_tlc,
     score_ttc,
 )
-from trajsim.scene_io import SyntheticSpec, generate_scene, transform_scene
+from trajsim.scene_io import TEMPLATES, SyntheticSpec, generate_scene, transform_scene
 
 import oracles
 
@@ -183,16 +186,17 @@ class TestEgoProgress:
     def test_identity(self):
         scene = make_scene()
         d = straight_dense(10.0)
-        assert score_ep(d, scene, reference=d) == 1.0
+        assert score_ep(d, ScoreContext(scene, reference=d)) == 1.0
 
     def test_half_progress(self):
         scene = make_scene()
-        assert score_ep(straight_dense(5.0), scene, reference=straight_dense(10.0)) == pytest.approx(0.5)
+        ctx = ScoreContext(scene, reference=straight_dense(10.0))
+        assert score_ep(straight_dense(5.0), ctx) == pytest.approx(0.5)
 
     def test_stationary_reference(self):
         scene = make_scene(v0=0.0)
         d = straight_dense(0.0)
-        assert score_ep(d, scene, reference=d) == 1.0
+        assert score_ep(d, ScoreContext(scene, reference=d)) == 1.0
 
     def test_uses_human_reference_by_default(self):
         scene = make_scene(v0=10.0)  # human plan advances at 10 m/s
@@ -396,6 +400,13 @@ class TestDiversity:
         assert diversity([self._straight(0.0), self._straight(1.0)]) > 0.0
 
 
+def rollout_to_world(d: DenseTrajectory, frame: Pose) -> DenseTrajectory:
+    """An ego-frame rollout expressed in the world frame of `frame`."""
+    c, s = math.cos(frame.psi), math.sin(frame.psi)
+    psi = [wrap_angle(p + frame.psi) for p in d.psi]
+    return DenseTrajectory(frame.x + c * d.x - s * d.y, frame.y + s * d.x + c * d.y, psi, d.v, d.a, d.steer)
+
+
 class TestInvariance:
     def test_rigid_transform_leaves_subscores_unchanged(self):
         for template, seed in (("parked_agent", 3), ("red_light", 5), ("oncoming_lane", 7)):
@@ -405,7 +416,7 @@ class TestInvariance:
 
             frame = Pose(321.0, -45.0, 1.234)
             moved_scene = transform_scene(scene, frame)
-            moved_rollout = dense_to_world(ctx.reference, frame)
+            moved_rollout = rollout_to_world(ctx.reference, frame)
             moved_sub = evaluate_rollout(moved_rollout, ScoreContext(moved_scene))
             for name, val in sub.as_dict().items():
                 assert getattr(moved_sub, name) == pytest.approx(val, abs=1e-9), name
@@ -420,3 +431,46 @@ class TestInvariance:
                 sub = evaluate_rollout(ctx.reference, ctx)  # validates [0,1] on build
                 assert 0.0 <= aggregate_epdms(sub) <= 1.0
                 assert 0.0 <= aggregate_pdms(sub) <= 1.0
+
+
+# Property tests: random finite ego-frame plans on every template, drawn as
+# the human plan moved by offsets of up to 0.1, 1 or 20 (metres, radians) so
+# that both plans near the road and wild ones occur.  The examples are
+# derandomized, so each run checks the same plans.
+PROPERTIES = settings(max_examples=40, deadline=None, derandomize=True)
+unit = st.floats(-1.0, 1.0)
+nudges = st.tuples(st.sampled_from([0.1, 1.0, 20.0]), st.lists(st.tuples(unit, unit, unit), min_size=8, max_size=8))
+frames = st.builds(Pose, st.floats(-500.0, 500.0), st.floats(-500.0, 500.0), st.floats(-math.pi, math.pi))
+
+
+@functools.cache
+def template_scene(template):
+    return generate_scene(SyntheticSpec(template, seed=TEMPLATES.index(template)))
+
+
+def nudged_rollout(scene, nudge):
+    scale, offsets = nudge
+    plan = Trajectory(scene.human_trajectory.poses + scale * np.array(offsets))
+    return pid_track(trajectory_to_world(plan, scene.ego_init.pose), scene.ego_init)
+
+
+@pytest.mark.parametrize("template", TEMPLATES)
+class TestProperties:
+    @PROPERTIES
+    @given(nudge=nudges)
+    def test_subscores_lie_in_unit_interval(self, template, nudge):
+        scene = template_scene(template)
+        ctx = ScoreContext(scene)
+        rollout = nudged_rollout(scene, nudge)
+        for rule in (score_nc, score_dac, score_ddc, score_tlc, score_ep, score_ttc, score_lk, score_hc):
+            assert 0.0 <= rule(rollout, ctx) <= 1.0, rule.__name__
+
+    @PROPERTIES
+    @given(nudge=nudges, frame=frames)
+    def test_subscores_invariant_under_transform_scene(self, template, nudge, frame):
+        scene = template_scene(template)
+        rollout = nudged_rollout(scene, nudge)
+        sub = evaluate_rollout(rollout, ScoreContext(scene))
+        moved = evaluate_rollout(rollout_to_world(rollout, frame), ScoreContext(transform_scene(scene, frame)))
+        for name, val in sub.as_dict().items():
+            assert getattr(moved, name) == pytest.approx(val, abs=1e-9), name

@@ -1,8 +1,10 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
+from trajsim.cli import main
 from trajsim.geom import Pose
 from trajsim.kinematics import pid_track, trajectory_to_world
 from trajsim.metrics import ScoreContext, aggregate_epdms, evaluate_rollout, score_nc, score_tlc
@@ -95,6 +97,52 @@ class TestValidation:
         path.write_text(top)
         with pytest.raises(SceneFormatError, match="odd.json: top-level JSON value must be an object"):
             loader(path)
+
+
+NON_FINITE = [
+    (("agents", 0, "states", 7, 1), float("nan"), "agent 'parked-0': states must be finite"),
+    (("agents", 0, "half_length_m"), float("nan"), "agent 'parked-0': half_length"),
+    (("agents", 0, "half_width_m"), float("inf"), "agent 'parked-0': half_width"),
+    (("ego", "init", "x_m"), float("nan"), "ego.init: pose"),
+    (("ego", "init", "speed_mps"), float("nan"), "ego.init: speed"),
+    (("ego", "init", "accel_mps2"), float("nan"), "ego.init: acceleration"),
+    (("ego", "init", "steer_rad"), float("inf"), "ego.init: steer"),
+    (("ego", "history", 3, "speed_mps"), float("-inf"), "ego.history[3]: speed"),
+    (("ego", "half_length_m"), float("nan"), "ego_half_length"),
+    (("ego", "half_width_m"), float("inf"), "ego_half_width"),
+]
+
+
+def write_with(scene, path, where, value):
+    """Save `scene` with one value replaced; json writes NaN and Infinity
+    as the bare literals that its parser accepts back as floats."""
+    doc = scene_to_doc(scene)
+    target = doc
+    for key in where[:-1]:
+        target = target[key]
+    target[where[-1]] = value
+    text = json.dumps(doc)
+    assert "NaN" in text or "Infinity" in text
+    path.write_text(text)
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("where, value, message", NON_FINITE)
+    def test_rejected_naming_the_field(self, scene, tmp_path, where, value, message):
+        path = tmp_path / "scene.json"
+        write_with(scene, path, where, value)
+        with pytest.raises(SceneFormatError, match=re.escape(message)):
+            load_scene(path)
+
+    def test_score_exits_1_without_traceback(self, scene, tmp_path, capsys):
+        scenes = tmp_path / "scenes"
+        scenes.mkdir()
+        write_with(scene, scenes / "bad.json", ("agents", 0, "states", 0, 0), float("nan"))
+        code = main(["score", "--scenes", str(scenes), "--traj", "human", "--out", str(tmp_path / "r.json")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and "states must be finite" in err and "Traceback" not in err
+        assert not (tmp_path / "r.json").exists()
 
 
 class TestGenerator:
