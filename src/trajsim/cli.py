@@ -15,8 +15,6 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from . import distill as distill_mod
 from . import scene_io, selection, vocabulary
 from .kinematics import pid_track, trajectory_to_world

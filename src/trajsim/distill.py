@@ -91,14 +91,11 @@ class PseudoTeacherSet:
 class DistillConfig:
     threshold: float = 0.95
     n_pseudo: int = 4
-    discount: float = 0.1
     rng_seed: int = 0
 
     def __post_init__(self):
         if not 0.0 < self.threshold <= 1.0:
             raise ValueError("threshold must be in (0, 1]")
-        if not 0.0 < self.discount < 1.0:
-            raise ValueError("discount must be in (0, 1)")
         if self.n_pseudo < 0:
             raise ValueError("n_pseudo must be non-negative")
 

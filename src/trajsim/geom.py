@@ -23,7 +23,6 @@ __all__ = [
     "OccupancyGrid",
     "wrap_angle",
     "obb_overlap_batch",
-    "points_in_polygon",
     "xy_in_polygon",
     "buffer_rasterize",
     "grid_union",
@@ -250,14 +249,9 @@ def obb_overlap_batch(ax, ay, apsi, ahl, ahw, bx, by, bpsi, bhl, bhw) -> np.ndar
 # polygon containment
 
 
-def points_in_polygon(points: np.ndarray, poly: Polygon) -> np.ndarray:
-    """Even-odd containment for an (n, 2) array; boundary points are inside."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    return xy_in_polygon(pts[:, 0], pts[:, 1], poly)
-
-
 def xy_in_polygon(px: np.ndarray, py: np.ndarray, poly: Polygon) -> np.ndarray:
-    """points_in_polygon for points given as (n,) x and y arrays.
+    """Even-odd containment of points given as (n,) x and y arrays; boundary
+    points are inside.
 
     Work arrays are (edges, points), so numpy's inner loops run over the
     many points rather than the few edges.

@@ -32,7 +32,6 @@ __all__ = [
 DENSE_TICKS = 41
 TICK_DT = 0.1
 PLAN_DT = 0.5
-TICKS_PER_WAYPOINT = 5
 
 
 class Trajectory:
@@ -120,7 +119,8 @@ class DenseTrajectory:
 
 @dataclass(frozen=True)
 class KinematicsConfig:
-    """Bicycle geometry, command bounds, and PID gains (dt is 0.1 s)."""
+    """Bicycle geometry, command bounds, and PID gains; the controller steps
+    at TICK_DT, the replay clock the metrics and agents share."""
 
     wheelbase: float = 2.7
     steer_max: float = 0.8
@@ -131,28 +131,27 @@ class KinematicsConfig:
     kd_lon: float = 0.2
     kp_lat: float = 1.5
     kd_lat: float = 0.3
-    dt: float = TICK_DT
 
     def __post_init__(self):
-        if self.wheelbase <= 0 or self.dt <= 0:
-            raise ValueError("wheelbase and dt must be positive")
+        if self.wheelbase <= 0:
+            raise ValueError("wheelbase must be positive")
 
 
 @functools.lru_cache(maxsize=16)
-def _tick_schedule(m: int, dt: float, ticks: int) -> tuple:
-    """Where each tick time 0 .. (ticks-1)*dt falls among the plan nodes.
+def _tick_schedule(m: int) -> tuple:
+    """Where each control-step time 0 .. 39*TICK_DT falls among the plan nodes.
 
     The nodes sit at t = 0 (the initial state) and 0.5*(i+1) for the m
-    waypoints.  Entry k is (j, w), the interval j holding time k*dt and the
-    interpolation weight within it, or None once k*dt reaches the last node.
-    It depends on nothing but the plan length and the clock, so it is
-    computed once per (m, dt, ticks).
+    waypoints.  Entry k is (j, w), the interval j holding time k*TICK_DT and
+    the interpolation weight within it, or None once that time reaches the
+    last node.  It depends on nothing but the plan length, so it is computed
+    once per m.
     """
     nodes_t = [0.0] + [PLAN_DT * (i + 1) for i in range(m)]
     out = []
     j = 0
-    for k in range(ticks):
-        t = k * dt
+    for k in range(DENSE_TICKS - 1):
+        t = k * TICK_DT
         while j + 1 < len(nodes_t) - 1 and nodes_t[j + 1] < t:
             j += 1
         if t >= nodes_t[-1]:
@@ -177,9 +176,9 @@ def pid_track(plan: Trajectory, init: EgoState, cfg: KinematicsConfig | None = N
         raise ValueError("plan needs at least 2 waypoints")
     if cfg is None:
         cfg = KinematicsConfig()
-    dt = cfg.dt
+    dt = TICK_DT
     # the control step at tick k tracks the target at tick time k - 1
-    schedule = _tick_schedule(plan.m, dt, DENSE_TICKS - 1)
+    schedule = _tick_schedule(plan.m)
 
     nodes_x = [init.pose.x] + plan.poses[:, 0].tolist()
     nodes_y = [init.pose.y] + plan.poses[:, 1].tolist()

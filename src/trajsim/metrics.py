@@ -1,10 +1,10 @@
 """Log-replay scoring of dense rollouts against a scene.
 
 Produces the nine rule-based subscores (NC, DAC, DDC, TLC, EP, TTC, LK, HC,
-EC), their multiplicative/weighted aggregates, per-waypoint auxiliary labels,
-and the proposal-set diversity measure.  The scene is immutable during
-scoring and every function here returns a value that depends only on its
-arguments, so (trajectory, scene) pairs can be scored concurrently.
+EC), their multiplicative/weighted aggregates, and the proposal-set diversity
+measure.  The scene is immutable during scoring and every function here
+returns a value that depends only on its arguments, so (trajectory, scene)
+pairs can be scored concurrently.
 
 Scoring many rollouts against one scene should go through ``ScoreContext``,
 which precomputes the replay arrays and the human reference rollout once.
@@ -31,14 +31,12 @@ from .geom import (
     grid_union,
     nearest_segments,
     obb_overlap_batch,
-    points_in_polygon,
     segments_intersect_batch,
     xy_in_polygon,
 )
 from .kinematics import (
     DENSE_TICKS,
     TICK_DT,
-    TICKS_PER_WAYPOINT,
     DenseTrajectory,
     EgoState,
     KinematicsConfig,
@@ -59,7 +57,6 @@ __all__ = [
     "Intersection",
     "Scene",
     "SubScores",
-    "AuxLabels",
     "MetricConfig",
     "ScoreContext",
     "score_nc",
@@ -74,7 +71,6 @@ __all__ = [
     "aggregate_pdms",
     "aggregate_epdms",
     "evaluate_rollout",
-    "aux_labels",
     "diversity",
     "COMMANDS",
 ]
@@ -256,15 +252,6 @@ class SubScores:
 
 
 @dataclass(frozen=True)
-class AuxLabels:
-    """Per-waypoint supervision targets derived by log-replay."""
-
-    on_road: np.ndarray        # bool (M,)
-    on_route: np.ndarray       # bool (M,)
-    collision_prob: np.ndarray  # float (M,)
-
-
-@dataclass(frozen=True)
 class MetricConfig:
     """Every metric threshold, centralized so recalibration is config-only.
 
@@ -291,8 +278,6 @@ class MetricConfig:
     yaw_accel_max: float = 1.93
     ep_min_ref_progress_m: float = 0.1
     history_pad_ticks: int = 15
-    corridor_width_m: float = 2.0
-    grid_cell_m: float = 0.25
 
 
 _DEFAULT_METRIC_CFG = MetricConfig()
@@ -682,34 +667,6 @@ def evaluate_rollout(
         ec=score_ec(d, d_prev, frame_gap, ctx.metric_cfg),
         c=hc,
     )
-
-
-def aux_labels(plan: Trajectory, s) -> AuxLabels:
-    """On-road/on-route flags and replay collision probability per waypoint."""
-    ctx = _ctx(s)
-    scene = ctx.scene
-    world = trajectory_to_world(plan, scene.ego_init.pose)
-    pts = world.xy
-    m = len(pts)
-    ticks = TICKS_PER_WAYPOINT * (np.arange(m) + 1)
-    if ticks[-1] >= DENSE_TICKS:
-        raise ValueError("plan horizon exceeds the 41-tick replay window")
-
-    on_road = np.zeros(m, dtype=bool)
-    for poly in scene.drivable:
-        on_road |= points_in_polygon(pts, poly)
-    on_route = points_in_polygon(pts, scene.route_polygon)
-
-    collision = np.zeros(m)
-    if ctx.n_agents:
-        overlap = obb_overlap_batch(
-            pts[:, 0], pts[:, 1], world.poses[:, 2],
-            scene.ego_half_length, scene.ego_half_width,
-            ctx.agent_x[:, ticks], ctx.agent_y[:, ticks], ctx.agent_psi[:, ticks],
-            ctx.agent_hl, ctx.agent_hw,
-        )
-        collision = overlap.any(axis=0).astype(float)
-    return AuxLabels(on_road=on_road, on_route=on_route, collision_prob=collision)
 
 
 def _corridor_polyline(xy: np.ndarray) -> Polyline:

@@ -90,16 +90,49 @@ def _state_doc(s: EgoState) -> dict:
     }
 
 
-def _state_from(doc: dict, where: str) -> EgoState:
+_JSON_TYPES = {
+    dict: "an object", list: "an array", str: "a string", bool: "a boolean",
+    int: "a number", float: "a number", type(None): "null",
+}
+
+
+def _typed(value, kind: type, name: str):
+    """value, if it has the JSON type `kind`, otherwise SceneFormatError naming
+    the field.  float is any number but a boolean, object is anything, and
+    np.ndarray is an array of numbers nested to any depth, returned as one."""
+    if kind is np.ndarray:
+        arr = np.asarray(_typed(value, list, name))
+        if arr.dtype.kind not in "iuf":
+            raise SceneFormatError(f"{name} must hold only numbers")
+        return arr
+    if not (type(value) in (int, float) if kind is float else isinstance(value, kind)):
+        got = _JSON_TYPES.get(type(value), type(value).__name__)
+        raise SceneFormatError(f"{name} must be {_JSON_TYPES[kind]}, not {got}")
+    return value
+
+
+def _field(doc: dict, key: str, kind: type = object, where: str = ""):
+    """doc[key] checked by _typed; `where` names doc in messages."""
+    if key not in doc:
+        raise SceneFormatError(f"{where or 'scene file'}: missing field {key!r}")
+    value = doc[key]
+    if kind is object or type(value) is kind:  # the common case, without naming the field
+        return value
+    return _typed(value, kind, f"{where}.{key}" if where else key)
+
+
+def _objects(doc: dict, key: str):
+    """(name, element) of the JSON array doc[key], every element an object."""
+    return [(f"{key}[{i}]", _typed(e, dict, f"{key}[{i}]")) for i, e in enumerate(_field(doc, key, list))]
+
+
+def _state_from(doc, where: str) -> EgoState:
+    _typed(doc, dict, where)
+    x, y, psi, v, a, steer = [
+        _field(doc, key, float, where) for key in ("x_m", "y_m", "psi_rad", "speed_mps", "accel_mps2", "steer_rad")
+    ]
     try:
-        return EgoState(
-            Pose(doc["x_m"], doc["y_m"], doc["psi_rad"]),
-            doc["speed_mps"],
-            doc["accel_mps2"],
-            doc["steer_rad"],
-        )
-    except KeyError as exc:
-        raise SceneFormatError(f"{where}: missing field {exc}") from None
+        return EgoState(Pose(x, y, psi), v, a, steer)
     except ValueError as exc:
         raise SceneFormatError(f"{where}: {exc}") from None
 
@@ -147,29 +180,27 @@ def scene_to_doc(scene: Scene) -> dict:
 
 
 def scene_from_doc(doc: dict) -> Scene:
+    """Build a scene from its JSON document, checking the JSON type of every
+    field where it is read; any defect raises SceneFormatError naming it."""
     version = doc.get("schema_version")
     if version != SCHEMA_VERSION:
         raise SceneFormatError(f"unsupported schema_version {version!r} (expected {SCHEMA_VERSION})")
     try:
-        ego = doc["ego"]
-        agents = []
-        for a in doc["agents"]:
-            try:
-                agents.append(
-                    Agent(
-                        id=a["id"],
-                        half_length=a["half_length_m"],
-                        half_width=a["half_width_m"],
-                        states=np.asarray(a["states"], dtype=float),
-                        is_static=a["is_static"],
-                    )
-                )
-            except ValueError as exc:
-                raise SceneFormatError(str(exc)) from None
+        ego = _field(doc, "ego", dict)
+        agents = [
+            Agent(
+                id=_field(a, "id", object, where),
+                half_length=_field(a, "half_length_m", float, where),
+                half_width=_field(a, "half_width_m", float, where),
+                states=_field(a, "states", np.ndarray, where),
+                is_static=_field(a, "is_static", bool, where),
+            )
+            for where, a in _objects(doc, "agents")
+        ]
         intersections = []
-        for inter in doc["intersections"]:
-            light = inter["light"]
-            names = light["phase_per_tick"]
+        for where, inter in _objects(doc, "intersections"):
+            light = _field(inter, "light", dict, where)
+            names = _field(light, "phase_per_tick", list, f"{where}.light")
             try:
                 phases = [PHASE_NAMES.index(n) for n in names]
             except ValueError:
@@ -178,27 +209,36 @@ def scene_from_doc(doc: dict) -> Scene:
                 ) from None
             intersections.append(
                 Intersection(
-                    polygon=Polygon(inter["polygon_m"]),
-                    light=TrafficLight(light["intersection_id"], phases),
+                    polygon=Polygon(_field(inter, "polygon_m", np.ndarray, where)),
+                    light=TrafficLight(_field(light, "intersection_id", object, f"{where}.light"), phases),
                 )
             )
+        history = _field(ego, "history", list, "ego")
+        human = _field(doc, "human_trajectory_ego", dict)
         scene = Scene(
-            scene_id=doc["scene_id"],
-            ego_init=_state_from(ego["init"], "ego.init"),
-            ego_history=[_state_from(s, f"ego.history[{i}]") for i, s in enumerate(ego["history"])],
+            scene_id=_field(doc, "scene_id", str),
+            ego_init=_state_from(_field(ego, "init", where="ego"), "ego.init"),
+            ego_history=[_state_from(s, f"ego.history[{i}]") for i, s in enumerate(history)],
             agents=agents,
-            drivable=[Polygon(v) for v in doc["drivable_polygons_m"]],
-            route=Polyline(doc["route_polyline_m"]),
-            route_polygon=Polygon(doc["route_polygon_m"]),
-            lanes=[Lane(Polyline(l["centerline_m"]), l["direction_sign"]) for l in doc["lanes"]],
+            drivable=[
+                Polygon(_typed(v, np.ndarray, f"drivable_polygons_m[{i}]"))
+                for i, v in enumerate(_field(doc, "drivable_polygons_m", list))
+            ],
+            route=Polyline(_field(doc, "route_polyline_m", np.ndarray)),
+            route_polygon=Polygon(_field(doc, "route_polygon_m", np.ndarray)),
+            lanes=[
+                Lane(
+                    Polyline(_field(lane, "centerline_m", np.ndarray, where)),
+                    _field(lane, "direction_sign", float, where),
+                )
+                for where, lane in _objects(doc, "lanes")
+            ],
             intersections=intersections,
-            human_trajectory=Trajectory(doc["human_trajectory_ego"]["waypoints"]),
-            command=doc["command"],
-            ego_half_length=ego["half_length_m"],
-            ego_half_width=ego["half_width_m"],
+            human_trajectory=Trajectory(_field(human, "waypoints", np.ndarray, "human_trajectory_ego")),
+            command=_field(doc, "command", str),
+            ego_half_length=_field(ego, "half_length_m", float, "ego"),
+            ego_half_width=_field(ego, "half_width_m", float, "ego"),
         )
-    except KeyError as exc:
-        raise SceneFormatError(f"scene file missing field {exc}") from None
     except ValueError as exc:
         if isinstance(exc, SceneFormatError):
             raise

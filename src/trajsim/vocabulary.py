@@ -30,7 +30,6 @@ __all__ = [
     "embed_corpus",
     "headings_from_tangents",
     "kmeans",
-    "nearest_center",
     "save_vocabulary",
     "load_vocabulary",
     "export_vocabulary_csv",
@@ -226,17 +225,6 @@ def kmeans(
         inertia=history[-1],
         inertia_history=tuple(history),
     )
-
-
-def nearest_center(vocab: Vocabulary, t: Trajectory):
-    """(index, distance) of the closest center in embed space; ties take the
-    lowest index."""
-    q = embed(t)
-    c = vocab.embeddings()
-    diff = c - q
-    d2 = np.einsum("ij,ij->i", diff, diff)
-    idx = int(np.argmin(d2))
-    return idx, float(np.sqrt(d2[idx]))
 
 
 # ---------------------------------------------------------------------------

@@ -234,7 +234,7 @@ def pid_track(plan, init, cfg=None):
         raise ValueError("plan needs at least 2 waypoints")
     if cfg is None:
         cfg = KinematicsConfig()
-    dt = cfg.dt
+    dt = 0.1
     tx, ty, tpsi, ts = _interp_targets(plan, init, dt, DENSE_TICKS)
 
     xs = [0.0] * DENSE_TICKS

@@ -16,13 +16,13 @@ import pytest
 
 from trajsim.distill import score_scene_row
 from trajsim.geom import (
-    Polygon, Polyline, Pose, arc_positions, nearest_segments, points_in_polygon, segments_intersect_batch,
+    Polygon, Polyline, Pose, arc_positions, nearest_segments, segments_intersect_batch, xy_in_polygon,
 )
 from trajsim.kinematics import EgoState, Trajectory, pid_track, trajectory_to_world
 from trajsim.metrics import ScoreContext, score_ddc, score_lk
 from trajsim import metrics
 from trajsim.scene_io import TEMPLATES, SyntheticSpec, generate_scene
-from trajsim.vocabulary import TrajectoryCorpus, kmeans
+from trajsim.vocabulary import TrajectoryCorpus, Vocabulary, kmeans
 
 import oracles
 
@@ -84,6 +84,25 @@ def test_score_scene_row_matches_oracle(scenes, vocab):
         assert bits(score_scene_row(scene, vocab)) == bits(oracles.epdms_row(scene, vocab.centers)), scene.scene_id
 
 
+def test_center_score_does_not_depend_on_its_batch(scenes, vocab):
+    # a center scores the same bits alone, in the K=32 vocabulary, in that
+    # vocabulary reversed and in a sub-vocabulary
+    def batch(centers):
+        centers = list(centers)
+        return Vocabulary(centers=centers, k=len(centers), seed=vocab.seed, inertia=0.0)
+
+    picked = list(range(1, vocab.k, 3))
+    one_per_template = scenes[::2]
+    assert sorted(s.scene_id.split("-")[0] for s in one_per_template) == sorted(TEMPLATES)
+    for scene in one_per_template:
+        full = score_scene_row(scene, vocab)
+        alone = [score_scene_row(scene, batch([c]))[0] for c in vocab.centers]
+        assert bits(alone) == bits(full), scene.scene_id
+        assert bits(score_scene_row(scene, batch(vocab.centers[::-1]))[::-1]) == bits(full), scene.scene_id
+        sub = score_scene_row(scene, batch(vocab.centers[i] for i in picked))
+        assert bits(sub) == bits(full[picked]), scene.scene_id
+
+
 def test_headings_that_need_wrapping():
     # frames and plan headings near +-pi, so sums leave (-pi, pi] and the
     # interpolated heading crosses the seam between waypoints
@@ -116,9 +135,9 @@ def test_points_on_polygon_edges_match_oracle():
         inner = v.mean(axis=0) + rng.uniform(-0.05, 0.05, size=(30, 2))
         around = rng.uniform(v.min(axis=0) - 1, v.max(axis=0) + 1, size=(200, 2))
         for pts in (on_edges, inner, around, np.concatenate([inner, on_edges])):
-            got = points_in_polygon(pts, poly)
+            got = xy_in_polygon(pts[:, 0], pts[:, 1], poly)
             assert bits(got.astype(float)) == bits(oracles.points_in_polygon(pts, poly.vertices).astype(float))
-        assert points_in_polygon(on_edges, poly).all()
+        assert xy_in_polygon(on_edges[:, 0], on_edges[:, 1], poly).all()
 
 
 def test_segment_intersections_match_oracle():

@@ -15,8 +15,8 @@ from trajsim.geom import (
     buffer_rasterize,
     grid_union,
     obb_overlap_batch,
-    points_in_polygon,
     wrap_angle,
+    xy_in_polygon,
 )
 from trajsim.scene_io import SyntheticSpec, generate_scene
 
@@ -32,15 +32,21 @@ def overlaps(pa, pb) -> bool:
     return bool(obb_overlap_batch(*pa, *pb))
 
 
+def in_polygon(pts, poly) -> np.ndarray:
+    """xy_in_polygon on an (n, 2) array of points."""
+    pts = np.asarray(pts, dtype=float)
+    return xy_in_polygon(pts[:, 0], pts[:, 1], poly)
+
+
 def inside(p, poly) -> bool:
-    return bool(points_in_polygon([p], poly)[0])
+    return bool(in_polygon([p], poly)[0])
 
 
 def corners_covered(b: OrientedBox, polys) -> bool:
     """All four box corners inside the union of the polygons, as DAC tests."""
     covered = np.zeros(4, dtype=bool)
     for poly in polys:
-        covered |= points_in_polygon(b.corners(), poly)
+        covered |= in_polygon(b.corners(), poly)
     return bool(covered.all())
 
 
@@ -131,7 +137,7 @@ class TestPointInPolygon:
         # an L-shaped (non-convex) polygon
         poly = Polygon([[0, 0], [4, 0], [4, 2], [2, 2], [2, 4], [0, 4]])
         pts = rng.uniform(-1, 5, size=(500, 2))
-        got = points_in_polygon(pts, poly)
+        got = in_polygon(pts, poly)
         assert got.tolist() == [oracles.winding_number_inside(tuple(p), poly.vertices) for p in pts]
 
     def test_cw_input_normalized(self):

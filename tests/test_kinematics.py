@@ -7,6 +7,7 @@ import pytest
 from trajsim.geom import Pose, wrap_angle
 from trajsim.kinematics import (
     DENSE_TICKS,
+    TICK_DT,
     DenseTrajectory,
     EgoState,
     KinematicsConfig,
@@ -47,7 +48,7 @@ class TestBicycleStep:
         # before the tick and the steer command recorded at it
         plan = Trajectory([[4.0 * (i + 1), 0.4 * (i + 1) ** 2, 0.2 * (i + 1)] for i in range(8)])
         d = pid_track(plan, state(v=8.0))
-        total = sum((d.v[k] / CFG.wheelbase) * math.tan(d.steer[k + 1]) * CFG.dt for k in range(DENSE_TICKS - 1))
+        total = sum((d.v[k] / CFG.wheelbase) * math.tan(d.steer[k + 1]) * TICK_DT for k in range(DENSE_TICKS - 1))
         assert d.psi[-1] == pytest.approx(total, abs=1e-9)
         assert 0.5 < total < math.pi
 
@@ -61,7 +62,7 @@ class TestBicycleStep:
     def test_speed_floors_at_zero(self):
         # a plan that stays at the start makes the moving ego brake to a stop
         d = pid_track(Trajectory(np.zeros((8, 3))), state(v=5.0))
-        floored = [k for k in range(1, DENSE_TICKS) if d.v[k - 1] + d.a[k] * CFG.dt < 0.0]
+        floored = [k for k in range(1, DENSE_TICKS) if d.v[k - 1] + d.a[k] * TICK_DT < 0.0]
         assert floored and all(d.v[k] == 0.0 for k in floored)
         assert d.v.min() == 0.0
 
@@ -78,7 +79,7 @@ class TestPidTrack:
 
     def test_straight_plan_tracking_error(self):
         d = pid_track(straight_plan(10.0), state(v=10.0))
-        t = CFG.dt * np.arange(DENSE_TICKS)
+        t = TICK_DT * np.arange(DENSE_TICKS)
         err = np.hypot(d.x - 10.0 * t, d.y)
         assert err.max() < 0.5
 
@@ -129,7 +130,7 @@ class TestDeriveProfiles:
     def _hc(self, v, psi, **bounds):
         """score_hc of a rollout whose speeds and headings over the padded
         window (15 history ticks, then 41 rollout ticks) are v(t) and psi(t)."""
-        t = CFG.dt * np.arange(-16, DENSE_TICKS)
+        t = TICK_DT * np.arange(-16, DENSE_TICKS)
         vs, psis = v(t), psi(t)
         scene = generate_scene(SyntheticSpec("clean_straight", seed=0))
         history = [EgoState(Pose(0.0, 0.0, p), s) for s, p in zip(vs[:16], psis[:16])]

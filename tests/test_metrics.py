@@ -26,7 +26,6 @@ from trajsim.metrics import (
     TrafficLight,
     aggregate_epdms,
     aggregate_pdms,
-    aux_labels,
     diversity,
     evaluate_rollout,
     score_dac,
@@ -340,30 +339,6 @@ class TestAggregates:
     def test_subscores_validated(self):
         with pytest.raises(ValueError):
             subs(ep=1.5)
-
-
-class TestAuxLabels:
-    def test_clean_scene(self):
-        scene = make_scene()
-        labels = aux_labels(scene.human_trajectory, scene)
-        assert labels.on_road.all()
-        assert labels.on_route.all()
-        assert not labels.collision_prob.any()
-
-    def test_waypoint_off_road(self):
-        t = 0.5 * (np.arange(8) + 1)
-        poses = np.stack([10 * t, np.zeros(8), np.zeros(8)], axis=1)
-        poses[4, 1] = 50.0
-        labels = aux_labels(Trajectory(poses), make_scene())
-        assert not labels.on_road[4]
-        assert labels.on_road[[0, 1, 2, 3, 5, 6, 7]].all()
-
-    def test_waypoint_on_agent(self):
-        # waypoint 3 sits at x = 10 * 0.5 * 4 = 20; park an agent there
-        scene = make_scene(agents=[parked("p", 20.0, 0.0)])
-        labels = aux_labels(scene.human_trajectory, scene)
-        assert labels.collision_prob[3] == 1.0
-        assert labels.collision_prob[[0, 1, 5, 6, 7]].sum() == 0.0
 
 
 class TestDiversity:

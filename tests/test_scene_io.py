@@ -113,15 +113,20 @@ NON_FINITE = [
 ]
 
 
-def write_with(scene, path, where, value):
-    """Save `scene` with one value replaced; json writes NaN and Infinity
-    as the bare literals that its parser accepts back as floats."""
+def doc_with(scene, where, value) -> dict:
+    """The document of `scene` with the value at path `where` replaced."""
     doc = scene_to_doc(scene)
     target = doc
     for key in where[:-1]:
         target = target[key]
     target[where[-1]] = value
-    text = json.dumps(doc)
+    return doc
+
+
+def write_with(scene, path, where, value):
+    """Save `scene` with one value replaced; json writes NaN and Infinity
+    as the bare literals that its parser accepts back as floats."""
+    text = json.dumps(doc_with(scene, where, value))
     assert "NaN" in text or "Infinity" in text
     path.write_text(text)
 
@@ -142,6 +147,51 @@ class TestNonFinite:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error: ") and "states must be finite" in err and "Traceback" not in err
+        assert not (tmp_path / "r.json").exists()
+
+
+WRONG_TYPE = [
+    (("ego", "init", "speed_mps"), "fast", "ego.init.speed_mps must be a number, not a string"),
+    (("agents",), "x", "agents must be an array, not a string"),
+    (("lanes",), [1], "lanes[0] must be an object, not a number"),
+    (("ego", "half_length_m"), "2", "ego.half_length_m must be a number, not a string"),
+]
+
+MORE_WRONG_TYPES = [
+    (("ego",), [], "ego must be an object, not an array"),
+    (("ego", "history", 2), 5, "ego.history[2] must be an object, not a number"),
+    (("ego", "init", "x_m"), True, "ego.init.x_m must be a number, not a boolean"),
+    (("ego", "init", "steer_rad"), None, "ego.init.steer_rad must be a number, not null"),
+    (("agents", 0, "states"), "x", "agents[0].states must be an array, not a string"),
+    (("agents", 0, "states", 3, 1), "1.5", "agents[0].states must hold only numbers"),
+    (("agents", 0, "is_static"), "no", "agents[0].is_static must be a boolean, not a string"),
+    (("drivable_polygons_m", 0), {"x": 1}, "drivable_polygons_m[0] must be an array, not an object"),
+    (("lanes", 0, "direction_sign"), "1", "lanes[0].direction_sign must be a number, not a string"),
+    (("human_trajectory_ego",), [], "human_trajectory_ego must be an object, not an array"),
+    (("scene_id",), 7, "scene_id must be a string, not a number"),
+]
+
+
+class TestWrongJsonType:
+    @pytest.mark.parametrize("where, value, message", WRONG_TYPE + MORE_WRONG_TYPES)
+    def test_rejected_naming_the_field(self, scene, where, value, message):
+        with pytest.raises(SceneFormatError, match=re.escape(message)):
+            scene_from_doc(doc_with(scene, where, value))
+
+    def test_missing_nested_field_named(self, scene):
+        doc = scene_to_doc(scene)
+        del doc["agents"][0]["half_width_m"]
+        with pytest.raises(SceneFormatError, match=re.escape("agents[0]: missing field 'half_width_m'")):
+            scene_from_doc(doc)
+
+    @pytest.mark.parametrize("where, value, message", WRONG_TYPE)
+    def test_score_exits_1_with_one_error_line(self, scene, tmp_path, capsys, where, value, message):
+        scenes = tmp_path / "scenes"
+        scenes.mkdir()
+        (scenes / "bad.json").write_text(json.dumps(doc_with(scene, where, value)))
+        code = main(["score", "--scenes", str(scenes), "--traj", "human", "--out", str(tmp_path / "r.json")])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
         assert not (tmp_path / "r.json").exists()
 
 

@@ -4,13 +4,11 @@ import pytest
 from trajsim.kinematics import Trajectory
 from trajsim.vocabulary import (
     TrajectoryCorpus,
-    Vocabulary,
     embed,
     export_vocabulary_csv,
     headings_from_tangents,
     kmeans,
     load_vocabulary,
-    nearest_center,
     save_vocabulary,
 )
 
@@ -146,42 +144,6 @@ class TestKmeans:
         emb = vocab.embeddings()
         assert np.all(np.isfinite(emb))
         assert vocab.inertia == 0.0  # every point sits exactly on some center
-
-
-class TestNearestCenter:
-    def _vocab(self):
-        rng = np.random.default_rng(9)
-        return kmeans(random_corpus(rng, 64), k=16, seed=1)
-
-    def test_exact_center_hit(self):
-        vocab = self._vocab()
-        idx, dist = nearest_center(vocab, vocab.centers[7])
-        assert idx == 7
-        assert dist == 0.0
-
-    def test_tie_breaks_to_lowest_index(self):
-        a = traj_from_xy(np.stack([np.arange(8.0), np.zeros(8)], axis=1))
-        b = traj_from_xy(np.stack([np.arange(8.0), np.full(8, 2.0)], axis=1))
-        vocab = Vocabulary(centers=[a, b, a], k=3, seed=0, inertia=0.0)
-        q = traj_from_xy(np.stack([np.arange(8.0), np.ones(8)], axis=1))  # equidistant to all
-        idx, _ = nearest_center(vocab, q)
-        assert idx == 0
-
-    def test_matches_exhaustive_scan(self):
-        vocab = self._vocab()
-        c = vocab.embeddings()
-        rng = np.random.default_rng(10)
-        for _ in range(1000):
-            xy = rng.uniform(-20, 20, size=(8, 2))
-            q = traj_from_xy(xy)
-            idx, dist = nearest_center(vocab, q)
-            best_i, best_d = 0, float("inf")
-            for i in range(len(c)):
-                d = float(np.linalg.norm(c[i] - embed(q)))
-                if d < best_d:
-                    best_i, best_d = i, d
-            assert idx == best_i
-            assert dist == pytest.approx(best_d)
 
 
 class TestPersistence:
