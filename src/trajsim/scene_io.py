@@ -23,6 +23,7 @@ import json
 import math
 import os
 import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -101,7 +102,11 @@ def _typed(value, kind: type, name: str):
     the field.  float is any number but a boolean, object is anything, and
     np.ndarray is an array of numbers nested to any depth, returned as one."""
     if kind is np.ndarray:
-        arr = np.asarray(_typed(value, list, name))
+        value = _typed(value, list, name)
+        try:
+            arr = np.asarray(value)
+        except ValueError:
+            raise SceneFormatError(f"{name} must be a rectangular array") from None
         if arr.dtype.kind not in "iuf":
             raise SceneFormatError(f"{name} must hold only numbers")
         return arr
@@ -124,6 +129,27 @@ def _field(doc: dict, key: str, kind: type = object, where: str = ""):
 def _objects(doc: dict, key: str):
     """(name, element) of the JSON array doc[key], every element an object."""
     return [(f"{key}[{i}]", _typed(e, dict, f"{key}[{i}]")) for i, e in enumerate(_field(doc, key, list))]
+
+
+def _trajectory(value, name: str) -> Trajectory:
+    """The trajectory whose (M, 3) waypoints are the JSON array `value`."""
+    waypoints = _typed(value, np.ndarray, name)
+    try:
+        return Trajectory(waypoints)
+    except ValueError as exc:
+        raise SceneFormatError(f"{name}: {exc}") from None
+
+
+def _trajectories(doc: dict, key: str, where: str = "") -> list:
+    """The trajectories of the JSON array doc[key]."""
+    name = f"{where}.{key}" if where else key
+    return [_trajectory(p, f"{name}[{i}]") for i, p in enumerate(_field(doc, key, list, where))]
+
+
+def _check_version(doc: dict) -> None:
+    version = doc.get("schema_version")
+    if version != SCHEMA_VERSION:
+        raise SceneFormatError(f"unsupported schema_version {version!r} (expected {SCHEMA_VERSION})")
 
 
 def _state_from(doc, where: str) -> EgoState:
@@ -182,9 +208,7 @@ def scene_to_doc(scene: Scene) -> dict:
 def scene_from_doc(doc: dict) -> Scene:
     """Build a scene from its JSON document, checking the JSON type of every
     field where it is read; any defect raises SceneFormatError naming it."""
-    version = doc.get("schema_version")
-    if version != SCHEMA_VERSION:
-        raise SceneFormatError(f"unsupported schema_version {version!r} (expected {SCHEMA_VERSION})")
+    _check_version(doc)
     try:
         ego = _field(doc, "ego", dict)
         agents = [
@@ -234,7 +258,8 @@ def scene_from_doc(doc: dict) -> Scene:
                 for where, lane in _objects(doc, "lanes")
             ],
             intersections=intersections,
-            human_trajectory=Trajectory(_field(human, "waypoints", np.ndarray, "human_trajectory_ego")),
+            human_trajectory=_trajectory(_field(human, "waypoints", where="human_trajectory_ego"),
+                                         "human_trajectory_ego.waypoints"),
             command=_field(doc, "command", str),
             ego_half_length=_field(ego, "half_length_m", float, "ego"),
             ego_half_width=_field(ego, "half_width_m", float, "ego"),
@@ -273,8 +298,21 @@ def _load_json_object(path) -> dict:
     return doc
 
 
+@contextmanager
+def _document(path):
+    """The top-level JSON object of `path`, of the supported schema_version;
+    a ValueError in the body becomes a SceneFormatError naming the file."""
+    doc = _load_json_object(path)
+    try:
+        _check_version(doc)
+        yield doc
+    except ValueError as exc:
+        raise SceneFormatError(f"{path}: {exc}") from None
+
+
 def load_scene(path) -> Scene:
-    return scene_from_doc(_load_json_object(path))
+    with _document(path) as doc:
+        return scene_from_doc(doc)
 
 
 # ---------------------------------------------------------------------------
@@ -579,10 +617,8 @@ def save_trajectory_map(trajs: dict, path) -> None:
 
 
 def load_trajectory_map(path) -> dict:
-    doc = _load_json_object(path)
-    if doc.get("schema_version") != SCHEMA_VERSION:
-        raise SceneFormatError(f"unsupported schema_version in {path}")
-    return {k: Trajectory(v) for k, v in doc["trajectories"].items()}
+    with _document(path) as doc:
+        return {k: _trajectory(v, f"trajectories.{k}") for k, v in _field(doc, "trajectories", dict).items()}
 
 
 def save_proposal_set(proposals, path) -> None:
@@ -591,23 +627,19 @@ def save_proposal_set(proposals, path) -> None:
 
 
 def load_proposal_set(path) -> list:
-    doc = _load_json_object(path)
-    if doc.get("schema_version") != SCHEMA_VERSION:
-        raise SceneFormatError(f"unsupported schema_version in {path}")
-    return [Trajectory(p) for p in doc["proposals"]]
+    with _document(path) as doc:
+        return _trajectories(doc, "proposals")
 
 
 def load_proposal_frames(path) -> list:
     """[(scene_id, [Trajectory] proposals)] for frame-by-frame selection."""
-    doc = _load_json_object(path)
-    if doc.get("schema_version") != SCHEMA_VERSION:
-        raise SceneFormatError(f"unsupported schema_version in {path}")
-    return [(f["scene_id"], [Trajectory(p) for p in f["proposals"]]) for f in doc["frames"]]
+    with _document(path) as doc:
+        return [(_field(f, "scene_id", str, where), _trajectories(f, "proposals", where))
+                for where, f in _objects(doc, "frames")]
 
 
 def load_score_frames(path) -> dict:
     """scene_id -> external score vector, aligned with proposal frames."""
-    doc = _load_json_object(path)
-    if doc.get("schema_version") != SCHEMA_VERSION:
-        raise SceneFormatError(f"unsupported schema_version in {path}")
-    return {f["scene_id"]: np.asarray(f["scores"], dtype=float) for f in doc["frames"]}
+    with _document(path) as doc:
+        return {_field(f, "scene_id", str, where): _field(f, "scores", np.ndarray, where).astype(float)
+                for where, f in _objects(doc, "frames")}

@@ -7,11 +7,21 @@ seeding plus Lloyd iterations, with a deterministic chunked assignment step:
 chunks may be processed by a thread pool, but labels are order-free and the
 per-cluster reduction always runs in chunk-index order, so the result is
 bitwise identical for any worker count.
+
+Seeding keeps a transposed (2M, N) copy of the embeddings, so each new
+center's squared distances are a few whole-row operations over N points
+instead of N short rows.  The rows are then summed in the order numpy's
+pairwise summation uses for ``np.sum(a, axis=1)`` over the original (N, 2M)
+layout (eight interleaved accumulators per block of 128, halves above
+that), so the distances, and with them every k-means++ draw, are the same
+bits as the row-wise sum.  That order is a numpy implementation detail;
+tests/test_exactness.py pins it.
 """
 
 from __future__ import annotations
 
 import csv
+import mmap
 import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -98,7 +108,7 @@ def embed(t: Trajectory) -> np.ndarray:
 
 
 def embed_corpus(corpus: TrajectoryCorpus) -> np.ndarray:
-    return np.stack([embed(t) for t in corpus.items])
+    return np.stack([t.xy for t in corpus.items]).reshape(corpus.count, -1)
 
 
 def headings_from_tangents(xy: np.ndarray) -> np.ndarray:
@@ -113,17 +123,48 @@ def _center_to_trajectory(vec: np.ndarray, m: int) -> Trajectory:
     return Trajectory(np.column_stack([xy, headings_from_tangents(xy)]))
 
 
-def _chunk_ranges(n: int):
-    return [(lo, min(lo + _CHUNK, n)) for lo in range(0, n, _CHUNK)]
+def _pairwise_row_sum(a: np.ndarray) -> np.ndarray:
+    """The column sums of `a`, overwriting it, in the order np.sum(a.T, axis=1)
+    adds them: numpy's pairwise summation over the len(a) rows."""
+    n = len(a)
+    if n < 8:
+        for i in range(1, n):
+            a[0] += a[i]
+        return a[0]
+    if n <= 128:
+        blocked = n - n % 8
+        for i in range(8, blocked, 8):
+            a[:8] += a[i : i + 8]
+        # ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+        a[0:8:2] += a[1:8:2]
+        a[0:8:4] += a[2:8:4]
+        a[0] += a[4]
+        for i in range(blocked, n):
+            a[0] += a[i]
+        return a[0]
+    half = n // 2
+    half -= half % 8
+    total = _pairwise_row_sum(a[:half])
+    total += _pairwise_row_sum(a[half:])
+    return total
 
 
-def _assign_chunk(x_chunk, centers, k):
-    """Labels, per-cluster sums/counts, and inertia for one chunk."""
-    d2 = (
-        np.sum(x_chunk * x_chunk, axis=1)[:, None]
-        - 2.0 * x_chunk @ centers.T
-        + np.sum(centers * centers, axis=1)[None, :]
-    )
+def _sq_dist_to(xt: np.ndarray, c: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """np.sum((x - c) ** 2, axis=1) from the transposed xt, bit for bit; a view of buf."""
+    np.subtract(xt, c[:, None], out=buf)
+    np.square(buf, out=buf)
+    return _pairwise_row_sum(buf)
+
+
+def _assign_chunk(x_chunk, xx, x2, centers, cc, k, d2):
+    """Labels, per-cluster sums/counts, and inertia for one chunk.
+
+    xx and x2 are the chunk's squared norms and 2 * x_chunk, cc the centers'
+    squared norms; the distances (xx - x2 @ centers.T) + cc are written to
+    the (len(x_chunk), k) array d2."""
+    np.matmul(x2, centers.T, out=d2)
+    np.subtract(xx[:, None], d2, out=d2)
+    d2 += cc
     labels = np.argmin(d2, axis=1)
     # recompute the chosen distance directly: the expansion above can go
     # slightly negative from cancellation
@@ -150,6 +191,10 @@ def kmeans(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    if max_iters < 1:
+        raise ValueError(f"max_iters must be >= 1, got {max_iters}")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     if corpus.count < k:
         raise ValueError(f"corpus has {corpus.count} trajectories but k={k}")
     x = embed_corpus(corpus)
@@ -157,10 +202,12 @@ def kmeans(
     rng = np.random.default_rng(seed)
 
     # k-means++ seeding
+    xt = np.ascontiguousarray(x.T)
+    buf = np.empty_like(xt)
     centers = np.empty((k, x.shape[1]))
     first = int(rng.integers(n))
     centers[0] = x[first]
-    d2 = np.sum((x - centers[0]) ** 2, axis=1)
+    d2 = _sq_dist_to(xt, centers[0], buf).copy()
     for i in range(1, k):
         total = d2.sum()
         if total <= 0:
@@ -168,18 +215,27 @@ def kmeans(
         else:
             idx = int(rng.choice(n, p=d2 / total))
         centers[i] = x[idx]
-        d2 = np.minimum(d2, np.sum((x - centers[i]) ** 2, axis=1))
+        np.minimum(d2, _sq_dist_to(xt, centers[i], buf), out=d2)
 
-    ranges = _chunk_ranges(n)
+    # each chunk with the terms no iteration changes: its squared norms and 2x
+    chunks = [(c, np.sum(c * c, axis=1), 2.0 * c) for c in (x[lo : lo + _CHUNK] for lo in range(0, n, _CHUNK))]
     pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
+    # one (chunk, k) distance buffer for every chunk and pass; pool threads
+    # each take their own.  It is an anonymous mapping, so its pages go back
+    # to the OS when kmeans returns: malloc may keep a freed block this size
+    # resident, and every process forked later (a distill pool) would carry it
+    d2_buf = np.frombuffer(mmap.mmap(-1, 8 * min(n, _CHUNK) * k)).reshape(-1, k) if pool is None else None
     try:
         prev_labels = None
         history = []
         for _ in range(max_iters):
+            cc = np.sum(centers * centers, axis=1)
             if pool is None:
-                parts = [_assign_chunk(x[lo:hi], centers, k) for lo, hi in ranges]
+                parts = [_assign_chunk(*chunk, centers, cc, k, d2_buf[: len(chunk[0])]) for chunk in chunks]
             else:
-                parts = list(pool.map(lambda r: _assign_chunk(x[r[0] : r[1]], centers, k), ranges))
+                parts = list(pool.map(
+                    lambda chunk: _assign_chunk(*chunk, centers, cc, k, np.empty((len(chunk[0]), k))), chunks
+                ))
             labels = np.concatenate([p[0] for p in parts])
             # reduce in chunk-index order so results never depend on scheduling
             sums = np.zeros_like(centers)

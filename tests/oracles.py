@@ -547,3 +547,80 @@ def epdms_row(scene, centers):
         row.append(epdms_formula(sub["nc"], sub["dac"], sub["ddc"], sub["tlc"], sub["ep"], sub["ttc"],
                                  sub["lk"], sub["hc"], 1.0))
     return np.array(row)
+
+
+def assign_chunk(x_chunk, centers, k):
+    """Labels, per-cluster sums and counts, inertia and squared distances of
+    one chunk, every distance expanded from scratch."""
+    d2 = (
+        np.sum(x_chunk * x_chunk, axis=1)[:, None]
+        - 2.0 * x_chunk @ centers.T
+        + np.sum(centers * centers, axis=1)[None, :]
+    )
+    labels = np.argmin(d2, axis=1)
+    chosen = x_chunk - centers[labels]
+    dist2 = np.sum(chosen * chosen, axis=1)
+    sums = np.zeros_like(centers)
+    np.add.at(sums, labels, x_chunk)
+    return labels, sums, np.bincount(labels, minlength=k), float(dist2.sum()), dist2
+
+
+def kmeans(x, k, max_iters, seed, chunk=4096):
+    """k-means++ seeding and chunked Lloyd passes on the (N, D) embeddings x,
+    with the arithmetic of vocabulary.kmeans before its seeding was transposed
+    and its loop-invariant terms hoisted: every distance is a row-wise np.sum
+    and every chunk distance matrix is built from scratch.  `chunk` is
+    vocabulary._CHUNK, on which the reduction order depends.
+
+    Returns (centers, inertia history, number of empty clusters repaired).
+    """
+    n = len(x)
+    rng = np.random.default_rng(seed)
+    centers = np.empty((k, x.shape[1]))
+    centers[0] = x[int(rng.integers(n))]
+    d2 = np.sum((x - centers[0]) ** 2, axis=1)
+    for i in range(1, k):
+        total = d2.sum()
+        if total <= 0:
+            idx = int(rng.integers(n))
+        else:
+            idx = int(rng.choice(n, p=d2 / total))
+        centers[i] = x[idx]
+        d2 = np.minimum(d2, np.sum((x - centers[i]) ** 2, axis=1))
+
+    prev_labels = None
+    history = []
+    repaired = 0
+    for _ in range(max_iters):
+        parts = [assign_chunk(x[lo : lo + chunk], centers, k) for lo in range(0, n, chunk)]
+        labels = np.concatenate([p[0] for p in parts])
+        sums = np.zeros_like(centers)
+        counts = np.zeros(k, dtype=np.int64)
+        inertia = 0.0
+        for _, s, c, part_inertia, _ in parts:
+            sums += s
+            counts += c
+            inertia += part_inertia
+        history.append(inertia)
+        if prev_labels is not None and np.array_equal(labels, prev_labels):
+            break
+        prev_labels = labels
+        empty = np.flatnonzero(counts == 0)
+        if len(empty):
+            order = np.argsort(-np.concatenate([p[4] for p in parts]), kind="stable")
+            cursor = 0
+            for cluster in empty:
+                while counts[labels[order[cursor]]] <= 1:
+                    cursor += 1
+                idx = int(order[cursor])
+                cursor += 1
+                old = labels[idx]
+                sums[old] -= x[idx]
+                counts[old] -= 1
+                sums[cluster] = x[idx]
+                counts[cluster] = 1
+                labels[idx] = cluster
+                repaired += 1
+            prev_labels = labels
+        centers = sums / counts[:, None]
+    return centers, tuple(history), repaired

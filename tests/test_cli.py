@@ -18,6 +18,13 @@ from trajsim.scene_io import (
 )
 
 
+def only_error_line(capsys) -> str:
+    """The one line the command wrote to stderr, which must be an error line."""
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    return lines[0]
+
+
 def write_scenes(directory, specs):
     directory.mkdir(exist_ok=True)
     scenes = []
@@ -94,6 +101,22 @@ class TestScore:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "trajs.json" in err and "Traceback" not in err
 
+    def test_trajectories_of_wrong_type_fail_with_one_error_line(self, clean_dir, tmp_path, capsys):
+        tmap = tmp_path / "trajs.json"
+        tmap.write_text(json.dumps({"schema_version": 1, "trajectories": []}))
+        code = main(["score", "--scenes", str(clean_dir), "--traj", str(tmap), "--out", str(tmp_path / "r.json")])
+        assert code == 1
+        assert only_error_line(capsys) == f"error: {tmap}: trajectories must be an object, not an array"
+
+    def test_malformed_scene_named_in_error(self, clean_dir, tmp_path, capsys):
+        bad = clean_dir / "zz-bad.json"
+        doc = json.loads(next(clean_dir.glob("*.json")).read_text())
+        doc["ego"]["init"]["speed_mps"] = "fast"
+        bad.write_text(json.dumps(doc))
+        code = main(["score", "--scenes", str(clean_dir), "--traj", "human", "--out", str(tmp_path / "r.json")])
+        assert code == 1
+        assert only_error_line(capsys) == f"error: {bad}: ego.init.speed_mps must be a number, not a string"
+
     def test_missing_dir_fails(self, tmp_path, capsys):
         code = main(["score", "--scenes", str(tmp_path / "nope"), "--traj", "human",
                      "--out", str(tmp_path / "r.json")])
@@ -127,6 +150,18 @@ class TestBuildVocab:
         assert code != 0
         err = capsys.readouterr().err
         assert "corpus has 1 trajectories but k=5" in err
+
+
+    @pytest.mark.parametrize("flag, value", [("--max-iters", "0"), ("--workers", "-3")])
+    def test_invalid_kmeans_argument_fails_with_one_error_line(self, tmp_path, capsys, flag, value):
+        d = tmp_path / "scenes"
+        write_scenes(d, [("clean_straight", s) for s in range(3)])
+        out = tmp_path / "v.bin"
+        code = main(["build-vocab", "--scenes", str(d), "--k", "2", "--seed", "0", "--out", str(out), flag, value])
+        assert code == 1
+        name = flag[2:].replace("-", "_")
+        assert only_error_line(capsys) == f"error: {name} must be >= 1, got {value}"
+        assert not out.exists()
 
 
 class TestDistillCmd:
@@ -224,6 +259,12 @@ class TestDiversityCmd:
         assert main(["diversity", "--proposals", str(path), "--cell", "0.25"]) == 0
         printed = float(capsys.readouterr().out.strip())
         assert printed == pytest.approx(0.5, abs=0.02)
+
+    def test_proposals_of_wrong_type_fail_with_one_error_line(self, tmp_path, capsys):
+        path = tmp_path / "props.json"
+        path.write_text(json.dumps({"schema_version": 1, "proposals": 5}))
+        assert main(["diversity", "--proposals", str(path)]) == 1
+        assert only_error_line(capsys) == f"error: {path}: proposals must be an array, not a number"
 
 
 class TestRenderCmd:

@@ -3,8 +3,10 @@
 The references in oracles.py keep the arithmetic of the per-call paths as
 they were before per-scene geometry was precomputed, the PID tick schedule
 cached, the lane projections shared between DDC and LK and the comfort
-profiles folded into HC.  Every comparison here is on the bytes of the
-float64 values, so -0.0 against 0.0 fails too.
+profiles folded into HC, and of k-means before its seeding distances were
+summed over a transposed copy and its loop-invariant terms hoisted.  Every
+comparison here is on the bytes of the float64 values, so -0.0 against 0.0
+fails too.
 """
 
 import math
@@ -22,7 +24,9 @@ from trajsim.kinematics import EgoState, Trajectory, pid_track, trajectory_to_wo
 from trajsim.metrics import ScoreContext, score_ddc, score_lk
 from trajsim import metrics
 from trajsim.scene_io import TEMPLATES, SyntheticSpec, generate_scene
-from trajsim.vocabulary import TrajectoryCorpus, Vocabulary, kmeans
+from trajsim.vocabulary import (
+    TrajectoryCorpus, Vocabulary, _assign_chunk, _pairwise_row_sum, headings_from_tangents, kmeans,
+)
 
 import oracles
 
@@ -220,3 +224,75 @@ def test_shared_context_across_threads(centers):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert wrong == []
+
+
+def test_pairwise_row_sum_is_numpys_row_sum_order():
+    # widths below 8, the 8-128 block with every remainder, and the halving
+    # above 128; columns of very different scales, so any other order of
+    # the additions changes some bits
+    rng = np.random.default_rng(41)
+    for width in range(1, 301):
+        a = rng.normal(size=(97, width)) * rng.uniform(1e-3, 1e3, size=width)
+        want = np.sum(a, axis=1)
+        assert bits(_pairwise_row_sum(np.ascontiguousarray(a.T))) == bits(want), width
+        assert bits(_pairwise_row_sum(np.ascontiguousarray((a * a).T))) == bits(np.sum(a * a, axis=1)), width
+
+
+def test_assign_chunk_matches_oracle_at_near_ties():
+    # points on the bisector between two centers, where the last bit of each
+    # distance, and so the order of its three terms, decides the label
+    rng = np.random.default_rng(47)
+    centers = rng.normal(size=(6, 16)) * 10
+    pair = rng.integers(0, 5, size=4096)
+    u = centers[pair + 1] - centers[pair]
+    v = rng.normal(size=(4096, 16))
+    v -= (np.sum(v * u, axis=1) / np.sum(u * u, axis=1))[:, None] * u
+    x = (centers[pair] + centers[pair + 1]) / 2 + 0.1 * v
+    cc = np.sum(centers * centers, axis=1)
+    got = _assign_chunk(x, np.sum(x * x, axis=1), 2.0 * x, centers, cc, 6, np.empty((4096, 6)))
+    want = oracles.assign_chunk(x, centers, 6)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[2], want[2])
+    assert bits(got[1]) == bits(want[1]) and bits(got[3]) == bits(want[3]) and bits(got[4]) == bits(want[4])
+
+
+def _corpus(xy):
+    """Trajectories with the (N, M, 2) waypoints xy."""
+    return TrajectoryCorpus(Trajectory(np.column_stack([w, headings_from_tangents(w)])) for w in xy)
+
+
+def _assert_kmeans_matches_oracle(xy, k, seed, max_iters=6):
+    """kmeans with 1 and 2 workers gives the oracle's centers and inertia
+    history bit for bit; returns the oracle's count of repaired clusters."""
+    want_centers, want_history, repaired = oracles.kmeans(xy.reshape(len(xy), -1), k, max_iters, seed)
+    corpus = _corpus(xy)
+    for workers in (1, 2):
+        got = kmeans(corpus, k=k, max_iters=max_iters, seed=seed, workers=workers)
+        assert bits(got.embeddings()) == bits(want_centers), (k, seed, workers)
+        assert bits(got.inertia_history) == bits(want_history), (k, seed, workers)
+    return repaired
+
+
+@pytest.mark.parametrize("m, k, seed", [
+    (1, 12, 0), (3, 256, 1), (8, 1, 2), (8, 12, 3), (8, 256, 23), (70, 12, 4), (70, 256, 5),
+])
+def test_kmeans_matches_oracle(m, k, seed):
+    # 2M = 2, 6, 16 and 140 embedding widths cover each branch of the
+    # pairwise row sum; 5000 points make two assignment chunks
+    rng = np.random.default_rng(100 + seed)
+    xy = np.cumsum(rng.normal(size=(5000, m, 2)) * rng.uniform(0.2, 5.0, size=(5000, 1, 1)), axis=1)
+    _assert_kmeans_matches_oracle(xy, k, seed)
+
+
+def test_kmeans_with_empty_cluster_repair_matches_oracle():
+    # 300 distinct trajectories, 20 copies each: past 300 centers every
+    # remaining distance is 0, later centers land on existing ones and their
+    # clusters empty out
+    rng = np.random.default_rng(43)
+    xy = np.repeat(np.cumsum(rng.normal(size=(300, 8, 2)), axis=1), 20, axis=0)
+    assert _assert_kmeans_matches_oracle(xy, k=320, seed=6) > 0
+
+
+def test_kmeans_on_identical_trajectories_matches_oracle():
+    # every distance is 0 from the first center on, the total <= 0 draw
+    xy = np.tile(np.cumsum(np.full((8, 2), 1.5), axis=0), (40, 1, 1))
+    assert _assert_kmeans_matches_oracle(xy, k=5, seed=7) > 0

@@ -169,6 +169,8 @@ MORE_WRONG_TYPES = [
     (("lanes", 0, "direction_sign"), "1", "lanes[0].direction_sign must be a number, not a string"),
     (("human_trajectory_ego",), [], "human_trajectory_ego must be an object, not an array"),
     (("scene_id",), 7, "scene_id must be a string, not a number"),
+    (("human_trajectory_ego", "waypoints"), "x", "human_trajectory_ego.waypoints must be an array, not a string"),
+    (("human_trajectory_ego", "waypoints"), [[1.0, 2.0]], "human_trajectory_ego.waypoints: trajectory needs an (M, 3)"),
 ]
 
 
@@ -191,7 +193,7 @@ class TestWrongJsonType:
         (scenes / "bad.json").write_text(json.dumps(doc_with(scene, where, value)))
         code = main(["score", "--scenes", str(scenes), "--traj", "human", "--out", str(tmp_path / "r.json")])
         assert code == 1
-        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert capsys.readouterr().err.splitlines() == [f"error: {scenes / 'bad.json'}: {message}"]
         assert not (tmp_path / "r.json").exists()
 
 
@@ -292,3 +294,59 @@ class TestProposalFiles:
         path.write_text(json.dumps({"schema_version": 5, "proposals": []}))
         with pytest.raises(SceneFormatError):
             load_proposal_set(path)
+
+
+POSE = [[1.0, 0.0, 0.0]]
+
+LOADER_WRONG_TYPES = [
+    (load_trajectory_map, {"trajectories": []}, "trajectories must be an object, not an array"),
+    (load_trajectory_map, {"trajectories": {"*": "x"}}, "trajectories.* must be an array, not a string"),
+    (load_trajectory_map, {"trajectories": {"*": [[1.0, 2.0]]}}, "trajectories.*: trajectory needs an (M, 3)"),
+    (load_trajectory_map, {"trajectories": {"*": [[1.0, 2.0, 0.0], [1.0]]}},
+     "trajectories.* must be a rectangular array"),
+    (load_proposal_set, {"proposals": 5}, "proposals must be an array, not a number"),
+    (load_proposal_set, {"proposals": [POSE, {"a": 1}]}, "proposals[1] must be an array, not an object"),
+    (load_proposal_set, {}, "missing field 'proposals'"),
+    (load_proposal_frames, {"frames": {}}, "frames must be an array, not an object"),
+    (load_proposal_frames, {"frames": [7]}, "frames[0] must be an object, not a number"),
+    (load_proposal_frames, {"frames": [{"scene_id": 3, "proposals": [POSE]}]},
+     "frames[0].scene_id must be a string, not a number"),
+    (load_proposal_frames, {"frames": [{"scene_id": "a", "proposals": [["x", 0, 0]]}]},
+     "frames[0].proposals[0] must hold only numbers"),
+    (load_proposal_frames, {"frames": [{"scene_id": "a"}]}, "frames[0]: missing field 'proposals'"),
+    (load_score_frames, {"frames": [{"scene_id": "a", "scores": "x"}]},
+     "frames[0].scores must be an array, not a string"),
+    (load_score_frames, {"frames": [{"scene_id": "a", "scores": [1, None]}]},
+     "frames[0].scores must hold only numbers"),
+    (load_score_frames, {"frames": [{"scene_id": None, "scores": [1]}]},
+     "frames[0].scene_id must be a string, not null"),
+]
+
+
+class TestLoaderJsonTypes:
+    @pytest.mark.parametrize("loader, doc, message", LOADER_WRONG_TYPES)
+    def test_rejected_naming_file_and_field(self, tmp_path, loader, doc, message):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps({"schema_version": 1, **doc}))
+        with pytest.raises(SceneFormatError) as err:
+            loader(path)
+        assert str(err.value).startswith(f"{path}: ") and message in str(err.value)
+
+    @pytest.mark.parametrize("loader", [
+        load_scene, load_trajectory_map, load_proposal_set, load_proposal_frames, load_score_frames,
+    ])
+    def test_version_named_once_with_the_file(self, tmp_path, loader):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps({"schema_version": 2}))
+        with pytest.raises(SceneFormatError) as err:
+            loader(path)
+        assert str(err.value) == f"{path}: unsupported schema_version 2 (expected 1)"
+
+    def test_well_typed_frames_load(self, tmp_path):
+        path = tmp_path / "frames.json"
+        path.write_text(json.dumps({"schema_version": 1, "frames": [{"scene_id": "a", "proposals": [POSE]}]}))
+        [(scene_id, [plan])] = load_proposal_frames(path)
+        assert scene_id == "a" and plan.poses.tolist() == POSE
+        path.write_text(json.dumps({"schema_version": 1, "frames": [{"scene_id": "a", "scores": [1, 0.5]}]}))
+        scores = load_score_frames(path)["a"]
+        assert scores.dtype == np.float64 and scores.tolist() == [1.0, 0.5]
