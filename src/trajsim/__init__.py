@@ -10,7 +10,7 @@ else is imported from its submodule: ``geom``, ``kinematics``, ``metrics``,
 ``scene_io``, ``vocabulary``, ``distill``, ``selection`` and ``render``.
 """
 
-from .kinematics import pid_track
+from .kinematics import ego_rollout
 from .metrics import ScoreContext, aggregate_epdms, evaluate_rollout
 from .scene_io import SyntheticSpec, generate_scene, save_scene
 
@@ -21,7 +21,7 @@ __all__ = [
     "ScoreContext",
     "evaluate_rollout",
     "aggregate_epdms",
-    "pid_track",
+    "ego_rollout",
 ]
 
 __version__ = "0.1.0"

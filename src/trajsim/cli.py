@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import distill as distill_mod
 from . import scene_io, selection, vocabulary
-from .kinematics import pid_track, trajectory_to_world
+from .kinematics import ego_rollout
 from .metrics import ScoreContext, aggregate_epdms, aggregate_pdms, evaluate_rollout
 from .metrics import diversity as diversity_metric
 from .render import render_scene_svg
@@ -25,22 +25,12 @@ from .render import render_scene_svg
 __all__ = ["main"]
 
 
-def _load_scene_dir(directory):
-    directory = Path(directory)
-    if not directory.is_dir():
-        raise FileNotFoundError(f"scene directory not found: {directory}")
-    paths = sorted(directory.glob("*.json"))
-    if not paths:
-        raise FileNotFoundError(f"no scene files (*.json) under {directory}")
-    return [scene_io.load_scene(p) for p in paths]
-
-
 def _write_json(path, doc) -> None:
     Path(path).write_text(json.dumps(doc, indent=2) + "\n")
 
 
 def cmd_score(args) -> int:
-    scenes = _load_scene_dir(args.scenes)
+    scenes = scene_io.load_scene_dir(args.scenes)
     traj_map = None
     if args.traj != "human":
         traj_map = scene_io.load_trajectory_map(args.traj)
@@ -58,8 +48,7 @@ def cmd_score(args) -> int:
             plan = traj_map.get(scene.scene_id) or traj_map.get("*")
             if plan is None:
                 raise KeyError(f"no trajectory for scene {scene.scene_id!r} (and no '*' default)")
-        rollout = pid_track(trajectory_to_world(plan, scene.ego_init.pose), scene.ego_init, ctx.kin_cfg)
-        sub = evaluate_rollout(rollout, ctx)
+        sub = evaluate_rollout(ego_rollout(plan, scene.ego_init, ctx.kin_cfg), ctx)
         score = aggregate(sub)
         scores.append(score)
         rows.append({"scene_id": scene.scene_id, "subscores": sub.as_dict(), metric_name: score})
@@ -81,7 +70,7 @@ def cmd_score(args) -> int:
 
 
 def cmd_build_vocab(args) -> int:
-    corpus = scene_io.load_corpus(args.scenes)
+    corpus = vocabulary.TrajectoryCorpus(s.human_trajectory for s in scene_io.load_scene_dir(args.scenes))
     vocab = vocabulary.kmeans(corpus, k=args.k, max_iters=args.max_iters, seed=args.seed, workers=args.workers)
     vocabulary.save_vocabulary(vocab, args.out)
     if args.csv:
@@ -91,7 +80,7 @@ def cmd_build_vocab(args) -> int:
 
 
 def cmd_distill(args) -> int:
-    scenes = _load_scene_dir(args.scenes)
+    scenes = scene_io.load_scene_dir(args.scenes)
     vocab = vocabulary.load_vocabulary(args.vocab)
     cfg = distill_mod.DistillConfig(threshold=args.threshold, n_pseudo=args.n_pseudo, rng_seed=args.seed)
 
@@ -131,7 +120,7 @@ def cmd_distill(args) -> int:
 
 
 def cmd_select(args) -> int:
-    scenes = {s.scene_id: s for s in _load_scene_dir(args.scenes)}
+    scenes = {s.scene_id: s for s in scene_io.load_scene_dir(args.scenes)}
     frames = scene_io.load_proposal_frames(args.proposals)
     score_map = scene_io.load_score_frames(args.scores)
 
@@ -146,8 +135,8 @@ def cmd_select(args) -> int:
         ps = selection.ProposalSet(tuple(proposals), score_map[scene_id])
         idx, winner, recal = selection.select(ps, state, scene)
         lines.append(f"{scene_id}\t{idx}\t{recal[idx]:.6f}")
-        rollout = pid_track(trajectory_to_world(winner, scene.ego_init.pose), scene.ego_init)
-        state = selection.SelectionState(previous_selected=rollout, frame_gap=args.frame_gap)
+        state = selection.SelectionState(previous_selected=ego_rollout(winner, scene.ego_init),
+                                         frame_gap=args.frame_gap)
     Path(args.out).write_text("\n".join(lines) + "\n")
     print(f"selected over {len(lines)} frames -> {args.out}")
     return 0

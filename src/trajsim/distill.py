@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .kinematics import KinematicsConfig, Trajectory, pid_track, trajectory_to_world
+from .kinematics import KinematicsConfig, Trajectory, ego_rollout
 from .metrics import MetricConfig, Scene, ScoreContext, aggregate_epdms, evaluate_rollout
 from .scene_io import scene_to_doc
 from .seeding import stable_seed
@@ -114,9 +114,7 @@ def score_scene_row(
     ctx = ScoreContext(scene, kin_cfg, metric_cfg)
     out = np.empty(vocab.k)
     for i, center in enumerate(vocab.centers):
-        plan = trajectory_to_world(center, scene.ego_init.pose)
-        rollout = pid_track(plan, scene.ego_init, ctx.kin_cfg)
-        out[i] = aggregate_epdms(evaluate_rollout(rollout, ctx))
+        out[i] = aggregate_epdms(evaluate_rollout(ego_rollout(center, scene.ego_init, ctx.kin_cfg), ctx))
     return out
 
 
@@ -134,11 +132,20 @@ def _run_fingerprint(scenes, vocab: Vocabulary, kin_cfg, metric_cfg) -> str:
 
 
 def resolve_workers(workers: int | None) -> int:
-    """Effective worker count: an explicit value wins, else TRAJSIM_THREADS, else 1."""
+    """Effective worker count: an explicit value wins, else TRAJSIM_THREADS,
+    else 1.  A count below 1 or a variable that is not an integer raises
+    ValueError naming `workers` or the variable."""
     if workers is not None:
-        return max(1, workers)
-    env = os.environ.get("TRAJSIM_THREADS")
-    return max(1, int(env)) if env else 1
+        name, value = "workers", workers
+    else:
+        name, value = "TRAJSIM_THREADS", os.environ.get("TRAJSIM_THREADS") or "1"
+        try:
+            value = int(value)
+        except ValueError:
+            raise ValueError(f"TRAJSIM_THREADS must be an integer, got {value!r}") from None
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+    return value
 
 
 class _Checkpoint:
@@ -171,12 +178,11 @@ class _Checkpoint:
             )
             self.done_path.write_text(tag)
             return {}
-        raw = self.path.read_bytes()
-        magic, version, s, k = _HEADER.unpack_from(raw)
-        if magic != _MAGIC or version != _VERSION or s != self.n_scenes or k != self.k:
+        raw, s, k = _read_matrix(self.path)
+        if s != self.n_scenes or k != self.k:
             raise ValueError(
                 f"{self.path}: existing checkpoint does not match this run "
-                f"(header {magic!r} v{version} {s}x{k}, expected {self.n_scenes}x{self.k})"
+                f"({s}x{k}, expected {self.n_scenes}x{self.k})"
             )
         if not complete.startswith(tag):
             raise ValueError(
@@ -187,6 +193,8 @@ class _Checkpoint:
             self.done_path.write_text(complete)
         done = {}
         for line in complete[len(tag):].split():
+            if not (line.isdecimal() and int(line) < s):
+                raise ValueError(f"{self.done_path}: {line!r} is not a scene index in [0, {s})")
             idx = int(line)
             off = _HEADER.size + idx * self.row_bytes
             done[idx] = np.frombuffer(raw, dtype="<f8", count=self.k, offset=off).copy()
@@ -331,7 +339,9 @@ def save_score_matrix(matrix: ScoreMatrix, path) -> None:
         f.write(matrix.values.astype("<f8").tobytes())
 
 
-def load_score_matrix(path, scene_ids=None) -> ScoreMatrix:
+def _read_matrix(path) -> tuple:
+    """(bytes, S, K) of a score-matrix file whose magic, version and size
+    match its header; anything else raises ValueError naming the file."""
     raw = Path(path).read_bytes()
     if len(raw) < _HEADER.size:
         raise ValueError(f"{path}: truncated score matrix")
@@ -340,13 +350,17 @@ def load_score_matrix(path, scene_ids=None) -> ScoreMatrix:
         raise ValueError(f"{path}: bad magic {magic!r}, expected {_MAGIC!r}")
     if version != _VERSION:
         raise ValueError(f"{path}: unsupported score-matrix version {version}")
-    expected = _HEADER.size + s * k * 8
-    if len(raw) != expected:
+    if len(raw) != _HEADER.size + s * k * 8:
         raise ValueError(f"{path}: size {len(raw)} does not match header")
+    return raw, s, k
+
+
+def load_score_matrix(path) -> ScoreMatrix:
+    """The matrix of a file written by save_score_matrix; rows are named by
+    their index, since the file holds no scene ids."""
+    raw, s, k = _read_matrix(path)
     values = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size).reshape(s, k).copy()
-    if scene_ids is None:
-        scene_ids = tuple(str(i) for i in range(s))
-    return ScoreMatrix(scene_ids=tuple(scene_ids), values=values)
+    return ScoreMatrix(scene_ids=tuple(str(i) for i in range(s)), values=values)
 
 
 def save_teacher_sets(teacher_sets, path) -> None:

@@ -22,6 +22,7 @@ __all__ = [
     "Polyline",
     "OccupancyGrid",
     "wrap_angle",
+    "to_world",
     "obb_overlap_batch",
     "xy_in_polygon",
     "buffer_rasterize",
@@ -41,6 +42,13 @@ def wrap_angle(a: float) -> float:
     if r <= -math.pi:
         r += math.tau
     return r
+
+
+def to_world(frame: Pose, x, y):
+    """World coordinates of the points (x, y) given in the frame of the pose
+    `frame`; x and y are floats or arrays of one shape."""
+    c, s = math.cos(frame.psi), math.sin(frame.psi)
+    return frame.x + c * x - s * y, frame.y + s * x + c * y
 
 
 @dataclass(frozen=True)

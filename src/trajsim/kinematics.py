@@ -3,7 +3,10 @@
 A plan is M waypoints at 0.5 s spacing (waypoint i at t + 0.5*(i+1), ego at
 the origin of its own frame at time t).  Metrics never consume plans
 directly; they consume the 41-state, 10 Hz rollout produced by tracking the
-plan with a PID-controlled kinematic bicycle.
+plan with a PID-controlled kinematic bicycle.  ``ego_rollout`` is that step
+for an ego-frame plan: it places the plan at the initial pose and tracks it
+in the world frame, and it is the one place the library does so (EP's
+reference, distillation rows, selection comfort and the CLI all call it).
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geom import Pose, wrap_angle
+from .geom import Pose, to_world, wrap_angle
 
 __all__ = [
     "Trajectory",
@@ -22,6 +25,7 @@ __all__ = [
     "DenseTrajectory",
     "KinematicsConfig",
     "pid_track",
+    "ego_rollout",
     "finite_difference",
     "trajectory_to_world",
     "DENSE_TICKS",
@@ -280,10 +284,13 @@ def finite_difference(values: np.ndarray, dt: float) -> np.ndarray:
 
 def trajectory_to_world(t: Trajectory, frame: Pose) -> Trajectory:
     """Express an ego-frame trajectory in the world frame of `frame`."""
-    c, s = math.cos(frame.psi), math.sin(frame.psi)
     p = t.poses
     out = np.empty_like(p)
-    out[:, 0] = frame.x + c * p[:, 0] - s * p[:, 1]
-    out[:, 1] = frame.y + s * p[:, 0] + c * p[:, 1]
+    out[:, 0], out[:, 1] = to_world(frame, p[:, 0], p[:, 1])
     out[:, 2] = [wrap_angle(a) for a in (p[:, 2] + frame.psi).tolist()]
     return Trajectory(out)
+
+
+def ego_rollout(plan: Trajectory, init: EgoState, cfg: KinematicsConfig | None = None) -> DenseTrajectory:
+    """Roll out an ego-frame plan from `init`, in the world frame of `init`."""
+    return pid_track(trajectory_to_world(plan, init.pose), init, cfg)

@@ -6,8 +6,9 @@ measure.  The scene is immutable during scoring and every function here
 returns a value that depends only on its arguments, so (trajectory, scene)
 pairs can be scored concurrently.
 
-Scoring many rollouts against one scene should go through ``ScoreContext``,
-which precomputes the replay arrays and the human reference rollout once.
+Every rule takes the rollout and a ``ScoreContext`` of its scene, which
+precomputes the replay arrays once and the human reference rollout (EP's
+denominator, ``ego_rollout`` of the scene's human plan) on first use.
 A context also memoizes the lane geometry of the last rollout that DDC or
 LK scored, so the other of the two reuses it.  The memo is one immutable
 ``(rollout, value)`` tuple, read and replaced whole and matched by rollout
@@ -41,9 +42,8 @@ from .kinematics import (
     EgoState,
     KinematicsConfig,
     Trajectory,
+    ego_rollout,
     finite_difference,
-    pid_track,
-    trajectory_to_world,
 )
 
 __all__ = [
@@ -287,8 +287,7 @@ _DEFAULT_KIN_CFG = KinematicsConfig()
 class ScoreContext:
     """Per-scene precomputation shared across many rollout evaluations.
 
-    The human reference rollout (needed by EP) is computed on first use,
-    unless ``reference`` supplies one.
+    The human reference rollout (needed by EP) is computed on first use.
     The lane geometry of the last rollout scored by DDC or LK is kept, so
     that the other of the two reuses it (see ``_lane_state``).
     """
@@ -301,7 +300,7 @@ class ScoreContext:
         "hist_x", "hist_y", "hist_psi", "hist_v",
     )
 
-    def __init__(self, scene: Scene, kin_cfg=None, metric_cfg=None, reference=None):
+    def __init__(self, scene: Scene, kin_cfg=None, metric_cfg=None):
         self.scene = scene
         self.kin_cfg = kin_cfg or _DEFAULT_KIN_CFG
         self.metric_cfg = metric_cfg or _DEFAULT_METRIC_CFG
@@ -338,15 +337,14 @@ class ScoreContext:
         self.hist_psi = np.array([s.pose.psi for s in hist])
         self.hist_v = np.array([s.v for s in hist])
 
-        self._reference = reference
+        self._reference = None
         self._ref_progress = None
         self._lane_memo = None
 
     @property
     def reference(self) -> DenseTrajectory:
         if self._reference is None:
-            world_plan = trajectory_to_world(self.scene.human_trajectory, self.scene.ego_init.pose)
-            self._reference = pid_track(world_plan, self.scene.ego_init, self.kin_cfg)
+            self._reference = ego_rollout(self.scene.human_trajectory, self.scene.ego_init, self.kin_cfg)
         return self._reference
 
     @property
@@ -354,10 +352,6 @@ class ScoreContext:
         if self._ref_progress is None:
             self._ref_progress = route_progress(self.reference, self.scene.route)
         return self._ref_progress
-
-
-def _ctx(s) -> ScoreContext:
-    return s if isinstance(s, ScoreContext) else ScoreContext(s)
 
 
 def route_progress(d: DenseTrajectory, route: Polyline) -> float:
@@ -398,9 +392,8 @@ def _onsets(overlap: np.ndarray) -> np.ndarray:
     return onset
 
 
-def score_nc(d: DenseTrajectory, s) -> float:
+def score_nc(d: DenseTrajectory, ctx: ScoreContext) -> float:
     """No at-fault collision: 0 iff some contact onset is the ego's fault."""
-    ctx = _ctx(s)
     if ctx.n_agents == 0:
         return 1.0
     overlap = obb_overlap_batch(
@@ -415,9 +408,8 @@ def score_nc(d: DenseTrajectory, s) -> float:
     return 0.0 if (at_fault & _onsets(overlap)).any() else 1.0
 
 
-def score_dac(d: DenseTrajectory, s) -> float:
+def score_dac(d: DenseTrajectory, ctx: ScoreContext) -> float:
     """Drivable-area compliance: all ego corners inside the drivable union."""
-    ctx = _ctx(s)
     cx, cy = _ego_corners(d, ctx.scene.ego_half_length, ctx.scene.ego_half_width, np.cos(d.psi), np.sin(d.psi))
     px, py = cx.ravel(), cy.ravel()
     covered = np.zeros(len(px), dtype=bool)
@@ -460,9 +452,8 @@ def _lane_state(d: DenseTrajectory, ctx: ScoreContext):
     return value
 
 
-def score_ddc(d: DenseTrajectory, s) -> float:
+def score_ddc(d: DenseTrajectory, ctx: ScoreContext) -> float:
     """Driving-direction compliance, banded by wrong-way meters traveled."""
-    ctx = _ctx(s)
     cfg = ctx.metric_cfg
     if not ctx.scene.lanes:
         return 1.0
@@ -505,9 +496,8 @@ def _box_in_polygon_per_tick(d: DenseTrajectory, hl, hw, c, s, cx, cy, poly: Pol
     return corner_in | vert_in | edge_cross
 
 
-def score_tlc(d: DenseTrajectory, s) -> float:
+def score_tlc(d: DenseTrajectory, ctx: ScoreContext) -> float:
     """Traffic-light compliance: only the tick of first entry is checked."""
-    ctx = _ctx(s)
     if not ctx.scene.intersections:
         return 1.0
     hl, hw = ctx.scene.ego_half_length, ctx.scene.ego_half_width
@@ -521,9 +511,8 @@ def score_tlc(d: DenseTrajectory, s) -> float:
     return 1.0
 
 
-def score_ep(d: DenseTrajectory, s) -> float:
+def score_ep(d: DenseTrajectory, ctx: ScoreContext) -> float:
     """Ego progress along the route relative to the reference rollout."""
-    ctx = _ctx(s)
     ref_progress = ctx.ref_progress
     if ref_progress < ctx.metric_cfg.ep_min_ref_progress_m:
         return 1.0
@@ -531,9 +520,8 @@ def score_ep(d: DenseTrajectory, s) -> float:
     return float(min(max(ratio, 0.0), 1.0))
 
 
-def score_ttc(d: DenseTrajectory, s) -> float:
+def score_ttc(d: DenseTrajectory, ctx: ScoreContext) -> float:
     """Time-to-collision: constant-velocity projection over a 1 s horizon."""
-    ctx = _ctx(s)
     if ctx.n_agents == 0:
         return 1.0
     cfg = ctx.metric_cfg
@@ -563,9 +551,8 @@ def score_ttc(d: DenseTrajectory, s) -> float:
     return 0.0 if (fault_at_first & has_overlap).any() else 1.0
 
 
-def score_lk(d: DenseTrajectory, s) -> float:
+def score_lk(d: DenseTrajectory, ctx: ScoreContext) -> float:
     """Lane keeping: offset to the nearest same-direction centerline."""
-    ctx = _ctx(s)
     cfg = ctx.metric_cfg
     if not ctx.scene.lanes:
         return 1.0
@@ -581,9 +568,8 @@ def score_lk(d: DenseTrajectory, s) -> float:
     return 0.0 if longest > cfg.lk_window_ticks else 1.0
 
 
-def score_hc(d: DenseTrajectory, s) -> float:
+def score_hc(d: DenseTrajectory, ctx: ScoreContext) -> float:
     """History comfort: nuPlan bounds over the 1.5 s-padded rollout."""
-    ctx = _ctx(s)
     cfg = ctx.metric_cfg
     v = np.concatenate([ctx.hist_v, d.v])
     psi = np.concatenate([ctx.hist_psi, d.psi])
@@ -646,14 +632,9 @@ def aggregate_epdms(sub: SubScores) -> float:
     )
 
 
-def evaluate_rollout(
-    d: DenseTrajectory,
-    s,
-    d_prev: DenseTrajectory | None = None,
-    frame_gap: int = 5,
-) -> SubScores:
-    """All nine subscores for one rollout; EC is vacuous without d_prev."""
-    ctx = _ctx(s)
+def evaluate_rollout(d: DenseTrajectory, ctx: ScoreContext) -> SubScores:
+    """All nine subscores for one rollout.  EC compares consecutive frames,
+    which only selection sees, so it is vacuous (1.0) here."""
     hc = score_hc(d, ctx)
     return SubScores(
         nc=score_nc(d, ctx),
@@ -664,7 +645,7 @@ def evaluate_rollout(
         ttc=score_ttc(d, ctx),
         lk=score_lk(d, ctx),
         hc=hc,
-        ec=score_ec(d, d_prev, frame_gap, ctx.metric_cfg),
+        ec=1.0,
         c=hc,
     )
 
@@ -678,12 +659,15 @@ def _corridor_polyline(xy: np.ndarray) -> Polyline:
     return Polyline(xy[keep])
 
 
-def diversity(proposals, cell_size: float = 0.25, width: float = 2.0) -> float:
-    """One minus the mean corridor IoU of each proposal against the union."""
+_CORRIDOR_WIDTH_M = 2.0
+
+
+def diversity(proposals, cell_size: float = 0.25) -> float:
+    """One minus the mean IoU of each proposal's 2 m corridor against the union."""
     proposals = list(proposals)
     if not proposals:
         raise ValueError("need at least one proposal")
-    grids = [buffer_rasterize(_corridor_polyline(p.xy), width, cell_size) for p in proposals]
+    grids = [buffer_rasterize(_corridor_polyline(p.xy), _CORRIDOR_WIDTH_M, cell_size) for p in proposals]
     union_count = grid_union(grids).count()
     ratios = np.array([g.count() / union_count for g in grids])
     return float(1.0 - ratios.mean())

@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .geom import Pose, OrientedBox
+from .kinematics import trajectory_to_world
 from .metrics import PHASE_GREEN, PHASE_YELLOW, Scene
 
 __all__ = ["render_scene_svg"]
@@ -39,8 +40,6 @@ def render_scene_svg(scene: Scene, trajectories, path) -> None:
     """Write a BEV plot: map polygons, agent boxes at tick 0, the route, and
     one path per trajectory (trajectories are ego-frame and get placed at the
     scene's ego pose)."""
-    from .kinematics import trajectory_to_world
-
     world_trajs = [trajectory_to_world(t, scene.ego_init.pose) for t in trajectories]
 
     xs = [p.vertices[:, 0] for p in scene.drivable] + [t.poses[:, 0] for t in world_trajs]

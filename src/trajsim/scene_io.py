@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .geom import Polygon, Polyline, Pose, wrap_angle
+from .geom import Polygon, Polyline, Pose, to_world, wrap_angle
 from .seeding import stable_seed
 from .kinematics import DENSE_TICKS, PLAN_DT, TICK_DT, EgoState, Trajectory
 from .metrics import (
@@ -48,8 +48,8 @@ __all__ = [
     "TEMPLATES",
     "save_scene",
     "load_scene",
+    "load_scene_dir",
     "generate_scene",
-    "load_corpus",
     "transform_scene",
     "straight_plan",
     "load_trajectory_map",
@@ -319,23 +319,13 @@ def load_scene(path) -> Scene:
 # rigid transforms
 
 
-def _compose(frame: Pose, x, y, psi=None):
-    c, s = math.cos(frame.psi), math.sin(frame.psi)
-    nx = frame.x + c * np.asarray(x) - s * np.asarray(y)
-    ny = frame.y + s * np.asarray(x) + c * np.asarray(y)
-    if psi is None:
-        return nx, ny
-    return nx, ny, np.asarray(psi) + frame.psi
-
-
 def _transform_points(frame: Pose, points: np.ndarray) -> np.ndarray:
-    nx, ny = _compose(frame, points[:, 0], points[:, 1])
-    return np.stack([nx, ny], axis=1)
+    return np.stack(to_world(frame, points[:, 0], points[:, 1]), axis=1)
 
 
 def _transform_state(frame: Pose, st: EgoState) -> EgoState:
-    nx, ny, npsi = _compose(frame, st.pose.x, st.pose.y, st.pose.psi)
-    return EgoState(Pose(float(nx), float(ny), wrap_angle(float(npsi))), st.v, st.a, st.steer)
+    x, y = to_world(frame, st.pose.x, st.pose.y)
+    return EgoState(Pose(float(x), float(y), wrap_angle(st.pose.psi + frame.psi)), st.v, st.a, st.steer)
 
 
 def transform_scene(scene: Scene, frame: Pose) -> Scene:
@@ -345,8 +335,8 @@ def transform_scene(scene: Scene, frame: Pose) -> Scene:
     """
     agents = []
     for a in scene.agents:
-        nx, ny, npsi = _compose(frame, a.x, a.y, a.psi)
-        npsi = np.array([wrap_angle(p) for p in npsi])
+        nx, ny = to_world(frame, a.x, a.y)
+        npsi = np.array([wrap_angle(p) for p in a.psi + frame.psi])
         agents.append(Agent(a.id, a.half_length, a.half_width, np.stack([nx, ny, npsi], axis=1), a.is_static))
     return Scene(
         scene_id=scene.scene_id,
@@ -593,18 +583,20 @@ _BUILDERS = {
 
 
 # ---------------------------------------------------------------------------
-# corpus and auxiliary file formats
+# scene directories and auxiliary file formats
 
 
-def load_corpus(directory):
-    """Collect the ego-frame human trajectories of every scene under `directory`."""
-    from .vocabulary import TrajectoryCorpus
-
+def load_scene_dir(directory) -> list:
+    """The scenes of every *.json file in `directory`, in sorted file-name
+    order; a missing directory or one without scene files raises
+    FileNotFoundError naming it."""
     directory = Path(directory)
+    if not directory.is_dir():
+        raise FileNotFoundError(f"scene directory not found: {directory}")
     paths = sorted(directory.glob("*.json"))
     if not paths:
-        raise FileNotFoundError(f"no scene files (*.json) found under {directory}")
-    return TrajectoryCorpus([load_scene(p).human_trajectory for p in paths])
+        raise FileNotFoundError(f"no scene files (*.json) under {directory}")
+    return [load_scene(p) for p in paths]
 
 
 def save_trajectory_map(trajs: dict, path) -> None:

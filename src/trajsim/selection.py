@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kinematics import DenseTrajectory, KinematicsConfig, pid_track, trajectory_to_world
+from .kinematics import DenseTrajectory, KinematicsConfig, ego_rollout
 from .metrics import MetricConfig, Scene, score_ec
 
 __all__ = ["ProposalSet", "SelectionState", "comfort_scores", "recalibrate", "select"]
@@ -71,8 +71,7 @@ def comfort_scores(
     metric_cfg = metric_cfg or MetricConfig()
     out = np.empty(len(ps))
     for i, proposal in enumerate(ps.proposals):
-        plan = trajectory_to_world(proposal, scene.ego_init.pose)
-        rollout = pid_track(plan, scene.ego_init, kin_cfg)
+        rollout = ego_rollout(proposal, scene.ego_init, kin_cfg)
         out[i] = score_ec(rollout, state.previous_selected, state.frame_gap, metric_cfg)
     return out
 

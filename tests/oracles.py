@@ -197,6 +197,53 @@ def trajectory_to_world(t, frame):
     return Trajectory(out)
 
 
+def _compose(frame, x, y, psi=None):
+    """The rigid frame change transform_scene applied before it shared
+    geom.to_world with trajectory_to_world."""
+    c, s = math.cos(frame.psi), math.sin(frame.psi)
+    nx = frame.x + c * np.asarray(x) - s * np.asarray(y)
+    ny = frame.y + s * np.asarray(x) + c * np.asarray(y)
+    if psi is None:
+        return nx, ny
+    return nx, ny, np.asarray(psi) + frame.psi
+
+
+def transform_scene(scene, frame):
+    """scene_io.transform_scene over _compose."""
+    from trajsim.geom import Polygon, Polyline, Pose
+    from trajsim.kinematics import EgoState
+    from trajsim.metrics import Agent, Intersection, Lane, Scene
+
+    def points(p):
+        nx, ny = _compose(frame, p[:, 0], p[:, 1])
+        return np.stack([nx, ny], axis=1)
+
+    def state(st):
+        nx, ny, npsi = _compose(frame, st.pose.x, st.pose.y, st.pose.psi)
+        return EgoState(Pose(float(nx), float(ny), wrap_angle(float(npsi))), st.v, st.a, st.steer)
+
+    agents = []
+    for a in scene.agents:
+        nx, ny, npsi = _compose(frame, a.x, a.y, a.psi)
+        npsi = np.array([wrap_angle(p) for p in npsi])
+        agents.append(Agent(a.id, a.half_length, a.half_width, np.stack([nx, ny, npsi], axis=1), a.is_static))
+    return Scene(
+        scene_id=scene.scene_id,
+        ego_init=state(scene.ego_init),
+        ego_history=[state(st) for st in scene.ego_history],
+        agents=agents,
+        drivable=[Polygon(points(p.vertices)) for p in scene.drivable],
+        route=Polyline(points(scene.route.points)),
+        route_polygon=Polygon(points(scene.route_polygon.vertices)),
+        lanes=[Lane(Polyline(points(lane.centerline.points)), lane.direction_sign) for lane in scene.lanes],
+        intersections=[Intersection(Polygon(points(i.polygon.vertices)), i.light) for i in scene.intersections],
+        human_trajectory=scene.human_trajectory,
+        command=scene.command,
+        ego_half_length=scene.ego_half_length,
+        ego_half_width=scene.ego_half_width,
+    )
+
+
 def _interp_targets(plan, init, dt, ticks):
     nodes_t = [0.0] + [0.5 * (i + 1) for i in range(plan.m)]
     nodes_x = [init.pose.x] + [float(v) for v in plan.poses[:, 0]]

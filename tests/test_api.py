@@ -1,7 +1,9 @@
 """The public surface: every exported name resolves, and the top level is small."""
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -29,9 +31,24 @@ def test_top_level_is_the_library_example():
         "ScoreContext",
         "evaluate_rollout",
         "aggregate_epdms",
-        "pid_track",
+        "ego_rollout",
     ]
     assert all(hasattr(trajsim, n) for n in trajsim.__all__)
     namespace = {}
     exec("from trajsim import *", namespace)
     assert {n for n in namespace if not n.startswith("__")} == set(trajsim.__all__)
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_import_inside_a_function(name):
+    # every dependency of a module is visible at its top
+    path = Path(trajsim.__file__).parent / f"{name}.py"
+    tree = ast.parse(path.read_text())
+    nested = [
+        f"{path.name}:{node.lineno}"
+        for func in ast.walk(tree)
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(func)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    ]
+    assert not nested

@@ -1,11 +1,14 @@
 import json
+import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import trajsim
 from trajsim.cli import main
 from trajsim.kinematics import Trajectory
 from trajsim.scene_io import (
@@ -205,6 +208,56 @@ class TestDistillCmd:
         assert code == 0
         assert json.loads((tmp_path / "r.json").read_text())["workers"] == 1
 
+    @pytest.mark.parametrize("workers", ["-3", "0"])
+    def test_workers_below_one_fail_with_one_error_line(self, tmp_path, capsys, workers):
+        d, vocab_path = self._vocab(tmp_path)
+        capsys.readouterr()
+        out = tmp_path / "m.bin"
+        code = main(["distill", "--scenes", str(d), "--vocab", str(vocab_path), "--seed", "5",
+                     "--workers", workers, "--out", str(out), "--teachers", str(tmp_path / "t.txt")])
+        assert code == 1
+        assert only_error_line(capsys) == f"error: workers must be >= 1, got {workers}"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("env, message", [
+        ("0", "TRAJSIM_THREADS must be >= 1, got 0"),
+        ("-2", "TRAJSIM_THREADS must be >= 1, got -2"),
+        ("abc", "TRAJSIM_THREADS must be an integer, got 'abc'"),
+    ])
+    def test_bad_env_workers_fail_with_one_error_line(self, tmp_path, monkeypatch, capsys, env, message):
+        d, vocab_path = self._vocab(tmp_path)
+        capsys.readouterr()
+        monkeypatch.setenv("TRAJSIM_THREADS", env)
+        out = tmp_path / "m.bin"
+        code = main(["distill", "--scenes", str(d), "--vocab", str(vocab_path), "--seed", "5",
+                     "--out", str(out), "--teachers", str(tmp_path / "t.txt")])
+        assert code == 1
+        assert only_error_line(capsys) == f"error: {message}"
+        assert not out.exists()
+
+    # the 3 scenes have indices 0, 1 and 2; a matrix file is cut to a length,
+    # or the sidecar gets one bad line after its fingerprint
+    @pytest.mark.parametrize("damaged, content", [
+        ("matrix", 10), ("matrix", 40), ("done", "x1"), ("done", "3"), ("done", "-1"),
+    ])
+    def test_damaged_checkpoint_fails_with_one_error_line_naming_the_file(self, tmp_path, capsys, damaged, content):
+        d, vocab_path = self._vocab(tmp_path)
+        out = tmp_path / "m.bin"
+        done = tmp_path / "m.bin.done"
+        args = ["distill", "--scenes", str(d), "--vocab", str(vocab_path), "--seed", "5",
+                "--out", str(out), "--teachers", str(tmp_path / "t.txt")]
+        assert main(args) == 0
+        capsys.readouterr()
+        if damaged == "matrix":
+            out.write_bytes(out.read_bytes()[:content])
+            named = out
+        else:
+            fingerprint = done.read_text().splitlines()[0]
+            done.write_text(f"{fingerprint}\n0\n{content}\n")
+            named = done
+        assert main(args) == 1
+        assert only_error_line(capsys).startswith(f"error: {named}: ")
+
     def test_rerun_resumes_identically(self, tmp_path, capsys):
         d, vocab_path = self._vocab(tmp_path)
         out = tmp_path / "m.bin"
@@ -296,9 +349,12 @@ class TestRenderCmd:
 
 class TestEntryPoint:
     def test_console_script_usage_error(self):
+        # the child imports the same trajsim as this test, not an installed copy
+        src = str(Path(trajsim.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         proc = subprocess.run(
             [sys.executable, "-m", "trajsim.cli", "score"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=env,
         )
         assert proc.returncode != 0
         assert "usage" in proc.stderr.lower() or "required" in proc.stderr.lower()

@@ -307,8 +307,9 @@ class TestPersistence:
         m = ScoreMatrix(scene_ids=("a", "b", "c"), values=rng.uniform(0, 1, (3, 5)))
         path = tmp_path / "m.bin"
         save_score_matrix(m, path)
-        again = load_score_matrix(path, scene_ids=("a", "b", "c"))
+        again = load_score_matrix(path)
         assert np.array_equal(again.values, m.values)
+        assert again.scene_ids == ("0", "1", "2")  # the file holds no ids
 
     def test_matrix_bad_magic(self, tmp_path):
         path = tmp_path / "m.bin"

@@ -4,11 +4,14 @@ The references in oracles.py keep the arithmetic of the per-call paths as
 they were before per-scene geometry was precomputed, the PID tick schedule
 cached, the lane projections shared between DDC and LK and the comfort
 profiles folded into HC, and of k-means before its seeding distances were
-summed over a transposed copy and its loop-invariant terms hoisted.  Every
+summed over a transposed copy and its loop-invariant terms hoisted.  The
+scene transform keeps its own copy of the rigid frame change, as it had
+before it shared geom.to_world with trajectory_to_world.  Every
 comparison here is on the bytes of the float64 values, so -0.0 against 0.0
 fails too.
 """
 
+import json
 import math
 import sys
 import threading
@@ -20,10 +23,11 @@ from trajsim.distill import score_scene_row
 from trajsim.geom import (
     Polygon, Polyline, Pose, arc_positions, nearest_segments, segments_intersect_batch, xy_in_polygon,
 )
-from trajsim.kinematics import EgoState, Trajectory, pid_track, trajectory_to_world
+from trajsim.kinematics import EgoState, KinematicsConfig, Trajectory, ego_rollout, pid_track, trajectory_to_world
 from trajsim.metrics import ScoreContext, score_ddc, score_lk
-from trajsim import metrics
-from trajsim.scene_io import TEMPLATES, SyntheticSpec, generate_scene
+from trajsim import metrics, scene_io
+from trajsim.scene_io import TEMPLATES, SyntheticSpec, generate_scene, scene_to_doc, transform_scene
+from trajsim.seeding import stable_seed
 from trajsim.vocabulary import (
     TrajectoryCorpus, Vocabulary, _assign_chunk, _pairwise_row_sum, headings_from_tangents, kmeans,
 )
@@ -122,6 +126,55 @@ def test_headings_that_need_wrapping():
         assert bits(world.poses) == bits(want_world.poses)
         init = EgoState(frame, v=float(rng.uniform(0, 15)), a=float(rng.uniform(-2, 2)), steer=float(rng.uniform(-0.3, 0.3)))
         assert_same_rollout(pid_track(world, init), oracles.pid_track(want_world, init))
+
+
+def test_ego_rollout_is_the_world_frame_rollout(scenes, centers):
+    slow_steer = KinematicsConfig(steer_max=0.3, kp_lat=1.0)
+    for scene in scenes:
+        init = scene.ego_init
+        for plan in (scene.human_trajectory, *centers[:8]):
+            want = oracles.pid_track(oracles.trajectory_to_world(plan, init.pose), init)
+            assert_same_rollout(ego_rollout(plan, init), want)
+            assert_same_rollout(ego_rollout(plan, init, slow_steer),
+                                pid_track(trajectory_to_world(plan, init.pose), init, slow_steer))
+
+
+def doc_json(scene) -> str:
+    # float repr round-trips, so equal text means equal bits (and -0.0 shows)
+    return json.dumps(scene_to_doc(scene))
+
+
+def oracle_generate_scene(spec):
+    """generate_scene with the scene placed by the oracle transform."""
+    rng = np.random.default_rng(stable_seed("trajsim-scene", spec.template, spec.seed))
+    params = scene_io._draw_params(spec, rng)
+    scene = scene_io._BUILDERS[spec.template](f"{spec.template}-{spec.seed:05d}", params)
+    world = Pose(rng.uniform(-200.0, 200.0), rng.uniform(-200.0, 200.0), rng.uniform(-math.pi, math.pi))
+    return oracles.transform_scene(scene, world)
+
+
+@pytest.mark.parametrize("template", TEMPLATES)
+def test_generated_scenes_match_oracle(template):
+    for seed in range(8):
+        spec = SyntheticSpec(template, seed=seed)
+        assert doc_json(generate_scene(spec)) == doc_json(oracle_generate_scene(spec)), seed
+
+
+def test_transform_scene_matches_oracle_when_headings_wrap(scenes):
+    # scenes turned until the ego heads at +-3 rad, then by nearly pi the
+    # same way round, so the heading sums leave (-pi, pi]
+    rng = np.random.default_rng(29)
+    for scene in scenes:
+        for _ in range(4):
+            sign = rng.choice([-1, 1])
+            base = oracles.transform_scene(scene, Pose(0.0, 0.0, sign * 3.0 - scene.ego_init.pose.psi))
+            frame = Pose(rng.uniform(-300, 300), rng.uniform(-300, 300), sign * rng.uniform(3.0, math.pi))
+            assert abs(base.ego_init.pose.psi + frame.psi) > math.pi
+            got, want = transform_scene(base, frame), oracles.transform_scene(base, frame)
+            assert doc_json(got) == doc_json(want), (scene.scene_id, frame)
+            for a, b in zip(got.agents, want.agents):
+                assert bits(a.poses) == bits(b.poses)
+            assert all(-math.pi < st.pose.psi <= math.pi for st in got.ego_history)
 
 
 def test_points_on_polygon_edges_match_oracle():

@@ -94,38 +94,38 @@ def moving(agent_id, x0, y0, vx, vy, psi):
 
 class TestNoCollision:
     def test_no_agents(self):
-        assert score_nc(straight_dense(10.0), make_scene()) == 1.0
+        assert score_nc(straight_dense(10.0), ScoreContext(make_scene())) == 1.0
 
     def test_parked_agent_ahead_full_speed(self):
         scene = make_scene(agents=[parked("p", 10.0, 0.0)])
-        assert score_nc(straight_dense(10.0), scene) == 0.0
+        assert score_nc(straight_dense(10.0), ScoreContext(scene)) == 0.0
 
     def test_rear_ended_while_stopped_is_no_fault(self):
         # stopped ego, faster agent approaching from behind
         scene = make_scene(agents=[moving("rear", -15.0, 0.0, 5.0, 0.0, 0.0)], v0=0.0)
-        assert score_nc(straight_dense(0.0), scene) == 1.0
+        assert score_nc(straight_dense(0.0), ScoreContext(scene)) == 1.0
 
     def test_hitting_agent_while_reversing_logic(self):
         # same geometry but the ego drives backwards into the agent's path is
         # impossible here (v >= 0); an agent ahead is always at fault
         scene = make_scene(agents=[parked("p", 6.0, 0.0)])
-        assert score_nc(straight_dense(2.0), scene) == 0.0
+        assert score_nc(straight_dense(2.0), ScoreContext(scene)) == 0.0
 
 
 class TestDrivableArea:
     def test_wide_road(self):
-        assert score_dac(straight_dense(10.0), make_scene()) == 1.0
+        assert score_dac(straight_dense(10.0), ScoreContext(make_scene())) == 1.0
 
     def test_veering_off_corridor(self):
         narrow = [Polygon([[-50, -1.75], [100, -1.75], [100, 1.75], [-50, 1.75]])]
         scene = make_scene(drivable=narrow)
-        assert score_dac(straight_dense(10.0, y=5.0), scene) == 0.0
+        assert score_dac(straight_dense(10.0, y=5.0), ScoreContext(scene)) == 0.0
 
     def test_tangent_corners_on_boundary(self):
         band = [Polygon([[-50, -2], [100, -2], [100, 2], [-50, 2]])]
         scene = make_scene(drivable=band)
         # top corners at y = 1.05 + 0.95 = 2.0, exactly on the boundary
-        assert score_dac(straight_dense(10.0, y=1.05), scene) == 1.0
+        assert score_dac(straight_dense(10.0, y=1.05), ScoreContext(scene)) == 1.0
 
 
 class TestDrivingDirection:
@@ -137,15 +137,15 @@ class TestDrivingDirection:
         return make_scene(lanes=lanes)
 
     def test_aligned_rollout(self):
-        assert score_ddc(straight_dense(10.0), make_scene()) == 1.0
+        assert score_ddc(straight_dense(10.0), ScoreContext(make_scene())) == 1.0
 
     def test_long_incursion_zero(self):
         # at 10 m/s the rollout covers 1 m per tick: 14 wrong-way meters
-        assert score_ddc(straight_dense(10.0), self._scene_with_flip(25.0)) == 0.0
+        assert score_ddc(straight_dense(10.0), ScoreContext(self._scene_with_flip(25.0))) == 0.0
 
     def test_short_incursion_half(self):
         # ticks 37..39 oppose: 3 m in [2, 6) -> 0.5
-        assert score_ddc(straight_dense(10.0), self._scene_with_flip(36.0)) == 0.5
+        assert score_ddc(straight_dense(10.0), ScoreContext(self._scene_with_flip(36.0))) == 0.5
 
     def test_incursion_inside_intersection_ignored(self):
         poly = Polygon([[24, -6], [100, -6], [100, 6], [24, 6]])
@@ -154,7 +154,7 @@ class TestDrivingDirection:
             lanes=self._scene_with_flip(25.0).lanes,
             intersections=[Intersection(poly, light)],
         )
-        assert score_ddc(straight_dense(10.0), scene) == 1.0
+        assert score_ddc(straight_dense(10.0), ScoreContext(scene)) == 1.0
 
 
 class TestTrafficLight:
@@ -163,56 +163,59 @@ class TestTrafficLight:
         return Intersection(poly, TrafficLight("i0", phases))
 
     def test_no_intersections(self):
-        assert score_tlc(straight_dense(10.0), make_scene()) == 1.0
+        assert score_tlc(straight_dense(10.0), ScoreContext(make_scene())) == 1.0
 
     def test_entry_on_red(self):
         # front of the box (x + 2.3) first touches the polygon at tick 12
         inter = self._intersection(14.3, np.full(DENSE_TICKS, PHASE_RED))
-        assert score_tlc(straight_dense(10.0), make_scene(intersections=[inter])) == 0.0
+        assert score_tlc(straight_dense(10.0), ScoreContext(make_scene(intersections=[inter]))) == 0.0
 
     def test_entry_on_green_then_red_inside(self):
         phases = np.full(DENSE_TICKS, PHASE_GREEN)
         phases[20:] = PHASE_RED
         inter = self._intersection(7.3, phases)  # entry at tick 5, still green
-        assert score_tlc(straight_dense(10.0), make_scene(intersections=[inter])) == 1.0
+        assert score_tlc(straight_dense(10.0), ScoreContext(make_scene(intersections=[inter]))) == 1.0
 
     def test_starting_inside_is_not_an_entry(self):
         inter = self._intersection(-10.0, np.full(DENSE_TICKS, PHASE_RED))
-        assert score_tlc(straight_dense(10.0, x0=0.0), make_scene(intersections=[inter])) == 1.0
+        assert score_tlc(straight_dense(10.0, x0=0.0), ScoreContext(make_scene(intersections=[inter]))) == 1.0
 
 
 class TestEgoProgress:
     def test_identity(self):
-        scene = make_scene()
-        d = straight_dense(10.0)
-        assert score_ep(d, ScoreContext(scene, reference=d)) == 1.0
+        ctx = ScoreContext(make_scene())
+        assert score_ep(ctx.reference, ctx) == 1.0
 
     def test_half_progress(self):
-        scene = make_scene()
-        ctx = ScoreContext(scene, reference=straight_dense(10.0))
-        assert score_ep(straight_dense(5.0), ctx) == pytest.approx(0.5)
+        # the reference runs along the route (the x axis); half its x, half its progress
+        ctx = ScoreContext(make_scene())
+        ref = ctx.reference
+        assert ctx.ref_progress > 1.0
+        half = dense_from_xy(0.5 * ref.x, np.zeros(DENSE_TICKS), ref.v)
+        assert score_ep(half, ctx) == pytest.approx(0.5)
 
     def test_stationary_reference(self):
-        scene = make_scene(v0=0.0)
-        d = straight_dense(0.0)
-        assert score_ep(d, ScoreContext(scene, reference=d)) == 1.0
+        # a human plan that stays at the origin gives a reference with no progress
+        ctx = ScoreContext(make_scene(v0=0.0))
+        assert ctx.ref_progress < ctx.metric_cfg.ep_min_ref_progress_m
+        assert score_ep(straight_dense(0.0), ctx) == 1.0
 
     def test_uses_human_reference_by_default(self):
         scene = make_scene(v0=10.0)  # human plan advances at 10 m/s
-        assert score_ep(straight_dense(10.0), scene) == pytest.approx(1.0, abs=1e-6)
+        assert score_ep(straight_dense(10.0), ScoreContext(scene)) == pytest.approx(1.0, abs=1e-6)
 
 
 class TestTimeToCollision:
     def test_empty_scene(self):
-        assert score_ttc(straight_dense(10.0), make_scene()) == 1.0
+        assert score_ttc(straight_dense(10.0), ScoreContext(make_scene())) == 1.0
 
     def test_static_agent_in_projection_horizon(self):
         scene = make_scene(agents=[parked("p", 8.0, 0.0)])
-        assert score_ttc(straight_dense(10.0), scene) == 0.0
+        assert score_ttc(straight_dense(10.0), ScoreContext(scene)) == 0.0
 
     def test_constant_gap_same_speed(self):
         scene = make_scene(agents=[moving("lead", 25.0, 0.0, 10.0, 0.0, 0.0)])
-        assert score_ttc(straight_dense(10.0), scene) == 1.0
+        assert score_ttc(straight_dense(10.0), ScoreContext(scene)) == 1.0
 
 
 class TestLaneKeeping:
@@ -222,33 +225,33 @@ class TestLaneKeeping:
         return dense_from_xy(v * T, y, np.full(DENSE_TICKS, v))
 
     def test_centered(self):
-        assert score_lk(straight_dense(10.0), make_scene()) == 1.0
+        assert score_lk(straight_dense(10.0), ScoreContext(make_scene())) == 1.0
 
     def test_held_offset_fails(self):
         # 1.2 m offset for 2 s (20 ticks) is well past the 1 s window
         d = self._offset_dense(1.2, 10, 30)
-        assert score_lk(d, make_scene()) == 0.0
+        assert score_lk(d, ScoreContext(make_scene())) == 0.0
 
     def test_brief_offset_passes(self):
         d = self._offset_dense(0.8, 10, 15)  # 0.5 s only
-        assert score_lk(d, make_scene()) == 1.0
+        assert score_lk(d, ScoreContext(make_scene())) == 1.0
 
     def test_offset_inside_intersection_ignored(self):
         poly = Polygon([[5, -6], [50, -6], [50, 6], [5, 6]])
         inter = Intersection(poly, TrafficLight("i0", np.full(DENSE_TICKS, PHASE_GREEN)))
         d = self._offset_dense(1.2, 10, 30)
-        assert score_lk(d, make_scene(intersections=[inter])) == 1.0
+        assert score_lk(d, ScoreContext(make_scene(intersections=[inter]))) == 1.0
 
 
 class TestHistoryComfort:
     def test_smooth_rollout(self):
-        assert score_hc(straight_dense(10.0), make_scene(v0=10.0)) == 1.0
+        assert score_hc(straight_dense(10.0), ScoreContext(make_scene(v0=10.0))) == 1.0
 
     def test_emergency_stop_fails(self):
         v = np.maximum(0.0, 10.0 - 8.0 * T)
         x = np.concatenate([[0.0], np.cumsum(v[:-1] * 0.1)])
         d = dense_from_xy(x, np.zeros(DENSE_TICKS), v)
-        assert score_hc(d, make_scene(v0=10.0)) == 0.0
+        assert score_hc(d, ScoreContext(make_scene(v0=10.0))) == 0.0
 
     def test_junction_jerk_fails(self):
         # history accelerating at +2 m/s^2 into a constant-speed rollout:
@@ -259,7 +262,7 @@ class TestHistoryComfort:
         ]
         scene = make_scene(v0=10.0)
         scene.ego_history[:] = hist
-        assert score_hc(straight_dense(10.0), scene) == 0.0
+        assert score_hc(straight_dense(10.0), ScoreContext(scene)) == 0.0
 
 
 class TestExtendedComfort:

@@ -7,16 +7,17 @@ import pytest
 from trajsim.cli import main
 from trajsim.geom import Pose
 from trajsim.kinematics import pid_track, trajectory_to_world
+from trajsim.vocabulary import TrajectoryCorpus
 from trajsim.metrics import ScoreContext, aggregate_epdms, evaluate_rollout, score_nc, score_tlc
 from trajsim.scene_io import (
     TEMPLATES,
     SceneFormatError,
     SyntheticSpec,
     generate_scene,
-    load_corpus,
     load_proposal_frames,
     load_proposal_set,
     load_scene,
+    load_scene_dir,
     load_score_frames,
     load_trajectory_map,
     save_proposal_set,
@@ -255,13 +256,21 @@ class TestCorpus:
     def test_loads_all_scenes(self, tmp_path):
         for i, template in enumerate(TEMPLATES[:3]):
             save_scene(generate_scene(SyntheticSpec(template, seed=i)), tmp_path / f"{template}.json")
-        corpus = load_corpus(tmp_path)
+        (tmp_path / "notes.txt").write_text("not a scene")
+        scenes = load_scene_dir(tmp_path)
+        # sorted by file name, which here is the template name
+        assert [s.scene_id for s in scenes] == [f"{t}-{i:05d}" for t, i in sorted(zip(TEMPLATES[:3], range(3)))]
+        corpus = TrajectoryCorpus(s.human_trajectory for s in scenes)
         assert corpus.count == 3
         assert corpus.m == 8
 
     def test_empty_dir_rejected(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
-            load_corpus(tmp_path)
+        with pytest.raises(FileNotFoundError, match=r"no scene files \(\*\.json\) under"):
+            load_scene_dir(tmp_path)
+
+    def test_missing_dir_rejected(self, tmp_path):
+        with pytest.raises(FileNotFoundError, match="scene directory not found: .*nope"):
+            load_scene_dir(tmp_path / "nope")
 
     def test_corpus_items_are_ego_frame(self, tmp_path):
         # placing an item back at its scene's world pose must reproduce the
@@ -269,7 +278,7 @@ class TestCorpus:
         # one plan step ahead of the origin, never at the world pose
         scene = generate_scene(SyntheticSpec("clean_straight", seed=9))
         save_scene(scene, tmp_path / "s.json")
-        item = load_corpus(tmp_path).items[0]
+        item = load_scene_dir(tmp_path)[0].human_trajectory
         assert np.array_equal(item.poses, scene.human_trajectory.poses)
         first_step = np.hypot(*item.poses[0, :2])
         assert first_step <= 0.5 * 12.0 + 0.5  # within one plan step of the origin
