@@ -47,7 +47,7 @@ def cmd_score(args) -> int:
         else:
             plan = traj_map.get(scene.scene_id) or traj_map.get("*")
             if plan is None:
-                raise KeyError(f"no trajectory for scene {scene.scene_id!r} (and no '*' default)")
+                raise ValueError(f"no trajectory for scene {scene.scene_id!r} (and no '*' default)")
         sub = evaluate_rollout(ego_rollout(plan, scene.ego_init, ctx.kin_cfg), ctx)
         score = aggregate(sub)
         scores.append(score)
@@ -128,9 +128,9 @@ def cmd_select(args) -> int:
     lines = []
     for scene_id, proposals in frames:
         if scene_id not in scenes:
-            raise KeyError(f"frame references unknown scene {scene_id!r}")
+            raise ValueError(f"frame references unknown scene {scene_id!r}")
         if scene_id not in score_map:
-            raise KeyError(f"no scores for scene {scene_id!r}")
+            raise ValueError(f"no scores for scene {scene_id!r}")
         scene = scenes[scene_id]
         ps = selection.ProposalSet(tuple(proposals), score_map[scene_id])
         idx, winner, recal = selection.select(ps, state, scene)
@@ -144,7 +144,7 @@ def cmd_select(args) -> int:
 
 def cmd_diversity(args) -> int:
     proposals = scene_io.load_proposal_set(args.proposals)
-    d = diversity_metric(proposals, cell_size=args.cell)
+    d = diversity_metric(proposals)
     print(f"{d:.6f}")
     return 0
 
@@ -200,7 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("diversity", help="print the proposal-set diversity D")
     p.add_argument("--proposals", required=True, help="proposal-set file")
-    p.add_argument("--cell", type=float, default=0.25)
     p.set_defaults(func=cmd_diversity)
 
     p = sub.add_parser("render", help="BEV SVG plot of a scene and trajectories")

@@ -1,4 +1,4 @@
-"""Planar geometry kernel: poses, oriented boxes, polygons, polylines, grids.
+"""Planar geometry kernel: poses, oriented boxes, polygons, polylines.
 
 Conventions used throughout the package:
   * headings are radians in (-pi, pi], +x is "forward", angles grow CCW
@@ -11,7 +11,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,13 +20,10 @@ __all__ = [
     "OrientedBox",
     "Polygon",
     "Polyline",
-    "OccupancyGrid",
     "wrap_angle",
     "to_world",
     "obb_overlap_batch",
     "xy_in_polygon",
-    "buffer_rasterize",
-    "grid_union",
     "arc_length",
     "arc_positions",
     "nearest_segments",
@@ -189,32 +186,6 @@ class Polyline:
         return f"Polyline({len(self.points)} points, length={self._cum[-1]:.3f})"
 
 
-@dataclass(frozen=True)
-class OccupancyGrid:
-    """Boolean occupancy over a regular grid.
-
-    `origin` is the world position of the corner of cell (0, 0); cell (ix, iy)
-    covers [origin + i*cell, origin + (i+1)*cell).  `bits` is (height, width),
-    indexed [iy, ix].
-    """
-
-    origin: tuple[float, float]
-    cell_size: float
-    width: int
-    height: int
-    bits: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        if self.cell_size <= 0:
-            raise ValueError("cell_size must be positive")
-        if self.bits.shape != (self.height, self.width):
-            raise ValueError("bit array shape must be (height, width)")
-        self.bits.setflags(write=False)
-
-    def count(self) -> int:
-        return int(np.count_nonzero(self.bits))
-
-
 # ---------------------------------------------------------------------------
 # oriented-box overlap (separating axis test)
 
@@ -284,84 +255,6 @@ def xy_in_polygon(px: np.ndarray, py: np.ndarray, poly: Polygon) -> np.ndarray:
     dy = py - (ay + t * ey)
     on_edge = np.any(dx * dx + dy * dy <= _EDGE_EPS * _EDGE_EPS, axis=0)
     return inside | on_edge
-
-
-# ---------------------------------------------------------------------------
-# rasterization and grid union
-
-
-def _snap(value: float, cell: float) -> float:
-    return math.floor(value / cell) * cell
-
-
-def buffer_rasterize(line: Polyline, width: float, cell_size: float) -> OccupancyGrid:
-    """Rasterize the corridor of total width `width` around a polyline.
-
-    A cell is occupied iff its center lies within width/2 of the polyline
-    (round caps and joins).  Grid origins snap to the cell lattice so grids
-    of equal cell size always align exactly.
-    """
-    if width <= 0:
-        raise ValueError("corridor width must be positive")
-    if cell_size <= 0:
-        raise ValueError("cell_size must be positive")
-    radius = 0.5 * width
-    pts = line.points
-    lo = pts.min(axis=0) - radius - cell_size
-    hi = pts.max(axis=0) + radius + cell_size
-    ox, oy = _snap(lo[0], cell_size), _snap(lo[1], cell_size)
-    nx = int(math.ceil((hi[0] - ox) / cell_size))
-    ny = int(math.ceil((hi[1] - oy) / cell_size))
-
-    cxs = ox + (np.arange(nx) + 0.5) * cell_size
-    cys = oy + (np.arange(ny) + 0.5) * cell_size
-    gx, gy = np.meshgrid(cxs, cys)  # (ny, nx)
-
-    if len(pts) == 1:
-        d2 = (gx - pts[0, 0]) ** 2 + (gy - pts[0, 1]) ** 2
-    else:
-        a = pts[:-1]
-        d = np.diff(pts, axis=0)
-        len2 = np.sum(d * d, axis=1)
-        # distance from every cell center to every segment, min over segments
-        rx = gx[:, :, None] - a[:, 0]
-        ry = gy[:, :, None] - a[:, 1]
-        t = np.clip((rx * d[:, 0] + ry * d[:, 1]) / len2, 0.0, 1.0)
-        qx = rx - t * d[:, 0]
-        qy = ry - t * d[:, 1]
-        d2 = np.min(qx * qx + qy * qy, axis=2)
-
-    bits = d2 <= radius * radius
-    return OccupancyGrid(origin=(ox, oy), cell_size=cell_size, width=nx, height=ny, bits=bits)
-
-
-def _lattice_offset(origin_a: float, origin_b: float, cell: float) -> int:
-    rel = (origin_b - origin_a) / cell
-    k = round(rel)
-    if abs(rel - k) > 1e-6:
-        raise ValueError("grids are not on a common cell lattice")
-    return int(k)
-
-
-def grid_union(grids) -> OccupancyGrid:
-    """Union of occupancy grids resampled onto their common lattice."""
-    grids = list(grids)
-    if not grids:
-        raise ValueError("need at least one grid")
-    cell = grids[0].cell_size
-    for g in grids[1:]:
-        if g.cell_size != cell:
-            raise ValueError("grid cell sizes differ")
-    ox = min(g.origin[0] for g in grids)
-    oy = min(g.origin[1] for g in grids)
-    kxs = [_lattice_offset(ox, g.origin[0], cell) for g in grids]
-    kys = [_lattice_offset(oy, g.origin[1], cell) for g in grids]
-    nx = max(kx + g.width for kx, g in zip(kxs, grids))
-    ny = max(ky + g.height for ky, g in zip(kys, grids))
-    bits = np.zeros((ny, nx), dtype=bool)
-    for kx, ky, g in zip(kxs, kys, grids):
-        bits[ky : ky + g.height, kx : kx + g.width] |= g.bits
-    return OccupancyGrid(origin=(ox, oy), cell_size=cell, width=nx, height=ny, bits=bits)
 
 
 # ---------------------------------------------------------------------------

@@ -28,8 +28,6 @@ from .geom import (
     Polyline,
     arc_length,
     arc_positions,
-    buffer_rasterize,
-    grid_union,
     nearest_segments,
     obb_overlap_batch,
     segments_intersect_batch,
@@ -108,16 +106,6 @@ class Agent:
     def poses(self) -> np.ndarray:
         return np.stack([self.x, self.y, self.psi], axis=1)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Agent)
-            and self.id == other.id
-            and self.half_length == other.half_length
-            and self.half_width == other.half_width
-            and self.is_static == other.is_static
-            and np.array_equal(self.poses, other.poses)
-        )
-
 
 class TrafficLight:
     """Signal phase per tick for one intersection (codes from PHASE_*)."""
@@ -134,13 +122,6 @@ class TrafficLight:
         self.phases = p
         self.phases.setflags(write=False)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, TrafficLight)
-            and self.intersection_id == other.intersection_id
-            and np.array_equal(self.phases, other.phases)
-        )
-
 
 @dataclass(frozen=True, eq=False)
 class Lane:
@@ -153,25 +134,11 @@ class Lane:
         if len(self.centerline) < 2:
             raise ValueError("lane centerline needs at least 2 points")
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Lane)
-            and self.direction_sign == other.direction_sign
-            and np.array_equal(self.centerline.points, other.centerline.points)
-        )
-
 
 @dataclass(frozen=True, eq=False)
 class Intersection:
     polygon: Polygon
     light: TrafficLight
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Intersection)
-            and self.polygon == other.polygon
-            and self.light == other.light
-        )
 
 
 @dataclass(eq=False)
@@ -205,25 +172,6 @@ class Scene:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and positive, got {value}")
-
-    def __eq__(self, other):
-        if not isinstance(other, Scene):
-            return NotImplemented
-        return (
-            self.scene_id == other.scene_id
-            and self.ego_init == other.ego_init
-            and self.ego_history == other.ego_history
-            and self.agents == other.agents
-            and self.drivable == other.drivable
-            and np.array_equal(self.route.points, other.route.points)
-            and self.route_polygon == other.route_polygon
-            and self.lanes == other.lanes
-            and self.intersections == other.intersections
-            and self.human_trajectory == other.human_trajectory
-            and self.command == other.command
-            and self.ego_half_length == other.ego_half_length
-            and self.ego_half_width == other.ego_half_width
-        )
 
 
 @dataclass(frozen=True)
@@ -660,14 +608,54 @@ def _corridor_polyline(xy: np.ndarray) -> Polyline:
 
 
 _CORRIDOR_WIDTH_M = 2.0
+# Corridors are rasterized on the one lattice of multiples of this cell, so
+# their union is an OR of integer windows.  A power of two: every cell center
+# (i + 0.5) * _CELL_M is exact.
+_CELL_M = 0.25
 
 
-def diversity(proposals, cell_size: float = 0.25) -> float:
+def _corridor_cells(xy: np.ndarray):
+    """The 2 m corridor around a proposal's waypoints on the cell lattice.
+
+    Returns the integer (x, y) lattice index of the window's low corner and
+    the window's cells as booleans indexed [x, y].  A cell is occupied iff its
+    center lies within half the corridor width of the waypoint polyline
+    (round caps and joins).
+    """
+    pts = _corridor_polyline(xy).points
+    radius = 0.5 * _CORRIDOR_WIDTH_M
+    lo = np.floor((pts.min(axis=0) - radius - _CELL_M) / _CELL_M).astype(np.int64)
+    n = np.ceil((pts.max(axis=0) + radius + _CELL_M - lo * _CELL_M) / _CELL_M).astype(np.int64)
+    gx, gy = np.meshgrid(*((lo[k] + np.arange(n[k]) + 0.5) * _CELL_M for k in (0, 1)), indexing="ij")
+
+    if len(pts) == 1:
+        d2 = (gx - pts[0, 0]) ** 2 + (gy - pts[0, 1]) ** 2
+    else:
+        a = pts[:-1]
+        d = np.diff(pts, axis=0)
+        len2 = np.sum(d * d, axis=1)
+        # distance from every cell center to every segment, min over segments
+        rx = gx[:, :, None] - a[:, 0]
+        ry = gy[:, :, None] - a[:, 1]
+        t = np.clip((rx * d[:, 0] + ry * d[:, 1]) / len2, 0.0, 1.0)
+        qx = rx - t * d[:, 0]
+        qy = ry - t * d[:, 1]
+        d2 = np.min(qx * qx + qy * qy, axis=2)
+    return lo, d2 <= radius * radius
+
+
+def diversity(proposals) -> float:
     """One minus the mean IoU of each proposal's 2 m corridor against the union."""
     proposals = list(proposals)
     if not proposals:
         raise ValueError("need at least one proposal")
-    grids = [buffer_rasterize(_corridor_polyline(p.xy), _CORRIDOR_WIDTH_M, cell_size) for p in proposals]
-    union_count = grid_union(grids).count()
-    ratios = np.array([g.count() / union_count for g in grids])
+    corridors = [_corridor_cells(p.xy) for p in proposals]
+    lo = np.min([c for c, _ in corridors], axis=0)
+    hi = np.max([c + cells.shape for c, cells in corridors], axis=0)
+    union = np.zeros(hi - lo, dtype=bool)
+    for c, cells in corridors:
+        (x0, y0), (nx, ny) = c - lo, cells.shape
+        union[x0 : x0 + nx, y0 : y0 + ny] |= cells
+    union_count = np.count_nonzero(union)
+    ratios = np.array([np.count_nonzero(cells) / union_count for _, cells in corridors])
     return float(1.0 - ratios.mean())

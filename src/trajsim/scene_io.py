@@ -131,19 +131,25 @@ def _objects(doc: dict, key: str):
     return [(f"{key}[{i}]", _typed(e, dict, f"{key}[{i}]")) for i, e in enumerate(_field(doc, key, list))]
 
 
-def _trajectory(value, name: str) -> Trajectory:
-    """The trajectory whose (M, 3) waypoints are the JSON array `value`."""
-    waypoints = _typed(value, np.ndarray, name)
+def _built(name: str, make, *args):
+    """make(*args), with a ValueError turned into a SceneFormatError naming
+    the field `name` that the arguments were read from."""
     try:
-        return Trajectory(waypoints)
+        return make(*args)
     except ValueError as exc:
         raise SceneFormatError(f"{name}: {exc}") from None
+
+
+def _from_array(make, value, name: str):
+    """make(the JSON number array `value`), naming the field `name` in any
+    error."""
+    return _built(name, make, _typed(value, np.ndarray, name))
 
 
 def _trajectories(doc: dict, key: str, where: str = "") -> list:
     """The trajectories of the JSON array doc[key]."""
     name = f"{where}.{key}" if where else key
-    return [_trajectory(p, f"{name}[{i}]") for i, p in enumerate(_field(doc, key, list, where))]
+    return [_from_array(Trajectory, p, f"{name}[{i}]") for i, p in enumerate(_field(doc, key, list, where))]
 
 
 def _check_version(doc: dict) -> None:
@@ -157,10 +163,7 @@ def _state_from(doc, where: str) -> EgoState:
     x, y, psi, v, a, steer = [
         _field(doc, key, float, where) for key in ("x_m", "y_m", "psi_rad", "speed_mps", "accel_mps2", "steer_rad")
     ]
-    try:
-        return EgoState(Pose(x, y, psi), v, a, steer)
-    except ValueError as exc:
-        raise SceneFormatError(f"{where}: {exc}") from None
+    return _built(where, lambda: EgoState(Pose(x, y, psi), v, a, steer))
 
 
 def scene_to_doc(scene: Scene) -> dict:
@@ -212,12 +215,14 @@ def scene_from_doc(doc: dict) -> Scene:
     try:
         ego = _field(doc, "ego", dict)
         agents = [
-            Agent(
-                id=_field(a, "id", object, where),
-                half_length=_field(a, "half_length_m", float, where),
-                half_width=_field(a, "half_width_m", float, where),
-                states=_field(a, "states", np.ndarray, where),
-                is_static=_field(a, "is_static", bool, where),
+            _built(
+                where,
+                Agent,
+                _field(a, "id", object, where),
+                _field(a, "half_length_m", float, where),
+                _field(a, "half_width_m", float, where),
+                _field(a, "states", np.ndarray, where),
+                _field(a, "is_static", bool, where),
             )
             for where, a in _objects(doc, "agents")
         ]
@@ -233,32 +238,38 @@ def scene_from_doc(doc: dict) -> Scene:
                 ) from None
             intersections.append(
                 Intersection(
-                    polygon=Polygon(_field(inter, "polygon_m", np.ndarray, where)),
-                    light=TrafficLight(_field(light, "intersection_id", object, f"{where}.light"), phases),
+                    polygon=_from_array(Polygon, _field(inter, "polygon_m", where=where), f"{where}.polygon_m"),
+                    light=_built(f"{where}.light", TrafficLight,
+                                 _field(light, "intersection_id", object, f"{where}.light"), phases),
                 )
             )
         history = _field(ego, "history", list, "ego")
         human = _field(doc, "human_trajectory_ego", dict)
+        drivable = [
+            _from_array(Polygon, v, f"drivable_polygons_m[{i}]")
+            for i, v in enumerate(_field(doc, "drivable_polygons_m", list))
+        ]
+        if not drivable:
+            raise SceneFormatError("drivable_polygons_m must hold at least one polygon")
         scene = Scene(
             scene_id=_field(doc, "scene_id", str),
             ego_init=_state_from(_field(ego, "init", where="ego"), "ego.init"),
             ego_history=[_state_from(s, f"ego.history[{i}]") for i, s in enumerate(history)],
             agents=agents,
-            drivable=[
-                Polygon(_typed(v, np.ndarray, f"drivable_polygons_m[{i}]"))
-                for i, v in enumerate(_field(doc, "drivable_polygons_m", list))
-            ],
-            route=Polyline(_field(doc, "route_polyline_m", np.ndarray)),
-            route_polygon=Polygon(_field(doc, "route_polygon_m", np.ndarray)),
+            drivable=drivable,
+            route=_from_array(Polyline, _field(doc, "route_polyline_m"), "route_polyline_m"),
+            route_polygon=_from_array(Polygon, _field(doc, "route_polygon_m"), "route_polygon_m"),
             lanes=[
-                Lane(
-                    Polyline(_field(lane, "centerline_m", np.ndarray, where)),
+                _built(
+                    where,
+                    Lane,
+                    _from_array(Polyline, _field(lane, "centerline_m", where=where), f"{where}.centerline_m"),
                     _field(lane, "direction_sign", float, where),
                 )
                 for where, lane in _objects(doc, "lanes")
             ],
             intersections=intersections,
-            human_trajectory=_trajectory(_field(human, "waypoints", where="human_trajectory_ego"),
+            human_trajectory=_from_array(Trajectory, _field(human, "waypoints", where="human_trajectory_ego"),
                                          "human_trajectory_ego.waypoints"),
             command=_field(doc, "command", str),
             ego_half_length=_field(ego, "half_length_m", float, "ego"),
@@ -447,16 +458,21 @@ def _static_agent(agent_id, x, y, psi=0.0, hl=2.3, hw=0.95) -> Agent:
     return Agent(agent_id, hl, hw, states, is_static=True)
 
 
-def _base_scene(scene_id, v0, human, lanes, drivable, route_band, agents=(), intersections=()):
+def _base_scene(scene_id, v0, human, road_y, extra_lanes=(), agents=(), intersections=()):
+    """A scene on the template road, x from -15 to 70 m and y from road_y[0]
+    to road_y[1]: the road is both the drivable area and the route band, and
+    the route and the main lane run along y = 0."""
+    road = _road_polygon(-15.0, 70.0, *road_y)
+    main = Polyline([[-15.0, 0.0], [70.0, 0.0]])
     return Scene(
         scene_id=scene_id,
         ego_init=EgoState(Pose(0.0, 0.0, 0.0), v0, 0.0, 0.0),
         ego_history=_history(v0),
         agents=list(agents),
-        drivable=drivable,
-        route=Polyline([[-15.0, 0.0], [70.0, 0.0]]),
-        route_polygon=route_band,
-        lanes=lanes,
+        drivable=[road],
+        route=main,
+        route_polygon=road,
+        lanes=[Lane(main, 1), *extra_lanes],
         intersections=list(intersections),
         human_trajectory=human,
         command="forward",
@@ -480,10 +496,7 @@ def generate_scene(spec: SyntheticSpec) -> Scene:
 
 def _build_clean_straight(scene_id, p):
     v0 = p["v0"]
-    human = straight_plan(v0)
-    lanes = [Lane(Polyline([[-15.0, 0.0], [70.0, 0.0]]), 1)]
-    drivable = [_road_polygon(-15.0, 70.0, -3.5, 3.5)]
-    return _base_scene(scene_id, v0, human, lanes, drivable, _road_polygon(-15.0, 70.0, -3.5, 3.5))
+    return _base_scene(scene_id, v0, straight_plan(v0), (-3.5, 3.5))
 
 
 def _build_parked_agent(scene_id, p):
@@ -496,29 +509,18 @@ def _build_parked_agent(scene_id, p):
         return lane_shift * _smoothstep((np.asarray(t) - t0) / t_change)
 
     human = _plan_from_profile(lambda t: v0 * np.asarray(t), y_of_t)
-    lanes = [
-        Lane(Polyline([[-15.0, 0.0], [70.0, 0.0]]), 1),
-        Lane(Polyline([[-15.0, lane_shift], [70.0, lane_shift]]), 1),
-    ]
-    drivable = [_road_polygon(-15.0, 70.0, -3.5, 7.0)]
+    shifted = Lane(Polyline([[-15.0, lane_shift], [70.0, lane_shift]]), 1)
     agent = _static_agent("parked-0", agent_x, 0.0)
-    return _base_scene(
-        scene_id, v0, human, lanes, drivable, _road_polygon(-15.0, 70.0, -3.5, 7.0), agents=[agent]
-    )
+    return _base_scene(scene_id, v0, human, (-3.5, 7.0), [shifted], agents=[agent])
 
 
 def _build_crossing_agent(scene_id, p):
     v0 = p["v0"]
     cross_x, y0, va = p["cross_x"], p["agent_y0"], p["agent_speed"]
-    human = straight_plan(v0)
     t = TICK_DT * np.arange(DENSE_TICKS)
     states = np.stack([np.full(DENSE_TICKS, cross_x), y0 - va * t, np.full(DENSE_TICKS, -math.pi / 2)], axis=1)
     agent = Agent("crossing-0", 2.3, 0.95, states, is_static=False)
-    lanes = [Lane(Polyline([[-15.0, 0.0], [70.0, 0.0]]), 1)]
-    drivable = [_road_polygon(-15.0, 70.0, -3.5, 3.5)]
-    return _base_scene(
-        scene_id, v0, human, lanes, drivable, _road_polygon(-15.0, 70.0, -3.5, 3.5), agents=[agent]
-    )
+    return _base_scene(scene_id, v0, straight_plan(v0), (-3.5, 3.5), agents=[agent])
 
 
 def _build_red_light(scene_id, p):
@@ -535,12 +537,7 @@ def _build_red_light(scene_id, p):
     human = _plan_from_profile(x_of_t, lambda t: np.zeros_like(np.asarray(t, dtype=float)))
     poly = _road_polygon(stop_x, stop_x + 12.0, -6.0, 6.0)
     light = TrafficLight("signal-0", np.full(DENSE_TICKS, PHASE_RED))
-    lanes = [Lane(Polyline([[-15.0, 0.0], [70.0, 0.0]]), 1)]
-    drivable = [_road_polygon(-15.0, 70.0, -6.0, 6.0)]
-    return _base_scene(
-        scene_id, v0, human, lanes, drivable, _road_polygon(-15.0, 70.0, -6.0, 6.0),
-        intersections=[Intersection(poly, light)],
-    )
+    return _base_scene(scene_id, v0, human, (-6.0, 6.0), intersections=[Intersection(poly, light)])
 
 
 def _build_oncoming_lane(scene_id, p):
@@ -551,12 +548,8 @@ def _build_oncoming_lane(scene_id, p):
         return lane_shift * _smoothstep((np.asarray(t) - t0) / t_change)
 
     human = _plan_from_profile(lambda t: v0 * np.asarray(t), y_of_t)
-    lanes = [
-        Lane(Polyline([[-15.0, 0.0], [70.0, 0.0]]), 1),
-        Lane(Polyline([[-15.0, lane_shift], [70.0, lane_shift]]), -1),
-    ]
-    drivable = [_road_polygon(-15.0, 70.0, -3.5, 7.0)]
-    return _base_scene(scene_id, v0, human, lanes, drivable, _road_polygon(-15.0, 70.0, -3.5, 7.0))
+    oncoming = Lane(Polyline([[-15.0, lane_shift], [70.0, lane_shift]]), -1)
+    return _base_scene(scene_id, v0, human, (-3.5, 7.0), [oncoming])
 
 
 def _build_lane_drift(scene_id, p):
@@ -567,9 +560,7 @@ def _build_lane_drift(scene_id, p):
         return drift * _smoothstep((np.asarray(t) - t0) / t_change)
 
     human = _plan_from_profile(lambda t: v0 * np.asarray(t), y_of_t)
-    lanes = [Lane(Polyline([[-15.0, 0.0], [70.0, 0.0]]), 1)]
-    drivable = [_road_polygon(-15.0, 70.0, -3.5, 3.5)]
-    return _base_scene(scene_id, v0, human, lanes, drivable, _road_polygon(-15.0, 70.0, -3.5, 3.5))
+    return _base_scene(scene_id, v0, human, (-3.5, 3.5))
 
 
 _BUILDERS = {
@@ -610,7 +601,8 @@ def save_trajectory_map(trajs: dict, path) -> None:
 
 def load_trajectory_map(path) -> dict:
     with _document(path) as doc:
-        return {k: _trajectory(v, f"trajectories.{k}") for k, v in _field(doc, "trajectories", dict).items()}
+        return {k: _from_array(Trajectory, v, f"trajectories.{k}")
+                for k, v in _field(doc, "trajectories", dict).items()}
 
 
 def save_proposal_set(proposals, path) -> None:

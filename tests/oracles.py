@@ -671,3 +671,78 @@ def kmeans(x, k, max_iters, seed, chunk=4096):
             prev_labels = labels
         centers = sums / counts[:, None]
     return centers, tuple(history), repaired
+
+
+# ---------------------------------------------------------------------------
+# Proposal-set diversity as it was computed before every corridor shared one
+# lattice: each corridor is rasterized onto its own grid, whose origin snaps
+# to a multiple of the cell, and the union resamples the grids onto the
+# smallest origin after checking that they share a lattice.
+
+
+def _snap(value, cell):
+    return math.floor(value / cell) * cell
+
+
+def _corridor_grid(xy, width, cell_size):
+    """(origin, bits indexed [iy, ix]) of the corridor of total width
+    `width` around the waypoints, consecutive duplicates dropped."""
+    keep = [0]
+    for i in range(1, len(xy)):
+        if np.hypot(*(xy[i] - xy[keep[-1]])) > 1e-9:
+            keep.append(i)
+    pts = np.asarray(xy, dtype=float)[keep]
+    radius = 0.5 * width
+    lo = pts.min(axis=0) - radius - cell_size
+    hi = pts.max(axis=0) + radius + cell_size
+    ox, oy = _snap(lo[0], cell_size), _snap(lo[1], cell_size)
+    nx = int(math.ceil((hi[0] - ox) / cell_size))
+    ny = int(math.ceil((hi[1] - oy) / cell_size))
+
+    cxs = ox + (np.arange(nx) + 0.5) * cell_size
+    cys = oy + (np.arange(ny) + 0.5) * cell_size
+    gx, gy = np.meshgrid(cxs, cys)  # (ny, nx)
+
+    if len(pts) == 1:
+        d2 = (gx - pts[0, 0]) ** 2 + (gy - pts[0, 1]) ** 2
+    else:
+        a = pts[:-1]
+        d = np.diff(pts, axis=0)
+        len2 = np.sum(d * d, axis=1)
+        rx = gx[:, :, None] - a[:, 0]
+        ry = gy[:, :, None] - a[:, 1]
+        t = np.clip((rx * d[:, 0] + ry * d[:, 1]) / len2, 0.0, 1.0)
+        qx = rx - t * d[:, 0]
+        qy = ry - t * d[:, 1]
+        d2 = np.min(qx * qx + qy * qy, axis=2)
+    return (ox, oy), d2 <= radius * radius
+
+
+def _lattice_offset(origin_a, origin_b, cell):
+    rel = (origin_b - origin_a) / cell
+    k = round(rel)
+    if abs(rel - k) > 1e-6:
+        raise ValueError("grids are not on a common cell lattice")
+    return int(k)
+
+
+def _union_count(grids, cell):
+    ox = min(origin[0] for origin, _ in grids)
+    oy = min(origin[1] for origin, _ in grids)
+    kxs = [_lattice_offset(ox, origin[0], cell) for origin, _ in grids]
+    kys = [_lattice_offset(oy, origin[1], cell) for origin, _ in grids]
+    nx = max(kx + bits.shape[1] for kx, (_, bits) in zip(kxs, grids))
+    ny = max(ky + bits.shape[0] for ky, (_, bits) in zip(kys, grids))
+    union = np.zeros((ny, nx), dtype=bool)
+    for kx, ky, (_, bits) in zip(kxs, kys, grids):
+        union[ky : ky + bits.shape[0], kx : kx + bits.shape[1]] |= bits
+    return int(np.count_nonzero(union))
+
+
+def diversity(proposals, cell_size):
+    """One minus the mean IoU of each proposal's 2 m corridor against the
+    union, on grids of cell `cell_size`."""
+    grids = [_corridor_grid(p.xy, 2.0, cell_size) for p in proposals]
+    union_count = _union_count(grids, cell_size)
+    ratios = np.array([int(np.count_nonzero(bits)) / union_count for _, bits in grids])
+    return float(1.0 - ratios.mean())

@@ -166,9 +166,9 @@ def _parallel_corridors(n, spacing=10.0):
 def test_criterion_5_diversity_analytics():
     with _timed(5.0) as t:
         same = _parallel_corridors(1)[0]
-        assert diversity([same, same, same], cell_size=0.25) == 0.0
-        assert diversity(_parallel_corridors(2), cell_size=0.25) == pytest.approx(0.5, abs=0.02)
-        assert diversity(_parallel_corridors(8), cell_size=0.25) == pytest.approx(0.875, abs=0.02)
+        assert diversity([same, same, same]) == 0.0
+        assert diversity(_parallel_corridors(2)) == pytest.approx(0.5, abs=0.02)
+        assert diversity(_parallel_corridors(8)) == pytest.approx(0.875, abs=0.02)
     _report(5, "diversity analytics", t, "identical, 2-disjoint, 8-disjoint corridors")
 
 

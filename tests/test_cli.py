@@ -93,8 +93,8 @@ class TestScore:
         tmap = tmp_path / "map.json"
         save_trajectory_map({"some-other-id": straight_plan(10.0)}, tmap)
         code = main(["score", "--scenes", str(d), "--traj", str(tmap), "--out", str(tmp_path / "r.json")])
-        assert code != 0
-        assert "no trajectory for scene" in capsys.readouterr().err
+        assert code == 1
+        assert only_error_line(capsys) == "error: no trajectory for scene 'clean_straight-00000' (and no '*' default)"
 
     def test_non_object_json_fails_without_traceback(self, clean_dir, tmp_path, capsys):
         tmap = tmp_path / "trajs.json"
@@ -274,32 +274,46 @@ class TestDistillCmd:
 
 
 class TestSelectCmd:
-    def test_frame_sequence(self, tmp_path):
+    PROPS = [straight_plan(10.0), straight_plan(6.0)]
+
+    def _run(self, tmp_path, frame_ids, score_ids):
+        """select over 3 clean scenes, with frames and scores for the given scene ids."""
         d = tmp_path / "scenes"
         d.mkdir()
-        ids = []
         for seed in range(3):
             scene = generate_scene(SyntheticSpec("clean_straight", seed=seed, params={"v0": 10.0}))
             save_scene(scene, d / f"{scene.scene_id}.json")
-            ids.append(scene.scene_id)
-        props = [straight_plan(10.0), straight_plan(6.0)]
         frames = {
             "schema_version": 1,
-            "frames": [{"scene_id": i, "proposals": [p.poses.tolist() for p in props]} for i in ids],
+            "frames": [{"scene_id": i, "proposals": [p.poses.tolist() for p in self.PROPS]} for i in frame_ids],
         }
         (tmp_path / "frames.json").write_text(json.dumps(frames))
         scores = {
             "schema_version": 1,
-            "frames": [{"scene_id": i, "scores": [0.9, 0.6]} for i in ids],
+            "frames": [{"scene_id": i, "scores": [0.9, 0.6]} for i in score_ids],
         }
         (tmp_path / "scores.json").write_text(json.dumps(scores))
         out = tmp_path / "selected.txt"
         code = main(["select", "--scenes", str(d), "--proposals", str(tmp_path / "frames.json"),
                      "--scores", str(tmp_path / "scores.json"), "--out", str(out)])
+        return code, out
+
+    def test_frame_sequence(self, tmp_path):
+        ids = [f"clean_straight-{seed:05d}" for seed in range(3)]
+        code, out = self._run(tmp_path, ids, ids)
         assert code == 0
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 3
         assert all(line.split("\t")[1] == "0" for line in lines)
+
+    @pytest.mark.parametrize("frame_ids, score_ids, message", [
+        (["ghost"], ["ghost"], "frame references unknown scene 'ghost'"),
+        (["clean_straight-00001"], ["clean_straight-00000"], "no scores for scene 'clean_straight-00001'"),
+    ])
+    def test_missing_scene_fails_with_one_error_line(self, tmp_path, capsys, frame_ids, score_ids, message):
+        code, _ = self._run(tmp_path, frame_ids, score_ids)
+        assert code == 1
+        assert only_error_line(capsys) == f"error: {message}"
 
 
 class TestDiversityCmd:
@@ -309,7 +323,7 @@ class TestDiversityCmd:
         b = Trajectory(np.stack([10 * t, np.full(8, 12.0), np.zeros(8)], axis=1))
         path = tmp_path / "props.json"
         save_proposal_set([a, b], path)
-        assert main(["diversity", "--proposals", str(path), "--cell", "0.25"]) == 0
+        assert main(["diversity", "--proposals", str(path)]) == 0
         printed = float(capsys.readouterr().out.strip())
         assert printed == pytest.approx(0.5, abs=0.02)
 

@@ -3,8 +3,9 @@
 The references in oracles.py keep the arithmetic of the per-call paths as
 they were before per-scene geometry was precomputed, the PID tick schedule
 cached, the lane projections shared between DDC and LK and the comfort
-profiles folded into HC, and of k-means before its seeding distances were
-summed over a transposed copy and its loop-invariant terms hoisted.  The
+profiles folded into HC, of k-means before its seeding distances were
+summed over a transposed copy and its loop-invariant terms hoisted, and of
+diversity before every corridor was rasterized on one shared lattice.  The
 scene transform keeps its own copy of the rigid frame change, as it had
 before it shared geom.to_world with trajectory_to_world.  Every
 comparison here is on the bytes of the float64 values, so -0.0 against 0.0
@@ -349,3 +350,30 @@ def test_kmeans_on_identical_trajectories_matches_oracle():
     # every distance is 0 from the first center on, the total <= 0 draw
     xy = np.tile(np.cumsum(np.full((8, 2), 1.5), axis=0), (40, 1, 1))
     assert _assert_kmeans_matches_oracle(xy, k=5, seed=7) > 0
+
+
+def _proposal_set(rng):
+    """1-12 proposals of 1-8 waypoints, spanning 1-50 m (2% of sets 50-300
+    m) about an origin up to 500 m away; a fifth of the sets has every
+    waypoint on the 0.25 m lattice."""
+    origin = rng.uniform(-500.0, 500.0, size=2)
+    span = rng.uniform(50.0, 300.0) if rng.random() < 0.02 else math.exp(rng.uniform(0.0, math.log(50.0)))
+    heading = rng.uniform(-math.pi, math.pi) if rng.random() < 0.05 else rng.normal(0.0, 0.05)
+    on_lattice = rng.random() < 0.2
+    proposals = []
+    for _ in range(rng.integers(1, 13)):
+        m = int(rng.integers(1, 9))
+        psi = heading + np.cumsum(rng.normal(0.0, 0.05, size=m))
+        xy = origin + np.cumsum(span / max(m - 1, 1) * np.column_stack([np.cos(psi), np.sin(psi)]), axis=0)
+        if on_lattice:
+            xy = np.round(xy * 4.0) / 4.0
+        proposals.append(Trajectory(np.column_stack([xy, np.zeros(m)])))
+    return proposals
+
+
+def test_diversity_matches_per_grid_oracle():
+    # one shared lattice against a grid per corridor resampled onto the union
+    rng = np.random.default_rng(59)
+    for trial in range(1000):
+        proposals = _proposal_set(rng)
+        assert metrics.diversity(proposals).hex() == oracles.diversity(proposals, 0.25).hex(), trial

@@ -5,15 +5,12 @@ import numpy as np
 import pytest
 
 from trajsim.geom import (
-    OccupancyGrid,
     OrientedBox,
     Polygon,
     Polyline,
     Pose,
     arc_length,
     arc_positions,
-    buffer_rasterize,
-    grid_union,
     obb_overlap_batch,
     wrap_angle,
     xy_in_polygon,
@@ -168,89 +165,6 @@ class TestBoxInPolygons:
         scene = generate_scene(SyntheticSpec("clean_straight", seed=0))
         with pytest.raises(ValueError, match="drivable"):
             dataclasses.replace(scene, drivable=[])
-
-
-class TestBufferRasterize:
-    def test_single_point_disc(self):
-        grid = buffer_rasterize(Polyline([[3.0, -2.0]]), width=2.0, cell_size=0.25)
-        area = grid.count() * grid.cell_size**2
-        assert area == pytest.approx(math.pi, rel=0.10)
-
-    def test_straight_segment_capsule(self):
-        grid = buffer_rasterize(Polyline([[0, 0], [10, 0]]), width=2.0, cell_size=0.1)
-        area = grid.count() * grid.cell_size**2
-        assert area == pytest.approx(oracles.capsule_area(10, 2), rel=0.05)
-
-    def test_error_shrinks_with_cell_size(self):
-        exact = oracles.capsule_area(10, 2)
-        errs = []
-        for cell in (0.5, 0.05):
-            grid = buffer_rasterize(Polyline([[0, 0], [10, 0]]), width=2.0, cell_size=cell)
-            errs.append(abs(grid.count() * cell**2 - exact))
-        assert errs[1] < errs[0]
-
-    def test_zero_cell_size_rejected(self):
-        with pytest.raises(ValueError):
-            buffer_rasterize(Polyline([[0, 0], [1, 0]]), width=2.0, cell_size=0.0)
-
-    def test_occupied_cells_satisfy_distance_bound(self):
-        line = Polyline([[0, 0], [4, 3], [8, 1]])
-        grid = buffer_rasterize(line, width=2.0, cell_size=0.25)
-        ys, xs = np.nonzero(grid.bits)
-        cx = grid.origin[0] + (xs + 0.5) * grid.cell_size
-        cy = grid.origin[1] + (ys + 0.5) * grid.cell_size
-        for x, y in zip(cx, cy):
-            _, d = oracles.dense_projection(line.points, (x, y), samples=20_000)
-            assert d <= 1.0 + 1e-6
-
-
-class TestGridIou:
-    """The corridor union that diversity divides each corridor's area by."""
-
-    def _row_grid(self, occupied, width=31, x0=0.0):
-        bits = np.zeros((1, width), dtype=bool)
-        bits[0, list(occupied)] = True
-        return OccupancyGrid(origin=(x0, 0.0), cell_size=0.25, width=width, height=1, bits=bits)
-
-    def test_self_iou_is_one(self):
-        g = self._row_grid(range(1, 21))
-        union = grid_union([g, g])
-        assert union.origin == g.origin and np.array_equal(union.bits, g.bits)
-
-    def test_disjoint_grids(self):
-        assert grid_union([self._row_grid(range(0, 5)), self._row_grid(range(20, 25))]).count() == 10
-
-    def test_hand_counted_overlap(self):
-        a = self._row_grid(range(1, 21))
-        b = self._row_grid(range(11, 31))
-        assert grid_union([a, b]).count() == 30
-
-    def test_empty_union_is_zero(self):
-        assert grid_union([self._row_grid([]), self._row_grid([])]).count() == 0
-
-    def test_mismatched_cell_size_rejected(self):
-        a = self._row_grid(range(3))
-        b = OccupancyGrid(origin=(0.0, 0.0), cell_size=0.5, width=4, height=1, bits=np.ones((1, 4), bool))
-        with pytest.raises(ValueError):
-            grid_union([a, b])
-
-    def test_monotone_under_shared_occupancy(self):
-        a = self._row_grid(range(0, 10))
-        b = self._row_grid(range(5, 15))
-        grown_a = self._row_grid(list(range(0, 10)) + [20])
-        grown_b = self._row_grid(list(range(5, 15)) + [20])
-        assert grid_union([grown_a, grown_b]).count() == grid_union([a, b]).count() + 1
-
-    def test_offset_origins_resampled(self):
-        a = buffer_rasterize(Polyline([[0, 0], [5, 0]]), 2.0, 0.25)
-        b = buffer_rasterize(Polyline([[40, 40], [45, 40]]), 2.0, 0.25)
-        union = grid_union([a, b])
-        assert union.count() == a.count() + b.count()
-        # a one-cell shift lands on the same lattice, a third of a cell does not
-        shifted = self._row_grid(range(0, 4), width=4, x0=0.25)
-        assert grid_union([self._row_grid(range(0, 4), width=4), shifted]).count() == 5
-        with pytest.raises(ValueError):
-            grid_union([self._row_grid([0]), self._row_grid([0], x0=0.25 / 3)])
 
 
 class TestPolyline:

@@ -14,6 +14,7 @@ from trajsim.kinematics import (
     pid_track,
     trajectory_to_world,
 )
+from trajsim import metrics
 from trajsim.metrics import (
     PHASE_GREEN,
     PHASE_RED,
@@ -376,6 +377,61 @@ class TestDiversity:
     def test_nonidentical_corridors_positive(self):
         # overlapping but distinct corridors must yield strictly positive D
         assert diversity([self._straight(0.0), self._straight(1.0)]) > 0.0
+
+
+def _cells_area(xy) -> float:
+    """Area of the corridor cells around the waypoints xy."""
+    _, cells = metrics._corridor_cells(np.asarray(xy, dtype=float))
+    return np.count_nonzero(cells) * metrics._CELL_M**2
+
+
+class TestCorridorCells:
+    def test_single_point_disc(self):
+        assert _cells_area([[3.0, -2.0]]) == pytest.approx(math.pi, rel=0.10)
+
+    def test_straight_segment_capsule(self):
+        assert _cells_area([[0, 0], [10, 0]]) == pytest.approx(oracles.capsule_area(10, 2), rel=0.05)
+
+    def test_occupied_cells_satisfy_distance_bound(self):
+        line = np.array([[0.0, 0.0], [4.0, 3.0], [8.0, 1.0]])
+        lo, cells = metrics._corridor_cells(line)
+        for ix, iy in zip(*np.nonzero(cells)):
+            center = (lo + (ix, iy) + 0.5) * metrics._CELL_M
+            _, d = oracles.dense_projection(line, center, samples=20_000)
+            assert d <= 1.0 + 1e-6
+
+
+class TestCorridorUnion:
+    """The corridor union that diversity divides each corridor's area by.
+
+    A one-point proposal on a lattice point covers 52 cells: the centers
+    (a, b) / 8 m with a, b odd and a^2 + b^2 <= 64, that is 4, 6, 8, 8, 8,
+    8, 6 and 4 cells in the columns a = -7, -5, ..., 7.
+    """
+
+    @staticmethod
+    def _dot(x, y=0.0):
+        return Trajectory([[x, y, 0.0]])
+
+    def test_disc_cell_count(self):
+        assert np.count_nonzero(metrics._corridor_cells(self._dot(0.0).xy)[1]) == 52
+
+    def test_self_union_is_the_corridor(self):
+        assert diversity([self._dot(0.0), self._dot(0.0)]) == 0.0
+
+    def test_disjoint_corridors(self):
+        # union 104 cells: each corridor is half of it
+        assert diversity([self._dot(0.0), self._dot(40.0, 40.0)]) == 0.5
+
+    def test_hand_counted_overlap(self):
+        # two cells (0.5 m) apart, the union's columns a = -7, ..., 11 hold
+        # 4, 6, 8, 8, 8, 8, 8, 8, 6 and 4 cells: 68
+        assert diversity([self._dot(0.0), self._dot(0.5)]) == 1.0 - 52 / 68
+
+    def test_monotone_while_sliding_apart(self):
+        ds = [diversity([self._dot(0.0), self._dot(0.25 * k)]) for k in range(11)]
+        assert ds[0] == 0.0 and ds[8:] == [0.5] * 3
+        assert all(a < b for a, b in zip(ds[:8], ds[1:9]))
 
 
 def rollout_to_world(d: DenseTrajectory, frame: Pose) -> DenseTrajectory:

@@ -1,8 +1,16 @@
+import contextlib
+import copy
+import functools
+import io
 import json
+import operator
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from trajsim.cli import main
 from trajsim.geom import Pose
@@ -28,6 +36,11 @@ from trajsim.scene_io import (
 )
 
 
+def doc_json(scene) -> str:
+    # float repr round-trips, so equal text means equal bits (and -0.0 shows)
+    return json.dumps(scene_to_doc(scene))
+
+
 @pytest.fixture
 def scene():
     return generate_scene(SyntheticSpec("parked_agent", seed=12))
@@ -37,7 +50,7 @@ class TestRoundTrip:
     def test_save_load_equal(self, scene, tmp_path):
         path = tmp_path / "scene.json"
         save_scene(scene, path)
-        assert load_scene(path) == scene
+        assert doc_json(load_scene(path)) == doc_json(scene)
 
     def test_serialization_byte_stable(self, scene, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -198,15 +211,112 @@ class TestWrongJsonType:
         assert not (tmp_path / "r.json").exists()
 
 
+# Constructor errors name the field the constructor's input was read from.
+UNNAMED_BY_CONSTRUCTOR = [
+    (("route_polygon_m", 0, 0), float("nan"), "route_polygon_m: polygon vertices must be finite"),
+    (("route_polyline_m",), [], "route_polyline_m: polyline needs at least 1 planar point"),
+    (("drivable_polygons_m", 0), [[0.0, 0.0]], "drivable_polygons_m[0]: polygon needs at least 3 planar vertices"),
+    (("drivable_polygons_m",), [], "drivable_polygons_m must hold at least one polygon"),
+    (("lanes", 1, "centerline_m"), [[0.0, 0.0]], "lanes[1]: lane centerline needs at least 2 points"),
+    (("lanes", 0, "centerline_m", 1, 0), float("inf"), "lanes[0].centerline_m: polyline points must be finite"),
+    (("agents", 0, "half_width_m"), 0.0, "agents[0]: agent 'parked-0': half_width must be finite and positive"),
+]
+
+
+def fuzz_base(template):
+    return scene_to_doc(generate_scene(SyntheticSpec(template, seed=1)))
+
+
+# a parked agent, two lanes and a red light cover every kind of scene field
+FUZZ_BASES = [fuzz_base("parked_agent"), fuzz_base("red_light")]
+
+
+def value_paths(node, prefix=()):
+    """The path of every value below `node` in a JSON document."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    paths = []
+    for key, value in items:
+        paths.append(prefix + (key,))
+        paths.extend(value_paths(value, prefix + (key,)))
+    return paths
+
+
+@st.composite
+def mutated_docs(draw):
+    """(path, document): a valid scene document with the value at `path`
+    replaced by a wrong JSON type, removed, nested one level deeper, made
+    non-finite or emptied."""
+    doc = copy.deepcopy(draw(st.sampled_from(FUZZ_BASES)))
+    path = draw(st.sampled_from(value_paths(doc)))
+    parent = functools.reduce(operator.getitem, path[:-1], doc)
+    key, value = path[-1], parent[path[-1]]
+    kind = draw(st.sampled_from(["type", "missing", "nesting", "non_finite", "empty"]))
+    if kind == "missing":
+        del parent[key]
+    else:
+        parent[key] = draw(st.sampled_from({
+            "type": ["x", 7, -1.5, True, None, {}, [[0.5]]],
+            "nesting": [[value], {"value": value}],
+            "non_finite": [float("nan"), float("inf"), float("-inf")],
+            "empty": [[], {}, ""],
+        }[kind]))
+    # through the text, as a scene file is read: json writes NaN and Infinity
+    # as the bare literals its parser accepts back
+    return path, json.loads(json.dumps(doc))
+
+
+def score_stderr(doc):
+    """(exit code, stderr lines) of `trajsim score` on a directory holding
+    only the scene document `doc`."""
+    with tempfile.TemporaryDirectory() as tmp:
+        scenes = Path(tmp) / "scenes"
+        scenes.mkdir()
+        (scenes / "bad.json").write_text(json.dumps(doc))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["score", "--scenes", str(scenes), "--traj", "human", "--out", str(Path(tmp) / "r.json")])
+    return code, err.getvalue().splitlines()
+
+
+FUZZ = settings(max_examples=300, deadline=None, derandomize=True)
+
+
+class TestMutatedDocument:
+    @pytest.mark.parametrize("where, value, message", UNNAMED_BY_CONSTRUCTOR)
+    def test_constructor_error_names_the_field(self, scene, where, value, message):
+        with pytest.raises(SceneFormatError, match=re.escape(message)):
+            scene_from_doc(doc_with(scene, where, value))
+
+    @FUZZ
+    @given(mutated_docs())
+    def test_loads_or_names_a_field_on_the_path(self, mutation):
+        path, doc = mutation
+        try:
+            scene_from_doc(doc)
+        except SceneFormatError as exc:
+            assert any(isinstance(key, str) and key in str(exc) for key in path), (path, str(exc))
+
+    @settings(FUZZ, max_examples=40)
+    @given(mutated_docs())
+    def test_score_exits_0_or_1_with_one_error_line(self, mutation):
+        code, err = score_stderr(mutation[1])
+        assert (code, err) == (0, []) or (code == 1 and len(err) == 1 and err[0].startswith("error: ")), err
+
+    @pytest.mark.parametrize("where, value, message", UNNAMED_BY_CONSTRUCTOR[:4])
+    def test_score_exits_1_with_the_named_error_line(self, scene, where, value, message):
+        code, err = score_stderr(doc_with(scene, where, value))
+        assert code == 1 and len(err) == 1 and err[0].endswith(f"bad.json: {message}"), err
+
+
 class TestGenerator:
     def test_same_spec_identical_scenes(self):
         spec = SyntheticSpec("crossing_agent", seed=4)
-        assert generate_scene(spec) == generate_scene(spec)
+        assert doc_json(generate_scene(spec)) == doc_json(generate_scene(spec))
 
     def test_seeds_differ(self):
         a = generate_scene(SyntheticSpec("clean_straight", seed=1))
         b = generate_scene(SyntheticSpec("clean_straight", seed=2))
-        assert a != b
+        assert doc_json(a) != doc_json(b)
 
     def test_param_pinning_and_ranges(self):
         pinned = generate_scene(SyntheticSpec("clean_straight", seed=3, params={"v0": 9.0}))
