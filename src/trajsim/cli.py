@@ -132,7 +132,10 @@ def cmd_select(args) -> int:
         if scene_id not in score_map:
             raise ValueError(f"no scores for scene {scene_id!r}")
         scene = scenes[scene_id]
-        ps = selection.ProposalSet(tuple(proposals), score_map[scene_id])
+        try:
+            ps = selection.ProposalSet(tuple(proposals), score_map[scene_id])
+        except ValueError as exc:
+            raise ValueError(f"frame {scene_id!r}: {exc}") from None
         idx, winner, recal = selection.select(ps, state, scene)
         lines.append(f"{scene_id}\t{idx}\t{recal[idx]:.6f}")
         state = selection.SelectionState(previous_selected=ego_rollout(winner, scene.ego_init),

@@ -28,9 +28,24 @@ __all__ = [
     "arc_positions",
     "nearest_segments",
     "segments_intersect_batch",
+    "COORD_LIMIT_M",
 ]
 
 _EDGE_EPS = 1e-9
+
+# The largest magnitude accepted for a coordinate (m), and for a box half
+# extent (m) or the ego speed (m/s).  Map frames stay far below it (UTM
+# northings are under 1e7 m), and below it the squares and products the
+# geometry and the rules form cannot overflow float64.
+COORD_LIMIT_M = 1e9
+
+
+def _coord_error(what: str, values) -> ValueError:
+    """The error for `values` that are not all finite and at most
+    COORD_LIMIT_M in magnitude; `what` names them."""
+    if not np.all(np.isfinite(values)):
+        return ValueError(f"{what} must be finite")
+    return ValueError(f"{what} must be at most {COORD_LIMIT_M:g} in magnitude")
 
 
 def wrap_angle(a: float) -> float:
@@ -57,8 +72,8 @@ class Pose:
     psi: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y) and math.isfinite(self.psi)):
-            raise ValueError(f"pose components must be finite, got ({self.x}, {self.y}, {self.psi})")
+        if not (abs(self.x) <= COORD_LIMIT_M and abs(self.y) <= COORD_LIMIT_M and math.isfinite(self.psi)):
+            raise _coord_error(f"pose components ({self.x}, {self.y}, {self.psi})", (self.x, self.y, self.psi))
         object.__setattr__(self, "psi", wrap_angle(self.psi))
 
 
@@ -96,8 +111,8 @@ class Polygon:
         v = np.asarray(vertices, dtype=float)
         if v.ndim != 2 or v.shape[1] != 2 or v.shape[0] < 3:
             raise ValueError("polygon needs at least 3 planar vertices")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("polygon vertices must be finite")
+        if not (np.abs(v) <= COORD_LIMIT_M).all():
+            raise _coord_error("polygon vertices", v)
         area2 = float(np.sum(v[:, 0] * np.roll(v[:, 1], -1) - np.roll(v[:, 0], -1) * v[:, 1]))
         if abs(area2) < 1e-12:
             raise ValueError("polygon is degenerate (zero area)")
@@ -151,8 +166,8 @@ class Polyline:
         p = np.asarray(points, dtype=float)
         if p.ndim != 2 or p.shape[1] != 2 or p.shape[0] < 1:
             raise ValueError("polyline needs at least 1 planar point")
-        if not np.all(np.isfinite(p)):
-            raise ValueError("polyline points must be finite")
+        if not (np.abs(p) <= COORD_LIMIT_M).all():
+            raise _coord_error("polyline points", p)
         if len(p) > 1:
             seg = np.linalg.norm(np.diff(p, axis=0), axis=1)
             if np.any(seg <= _EDGE_EPS):

@@ -5,8 +5,10 @@ the origin of its own frame at time t).  Metrics never consume plans
 directly; they consume the 41-state, 10 Hz rollout produced by tracking the
 plan with a PID-controlled kinematic bicycle.  ``ego_rollout`` is that step
 for an ego-frame plan: it places the plan at the initial pose and tracks it
-in the world frame, and it is the one place the library does so (EP's
-reference, distillation rows, selection comfort and the CLI all call it).
+in the world frame (EP's reference, distillation rows and the CLI all call
+it).  The tracking loop itself is one generator, ``_pid_ticks``, that yields
+each state as it is computed: ``pid_track`` collects all 40, and selection
+comfort stops at the first tick that fails it.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geom import Pose, to_world, wrap_angle
+from .geom import COORD_LIMIT_M, Pose, _coord_error, to_world, wrap_angle
 
 __all__ = [
     "Trajectory",
@@ -47,8 +49,8 @@ class Trajectory:
         p = np.asarray(poses, dtype=float)
         if p.ndim != 2 or p.shape[1] != 3 or p.shape[0] < 1:
             raise ValueError("trajectory needs an (M, 3) array of waypoints")
-        if not np.all(np.isfinite(p)):
-            raise ValueError("trajectory waypoints must be finite")
+        if not (np.abs(p) <= COORD_LIMIT_M).all():  # headings too, which keeps it one test
+            raise _coord_error("trajectory waypoints", p)
         self.poses = p
         self.poses.setflags(write=False)
 
@@ -80,8 +82,8 @@ class EgoState:
     steer: float = 0.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.v) and self.v >= 0):
-            raise ValueError(f"speed v must be finite and non-negative, got {self.v}")
+        if not 0 <= self.v <= COORD_LIMIT_M:
+            raise ValueError(f"speed v must be finite and non-negative, at most {COORD_LIMIT_M:g}, got {self.v}")
         if not math.isfinite(self.a):
             raise ValueError(f"acceleration a must be finite, got {self.a}")
         if not math.isfinite(self.steer):
@@ -165,16 +167,13 @@ def _tick_schedule(m: int) -> tuple:
     return tuple(out)
 
 
-def pid_track(plan: Trajectory, init: EgoState, cfg: KinematicsConfig | None = None) -> DenseTrajectory:
-    """Track a sparse plan for 40 ticks of 0.1 s, returning 41 states.
+def _pid_ticks(plan: Trajectory, init: EgoState, cfg: KinematicsConfig | None = None):
+    """The PID tracking loop of ``pid_track``, one control step at a time.
 
-    Longitudinal: PID on the gap between the time-interpolated target arc
-    length and the distance actually traveled.  Lateral: PD steering from the
-    cross-track error to the time-interpolated target pose, damped by the
-    heading mismatch scaled by speed.  Targets interpolate linearly in time
-    between the plan nodes (init is the node at t=0); heading interpolates
-    along the shortest arc.  Plan and init must share one frame.
-    Deterministic; infeasible plans saturate the commands and roll out as-is.
+    Yields (x, y, psi, v, a, steer) after each of the 40 steps, so a caller
+    that has seen enough (selection stops at the first tick that breaks
+    extended comfort) can stop the rollout there.  The plan is checked when
+    the first step is asked for.
     """
     if plan.m < 2:
         raise ValueError("plan needs at least 2 waypoints")
@@ -208,7 +207,6 @@ def pid_track(plan: Trajectory, init: EgoState, cfg: KinematicsConfig | None = N
     tau = math.tau
 
     x, y, psi, v = init.pose.x, init.pose.y, init.pose.psi, init.v
-    xs, ys, psis, vs, accs, steers = [x], [y], [psi], [v], [init.a], [init.steer]
     traveled = 0.0
     e_s_prev = 0.0
     e_s_int = 0.0
@@ -258,14 +256,22 @@ def pid_track(plan: Trajectory, init: EgoState, cfg: KinematicsConfig | None = N
         if not v > 0.0:  # max(0.0, v), which also turns -0.0 into 0.0
             v = 0.0
         traveled += step
-        xs.append(x)
-        ys.append(y)
-        psis.append(psi)
-        vs.append(v)
-        accs.append(a)
-        steers.append(steer)
+        yield x, y, psi, v, a, steer
 
-    return DenseTrajectory(xs, ys, psis, vs, accs, steers)
+
+def pid_track(plan: Trajectory, init: EgoState, cfg: KinematicsConfig | None = None) -> DenseTrajectory:
+    """Track a sparse plan for 40 ticks of 0.1 s, returning 41 states.
+
+    Longitudinal: PID on the gap between the time-interpolated target arc
+    length and the distance actually traveled.  Lateral: PD steering from the
+    cross-track error to the time-interpolated target pose, damped by the
+    heading mismatch scaled by speed.  Targets interpolate linearly in time
+    between the plan nodes (init is the node at t=0); heading interpolates
+    along the shortest arc.  Plan and init must share one frame.
+    Deterministic; infeasible plans saturate the commands and roll out as-is.
+    """
+    first = (init.pose.x, init.pose.y, init.pose.psi, init.v, init.a, init.steer)
+    return DenseTrajectory(*zip(first, *_pid_ticks(plan, init, cfg)))
 
 
 def finite_difference(values: np.ndarray, dt: float) -> np.ndarray:

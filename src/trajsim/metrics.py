@@ -18,14 +18,15 @@ recompute it and never receive another rollout's geometry.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .geom import (
+    COORD_LIMIT_M,
     Polygon,
     Polyline,
+    _coord_error,
     arc_length,
     arc_positions,
     nearest_segments,
@@ -85,13 +86,14 @@ class Agent:
 
     def __init__(self, id, half_length, half_width, states, is_static=False):
         for name, value in (("half_length", half_length), ("half_width", half_width)):
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"agent {id!r}: {name} must be finite and positive, got {value}")
+            if not 0 < value <= COORD_LIMIT_M:
+                raise ValueError(f"agent {id!r}: {name} must be finite and positive, at most {COORD_LIMIT_M:g}, "
+                                 f"got {value}")
         s = np.asarray(states, dtype=float)
         if s.shape != (DENSE_TICKS, 3):
             raise ValueError(f"agent {id!r}: states must be ({DENSE_TICKS}, 3), got {s.shape}")
-        if not np.isfinite(s).all():
-            raise ValueError(f"agent {id!r}: states must be finite")
+        if not (np.abs(s) <= COORD_LIMIT_M).all():  # headings too, which keeps it one test
+            raise _coord_error(f"agent {id!r}: states", s)
         self.id = id
         self.half_length = float(half_length)
         self.half_width = float(half_width)
@@ -170,8 +172,8 @@ class Scene:
             raise ValueError(f"command must be one of {COMMANDS}")
         for name in ("ego_half_length", "ego_half_width"):
             value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and positive, got {value}")
+            if not 0 < value <= COORD_LIMIT_M:
+                raise ValueError(f"{name} must be finite and positive, at most {COORD_LIMIT_M:g}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -539,28 +541,51 @@ def score_hc(d: DenseTrajectory, ctx: ScoreContext) -> float:
     return 1.0 if ok else 0.0
 
 
+def _ec_breaks(d_prev: DenseTrajectory, frame_gap: int, cfg: MetricConfig):
+    """Extended comfort's per-tick test against the previous frame's rollout.
+
+    ``breaks(k, x, y, psi, v)`` says whether the new rollout's state at tick
+    k is beyond a tolerance from ``d_prev`` at tick k + frame_gap.  It is the
+    one definition of that test: ``score_ec`` applies it to every compared
+    tick, and selection applies it tick by tick as a rollout is computed.
+    The arithmetic is that of the array form (numpy's hypot, a floored
+    remainder, plain differences), and a tick breaks unless each error is
+    <= its tolerance, so a NaN error breaks, as it fails a max() test.
+    """
+    px = d_prev.x[frame_gap:].tolist()
+    py = d_prev.y[frame_gap:].tolist()
+    ppsi = d_prev.psi[frame_gap:].tolist()
+    pv = d_prev.v[frame_gap:].tolist()
+    pos_m, heading_rad, speed_mps = cfg.ec_pos_m, cfg.ec_heading_rad, cfg.ec_speed_mps
+    hypot = np.hypot
+    pi = np.pi
+    tau = 2 * np.pi
+
+    def breaks(k, x, y, psi, v) -> bool:
+        return not (
+            abs(v - pv[k]) <= speed_mps
+            and abs((psi - ppsi[k] + pi) % tau - pi) <= heading_rad
+            and hypot(x - px[k], y - py[k]) <= pos_m
+        )
+
+    return breaks
+
+
 def score_ec(
     d_now: DenseTrajectory,
     d_prev: DenseTrajectory | None,
     frame_gap: int = 5,
     cfg: MetricConfig = _DEFAULT_METRIC_CFG,
 ) -> float:
-    """Extended comfort: agreement with the previous frame's plan."""
+    """Extended comfort: agreement with the previous frame's plan, 0.0 if
+    any tick k < 41 - frame_gap breaks a tolerance (see ``_ec_breaks``)."""
     if d_prev is None:
         return 1.0
     if not 0 <= frame_gap < DENSE_TICKS:
         raise ValueError("frame_gap must be in [0, 41)")
-    n = DENSE_TICKS - frame_gap
-    dx = d_now.x[:n] - d_prev.x[frame_gap:]
-    dy = d_now.y[:n] - d_prev.y[frame_gap:]
-    dpsi = np.abs(np.remainder(d_now.psi[:n] - d_prev.psi[frame_gap:] + np.pi, 2 * np.pi) - np.pi)
-    dv = np.abs(d_now.v[:n] - d_prev.v[frame_gap:])
-    ok = (
-        np.hypot(dx, dy).max() <= cfg.ec_pos_m
-        and dpsi.max() <= cfg.ec_heading_rad
-        and dv.max() <= cfg.ec_speed_mps
-    )
-    return 1.0 if ok else 0.0
+    breaks = _ec_breaks(d_prev, frame_gap, cfg)
+    ticks = list(zip(d_now.x.tolist(), d_now.y.tolist(), d_now.psi.tolist(), d_now.v.tolist()))
+    return 0.0 if any(breaks(k, *tick) for k, tick in enumerate(ticks[:DENSE_TICKS - frame_gap])) else 1.0
 
 
 def aggregate_pdms(sub: SubScores) -> float:

@@ -251,13 +251,16 @@ def scene_from_doc(doc: dict) -> Scene:
         ]
         if not drivable:
             raise SceneFormatError("drivable_polygons_m must hold at least one polygon")
+        route = _from_array(Polyline, _field(doc, "route_polyline_m"), "route_polyline_m")
+        if len(route) < 2:  # which Scene would reject without naming the field
+            raise SceneFormatError("route_polyline_m: route needs at least 2 points")
         scene = Scene(
             scene_id=_field(doc, "scene_id", str),
             ego_init=_state_from(_field(ego, "init", where="ego"), "ego.init"),
             ego_history=[_state_from(s, f"ego.history[{i}]") for i, s in enumerate(history)],
             agents=agents,
             drivable=drivable,
-            route=_from_array(Polyline, _field(doc, "route_polyline_m"), "route_polyline_m"),
+            route=route,
             route_polygon=_from_array(Polygon, _field(doc, "route_polygon_m"), "route_polygon_m"),
             lanes=[
                 _built(

@@ -2,18 +2,22 @@
 
 Proposal scores arrive from outside (e.g., a learned scorer); this module
 recalibrates them with a cross-frame distortion comfort term and picks the
-argmax.  Comfort reuses the extended-comfort pass/fail machinery so there is
-exactly one definition of frame-to-frame distortion in the package.
+argmax.  Comfort reuses the extended-comfort per-tick test, so there is
+exactly one definition of frame-to-frame distortion in the package.  Comfort
+is pass/fail and fails at the first tick that breaks a tolerance, so each
+proposal's rollout stops there; the scores are those of rolling every
+proposal out in full and calling ``score_ec``.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .kinematics import DenseTrajectory, KinematicsConfig, ego_rollout
-from .metrics import MetricConfig, Scene, score_ec
+from .kinematics import DENSE_TICKS, DenseTrajectory, KinematicsConfig, _pid_ticks, trajectory_to_world
+from .metrics import MetricConfig, Scene, _ec_breaks
 
 __all__ = ["ProposalSet", "SelectionState", "comfort_scores", "recalibrate", "select"]
 
@@ -33,6 +37,9 @@ class ProposalSet:
             raise ValueError("scores must align one-to-one with proposals")
         if not np.all((scores >= 0.0) & (scores <= 1.0)):  # also rejects NaN
             raise ValueError("scores must lie in [0, 1]")
+        for i, proposal in enumerate(self.proposals):
+            if proposal.m < 2:
+                raise ValueError(f"proposals[{i}] needs at least 2 waypoints, got {proposal.m}")
         object.__setattr__(self, "scores", scores)
         scores.setflags(write=False)
 
@@ -43,14 +50,16 @@ class ProposalSet:
 @dataclass(frozen=True)
 class SelectionState:
     """What selection remembers between frames: the previous world-frame
-    rollout of the selected trajectory, if any."""
+    rollout of the selected trajectory, if any, and how many ticks later
+    the current frame starts (at least 1, and below 41 so that some tick
+    of the two rollouts overlaps)."""
 
     previous_selected: DenseTrajectory | None = None
     frame_gap: int = 5
 
     def __post_init__(self):
-        if self.frame_gap < 1:
-            raise ValueError("frame_gap must be >= 1")
+        if not 1 <= self.frame_gap < DENSE_TICKS:
+            raise ValueError(f"frame_gap must be in [1, {DENSE_TICKS}), got {self.frame_gap}")
 
 
 def comfort_scores(
@@ -64,15 +73,22 @@ def comfort_scores(
 
     Each proposal is rolled out from the scene's ego state and compared with
     the previously selected rollout under the extended-comfort tolerances.
-    Without a previous frame every proposal is comfortable.
+    Without a previous frame every proposal is comfortable.  Tick 0 is the
+    ego state itself, so it is tested once for all proposals; past it, a
+    proposal's rollout stops at its first breaking tick.
     """
     if state.previous_selected is None:
         return np.ones(len(ps))
-    metric_cfg = metric_cfg or MetricConfig()
-    out = np.empty(len(ps))
+    breaks = _ec_breaks(state.previous_selected, state.frame_gap, metric_cfg or MetricConfig())
+    init = scene.ego_init
+    if breaks(0, init.pose.x, init.pose.y, init.pose.psi, init.v):
+        return np.zeros(len(ps))
+    compared = DENSE_TICKS - 1 - state.frame_gap  # ticks 1 .. 40 - frame_gap reach the previous rollout
+    out = np.ones(len(ps))
     for i, proposal in enumerate(ps.proposals):
-        rollout = ego_rollout(proposal, scene.ego_init, kin_cfg)
-        out[i] = score_ec(rollout, state.previous_selected, state.frame_gap, metric_cfg)
+        ticks = itertools.islice(_pid_ticks(trajectory_to_world(proposal, init.pose), init, kin_cfg), compared)
+        if any(breaks(k, x, y, psi, v) for k, (x, y, psi, v, _, _) in enumerate(ticks, 1)):
+            out[i] = 0.0
     return out
 
 

@@ -596,6 +596,32 @@ def epdms_row(scene, centers):
     return np.array(row)
 
 
+def score_ec(d_now, d_prev, frame_gap, cfg):
+    """Extended comfort over whole arrays: every compared tick's errors
+    against their tolerances through max()."""
+    if d_prev is None:
+        return 1.0
+    n = 41 - frame_gap
+    dx = d_now.x[:n] - d_prev.x[frame_gap:]
+    dy = d_now.y[:n] - d_prev.y[frame_gap:]
+    dpsi = np.abs(np.remainder(d_now.psi[:n] - d_prev.psi[frame_gap:] + np.pi, 2 * np.pi) - np.pi)
+    dv = np.abs(d_now.v[:n] - d_prev.v[frame_gap:])
+    ok = (
+        np.hypot(dx, dy).max() <= cfg.ec_pos_m
+        and dpsi.max() <= cfg.ec_heading_rad
+        and dv.max() <= cfg.ec_speed_mps
+    )
+    return 1.0 if ok else 0.0
+
+
+def comfort_scores(prev, frame_gap, proposals, init, kin_cfg, metric_cfg):
+    """Selection comfort with every proposal rolled out for all 40 ticks."""
+    return np.array([
+        score_ec(pid_track(trajectory_to_world(p, init.pose), init, kin_cfg), prev, frame_gap, metric_cfg)
+        for p in proposals
+    ])
+
+
 def assign_chunk(x_chunk, centers, k):
     """Labels, per-cluster sums and counts, inertia and squared distances of
     one chunk, every distance expanded from scratch."""

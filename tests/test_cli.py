@@ -276,7 +276,7 @@ class TestDistillCmd:
 class TestSelectCmd:
     PROPS = [straight_plan(10.0), straight_plan(6.0)]
 
-    def _run(self, tmp_path, frame_ids, score_ids):
+    def _run(self, tmp_path, frame_ids, score_ids, props=PROPS, frame_gap=5):
         """select over 3 clean scenes, with frames and scores for the given scene ids."""
         d = tmp_path / "scenes"
         d.mkdir()
@@ -285,7 +285,7 @@ class TestSelectCmd:
             save_scene(scene, d / f"{scene.scene_id}.json")
         frames = {
             "schema_version": 1,
-            "frames": [{"scene_id": i, "proposals": [p.poses.tolist() for p in self.PROPS]} for i in frame_ids],
+            "frames": [{"scene_id": i, "proposals": [p.poses.tolist() for p in props]} for i in frame_ids],
         }
         (tmp_path / "frames.json").write_text(json.dumps(frames))
         scores = {
@@ -295,7 +295,7 @@ class TestSelectCmd:
         (tmp_path / "scores.json").write_text(json.dumps(scores))
         out = tmp_path / "selected.txt"
         code = main(["select", "--scenes", str(d), "--proposals", str(tmp_path / "frames.json"),
-                     "--scores", str(tmp_path / "scores.json"), "--out", str(out)])
+                     "--scores", str(tmp_path / "scores.json"), "--out", str(out), "--frame-gap", str(frame_gap)])
         return code, out
 
     def test_frame_sequence(self, tmp_path):
@@ -314,6 +314,22 @@ class TestSelectCmd:
         code, _ = self._run(tmp_path, frame_ids, score_ids)
         assert code == 1
         assert only_error_line(capsys) == f"error: {message}"
+
+    def test_one_waypoint_proposal_fails_with_one_error_line(self, tmp_path, capsys):
+        # the losing proposal, so no rollout of it is ever needed
+        ids = ["clean_straight-00000", "clean_straight-00001"]
+        code, out = self._run(tmp_path, ids, ids, props=[straight_plan(10.0), Trajectory([[3.0, 0.0, 0.0]])])
+        assert code == 1 and not out.exists()
+        assert only_error_line(capsys) == (
+            "error: frame 'clean_straight-00000': proposals[1] needs at least 2 waypoints, got 1"
+        )
+
+    @pytest.mark.parametrize("frame_gap", [0, 41])
+    def test_frame_gap_without_overlap_fails_with_one_error_line(self, tmp_path, capsys, frame_gap):
+        ids = ["clean_straight-00000"]
+        code, out = self._run(tmp_path, ids, ids, frame_gap=frame_gap)
+        assert code == 1 and not out.exists()
+        assert only_error_line(capsys) == f"error: frame_gap must be in [1, 41), got {frame_gap}"
 
 
 class TestDiversityCmd:

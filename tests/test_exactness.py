@@ -5,13 +5,16 @@ they were before per-scene geometry was precomputed, the PID tick schedule
 cached, the lane projections shared between DDC and LK and the comfort
 profiles folded into HC, of k-means before its seeding distances were
 summed over a transposed copy and its loop-invariant terms hoisted, and of
-diversity before every corridor was rasterized on one shared lattice.  The
+diversity before every corridor was rasterized on one shared lattice, and of
+extended comfort over whole arrays and selection comfort over full rollouts,
+before either stopped at the first tick that breaks a tolerance.  The
 scene transform keeps its own copy of the rigid frame change, as it had
 before it shared geom.to_world with trajectory_to_world.  Every
 comparison here is on the bytes of the float64 values, so -0.0 against 0.0
 fails too.
 """
 
+import dataclasses
 import json
 import math
 import sys
@@ -24,8 +27,11 @@ from trajsim.distill import score_scene_row
 from trajsim.geom import (
     Polygon, Polyline, Pose, arc_positions, nearest_segments, segments_intersect_batch, xy_in_polygon,
 )
-from trajsim.kinematics import EgoState, KinematicsConfig, Trajectory, ego_rollout, pid_track, trajectory_to_world
-from trajsim.metrics import ScoreContext, score_ddc, score_lk
+from trajsim.kinematics import (
+    DenseTrajectory, EgoState, KinematicsConfig, Trajectory, ego_rollout, pid_track, trajectory_to_world,
+)
+from trajsim.metrics import MetricConfig, ScoreContext, score_ddc, score_ec, score_lk
+from trajsim.selection import ProposalSet, SelectionState, comfort_scores, select
 from trajsim import metrics, scene_io
 from trajsim.scene_io import TEMPLATES, SyntheticSpec, generate_scene, scene_to_doc, transform_scene
 from trajsim.seeding import stable_seed
@@ -377,3 +383,174 @@ def test_diversity_matches_per_grid_oracle():
     for trial in range(1000):
         proposals = _proposal_set(rng)
         assert metrics.diversity(proposals).hex() == oracles.diversity(proposals, 0.25).hex(), trial
+
+
+# (frame_gap, kinematics config, metric config) of each seeded drive
+COMFORT_CASES = [
+    (1, None, None),
+    (5, None, None),
+    (40, None, None),
+    (5, KinematicsConfig(steer_max=0.3, kp_lat=1.0), MetricConfig(ec_pos_m=2.5, ec_heading_rad=0.4, ec_speed_mps=3.0)),
+]
+
+
+def _placed_at(scene, pose):
+    """The scene rigidly moved so that its ego starts at (about) `pose`."""
+    e = scene.ego_init.pose
+    psi = pose.psi - e.psi
+    c, s = math.cos(psi), math.sin(psi)
+    return transform_scene(scene, Pose(pose.x - (c * e.x - s * e.y), pose.y - (s * e.x + c * e.y), psi))
+
+
+def _continuation(prev, frame_gap, init):
+    """The rest of the previous rollout, from frame_gap ticks in, as an
+    ego-frame plan from `init` (None when it has under 2 waypoints)."""
+    ticks = list(range(frame_gap + 5, 41, 5))
+    if len(ticks) < 2:
+        return None
+    e = init.pose
+    c, s = math.cos(e.psi), math.sin(e.psi)
+    dx, dy = prev.x[ticks] - e.x, prev.y[ticks] - e.y
+    psi = [oracles.wrap_angle(a - e.psi) for a in prev.psi[ticks].tolist()]
+    return Trajectory(np.column_stack([c * dx + s * dy, -s * dx + c * dy, psi]))
+
+
+@pytest.mark.parametrize("frame_gap, kin_cfg, metric_cfg", COMFORT_CASES)
+def test_comfort_scores_match_full_rollout_oracle(centers, frame_gap, kin_cfg, metric_cfg):
+    # one drive of 9 frames per template, 16 vocabulary proposals a frame
+    # (one of them continues the previous winner); frame f starts at the
+    # previous winner's state frame_gap ticks in (f % 3 == 1), at its pose
+    # only (f % 3 == 2), or wherever its scene was generated (f % 3 == 0)
+    rng = np.random.default_rng([61, frame_gap])
+    tol = metric_cfg or MetricConfig()
+    far = some_pass = mid_rollout_fails = 0
+    for template in TEMPLATES:
+        state = SelectionState(frame_gap=frame_gap)
+        for f in range(9):
+            scene = generate_scene(SyntheticSpec(template, seed=500 + f))
+            prev = state.previous_selected
+            if prev is not None and f % 3 != 0:
+                scene = _placed_at(scene, Pose(prev.x[frame_gap], prev.y[frame_gap], prev.psi[frame_gap]))
+                if f % 3 == 1:
+                    scene = dataclasses.replace(scene, ego_init=prev.state(frame_gap))
+            proposals = [centers[i] for i in rng.choice(len(centers), size=16, replace=False)]
+            if prev is not None and (plan := _continuation(prev, frame_gap, scene.ego_init)) is not None:
+                proposals[int(rng.integers(16))] = plan
+            ps = ProposalSet(tuple(proposals), rng.uniform(0.0, 1.0, size=16))
+            got = comfort_scores(state, ps, scene, kin_cfg, metric_cfg)
+            want = oracles.comfort_scores(prev, frame_gap, proposals, scene.ego_init, kin_cfg, tol)
+            assert bits(got) == bits(want), (template, f)
+            if prev is not None:
+                e = scene.ego_init.pose
+                far += math.hypot(e.x - prev.x[frame_gap], e.y - prev.y[frame_gap]) > tol.ec_pos_m
+                some_pass += want.any()
+                mid_rollout_fails += f % 3 == 1 and not want.all()
+            idx, winner, _ = select(ps, state, scene, kin_cfg, metric_cfg)
+            state = SelectionState(ego_rollout(winner, scene.ego_init, kin_cfg), frame_gap)
+    # frames whose tick 0 breaks, frames with a comfortable proposal, and
+    # frames where a rollout that starts comfortable breaks later
+    assert far >= 12 and some_pass >= 6
+    assert mid_rollout_fails >= (0 if frame_gap == 40 else 6)
+
+
+@pytest.mark.parametrize("frame_gap", [1, 5, 39])
+def test_comfort_sees_every_compared_tick(scenes, centers, frame_gap):
+    # a previous rollout that the proposal's rollout continues exactly, but
+    # for 1.5 m at one tick: the first, the second or the last compared
+    scene = scenes[1]
+    plan = centers[3]
+    rollout = ego_rollout(plan, scene.ego_init)
+    ps = ProposalSet((plan,), np.array([0.5]))
+    for tick in (0, 1, 40 - frame_gap):
+        for dx, want in ((0.0, 1.0), (1.5, 0.0)):
+            fields = {f: np.concatenate([np.repeat(getattr(rollout, f)[:1], frame_gap),
+                                         getattr(rollout, f)[:41 - frame_gap]]) for f in FIELDS}
+            fields["x"][tick + frame_gap] += dx
+            prev = DenseTrajectory(**fields)
+            got = comfort_scores(SelectionState(prev, frame_gap), ps, scene)
+            assert got[0] == want, (tick, dx)
+            assert bits(got) == bits(oracles.comfort_scores(prev, frame_gap, [plan], scene.ego_init, None,
+                                                           MetricConfig()))
+
+
+def _standing(x=0.0, y=0.0, psi=0.0, v=0.0):
+    """A 41-tick rollout whose fields hold the given values (scalars or arrays)."""
+    z = np.zeros(41)
+    return DenseTrajectory(z + x, z + y, z + psi, z + v, z, z)
+
+
+def _one_tick(tick, **fields):
+    """A rollout at rest at the origin except for `fields` at one tick."""
+    arrays = {f: np.zeros(41) for f in ("x", "y", "psi", "v")}
+    for f, value in fields.items():
+        arrays[f][tick] = value
+    return _standing(**arrays)
+
+
+def _below(value):
+    return float(np.nextafter(value, -np.inf))
+
+
+def assert_ec_matches_oracle(now, prev, frame_gap, cfg):
+    got = score_ec(now, prev, frame_gap, cfg)
+    assert got == oracles.score_ec(now, prev, frame_gap, cfg)
+    return got
+
+
+def test_ec_position_error_at_exactly_the_tolerance():
+    # the tolerance set to numpy's hypot of the error, and one ulp below it;
+    # for some errors math.hypot rounds to a neighbour of numpy's hypot
+    rng = np.random.default_rng(67)
+    prev = _standing()
+    rounding_differs = 0
+    for trial in range(1500):
+        frame_gap = int(rng.choice([0, 1, 5, 23, 40]))
+        tick = int(rng.integers(0, 41 - frame_gap))
+        dx, dy = rng.uniform(-1.5, 1.5, size=2).tolist()
+        now = _one_tick(tick, x=dx, y=dy)
+        h = float(np.hypot(dx, dy))
+        rounding_differs += math.hypot(dx, dy) != h
+        cfg = MetricConfig(ec_pos_m=h)
+        assert assert_ec_matches_oracle(now, prev, frame_gap, cfg) == 1.0, trial
+        assert assert_ec_matches_oracle(now, prev, frame_gap, MetricConfig(ec_pos_m=_below(h))) == 0.0, trial
+    assert rounding_differs >= 3
+    # exactly the default 1 m along an axis
+    assert assert_ec_matches_oracle(_one_tick(7, x=1.0), _standing(), 5, MetricConfig()) == 1.0
+
+
+@pytest.mark.parametrize("prev_psi, now_psi", [
+    (0.0, 0.2),
+    (0.1, -0.1),
+    (math.pi - 0.05, -math.pi + 0.15),   # across +-pi
+    (-math.pi + 0.01, math.pi - 0.19),
+    (math.pi, -math.pi + 0.2),
+    (math.pi - 0.2, math.pi),
+])
+def test_ec_heading_difference_at_exactly_the_tolerance(prev_psi, now_psi):
+    prev, now = _standing(psi=prev_psi), _standing(psi=now_psi)
+    wrapped = float(np.abs(np.remainder(now_psi - prev_psi + np.pi, 2 * np.pi) - np.pi))
+    assert abs(wrapped - 0.2) < 1e-12
+    assert assert_ec_matches_oracle(now, prev, 5, MetricConfig()) == (1.0 if wrapped <= 0.2 else 0.0)
+    for tolerance, want in ((wrapped, 1.0), (_below(wrapped), 0.0)):
+        cfg = MetricConfig(ec_heading_rad=tolerance)
+        assert assert_ec_matches_oracle(now, prev, 5, cfg) == want
+        assert assert_ec_matches_oracle(now, prev, 0, cfg) == want
+
+
+def test_ec_speed_difference_and_the_ticks_compared():
+    prev = _standing(v=10.0)
+    cfg = MetricConfig()
+    for frame_gap in (0, 1, 5, 40):
+        last = 40 - frame_gap
+        assert assert_ec_matches_oracle(_standing(v=12.0), prev, frame_gap, cfg) == 1.0
+        for tick in (0, last // 2, last):
+            assert assert_ec_matches_oracle(_one_tick(tick, v=12.0 + 2 ** -48), prev, frame_gap, cfg) == 0.0
+        # a tick the previous rollout does not reach is not compared
+        if frame_gap:
+            assert assert_ec_matches_oracle(_one_tick(last + 1, x=50.0), _standing(), frame_gap, cfg) == 1.0
+
+
+def test_ec_nan_error_breaks():
+    prev = _standing(v=np.where(np.arange(41) == 9, np.nan, 0.0))
+    assert assert_ec_matches_oracle(_standing(), prev, 5, MetricConfig()) == 0.0
+    assert assert_ec_matches_oracle(_standing(), prev, 35, MetricConfig()) == 1.0

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from trajsim.cli import main
-from trajsim.geom import Pose
+from trajsim.geom import COORD_LIMIT_M, Pose
 from trajsim.kinematics import pid_track, trajectory_to_world
 from trajsim.vocabulary import TrajectoryCorpus
 from trajsim.metrics import ScoreContext, aggregate_epdms, evaluate_rollout, score_nc, score_tlc
@@ -164,6 +164,38 @@ class TestNonFinite:
         assert not (tmp_path / "r.json").exists()
 
 
+# finite, but beyond COORD_LIMIT_M: squares and products of such values overflow
+HUGE = [
+    (("drivable_polygons_m", 0, 0, 0), "drivable_polygons_m[0]: polygon vertices must be at most 1e+09 in magnitude"),
+    (("route_polyline_m", 1, 1), "route_polyline_m: polyline points must be at most 1e+09 in magnitude"),
+    (("agents", 0, "states", 7, 0), "agent 'parked-0': states must be at most 1e+09 in magnitude"),
+    (("ego", "init", "y_m"), "ego.init: pose components"),
+    (("ego", "init", "speed_mps"), "ego.init: speed v must be finite and non-negative, at most 1e+09"),
+    (("ego", "half_width_m"), "ego_half_width must be finite and positive, at most 1e+09"),
+    (("agents", 0, "half_length_m"), "agent 'parked-0': half_length must be finite and positive, at most 1e+09"),
+    (("human_trajectory_ego", "waypoints", 2, 0),
+     "human_trajectory_ego.waypoints: trajectory waypoints must be at most 1e+09 in magnitude"),
+]
+
+
+class TestHuge:
+    @pytest.mark.parametrize("where, message", HUGE)
+    def test_rejected_naming_the_field(self, scene, where, message):
+        with pytest.raises(SceneFormatError, match=re.escape(message)):
+            scene_from_doc(doc_with(scene, where, 1e200))
+
+    def test_the_limit_itself_loads(self, scene):
+        doc = doc_with(scene, ("agents", 0, "states", 7, 0), -COORD_LIMIT_M)
+        assert scene_from_doc(doc).agents[0].x[7] == -COORD_LIMIT_M
+
+    def test_score_exits_1_with_one_error_line(self, scene):
+        # a drivable vertex at x = 1e200 used to overflow in the edge arrays
+        # and score EPDMS 1 with exit code 0
+        code, err = score_stderr(doc_with(scene, ("drivable_polygons_m", 0, 0, 0), 1e200))
+        assert code == 1 and len(err) == 1 and err[0].endswith(
+            "bad.json: drivable_polygons_m[0]: polygon vertices must be at most 1e+09 in magnitude"), err
+
+
 WRONG_TYPE = [
     (("ego", "init", "speed_mps"), "fast", "ego.init.speed_mps must be a number, not a string"),
     (("agents",), "x", "agents must be an array, not a string"),
@@ -245,12 +277,12 @@ def value_paths(node, prefix=()):
 def mutated_docs(draw):
     """(path, document): a valid scene document with the value at `path`
     replaced by a wrong JSON type, removed, nested one level deeper, made
-    non-finite or emptied."""
+    non-finite or huge, or emptied."""
     doc = copy.deepcopy(draw(st.sampled_from(FUZZ_BASES)))
     path = draw(st.sampled_from(value_paths(doc)))
     parent = functools.reduce(operator.getitem, path[:-1], doc)
     key, value = path[-1], parent[path[-1]]
-    kind = draw(st.sampled_from(["type", "missing", "nesting", "non_finite", "empty"]))
+    kind = draw(st.sampled_from(["type", "missing", "nesting", "non_finite", "huge", "empty"]))
     if kind == "missing":
         del parent[key]
     else:
@@ -258,6 +290,7 @@ def mutated_docs(draw):
             "type": ["x", 7, -1.5, True, None, {}, [[0.5]]],
             "nesting": [[value], {"value": value}],
             "non_finite": [float("nan"), float("inf"), float("-inf")],
+            "huge": [1e200, -1e200],
             "empty": [[], {}, ""],
         }[kind]))
     # through the text, as a scene file is read: json writes NaN and Infinity

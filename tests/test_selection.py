@@ -115,6 +115,30 @@ class TestSelect:
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             ProposalSet((straight(), straight()), np.array([np.nan, 0.5]))
 
+    def test_one_waypoint_proposal_rejected_by_index(self):
+        # a single waypoint cannot be rolled out; comfort may never roll it out
+        one = Trajectory([[5.0, 0.0, 0.0]])
+        with pytest.raises(ValueError, match=r"^proposals\[1\] needs at least 2 waypoints, got 1$"):
+            ProposalSet((straight(), one), np.array([0.2, 0.9]))
+
+
+class TestSelectionState:
+    @pytest.mark.parametrize("frame_gap", [1, 5, 40])
+    def test_gaps_that_overlap_accepted(self, frame_gap):
+        assert SelectionState(frame_gap=frame_gap).frame_gap == frame_gap
+
+    @pytest.mark.parametrize("frame_gap", [-1, 0, 41, 1000])
+    def test_gaps_without_overlap_rejected(self, frame_gap):
+        with pytest.raises(ValueError, match=rf"^frame_gap must be in \[1, 41\), got {frame_gap}$"):
+            SelectionState(frame_gap=frame_gap)
+
+    def test_gap_40_compares_only_the_start(self):
+        prev = rollout(straight(), road_scene(0.0))
+        state = SelectionState(previous_selected=prev, frame_gap=40)
+        ps = ProposalSet((straight(), swerve(3.0)), np.array([0.5, 0.5]))
+        assert np.array_equal(comfort_scores(state, ps, road_scene(40.0)), [1.0, 1.0])
+        assert np.array_equal(comfort_scores(state, ps, road_scene(45.0)), [0.0, 0.0])
+
 
 class TestTenFrameSequence:
     """A fixed proposal set with one temporally consistent chain: momentum-aware
