@@ -84,11 +84,16 @@ def cmd_distill(args) -> int:
     vocab = vocabulary.load_vocabulary(args.vocab)
     cfg = distill_mod.DistillConfig(threshold=args.threshold, n_pseudo=args.n_pseudo, rng_seed=args.seed)
 
+    scored = []
     t0 = time.perf_counter()
-    matrix = distill_mod.score_vocabulary(scenes, vocab, workers=args.workers, checkpoint=args.out)
+    matrix = distill_mod.score_vocabulary(
+        scenes, vocab, workers=args.workers, checkpoint=args.out, progress=scored.append
+    )
     elapsed = time.perf_counter() - t0
-    evals = matrix.n_scenes * matrix.vocab_size
-    workers = distill_mod.resolve_workers(args.workers)
+    # only the rows scored by this run count; resumed rows cost nothing here
+    evals = len(scored) * matrix.vocab_size
+    workers = distill_mod.resolve_workers(args.workers, len(scored))
+    resumed = matrix.n_scenes - len(scored)
 
     teacher_sets = [
         distill_mod.select_pseudo_teachers(matrix.values[i], vocab, cfg, matrix.scene_ids[i])
@@ -96,11 +101,12 @@ def cmd_distill(args) -> int:
     ]
     distill_mod.save_teacher_sets(teacher_sets, args.teachers)
 
-    per_s = evals / elapsed if elapsed > 0 else float("inf")
+    per_s = evals / elapsed if evals else 0.0
+    per_worker = per_s / workers if workers else 0.0
     print(
-        f"scored {matrix.n_scenes} scenes x {matrix.vocab_size} centers "
-        f"({evals} evals) in {elapsed:.1f} s: {per_s:.0f} evals/s total, "
-        f"{per_s / workers:.0f} per worker ({workers} workers)"
+        f"scored {len(scored)} scenes x {matrix.vocab_size} centers ({evals} evals) in {elapsed:.1f} s, "
+        f"{resumed} resumed from the checkpoint: {per_s:.0f} evals/s total, "
+        f"{per_worker:.0f} per worker ({workers} workers)"
     )
     print(f"teachers: {sum(len(t) for t in teacher_sets)} selected across {len(teacher_sets)} scenes")
     if args.report:
@@ -109,11 +115,13 @@ def cmd_distill(args) -> int:
             {
                 "schema_version": 1,
                 "n_scenes": matrix.n_scenes,
+                "scored_scenes": len(scored),
+                "resumed_scenes": resumed,
                 "vocab_size": matrix.vocab_size,
                 "workers": workers,
                 "wall_clock_s": elapsed,
                 "evals_per_s": per_s,
-                "evals_per_s_per_worker": per_s / workers,
+                "evals_per_s_per_worker": per_worker,
             },
         )
     return 0

@@ -131,10 +131,12 @@ def _run_fingerprint(scenes, vocab: Vocabulary, kin_cfg, metric_cfg) -> str:
     return h.hexdigest()
 
 
-def resolve_workers(workers: int | None) -> int:
+def resolve_workers(workers: int | None, rows: int | None = None) -> int:
     """Effective worker count: an explicit value wins, else TRAJSIM_THREADS,
-    else 1.  A count below 1 or a variable that is not an integer raises
-    ValueError naming `workers` or the variable."""
+    else 1; when `rows` is given, at most that many, since a pool starts no
+    more workers than it has rows to score.  A count below 1 or a variable
+    that is not an integer raises ValueError naming `workers` or the
+    variable."""
     if workers is not None:
         name, value = "workers", workers
     else:
@@ -145,7 +147,7 @@ def resolve_workers(workers: int | None) -> int:
             raise ValueError(f"TRAJSIM_THREADS must be an integer, got {value!r}") from None
     if value < 1:
         raise ValueError(f"{name} must be >= 1, got {value}")
-    return value
+    return value if rows is None else min(value, rows)
 
 
 class _Checkpoint:
@@ -222,19 +224,22 @@ def score_vocabulary(
     `checkpoint` names a score-matrix file to maintain incrementally; rerun
     with the same arguments to resume after an interruption.  A checkpoint
     written for other scenes, centers or configs raises ValueError.
-    `progress` is an optional callable invoked with (scene_index,) as rows
-    complete.
+    `progress` is an optional callable invoked with (scene_index,) as each
+    row scored by this call completes (rows resumed from the checkpoint are
+    not reported).  The pool starts no more workers than there are rows to
+    score, and a single row or worker is scored in this process.
     """
     scenes = list(scenes)
     if not scenes or vocab.k < 1:
         raise ValueError("need at least one scene and one vocabulary center")
-    workers = resolve_workers(workers)
+    resolve_workers(workers)  # a bad count fails before the checkpoint is touched
 
     ckpt = _Checkpoint(checkpoint, len(scenes), vocab.k) if checkpoint else None
     rows: dict[int, np.ndarray] = {}
     if ckpt:
         rows = ckpt.load_done(_run_fingerprint(scenes, vocab, kin_cfg, metric_cfg))
     todo = [i for i in range(len(scenes)) if i not in rows]
+    workers = resolve_workers(workers, len(todo))
 
     def finish(idx: int, row: np.ndarray):
         rows[idx] = row
@@ -243,7 +248,7 @@ def score_vocabulary(
         if progress:
             progress(idx)
 
-    if workers == 1:
+    if workers <= 1:
         for idx in todo:
             finish(idx, score_scene_row(scenes[idx], vocab, kin_cfg, metric_cfg))
     else:

@@ -26,8 +26,6 @@ __all__ = [
     "xy_in_polygon",
     "arc_length",
     "arc_positions",
-    "nearest_segments",
-    "segments_intersect_batch",
     "COORD_LIMIT_M",
 ]
 
@@ -123,9 +121,11 @@ class Polygon:
         self._edges = None
 
     def _edge_arrays(self):
-        """(end points, start x, start y, end y, dx, dy, squared length) of
-        every edge, edge i running from vertex i to vertex i+1; all but the
-        end points are (n, 1) columns, to broadcast against rows of points.
+        """(end points, start x, start y, end y, dx, dy, squared length, dy
+        divisor) of every edge, edge i running from vertex i to vertex i+1;
+        all but the end points are (n, 1) columns, to broadcast against rows
+        of points.  The dy divisor is dy with the zeros of horizontal edges
+        replaced by 1, for the crossing test, where they never count.
 
         Built on the first geometric query and kept: many polygons, such as
         those of generated scenes used only for their human trajectory, are
@@ -141,8 +141,10 @@ class Polygon:
             e.setflags(write=False)  # before taking views, which keep the flag they start with
             ex, ey = e[:, 0:1], e[:, 1:2]
             len2 = ex * ex + ey * ey
-            len2.setflags(write=False)
-            edges = self._edges = (nxt, v[:, 0:1], v[:, 1:2], nxt[:, 1:2], ex, ey, len2)
+            ey_div = np.where(ey == 0.0, 1.0, ey)
+            for arr in (len2, ey_div):
+                arr.setflags(write=False)
+            edges = self._edges = (nxt, v[:, 0:1], v[:, 1:2], nxt[:, 1:2], ex, ey, len2, ey_div)
         return edges
 
     @property
@@ -208,34 +210,38 @@ class Polyline:
 def obb_overlap_batch(ax, ay, apsi, ahl, ahw, bx, by, bpsi, bhl, bhw) -> np.ndarray:
     """Vectorized SAT overlap for paired boxes; touching counts as overlap.
 
-    All arguments broadcast together; returns a bool array.
+    All arguments broadcast together; returns a bool array of their
+    broadcast shape.
     """
-    ax, ay, apsi, ahl, ahw, bx, by, bpsi, bhl, bhw = np.broadcast_arrays(
-        ax, ay, apsi, ahl, ahw, bx, by, bpsi, bhl, bhw
-    )
+    return np.asarray(_obb_overlap(
+        ax, ay, np.cos(apsi), np.sin(apsi), ahl, ahw, bx, by, np.cos(bpsi), np.sin(bpsi), bhl, bhw
+    ))
+
+
+def _obb_overlap(ax, ay, ca, sa, ahl, ahw, bx, by, cb, sb, bhl, bhw) -> np.ndarray:
+    """The SAT body of obb_overlap_batch, with each heading given by its
+    cosine and sine (ca, sa for box A, cb, sb for box B).
+
+    The arguments broadcast together, but each term is formed at the shape
+    of its own operands: heading terms repeated along an axis on which only
+    the centers move (TTC's horizon substeps) are computed once, not per
+    element of that axis.
+    """
     dx = bx - ax
     dy = by - ay
-    ca, sa = np.cos(apsi), np.sin(apsi)
-    cb, sb = np.cos(bpsi), np.sin(bpsi)
     # relative heading terms reused across all four axes
-    cab = ca * cb + sa * sb   # cos(b - a)
-    sab = ca * sb - sa * cb   # sin(b - a)
-
-    overlap = np.ones(ax.shape, dtype=bool)
-    # axes of A: project center offset and B's extents onto A's long/lat axes
-    t_lon = dx * ca + dy * sa
-    t_lat = -dx * sa + dy * ca
-    rb_lon = bhl * np.abs(cab) + bhw * np.abs(sab)
-    rb_lat = bhl * np.abs(sab) + bhw * np.abs(cab)
-    overlap &= np.abs(t_lon) <= ahl + rb_lon
-    overlap &= np.abs(t_lat) <= ahw + rb_lat
+    cab = np.abs(ca * cb + sa * sb)   # |cos(b - a)|
+    sab = np.abs(ca * sb - sa * cb)   # |sin(b - a)|
+    # axes of A: project the center offset and B's extents onto A's long/lat
+    # axes; every argument is in these two terms, so they have the full shape
+    overlap = (np.abs(dx * ca + dy * sa) <= ahl + (bhl * cab + bhw * sab)) & (
+        np.abs(dy * ca - dx * sa) <= ahw + (bhl * sab + bhw * cab)
+    )
+    if not overlap.any():
+        return overlap  # every pair is separated along an axis of A
     # axes of B, symmetric roles
-    u_lon = dx * cb + dy * sb
-    u_lat = -dx * sb + dy * cb
-    ra_lon = ahl * np.abs(cab) + ahw * np.abs(sab)
-    ra_lat = ahl * np.abs(sab) + ahw * np.abs(cab)
-    overlap &= np.abs(u_lon) <= bhl + ra_lon
-    overlap &= np.abs(u_lat) <= bhw + ra_lat
+    overlap &= np.abs(dx * cb + dy * sb) <= bhl + (ahl * cab + ahw * sab)
+    overlap &= np.abs(dy * cb - dx * sb) <= bhw + (ahl * sab + ahw * cab)
     return overlap
 
 
@@ -250,26 +256,23 @@ def xy_in_polygon(px: np.ndarray, py: np.ndarray, poly: Polygon) -> np.ndarray:
     Work arrays are (edges, points), so numpy's inner loops run over the
     many points rather than the few edges.
     """
-    _, ax, ay, by, ex, ey, len2 = poly._edge_arrays()
+    _, ax, ay, by, ex, ey, len2, ey_div = poly._edge_arrays()
     ry = py - ay
     # crossing number: edge straddles the horizontal ray through the point
     cond = (ay > py) != (by > py)
-    # x coordinate where the edge crosses the ray
-    with np.errstate(divide="ignore", invalid="ignore"):
-        x_cross = ax + ry * ex / ey
-    crossings = np.sum(cond & (px < x_cross), axis=0)
-    inside = (crossings % 2) == 1
+    # x coordinate where the edge crosses the ray (for the straddling edges)
+    x_cross = ax + ry * ex / ey_div
+    # an odd number of crossings is inside
+    inside = np.bitwise_xor.reduce(cond & (px < x_cross), axis=0)
     if inside.all():
         return inside  # the boundary test below could only add points
 
     # boundary inclusion: squared distance to each edge segment under tolerance
     rx = px - ax
-    t = (rx * ex + ry * ey) / len2
-    t = np.clip(t, 0.0, 1.0)
+    t = ((rx * ex + ry * ey) / len2).clip(0.0, 1.0)
     dx = px - (ax + t * ex)
     dy = py - (ay + t * ey)
-    on_edge = np.any(dx * dx + dy * dy <= _EDGE_EPS * _EDGE_EPS, axis=0)
-    return inside | on_edge
+    return inside | (dx * dx + dy * dy <= _EDGE_EPS * _EDGE_EPS).any(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -280,77 +283,73 @@ def arc_length(line: Polyline) -> float:
     return float(line._cum[-1])
 
 
-def _closest_segments(line: Polyline, px: np.ndarray, py: np.ndarray):
-    """For (n,) point coordinates: (segments, points) arrays of the clamped
-    segment parameters and the squared distances, and the closest segment of
-    each point (equidistant segments break to the lowest index)."""
-    if len(line) < 2:
-        raise ValueError("projection needs a polyline with at least 2 points")
-    ax, ay, dx, dy, len2, _ = line._segment_arrays()
+def _segment_projection(segments, px: np.ndarray, py: np.ndarray):
+    """Each of the (n,) points projected onto each segment: (S, n) arrays of
+    the clamped parameter along the segment and of the squared distance to
+    it.  `segments` holds (start x, start y, dx, dy, squared length) as
+    (S, 1) columns, as Polyline._segment_arrays gives them."""
+    ax, ay, dx, dy, len2 = segments
     rx = px - ax
     ry = py - ay
-    t = np.clip((rx * dx + ry * dy) / len2, 0.0, 1.0)
+    t = ((rx * dx + ry * dy) / len2).clip(0.0, 1.0)
     qx = rx - t * dx
     qy = ry - t * dy
-    d2 = qx * qx + qy * qy
-    return t, d2, np.argmin(d2, axis=0)
+    return t, qx * qx + qy * qy
 
 
 def arc_positions(line: Polyline, px: np.ndarray, py: np.ndarray) -> np.ndarray:
     """Arc length of the closest polyline point to each of the (n,) points,
-    clamped to [0, total length]."""
-    t, _, seg = _closest_segments(line, px, py)
-    return line._cum[seg] + t[seg, np.arange(len(px))] * line._segment_arrays()[5][seg]
-
-
-def nearest_segments(line: Polyline, px: np.ndarray, py: np.ndarray):
-    """(distance to the polyline, closest segment index) of each of the (n,)
-    points."""
-    _, d2, seg = _closest_segments(line, px, py)
-    return np.sqrt(d2[seg, np.arange(len(px))]), seg
+    clamped to [0, total length]; equidistant segments break to the lowest
+    index."""
+    if len(line) < 2:
+        raise ValueError("projection needs a polyline with at least 2 points")
+    segments = line._segment_arrays()
+    t, d2 = _segment_projection(segments[:5], px, py)
+    seg = d2.argmin(axis=0)
+    return line._cum[seg] + t[seg, np.arange(len(px))] * segments[5][seg]
 
 
 # ---------------------------------------------------------------------------
 # segment intersection (used by the box-vs-polygon entry test)
 
 
-def segments_intersect_batch(p1, p2, q1, q2) -> np.ndarray:
-    """Whether closed segments p1-p2 and q1-q2 intersect, elementwise.
+def _ring_meets_polygon(px, py, nxt, poly: Polygon) -> np.ndarray:
+    """Whether each ring edge meets each polygon edge, (E, n) bool.
 
-    Arguments are (..., 2) arrays broadcasting together.  Touching endpoints
-    count as intersecting; collinear overlap is detected via bounding boxes.
+    The ring edges run from point i of the (n,) arrays px, py to point
+    nxt[i].  Segments are closed: touching end points count as meeting, and
+    collinear overlap is detected via bounding boxes.  The orientation
+    determinants share their differences: with r the offset of a ring point
+    from a polygon vertex, e the polygon edge and b the ring edge,
+    d1 = e x r and d3 = b x (-r) = r x b; d2 and d4 are d1 at the next ring
+    point and d3 at the next polygon vertex, so each is one gather.
     """
-    p1 = np.asarray(p1, float)
-    p2 = np.asarray(p2, float)
-    q1 = np.asarray(q1, float)
-    q2 = np.asarray(q2, float)
-
-    def orient(a, b, c):
-        return (b[..., 0] - a[..., 0]) * (c[..., 1] - a[..., 1]) - (
-            b[..., 1] - a[..., 1]
-        ) * (c[..., 0] - a[..., 0])
-
-    d1 = orient(q1, q2, p1)
-    d2 = orient(q1, q2, p2)
-    d3 = orient(p1, p2, q1)
-    d4 = orient(p1, p2, q2)
+    nxt_vertices, ax, ay, _, ex, ey = poly._edge_arrays()[:6]
+    bx, by = nxt_vertices[:, 0:1], nxt_vertices[:, 1:2]
+    rx = px - ax                                       # (E, n)
+    ry = py - ay
+    qx, qy = px.take(nxt), py.take(nxt)
+    d1 = ex * ry - ey * rx                             # orient(vertex, next vertex, ring point)
+    d2 = d1.take(nxt, axis=1)                          # ... the ring edge's end point
+    d3 = (qy - py) * rx - (qx - px) * ry               # orient(ring point, its end point, vertex)
+    d4 = np.concatenate([d3[1:], d3[:1]])              # ... the polygon edge's end point
     collinear = (d1 == 0) | (d2 == 0) | (d3 == 0) | (d4 == 0)
     proper = ((d1 > 0) != (d2 > 0)) & ((d3 > 0) != (d4 > 0)) & ~collinear
     if not collinear.any():
         return proper  # a touch needs a collinear triple
 
-    def on_box(a, b, c):
+    def on_box(x1, y1, x2, y2, x, y):
         return (
-            (np.minimum(a[..., 0], b[..., 0]) - _EDGE_EPS <= c[..., 0])
-            & (c[..., 0] <= np.maximum(a[..., 0], b[..., 0]) + _EDGE_EPS)
-            & (np.minimum(a[..., 1], b[..., 1]) - _EDGE_EPS <= c[..., 1])
-            & (c[..., 1] <= np.maximum(a[..., 1], b[..., 1]) + _EDGE_EPS)
+            (np.minimum(x1, x2) - _EDGE_EPS <= x)
+            & (x <= np.maximum(x1, x2) + _EDGE_EPS)
+            & (np.minimum(y1, y2) - _EDGE_EPS <= y)
+            & (y <= np.maximum(y1, y2) + _EDGE_EPS)
         )
 
     touch = (
-        ((d1 == 0) & on_box(q1, q2, p1))
-        | ((d2 == 0) & on_box(q1, q2, p2))
-        | ((d3 == 0) & on_box(p1, p2, q1))
-        | ((d4 == 0) & on_box(p1, p2, q2))
+        ((d1 == 0) & on_box(ax, ay, bx, by, px, py))
+        | ((d2 == 0) & on_box(ax, ay, bx, by, qx, qy))
+        | ((d3 == 0) & on_box(px, py, qx, qy, ax, ay))
+        | ((d4 == 0) & on_box(px, py, qx, qy, bx, by))
     )
     return proper | touch

@@ -7,13 +7,17 @@ returns a value that depends only on its arguments, so (trajectory, scene)
 pairs can be scored concurrently.
 
 Every rule takes the rollout and a ``ScoreContext`` of its scene, which
-precomputes the replay arrays once and the human reference rollout (EP's
+precomputes the per-scene arrays once (agent headings as cosines and sines,
+TTC's agent horizon positions, the ego box's corner offsets, every lane's
+segments stacked into one array) and the human reference rollout (EP's
 denominator, ``ego_rollout`` of the scene's human plan) on first use.
-A context also memoizes the lane geometry of the last rollout that DDC or
-LK scored, so the other of the two reuses it.  The memo is one immutable
-``(rollout, value)`` tuple, read and replaced whole and matched by rollout
-identity (rollouts are immutable), so threads sharing a context can at worst
-recompute it and never receive another rollout's geometry.
+A context also keeps what the rules derive from the last rollout they
+scored: the cosine and sine of its heading, its box corners, which corners
+and centers lie in each intersection, and its lane geometry, each computed
+on first use and then shared by every rule that reads it.  The memo is one
+object per rollout, replaced whole and matched by rollout identity
+(rollouts are immutable), so threads sharing a context can at worst
+recompute a part and never receive another rollout's values.
 """
 
 from __future__ import annotations
@@ -27,11 +31,11 @@ from .geom import (
     Polygon,
     Polyline,
     _coord_error,
+    _obb_overlap,
+    _ring_meets_polygon,
+    _segment_projection,
     arc_length,
     arc_positions,
-    nearest_segments,
-    obb_overlap_batch,
-    segments_intersect_batch,
     xy_in_polygon,
 )
 from .kinematics import (
@@ -237,30 +241,39 @@ _DEFAULT_KIN_CFG = KinematicsConfig()
 class ScoreContext:
     """Per-scene precomputation shared across many rollout evaluations.
 
-    The human reference rollout (needed by EP) is computed on first use.
-    The lane geometry of the last rollout scored by DDC or LK is kept, so
-    that the other of the two reuses it (see ``_lane_state``).
+    Built once per scene: the agents' replay arrays with the cosine and sine
+    of their headings and, for TTC, their constant-velocity positions over
+    the horizon; the ego box's corner offsets; every lane's centerline
+    segments stacked into one array, with the legal direction of each; and
+    the history that pads HC.  The human reference rollout (needed by EP) is
+    computed on first use.
+
+    The values that several rules derive from one rollout (the cosine and
+    sine of its heading, its box corners, which corners and centers lie in
+    each intersection, and its lane geometry) are kept for the last rollout
+    scored, so each is computed once per rollout (see ``_shared``).
     """
 
     __slots__ = (
         "scene", "metric_cfg", "kin_cfg",
-        "agent_x", "agent_y", "agent_psi", "agent_hl", "agent_hw",
-        "agent_vx", "agent_vy", "n_agents",
-        "lane_dirs", "_reference", "_ref_progress", "_lane_memo",
-        "hist_x", "hist_y", "hist_psi", "hist_v",
+        "agent_x", "agent_y", "agent_cos", "agent_sin", "agent_hl", "agent_hw",
+        "agent_vx", "agent_vy", "n_agents", "ttc_horizon", "ttc_x", "ttc_y",
+        "corner_lon", "corner_lat", "lane_segments", "lane_first", "lane_multi", "lane_dir_x", "lane_dir_y",
+        "_reference", "_ref_progress", "_memo", "hist_psi", "hist_v",
     )
 
     def __init__(self, scene: Scene, kin_cfg=None, metric_cfg=None):
         self.scene = scene
         self.kin_cfg = kin_cfg or _DEFAULT_KIN_CFG
-        self.metric_cfg = metric_cfg or _DEFAULT_METRIC_CFG
+        self.metric_cfg = cfg = metric_cfg or _DEFAULT_METRIC_CFG
 
         agents = scene.agents
         self.n_agents = len(agents)
         if agents:
             self.agent_x = np.stack([a.x for a in agents])
             self.agent_y = np.stack([a.y for a in agents])
-            self.agent_psi = np.stack([a.psi for a in agents])
+            psi = np.stack([a.psi for a in agents])
+            self.agent_cos, self.agent_sin = np.cos(psi), np.sin(psi)
             self.agent_hl = np.array([a.half_length for a in agents])[:, None]
             self.agent_hw = np.array([a.half_width for a in agents])[:, None]
             # replay velocity by forward difference, last tick repeats
@@ -270,26 +283,48 @@ class ScoreContext:
             self.agent_vy[:, :-1] = np.diff(self.agent_y, axis=1) / TICK_DT
             self.agent_vx[:, -1] = self.agent_vx[:, -2]
             self.agent_vy[:, -1] = self.agent_vy[:, -2]
+            # TTC's substep offsets (J,) and the agents' positions there, (A, 41, J)
+            self.ttc_horizon = np.arange(1, cfg.ttc_substeps + 1) * (cfg.ttc_horizon_s / cfg.ttc_substeps)
+            self.ttc_x = self.agent_x[:, :, None] + self.agent_vx[:, :, None] * self.ttc_horizon
+            self.ttc_y = self.agent_y[:, :, None] + self.agent_vy[:, :, None] * self.ttc_horizon
         else:
-            self.agent_x = self.agent_y = self.agent_psi = None
+            self.agent_x = self.agent_y = self.agent_cos = self.agent_sin = None
             self.agent_hl = self.agent_hw = self.agent_vx = self.agent_vy = None
+            self.ttc_horizon = self.ttc_x = self.ttc_y = None
 
-        # per-lane unit tangents, signed by legal direction
-        self.lane_dirs = []
-        for lane in scene.lanes:
-            d = np.diff(lane.centerline.points, axis=0)
-            d /= np.linalg.norm(d, axis=1, keepdims=True)
-            self.lane_dirs.append(lane.direction_sign * d)
+        # box corners in the ego frame, (4, 1) columns, CCW from front-left
+        hl, hw = scene.ego_half_length, scene.ego_half_width
+        self.corner_lon = np.array([[hl], [-hl], [-hl], [hl]])
+        self.corner_lat = np.array([[hw], [hw], [-hw], [-hw]])
 
-        hist = scene.ego_history[-self.metric_cfg.history_pad_ticks:]
-        self.hist_x = np.array([s.pose.x for s in hist])
-        self.hist_y = np.array([s.pose.y for s in hist])
+        # every lane's segments, stacked in lane order: (S, 1) columns of start
+        # x, start y, dx, dy and squared length, and each segment's unit
+        # tangent signed by its lane's legal direction; then each lane's first
+        # segment per tick (L, 41), and the (lane, lo, hi) segment range of
+        # each lane of more than one segment
+        self.lane_segments = self.lane_dir_x = self.lane_dir_y = self.lane_first = None
+        self.lane_multi = ()
+        if scene.lanes:
+            segments = [lane.centerline._segment_arrays()[:5] for lane in scene.lanes]
+            self.lane_segments = tuple(np.concatenate(cols) for cols in zip(*segments))
+            dirs = []
+            for lane in scene.lanes:
+                d = np.diff(lane.centerline.points, axis=0)
+                d /= np.linalg.norm(d, axis=1, keepdims=True)
+                dirs.append(lane.direction_sign * d)
+            self.lane_dir_x, self.lane_dir_y = np.concatenate(dirs).T.copy()
+            ends = np.cumsum([len(lane.centerline) - 1 for lane in scene.lanes]).tolist()
+            starts = [0, *ends[:-1]]
+            self.lane_first = np.repeat(np.array(starts, dtype=np.intp)[:, None], DENSE_TICKS, axis=1)
+            self.lane_multi = tuple((i, lo, hi) for i, (lo, hi) in enumerate(zip(starts, ends)) if hi - lo > 1)
+
+        hist = scene.ego_history[-cfg.history_pad_ticks:]
         self.hist_psi = np.array([s.pose.psi for s in hist])
         self.hist_v = np.array([s.v for s in hist])
 
         self._reference = None
         self._ref_progress = None
-        self._lane_memo = None
+        self._memo = None
 
     @property
     def reference(self) -> DenseTrajectory:
@@ -304,27 +339,96 @@ class ScoreContext:
         return self._ref_progress
 
 
+_TICKS = np.arange(DENSE_TICKS)
+_ENDS = np.array([0, DENSE_TICKS - 1])
+
+
 def route_progress(d: DenseTrajectory, route: Polyline) -> float:
     """Arc length gained along the route between first and last rollout pose."""
-    s = arc_positions(route, np.array([d.x[0], d.x[-1]]), np.array([d.y[0], d.y[-1]]))
+    s = arc_positions(route, d.x.take(_ENDS), d.y.take(_ENDS))
     return float(s[1] - s[0])
 
 
-def _ego_corners(d: DenseTrajectory, hl: float, hw: float, c: np.ndarray, s: np.ndarray):
-    """(4, 41) world x and y of the ego box corners along a rollout, CCW from
-    front-left; c and s are the cosine and sine of the rollout heading."""
-    lx = np.array([[hl], [-hl], [-hl], [hl]])
-    ly = np.array([[hw], [hw], [-hw], [-hw]])
-    cx = d.x + lx * c - ly * s
-    cy = d.y + lx * s + ly * c
-    return cx, cy
+class _Shared:
+    """What several rules derive from one rollout, each part computed once.
+
+    ``c`` and ``s`` are the cosine and sine of the rollout heading (NC, DAC,
+    TLC, TTC, DDC and LK read them).  The box corners (DAC, TLC), which
+    corners and centers lie in each intersection (TLC, DDC, LK) and the
+    lane geometry (DDC, LK) are computed when first asked for.  Every part
+    depends only on the rollout and the scene, so two threads that fill in
+    the same part store equal values.
+    """
+
+    __slots__ = ("d", "c", "s", "_corners", "_in_intersections", "_lanes")
+
+    def __init__(self, d: DenseTrajectory):
+        self.d = d
+        self.c = np.cos(d.psi)
+        self.s = np.sin(d.psi)
+        self._corners = None
+        self._in_intersections = None
+        self._lanes = None
+
+    def corners(self, ctx: ScoreContext):
+        """(4, 41) world x and y of the ego box corners, CCW from front-left."""
+        if self._corners is None:
+            d, c, s, lon, lat = self.d, self.c, self.s, ctx.corner_lon, ctx.corner_lat
+            self._corners = (d.x + lon * c - lat * s, d.y + lon * s + lat * c)
+        return self._corners
+
+    def in_intersections(self, ctx: ScoreContext):
+        """Per intersection, (5, 41) whether each box corner (rows 0-3) and
+        the ego center (row 4) lie in its polygon."""
+        if self._in_intersections is None:
+            cx, cy = self.corners(ctx)
+            px = np.concatenate([cx.ravel(), self.d.x])
+            py = np.concatenate([cy.ravel(), self.d.y])
+            self._in_intersections = tuple(
+                xy_in_polygon(px, py, inter.polygon).reshape(5, DENSE_TICKS) for inter in ctx.scene.intersections
+            )
+        return self._in_intersections
+
+    def lanes(self, ctx: ScoreContext):
+        """Lane geometry DDC and LK share, per lane and tick: (dists, aligned,
+        outside), the (L, 41) distances to each centerline, (L, 41) whether
+        the heading agrees with that lane's legal direction at the closest
+        segment, and (41,) whether the ego center is outside every
+        intersection."""
+        if self._lanes is None:
+            _, d2 = _segment_projection(ctx.lane_segments, self.d.x, self.d.y)     # (S, 41)
+            # each lane's closest segment; equidistant ones break to the lowest index
+            seg = ctx.lane_first.copy()
+            for i, lo, hi in ctx.lane_multi:
+                seg[i] = d2[lo:hi].argmin(axis=0) + lo
+            aligned = self.c * ctx.lane_dir_x.take(seg) + self.s * ctx.lane_dir_y.take(seg) > 0
+            outside = np.ones(DENSE_TICKS, dtype=bool)
+            for inside in self.in_intersections(ctx):
+                outside &= ~inside[4]
+            self._lanes = (np.sqrt(d2[seg, _TICKS]), aligned, outside)
+        return self._lanes
 
 
-def _ego_at_fault(ex, ey, epsi, ev, ax, ay, avx, avy):
+def _shared(d: DenseTrajectory, ctx: ScoreContext) -> _Shared:
+    """The shared values of rollout d, from the context's memo when d was
+    the last rollout scored there.
+
+    The memo is replaced whole and matched by rollout identity (rollouts are
+    immutable, and the memo holds d, so its id cannot be reused), so threads
+    sharing a context can at worst recompute it and never receive another
+    rollout's values.
+    """
+    memo = ctx._memo
+    if memo is None or memo.d is not d:
+        memo = ctx._memo = _Shared(d)
+    return memo
+
+
+def _ego_at_fault(ex, ey, hx, hy, ev, ax, ay, avx, avy):
     """The at-fault rule, elementwise: a received rear-end while not
     reversing (agent centered in the rear half-plane and closing at least as
-    fast as the ego moves) is not the ego's fault; everything else is."""
-    hx, hy = np.cos(epsi), np.sin(epsi)
+    fast as the ego moves) is not the ego's fault; everything else is.
+    hx and hy are the cosine and sine of the ego heading."""
     behind = (ax - ex) * hx + (ay - ey) * hy < 0
     closing = avx * hx + avy * hy
     return ~(behind & (ev <= closing))
@@ -346,60 +450,28 @@ def score_nc(d: DenseTrajectory, ctx: ScoreContext) -> float:
     """No at-fault collision: 0 iff some contact onset is the ego's fault."""
     if ctx.n_agents == 0:
         return 1.0
-    overlap = obb_overlap_batch(
-        d.x, d.y, d.psi, ctx.scene.ego_half_length, ctx.scene.ego_half_width,
-        ctx.agent_x, ctx.agent_y, ctx.agent_psi, ctx.agent_hl, ctx.agent_hw,
+    sh = _shared(d, ctx)
+    overlap = _obb_overlap(
+        d.x, d.y, sh.c, sh.s, ctx.scene.ego_half_length, ctx.scene.ego_half_width,
+        ctx.agent_x, ctx.agent_y, ctx.agent_cos, ctx.agent_sin, ctx.agent_hl, ctx.agent_hw,
     )
     if not overlap.any():
         return 1.0
-    at_fault = _ego_at_fault(
-        d.x, d.y, d.psi, d.v, ctx.agent_x, ctx.agent_y, ctx.agent_vx, ctx.agent_vy
-    )
+    at_fault = _ego_at_fault(d.x, d.y, sh.c, sh.s, d.v, ctx.agent_x, ctx.agent_y, ctx.agent_vx, ctx.agent_vy)
     return 0.0 if (at_fault & _onsets(overlap)).any() else 1.0
 
 
 def score_dac(d: DenseTrajectory, ctx: ScoreContext) -> float:
     """Drivable-area compliance: all ego corners inside the drivable union."""
-    cx, cy = _ego_corners(d, ctx.scene.ego_half_length, ctx.scene.ego_half_width, np.cos(d.psi), np.sin(d.psi))
+    cx, cy = _shared(d, ctx).corners(ctx)
     px, py = cx.ravel(), cy.ravel()
     covered = np.zeros(len(px), dtype=bool)
     for poly in ctx.scene.drivable:
         covered |= xy_in_polygon(px, py, poly)
         if covered.all():
             return 1.0
-    return 1.0 if covered.all() else 0.0
+    return 0.0
 
-
-_TICKS = np.arange(DENSE_TICKS)
-
-
-def _lane_state(d: DenseTrajectory, ctx: ScoreContext):
-    """Lane geometry of a rollout that DDC and LK share, per lane and tick.
-
-    Returns (dists, aligned, outside): (L, 41) distances to each centerline,
-    (L, 41) whether the heading agrees with that lane's legal direction, and
-    (41,) whether the ego center is outside every intersection.  The result
-    of the last rollout is memoized on the context as one (rollout, value)
-    tuple, which is read and replaced whole, so a context shared between
-    threads can never pair a rollout with another rollout's lane geometry.
-    """
-    memo = ctx._lane_memo
-    if memo is not None and memo[0] is d:
-        return memo[1]
-    px, py = d.x, d.y
-    hx, hy = np.cos(d.psi), np.sin(d.psi)
-    dists, aligned = [], []
-    for lane, dirs in zip(ctx.scene.lanes, ctx.lane_dirs):
-        dist, seg = nearest_segments(lane.centerline, px, py)
-        tangent = dirs[seg]
-        dists.append(dist)
-        aligned.append(hx * tangent[:, 0] + hy * tangent[:, 1] > 0)
-    outside = np.ones(DENSE_TICKS, dtype=bool)
-    for inter in ctx.scene.intersections:
-        outside &= ~xy_in_polygon(px, py, inter.polygon)
-    value = (np.stack(dists), np.stack(aligned), outside)
-    ctx._lane_memo = (d, value)
-    return value
 
 
 def score_ddc(d: DenseTrajectory, ctx: ScoreContext) -> float:
@@ -407,8 +479,8 @@ def score_ddc(d: DenseTrajectory, ctx: ScoreContext) -> float:
     cfg = ctx.metric_cfg
     if not ctx.scene.lanes:
         return 1.0
-    dists, aligned, outside = _lane_state(d, ctx)
-    opposing = ~aligned[np.argmin(dists, axis=0), _TICKS]
+    dists, aligned, outside = _shared(d, ctx).lanes(ctx)
+    opposing = ~aligned[dists.argmin(axis=0), _TICKS]
     wrong = (opposing & outside)[:-1]
     # the sum over no steps is 0.0, so the steps are measured only when needed
     wrong_way = float(np.sum(np.hypot(np.diff(d.x), np.diff(d.y))[wrong])) if wrong.any() else 0.0
@@ -419,42 +491,38 @@ def score_ddc(d: DenseTrajectory, ctx: ScoreContext) -> float:
     return 0.0
 
 
-def _box_in_polygon_per_tick(d: DenseTrajectory, hl, hw, c, s, cx, cy, poly: Polygon) -> np.ndarray:
-    """Whether the ego box intersects the polygon, per tick (bool (41,)).
+# the corner each box edge runs to, over the (4 * 41,) raveled corners
+_NEXT_CORNER = np.roll(np.arange(4 * DENSE_TICKS), -DENSE_TICKS)
 
-    c and s are the cosine and sine of the rollout heading, cx and cy the
-    (4, 41) box corners from _ego_corners.  Work arrays keep the 41 ticks as
-    their last axis, so numpy's inner loops run over ticks, not corners.
+
+def _box_in_polygon_per_tick(sh: _Shared, ctx: ScoreContext, corners_in: np.ndarray, poly: Polygon) -> np.ndarray:
+    """Whether the ego box intersects the polygon, per tick (bool (41,)):
+    a box corner in the polygon (corners_in, (4, 41)), a polygon vertex in
+    the box, or a box edge meeting a polygon edge.  Work arrays keep the
+    ticks as their last axis, so numpy's inner loops run over ticks, not
+    corners.
     """
-    corner_in = xy_in_polygon(cx.ravel(), cy.ravel(), poly).reshape(4, DENSE_TICKS).any(axis=0)
-
+    d, c, s = sh.d, sh.c, sh.s
     # polygon vertex inside the box, tested in the box frame
-    next_vertices, ax, ay = poly._edge_arrays()[:3]
+    _, ax, ay = poly._edge_arrays()[:3]
     dx = ax - d.x                                     # (E, 41)
     dy = ay - d.y
-    lon = dx * c + dy * s
-    lat = -dx * s + dy * c
-    vert_in = ((np.abs(lon) <= hl) & (np.abs(lat) <= hw)).any(axis=0)
+    vert_in = (
+        (np.abs(dx * c + dy * s) <= ctx.scene.ego_half_length) & (np.abs(dy * c - dx * s) <= ctx.scene.ego_half_width)
+    ).any(axis=0)
 
-    # edge crossings between the 4 box edges and the polygon boundary
-    corners = np.stack([cx, cy], axis=2)
-    p1 = corners[None, :, :, :]                       # (1, 4, 41, 2)
-    p2 = corners[None, [1, 2, 3, 0], :, :]
-    q1 = poly.vertices[:, None, None, :]              # (E, 1, 1, 2)
-    q2 = next_vertices[:, None, None, :]
-    edge_cross = segments_intersect_batch(p1, p2, q1, q2).any(axis=(0, 1))
-    return corner_in | vert_in | edge_cross
+    cx, cy = sh.corners(ctx)
+    edge_cross = _ring_meets_polygon(cx.ravel(), cy.ravel(), _NEXT_CORNER, poly)    # (E, 4 * 41)
+    return corners_in.any(axis=0) | vert_in | edge_cross.reshape(-1, 4, DENSE_TICKS).any(axis=(0, 1))
 
 
 def score_tlc(d: DenseTrajectory, ctx: ScoreContext) -> float:
     """Traffic-light compliance: only the tick of first entry is checked."""
     if not ctx.scene.intersections:
         return 1.0
-    hl, hw = ctx.scene.ego_half_length, ctx.scene.ego_half_width
-    cos_psi, sin_psi = np.cos(d.psi), np.sin(d.psi)
-    cx, cy = _ego_corners(d, hl, hw, cos_psi, sin_psi)
-    for inter in ctx.scene.intersections:
-        inside = _box_in_polygon_per_tick(d, hl, hw, cos_psi, sin_psi, cx, cy, inter.polygon)
+    sh = _shared(d, ctx)
+    for inter, points_in in zip(ctx.scene.intersections, sh.in_intersections(ctx)):
+        inside = _box_in_polygon_per_tick(sh, ctx, points_in[:4], inter.polygon)
         entries = np.flatnonzero(inside[1:] & ~inside[:-1]) + 1
         if np.any(inter.light.phases[entries] != PHASE_GREEN):
             return 0.0
@@ -474,26 +542,21 @@ def score_ttc(d: DenseTrajectory, ctx: ScoreContext) -> float:
     """Time-to-collision: constant-velocity projection over a 1 s horizon."""
     if ctx.n_agents == 0:
         return 1.0
-    cfg = ctx.metric_cfg
-    sub_dt = cfg.ttc_horizon_s / cfg.ttc_substeps
-    horizon = (np.arange(1, cfg.ttc_substeps + 1) * sub_dt)[None, None, :]  # (1, 1, J)
-
-    hx, hy = np.cos(d.psi), np.sin(d.psi)
-    ex = d.x[None, :, None] + (d.v * hx)[None, :, None] * horizon   # (1, 41, J)
-    ey = d.y[None, :, None] + (d.v * hy)[None, :, None] * horizon
-    ax = ctx.agent_x[:, :, None] + ctx.agent_vx[:, :, None] * horizon  # (A, 41, J)
-    ay = ctx.agent_y[:, :, None] + ctx.agent_vy[:, :, None] * horizon
-
-    overlap = obb_overlap_batch(
-        ex, ey, d.psi[None, :, None], ctx.scene.ego_half_length, ctx.scene.ego_half_width,
-        ax, ay, ctx.agent_psi[:, :, None], ctx.agent_hl[:, :, None], ctx.agent_hw[:, :, None],
-    )
+    sh = _shared(d, ctx)
+    # ego positions over the horizon, (41, J); the heading terms stay (41, 1)
+    hx, hy = sh.c[:, None], sh.s[:, None]
+    ex = d.x[:, None] + (d.v * sh.c)[:, None] * ctx.ttc_horizon
+    ey = d.y[:, None] + (d.v * sh.s)[:, None] * ctx.ttc_horizon
+    overlap = _obb_overlap(
+        ex, ey, hx, hy, ctx.scene.ego_half_length, ctx.scene.ego_half_width,
+        ctx.ttc_x, ctx.ttc_y, ctx.agent_cos[:, :, None], ctx.agent_sin[:, :, None],
+        ctx.agent_hl[:, :, None], ctx.agent_hw[:, :, None],
+    )                                                                  # (A, 41, J)
     if not overlap.any():
         return 1.0
     # judge fault at the first overlapping substep of each tick's projection
     at_fault = _ego_at_fault(
-        ex, ey, d.psi[None, :, None], d.v[None, :, None],
-        ax, ay, ctx.agent_vx[:, :, None], ctx.agent_vy[:, :, None],
+        ex, ey, hx, hy, d.v[:, None], ctx.ttc_x, ctx.ttc_y, ctx.agent_vx[:, :, None], ctx.agent_vy[:, :, None]
     )
     has_overlap = overlap.any(axis=2)
     first = np.argmax(overlap, axis=2)
@@ -506,10 +569,12 @@ def score_lk(d: DenseTrajectory, ctx: ScoreContext) -> float:
     cfg = ctx.metric_cfg
     if not ctx.scene.lanes:
         return 1.0
-    dists, aligned, outside = _lane_state(d, ctx)
+    dists, aligned, outside = _shared(d, ctx).lanes(ctx)
     # distance to the nearest centerline whose legal direction the heading follows
     offset = np.where(aligned, dists, np.inf).min(axis=0)
     viol = (offset > cfg.lk_offset_m) & outside
+    if np.count_nonzero(viol) <= cfg.lk_window_ticks:
+        return 1.0  # no run is longer than all violations together
 
     run = longest = 0
     for flag in viol.tolist():
@@ -518,13 +583,28 @@ def score_lk(d: DenseTrajectory, ctx: ScoreContext) -> float:
     return 0.0 if longest > cfg.lk_window_ticks else 1.0
 
 
+def _unwrap(p: np.ndarray) -> np.ndarray:
+    """np.unwrap(p) of a 1-d float array (period 2 pi, discontinuity pi),
+    by the operations numpy's own unwrap performs, without its generic
+    argument handling."""
+    dd = p[1:] - p[:-1]
+    ddmod = np.remainder(dd + np.pi, 2 * np.pi) - np.pi
+    # a difference of exactly +pi maps to +pi, not -pi
+    ddmod[(ddmod == -np.pi) & (dd > 0)] = np.pi
+    ph_correct = ddmod - dd
+    ph_correct[np.abs(dd) < np.pi] = 0
+    up = p.copy()
+    up[1:] = p[1:] + ph_correct.cumsum()
+    return up
+
+
 def score_hc(d: DenseTrajectory, ctx: ScoreContext) -> float:
     """History comfort: nuPlan bounds over the 1.5 s-padded rollout."""
     cfg = ctx.metric_cfg
     v = np.concatenate([ctx.hist_v, d.v])
     psi = np.concatenate([ctx.hist_psi, d.psi])
     lon_accel = finite_difference(v, TICK_DT)
-    yaw_rate = finite_difference(np.unwrap(psi), TICK_DT)
+    yaw_rate = finite_difference(_unwrap(psi), TICK_DT)
     yaw_accel = finite_difference(yaw_rate, TICK_DT)
     lat_accel = v * yaw_rate
     lon_jerk = finite_difference(lon_accel, TICK_DT)

@@ -171,11 +171,11 @@ def epdms_formula(nc, dac, ddc, tlc, ep, ttc, lk, hc, ec):
 
 # ---------------------------------------------------------------------------
 # Exactness oracles: the rollout and rule-scoring paths as they were before
-# per-scene geometry was precomputed, the PID tick schedule cached and the
-# lane projections shared between DDC and LK.  The library must reproduce
-# them bit for bit, so they keep the original arithmetic, operation order,
-# numpy calls and array layouts.  NC, TTC and HC, whose paths were not
-# changed, are taken from the library.
+# per-scene geometry was precomputed, the PID tick schedule cached, the lane
+# projections shared between DDC and LK and each rollout's heading terms
+# computed once for all rules.  The library must reproduce them bit for bit,
+# so they keep the original arithmetic, operation order, numpy calls and
+# array layouts.
 
 
 def wrap_angle(a):
@@ -534,6 +534,101 @@ def score_ep(d, scene, kin_cfg, cfg):
     return float(min(max(ratio, 0.0), 1.0))
 
 
+def obb_overlap_batch(ax, ay, apsi, ahl, ahw, bx, by, bpsi, bhl, bhw):
+    """SAT overlap over arrays broadcast to one shape, headings as angles."""
+    ax, ay, apsi, ahl, ahw, bx, by, bpsi, bhl, bhw = np.broadcast_arrays(
+        ax, ay, apsi, ahl, ahw, bx, by, bpsi, bhl, bhw
+    )
+    dx = bx - ax
+    dy = by - ay
+    ca, sa = np.cos(apsi), np.sin(apsi)
+    cb, sb = np.cos(bpsi), np.sin(bpsi)
+    cab = ca * cb + sa * sb
+    sab = ca * sb - sa * cb
+
+    overlap = np.ones(ax.shape, dtype=bool)
+    t_lon = dx * ca + dy * sa
+    t_lat = -dx * sa + dy * ca
+    rb_lon = bhl * np.abs(cab) + bhw * np.abs(sab)
+    rb_lat = bhl * np.abs(sab) + bhw * np.abs(cab)
+    overlap &= np.abs(t_lon) <= ahl + rb_lon
+    overlap &= np.abs(t_lat) <= ahw + rb_lat
+    u_lon = dx * cb + dy * sb
+    u_lat = -dx * sb + dy * cb
+    ra_lon = ahl * np.abs(cab) + ahw * np.abs(sab)
+    ra_lat = ahl * np.abs(sab) + ahw * np.abs(cab)
+    overlap &= np.abs(u_lon) <= bhl + ra_lon
+    overlap &= np.abs(u_lat) <= bhw + ra_lat
+    return overlap
+
+
+def _ego_at_fault(ex, ey, epsi, ev, ax, ay, avx, avy):
+    hx, hy = np.cos(epsi), np.sin(epsi)
+    behind = (ax - ex) * hx + (ay - ey) * hy < 0
+    closing = avx * hx + avy * hy
+    return ~(behind & (ev <= closing))
+
+
+def _agent_arrays(scene):
+    """(x, y, psi, half length, half width, vx, vy) of the agents, (A, 41)
+    each but the (A, 1) extents; replay velocity by forward difference."""
+    agents = scene.agents
+    x = np.stack([a.x for a in agents])
+    y = np.stack([a.y for a in agents])
+    psi = np.stack([a.psi for a in agents])
+    hl = np.array([a.half_length for a in agents])[:, None]
+    hw = np.array([a.half_width for a in agents])[:, None]
+    vx = np.empty_like(x)
+    vy = np.empty_like(y)
+    vx[:, :-1] = np.diff(x, axis=1) / 0.1
+    vy[:, :-1] = np.diff(y, axis=1) / 0.1
+    vx[:, -1] = vx[:, -2]
+    vy[:, -1] = vy[:, -2]
+    return x, y, psi, hl, hw, vx, vy
+
+
+def score_nc(d, scene):
+    if not scene.agents:
+        return 1.0
+    x, y, psi, hl, hw, vx, vy = _agent_arrays(scene)
+    overlap = obb_overlap_batch(d.x, d.y, d.psi, scene.ego_half_length, scene.ego_half_width, x, y, psi, hl, hw)
+    if not overlap.any():
+        return 1.0
+    at_fault = _ego_at_fault(d.x, d.y, d.psi, d.v, x, y, vx, vy)
+    onset = np.zeros_like(overlap)
+    onset[..., 0] = overlap[..., 0]
+    onset[..., 1:] = overlap[..., 1:] & ~overlap[..., :-1]
+    return 0.0 if (at_fault & onset).any() else 1.0
+
+
+def score_ttc(d, scene, cfg):
+    if not scene.agents:
+        return 1.0
+    x, y, psi, hl, hw, vx, vy = _agent_arrays(scene)
+    sub_dt = cfg.ttc_horizon_s / cfg.ttc_substeps
+    horizon = (np.arange(1, cfg.ttc_substeps + 1) * sub_dt)[None, None, :]
+
+    hx, hy = np.cos(d.psi), np.sin(d.psi)
+    ex = d.x[None, :, None] + (d.v * hx)[None, :, None] * horizon
+    ey = d.y[None, :, None] + (d.v * hy)[None, :, None] * horizon
+    ax = x[:, :, None] + vx[:, :, None] * horizon
+    ay = y[:, :, None] + vy[:, :, None] * horizon
+
+    overlap = obb_overlap_batch(
+        ex, ey, d.psi[None, :, None], scene.ego_half_length, scene.ego_half_width,
+        ax, ay, psi[:, :, None], hl[:, :, None], hw[:, :, None],
+    )
+    if not overlap.any():
+        return 1.0
+    at_fault = _ego_at_fault(
+        ex, ey, d.psi[None, :, None], d.v[None, :, None], ax, ay, vx[:, :, None], vy[:, :, None],
+    )
+    has_overlap = overlap.any(axis=2)
+    first = np.argmax(overlap, axis=2)
+    fault_at_first = np.take_along_axis(at_fault & overlap, first[:, :, None], axis=2)[:, :, 0]
+    return 0.0 if (fault_at_first & has_overlap).any() else 1.0
+
+
 def _finite_difference(v, dt):
     out = np.empty_like(v)
     out[1:-1] = (v[2:] - v[:-2]) / (2 * dt)
@@ -567,16 +662,14 @@ def score_hc(d, scene, cfg, dt=0.1):
 
 def subscores(d, ctx):
     """The eight rollout subscores of one rollout, by name."""
-    from trajsim import metrics
-
     scene, cfg = ctx.scene, ctx.metric_cfg
     return {
-        "nc": metrics.score_nc(d, ctx),
+        "nc": score_nc(d, scene),
         "dac": score_dac(d, scene),
         "ddc": score_ddc(d, scene, cfg),
         "tlc": score_tlc(d, scene),
         "ep": score_ep(d, scene, ctx.kin_cfg, cfg),
-        "ttc": metrics.score_ttc(d, ctx),
+        "ttc": score_ttc(d, scene, cfg),
         "lk": score_lk(d, scene, cfg),
         "hc": score_hc(d, scene, cfg),
     }

@@ -269,8 +269,41 @@ class TestDistillCmd:
         assert main(args) == 0  # resumes from the completed checkpoint
         assert out.read_bytes() == first
         report = json.loads((tmp_path / "report.json").read_text())
-        assert report["workers"] == 1
+        assert (report["workers"], report["evals_per_s"]) == (0, 0.0)  # nothing was left to score
+
+    def test_resumed_rows_are_not_counted_as_scored(self, tmp_path, capsys):
+        d, vocab_path = self._vocab(tmp_path)
+        capsys.readouterr()
+        out = tmp_path / "m.bin"
+        report_path = tmp_path / "report.json"
+        args = ["distill", "--scenes", str(d), "--vocab", str(vocab_path), "--seed", "5", "--workers", "2",
+                "--out", str(out), "--teachers", str(tmp_path / "t.txt"), "--report", str(report_path)]
+        assert main(args) == 0
+        first = out.read_bytes()
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("scored 3 scenes x 3 centers (9 evals) in ")
+        assert lines[0].endswith(" per worker (2 workers)") and ", 0 resumed from the checkpoint: " in lines[0]
+
+        # keep only row 0 in the sidecar: the rerun scores rows 1 and 2
+        done = tmp_path / "m.bin.done"
+        done.write_text("\n".join(done.read_text().splitlines()[:1] + ["0"]) + "\n")
+        assert main(args) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("scored 2 scenes x 3 centers (6 evals) in ")
+        assert ", 1 resumed from the checkpoint: " in lines[0] and lines[0].endswith(" (2 workers)")
+        report = json.loads(report_path.read_text())
+        assert (report["scored_scenes"], report["resumed_scenes"], report["workers"]) == (2, 1, 2)
         assert report["evals_per_s"] > 0
+
+        # every row resumed: nothing scored, no worker used
+        assert main(args) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("scored 0 scenes x 3 centers (0 evals) in ")
+        assert lines[0].endswith(", 3 resumed from the checkpoint: 0 evals/s total, 0 per worker (0 workers)")
+        report = json.loads(report_path.read_text())
+        assert (report["scored_scenes"], report["resumed_scenes"], report["workers"]) == (0, 3, 0)
+        assert report["evals_per_s"] == 0.0 and report["evals_per_s_per_worker"] == 0.0
+        assert out.read_bytes() == first
 
 
 class TestSelectCmd:

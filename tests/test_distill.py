@@ -1,3 +1,5 @@
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -73,6 +75,20 @@ class TestScoreVocabulary:
         b = score_vocabulary(scenes, vocab, workers=2)
         assert np.array_equal(a.values, b.values)
         assert a.scene_ids == b.scene_ids
+
+    @pytest.mark.parametrize("n_scenes, most_children", [(2, 2), (1, 0)])
+    def test_pool_starts_no_more_workers_than_rows(self, small_world, n_scenes, most_children):
+        # 4 workers asked for: 2 rows start at most 2 processes, 1 row is
+        # scored in this process
+        scenes, vocab = small_world
+        children = []
+        got = score_vocabulary(
+            scenes[:n_scenes], vocab, workers=4,
+            progress=lambda idx: children.append(len(multiprocessing.active_children())),
+        )
+        assert len(children) == n_scenes
+        assert max(children) <= most_children
+        assert np.array_equal(got.values, score_vocabulary(scenes[:n_scenes], vocab, workers=1).values)
 
     def test_checkpoint_resume_skips_done_rows(self, small_world, tmp_path):
         scenes, vocab = small_world

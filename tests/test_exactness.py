@@ -2,16 +2,22 @@
 
 The references in oracles.py keep the arithmetic of the per-call paths as
 they were before per-scene geometry was precomputed, the PID tick schedule
-cached, the lane projections shared between DDC and LK and the comfort
-profiles folded into HC, of k-means before its seeding distances were
-summed over a transposed copy and its loop-invariant terms hoisted, and of
-diversity before every corridor was rasterized on one shared lattice, and of
-extended comfort over whole arrays and selection comfort over full rollouts,
-before either stopped at the first tick that breaks a tolerance.  The
-scene transform keeps its own copy of the rigid frame change, as it had
-before it shared geom.to_world with trajectory_to_world.  Every
-comparison here is on the bytes of the float64 values, so -0.0 against 0.0
-fails too.
+cached, the lane projections shared between DDC and LK, the comfort
+profiles folded into HC, and each rollout's heading terms, box corners and
+lane projections computed once for all rules (NC and TTC with their own
+trig and SAT over broadcast arrays, TLC with four orientation determinants
+per segment pair, HC with numpy's unwrap).  They keep k-means as it was
+before its seeding distances were summed over a transposed copy and its
+loop-invariant terms hoisted, diversity before every corridor was
+rasterized on one shared lattice, and extended comfort over whole arrays
+and selection comfort over full rollouts, before either stopped at the
+first tick that breaks a tolerance.  The scene transform keeps its own copy
+of the rigid frame change, as it had before it shared geom.to_world with
+trajectory_to_world.  Besides the generated scenes, a hand-built scene
+checks the rules on geometry the generator never makes: multi-segment and
+curved lanes, five agents, a concave drivable area with a second polygon,
+and two intersections.  Every comparison here is on the bytes of the
+float64 values, so -0.0 against 0.0 fails too.
 """
 
 import dataclasses
@@ -25,15 +31,18 @@ import pytest
 
 from trajsim.distill import score_scene_row
 from trajsim.geom import (
-    Polygon, Polyline, Pose, arc_positions, nearest_segments, segments_intersect_batch, xy_in_polygon,
+    Polygon, Polyline, Pose, _ring_meets_polygon, arc_positions, xy_in_polygon,
 )
 from trajsim.kinematics import (
-    DenseTrajectory, EgoState, KinematicsConfig, Trajectory, ego_rollout, pid_track, trajectory_to_world,
+    DENSE_TICKS, DenseTrajectory, EgoState, KinematicsConfig, Trajectory, ego_rollout, pid_track, trajectory_to_world,
 )
-from trajsim.metrics import MetricConfig, ScoreContext, score_ddc, score_ec, score_lk
+from trajsim.metrics import (
+    PHASE_GREEN, PHASE_RED, PHASE_YELLOW, Agent, Intersection, Lane, MetricConfig, Scene, ScoreContext, TrafficLight,
+    score_dac, score_ddc, score_ec, score_lk, score_nc, score_tlc, score_ttc,
+)
 from trajsim.selection import ProposalSet, SelectionState, comfort_scores, select
 from trajsim import metrics, scene_io
-from trajsim.scene_io import TEMPLATES, SyntheticSpec, generate_scene, scene_to_doc, transform_scene
+from trajsim.scene_io import TEMPLATES, SyntheticSpec, generate_scene, scene_to_doc, straight_plan, transform_scene
 from trajsim.seeding import stable_seed
 from trajsim.vocabulary import (
     TrajectoryCorpus, Vocabulary, _assign_chunk, _pairwise_row_sum, headings_from_tangents, kmeans,
@@ -92,6 +101,110 @@ def test_each_subscore_matches_oracle(scenes, centers):
             for rule in RULES:
                 got = getattr(metrics, f"score_{rule}")(rollout, ctx)
                 assert bits(got) == bits(want[rule]), (scene.scene_id, rule)
+
+
+def rich_scene(seed):
+    """A hand-built scene with the geometry the generator never makes, placed
+    at a seeded world pose: a concave L-shaped road plus a lay-by polygon
+    overlapping it; three lanes, two of several segments of unequal length
+    (one along the curve, one the other way); five agents, one ahead that
+    the faster rollouts hit, one that reaches the slower ones from behind;
+    and two intersections whose lights change at different ticks."""
+    rng = np.random.default_rng(seed)
+    v0 = 8.0
+    t = 0.1 * np.arange(DENSE_TICKS)
+
+    def moving(x0, y0, psi, speed):
+        return np.column_stack([x0 + speed * math.cos(psi) * t, y0 + speed * math.sin(psi) * t, np.full(DENSE_TICKS, psi)])
+
+    agents = [
+        Agent("slow-ahead", 2.3, 0.95, moving(22.0 + rng.uniform(-1, 1), 0.2, 0.0, 4.0)),
+        Agent("crossing", 2.2, 1.0, moving(36.0, 9.0 + rng.uniform(-1, 1), -math.pi / 2, 4.0)),
+        Agent("oncoming", 2.4, 0.9, moving(52.0, 28.0, -math.pi / 2, 5.0)),
+        Agent("from-behind", 2.3, 0.95, moving(-12.0, 0.3, 0.0, 9.0)),
+        Agent("parked", 2.0, 0.9, np.tile([30.0, -3.0, 0.3], (DENSE_TICKS, 1)), is_static=True),
+    ]
+    road = Polygon([[-20, -4], [60, -4], [60, 30], [44, 30], [44, 4], [-20, 4]])
+    layby = Polygon([[8, -9], [30, -9], [30, -3], [8, -3]])
+    arc = [[40 + 8 * math.sin(a), 8 - 8 * math.cos(a)] for a in np.linspace(0.3, math.pi / 2, 4)]
+    lanes = [
+        Lane(Polyline([[-20, 0.0], [12, 0.0], [38, 0.2], *arc, [48, 30]]), 1),
+        Lane(Polyline([[58, 2.5], [30, 2.6], [25, 2.0], [-20, 2.5]]), 1),
+        Lane(Polyline([[8, -6], [30, -6]]), 1),
+    ]
+    phases_a = np.full(DENSE_TICKS, PHASE_GREEN)
+    phases_a[18:26] = PHASE_YELLOW
+    phases_a[26:] = PHASE_RED
+    phases_b = np.full(DENSE_TICKS, PHASE_RED)
+    phases_b[30:] = PHASE_GREEN
+    intersections = [
+        Intersection(Polygon([[20, -4], [30, -4], [30, 4], [20, 4]]), TrafficLight("a", phases_a)),
+        Intersection(Polygon([[44, 4], [60, 4], [60, 16], [44, 16]]), TrafficLight("b", phases_b)),
+    ]
+    history = [EgoState(Pose(-v0 * 0.1 * j, 0.0, 0.0), v0) for j in range(16, 0, -1)]
+    scene = Scene(f"rich-{seed}", EgoState(Pose(0.0, 0.0, 0.0), v0), history, agents, [road, layby],
+                  Polyline([[-20, 0], [50, 0], [52, 30]]), road, lanes, intersections, straight_plan(v0))
+    return transform_scene(scene, Pose(rng.uniform(-100, 100), rng.uniform(-100, 100), rng.uniform(-math.pi, math.pi)))
+
+
+@pytest.fixture(scope="module")
+def rich_scenes():
+    return [rich_scene(seed) for seed in (1, 2)]
+
+
+def test_each_subscore_matches_oracle_on_rich_geometry(rich_scenes, centers):
+    for scene in rich_scenes:
+        ctx = ScoreContext(scene)
+        seen = {rule: set() for rule in RULES}
+        for plan in (scene.human_trajectory, *centers):
+            rollout = ego_rollout(plan, scene.ego_init)
+            want = oracles.subscores(rollout, ctx)
+            for rule in RULES:
+                got = getattr(metrics, f"score_{rule}")(rollout, ctx)
+                assert bits(got) == bits(want[rule]), (scene.scene_id, rule)
+                seen[rule].add(got)
+        # every rule takes more than one value, so each path was compared
+        assert all(len(values) > 1 for values in seen.values()), (scene.scene_id, seen)
+
+
+def test_unwrap_is_numpys_unwrap():
+    # steps of exactly +-pi (numpy maps +pi to +pi, not -pi), steps just
+    # below and above it, several turns, signed zeros and random walks
+    rng = np.random.default_rng(53)
+    steps = [math.pi, -math.pi, np.nextafter(math.pi, 0), np.nextafter(math.pi, 4), 2 * math.pi, -0.0, 0.0, 0.5]
+    cases = [np.array([0.0, math.pi, 0.0, -math.pi, -0.0, 2 * math.pi, 0.0])]
+    cases += [np.cumsum(rng.choice(steps, size=int(rng.integers(2, 60)))) for _ in range(500)]
+    cases += [rng.uniform(-math.pi, math.pi, size=56) for _ in range(100)]
+    for p in cases:
+        assert bits(metrics._unwrap(p)) == bits(np.unwrap(p)), p
+
+
+def test_box_polygon_contacts_match_oracle():
+    # boxes and polygons on a 0.5 m lattice, axis aligned: corners on edges,
+    # collinear edges and touching end points are common
+    rng = np.random.default_rng(37)
+    hl, hw = 2.0, 1.0
+    polys = [[[0, 0], [6, 0], [6, 4], [0, 4]], [[0, 0], [8, 0], [8, 6], [4, 2], [0, 6]]]
+    contacts = 0
+    for verts in polys:
+        light = TrafficLight("x", np.full(DENSE_TICKS, PHASE_RED))
+        scene = generate_scene(SyntheticSpec("red_light", seed=1))
+        scene = dataclasses.replace(
+            scene, intersections=[Intersection(Polygon(verts), light)], ego_half_length=hl, ego_half_width=hw
+        )
+        ctx = ScoreContext(scene)
+        for _ in range(40):
+            x = rng.integers(-12, 28, size=DENSE_TICKS) / 2
+            y = rng.integers(-6, 18, size=DENSE_TICKS) / 2
+            psi = np.full(DENSE_TICKS, rng.choice([0.0, math.pi / 2]))
+            d = DenseTrajectory(x, y, psi, np.zeros(DENSE_TICKS), np.zeros(DENSE_TICKS), np.zeros(DENSE_TICKS))
+            sh = metrics._shared(d, ctx)
+            got = metrics._box_in_polygon_per_tick(sh, ctx, sh.in_intersections(ctx)[0][:4], scene.intersections[0].polygon)
+            want = oracles._box_in_polygon_per_tick(d, hl, hw, scene.intersections[0].polygon.vertices)
+            assert np.array_equal(got, want)
+            assert bits(score_tlc(d, ctx)) == bits(oracles.score_tlc(d, scene))
+            contacts += int(got.sum())
+    assert contacts > 0
 
 
 def test_score_scene_row_matches_oracle(scenes, vocab):
@@ -205,18 +318,24 @@ def test_points_on_polygon_edges_match_oracle():
 
 
 def test_segment_intersections_match_oracle():
-    # end points on a small integer grid, so collinear triples and touching
-    # or overlapping segments are common
+    # a ring of points (edge i runs to point nxt[i]) against polygon edges:
+    # on a small integer grid, where collinear triples and touching or
+    # overlapping segments are common, and in general position, where no
+    # orientation is exactly zero
     rng = np.random.default_rng(31)
-    p1, p2 = rng.integers(0, 4, size=(2, 60, 1, 2)).astype(float)
-    q1, q2 = rng.integers(0, 4, size=(2, 1, 60, 2)).astype(float)
-    got = segments_intersect_batch(p1, p2, q1, q2)
-    want = oracles.segments_intersect_batch(p1, p2, q1, q2)
-    assert np.array_equal(got, want) and want.any() and not want.all()
-    # and in general position, where no orientation is exactly zero
-    p1, p2 = rng.uniform(0, 4, size=(2, 60, 1, 2))
-    q1, q2 = rng.uniform(0, 4, size=(2, 1, 60, 2))
-    assert np.array_equal(segments_intersect_batch(p1, p2, q1, q2), oracles.segments_intersect_batch(p1, p2, q1, q2))
+    met = pairs = 0
+    for grid in (True, False):
+        for _ in range(40):
+            n = int(rng.integers(3, 60))
+            pts = rng.integers(0, 4, size=(n, 2)).astype(float) if grid else rng.uniform(0, 4, size=(n, 2))
+            nxt = rng.permutation(n)
+            poly = Polygon([[0, 0], [3, 0], [3, 3], [1, 1], [0, 3]] if grid else rng.uniform(0, 4, size=(5, 2)))
+            got = _ring_meets_polygon(pts[:, 0], pts[:, 1], nxt, poly)
+            v = poly.vertices
+            want = oracles.segments_intersect_batch(pts[None], pts[nxt][None], v[:, None], np.roll(v, -1, axis=0)[:, None])
+            assert np.array_equal(got, want)
+            met, pairs = met + int(want.sum()), pairs + want.size
+    assert 0 < met < pairs
 
 
 def test_project_many_matches_oracle():
@@ -225,10 +344,8 @@ def test_project_many_matches_oracle():
         pts = np.cumsum(rng.uniform(0.5, 4.0, size=(int(rng.integers(2, 8)), 2)) * rng.choice([-1, 1], size=2), axis=0)
         line = Polyline(pts)
         queries = np.concatenate([pts, rng.uniform(pts.min() - 5, pts.max() + 5, size=(60, 2))])
-        s, _, dist, seg = oracles.project_many(pts, queries)
-        got_dist, got_seg = nearest_segments(line, queries[:, 0], queries[:, 1])
+        s = oracles.project_many(pts, queries)[0]
         assert bits(arc_positions(line, queries[:, 0], queries[:, 1])) == bits(s)
-        assert bits(got_dist) == bits(dist) and np.array_equal(got_seg, seg)
 
 
 def _distinct_pair(scene, rule, centers):
@@ -241,12 +358,20 @@ def _distinct_pair(scene, rule, centers):
     return rollouts[0], rollouts[other]
 
 
+# every rule that reads the per-rollout memo (NC, DAC, TLC, TTC its heading
+# terms and corners, DDC and LK its lane geometry), each after another one
+MEMO_READERS = (score_nc, score_dac, score_ddc, score_tlc, score_ttc, score_lk)
+
+
 @pytest.mark.parametrize("template, first, then", [
     ("lane_drift", score_ddc, score_lk),
     ("oncoming_lane", score_lk, score_ddc),
+    *(("rich", first, then) for first, then in zip(MEMO_READERS, MEMO_READERS[1:] + MEMO_READERS[:1])),
+    ("rich", score_tlc, score_dac),
+    ("rich", score_ttc, score_nc),
 ])
 def test_lane_memo_never_serves_another_rollout(template, first, then, centers):
-    scene = generate_scene(SyntheticSpec(template, seed=4))
+    scene = rich_scene(1) if template == "rich" else generate_scene(SyntheticSpec(template, seed=4))
     name = then.__name__.removeprefix("score_")
     a, b = _distinct_pair(scene, name, centers)
     ctx = ScoreContext(scene)
@@ -257,19 +382,23 @@ def test_lane_memo_never_serves_another_rollout(template, first, then, centers):
 
 
 def test_shared_context_across_threads(centers):
-    """Threads sharing one context and interleaving DDC and LK on different
-    rollouts get the single-threaded scores."""
-    scene = generate_scene(SyntheticSpec("oncoming_lane", seed=4))
+    """Threads sharing one context and interleaving the memo readers on
+    different rollouts, each thread in its own rule order, get the
+    single-threaded scores."""
+    scene = rich_scene(2)
     rollouts = [pid_track(trajectory_to_world(c, scene.ego_init.pose), scene.ego_init) for c in centers]
-    want = [(score_ddc(r, ScoreContext(scene)), score_lk(r, ScoreContext(scene))) for r in rollouts]
+    want = [tuple(rule(r, ScoreContext(scene)) for rule in MEMO_READERS) for r in rollouts]
+    assert all(len({w[k] for w in want}) > 1 for k in range(len(MEMO_READERS)))
     ctx = ScoreContext(scene)
     wrong = []
 
     def work(offset):
-        for rep in range(20):
+        order = MEMO_READERS[offset:] + MEMO_READERS[:offset]
+        for rep in range(8):
             for i in range(len(rollouts)):
                 j = (i + offset + rep) % len(rollouts)
-                if (score_ddc(rollouts[j], ctx), score_lk(rollouts[j], ctx)) != want[j]:
+                got = {rule: rule(rollouts[j], ctx) for rule in order}
+                if tuple(got[rule] for rule in MEMO_READERS) != want[j]:
                     wrong.append(j)
 
     interval = sys.getswitchinterval()

@@ -237,6 +237,19 @@ class TestLaneKeeping:
         d = self._offset_dense(0.8, 10, 15)  # 0.5 s only
         assert score_lk(d, ScoreContext(make_scene())) == 1.0
 
+    @pytest.mark.parametrize("runs, want", [
+        ([(10, 20)], 1.0),                       # exactly the 10-tick window
+        ([(10, 21)], 0.0),                       # one tick past it
+        ([(2, 8), (12, 18), (25, 31)], 1.0),     # 18 ticks, no run past the window
+        ([(2, 8), (12, 23)], 0.0),
+    ])
+    def test_only_a_run_past_the_window_fails(self, runs, want):
+        y = np.zeros(DENSE_TICKS)
+        for start, stop in runs:
+            y[start:stop] = 1.2
+        d = dense_from_xy(10.0 * T, y, np.full(DENSE_TICKS, 10.0))
+        assert score_lk(d, ScoreContext(make_scene())) == want
+
     def test_offset_inside_intersection_ignored(self):
         poly = Polygon([[5, -6], [50, -6], [50, 6], [5, 6]])
         inter = Intersection(poly, TrafficLight("i0", np.full(DENSE_TICKS, PHASE_GREEN)))
