@@ -350,15 +350,10 @@ def route_progress(d: DenseTrajectory, route: Polyline) -> float:
 
 
 class _Shared:
-    """What several rules derive from one rollout, each part computed once.
-
-    ``c`` and ``s`` are the cosine and sine of the rollout heading (NC, DAC,
-    TLC, TTC, DDC and LK read them).  The box corners (DAC, TLC), which
-    corners and centers lie in each intersection (TLC, DDC, LK) and the
-    lane geometry (DDC, LK) are computed when first asked for.  Every part
-    depends only on the rollout and the scene, so two threads that fill in
-    the same part store equal values.
-    """
+    """What several rules derive from one rollout, each part computed once:
+    ``c`` and ``s``, the cosine and sine of its heading, and the parts built
+    on first request.  Every part depends only on the rollout and the scene,
+    so two threads that fill in the same part store equal values."""
 
     __slots__ = ("d", "c", "s", "_corners", "_in_intersections", "_lanes")
 
@@ -410,14 +405,9 @@ class _Shared:
 
 
 def _shared(d: DenseTrajectory, ctx: ScoreContext) -> _Shared:
-    """The shared values of rollout d, from the context's memo when d was
-    the last rollout scored there.
-
-    The memo is replaced whole and matched by rollout identity (rollouts are
-    immutable, and the memo holds d, so its id cannot be reused), so threads
-    sharing a context can at worst recompute it and never receive another
-    rollout's values.
-    """
+    """The shared values of rollout d: the context's memo if it is d's, else
+    a new one that replaces it.  The memo holds d, so d's id cannot be
+    reused while the memo is matched against it."""
     memo = ctx._memo
     if memo is None or memo.d is not d:
         memo = ctx._memo = _Shared(d)
