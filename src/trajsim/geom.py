@@ -237,8 +237,6 @@ def _obb_overlap(ax, ay, ca, sa, ahl, ahw, bx, by, cb, sb, bhl, bhw) -> np.ndarr
     overlap = (np.abs(dx * ca + dy * sa) <= ahl + (bhl * cab + bhw * sab)) & (
         np.abs(dy * ca - dx * sa) <= ahw + (bhl * sab + bhw * cab)
     )
-    if not overlap.any():
-        return overlap  # every pair is separated along an axis of A
     # axes of B, symmetric roles
     overlap &= np.abs(dx * cb + dy * sb) <= bhl + (ahl * cab + ahw * sab)
     overlap &= np.abs(dy * cb - dx * sb) <= bhw + (ahl * sab + ahw * cab)

@@ -258,7 +258,7 @@ class ScoreContext:
         "scene", "metric_cfg", "kin_cfg",
         "agent_x", "agent_y", "agent_cos", "agent_sin", "agent_hl", "agent_hw",
         "agent_vx", "agent_vy", "n_agents", "ttc_horizon", "ttc_x", "ttc_y",
-        "corner_lon", "corner_lat", "lane_segments", "lane_first", "lane_multi", "lane_dir_x", "lane_dir_y",
+        "corner_lon", "corner_lat", "lane_segments", "lane_slices", "lane_dir_x", "lane_dir_y",
         "_reference", "_ref_progress", "_memo", "hist_psi", "hist_v",
     )
 
@@ -298,12 +298,11 @@ class ScoreContext:
         self.corner_lat = np.array([[hw], [hw], [-hw], [-hw]])
 
         # every lane's segments, stacked in lane order: (S, 1) columns of start
-        # x, start y, dx, dy and squared length, and each segment's unit
-        # tangent signed by its lane's legal direction; then each lane's first
-        # segment per tick (L, 41), and the (lane, lo, hi) segment range of
-        # each lane of more than one segment
-        self.lane_segments = self.lane_dir_x = self.lane_dir_y = self.lane_first = None
-        self.lane_multi = ()
+        # x, start y, dx, dy and squared length, each segment's unit tangent
+        # signed by its lane's legal direction, and each lane's (lo, hi)
+        # range of segments
+        self.lane_segments = self.lane_dir_x = self.lane_dir_y = None
+        self.lane_slices = ()
         if scene.lanes:
             segments = [lane.centerline._segment_arrays()[:5] for lane in scene.lanes]
             self.lane_segments = tuple(np.concatenate(cols) for cols in zip(*segments))
@@ -314,9 +313,7 @@ class ScoreContext:
                 dirs.append(lane.direction_sign * d)
             self.lane_dir_x, self.lane_dir_y = np.concatenate(dirs).T.copy()
             ends = np.cumsum([len(lane.centerline) - 1 for lane in scene.lanes]).tolist()
-            starts = [0, *ends[:-1]]
-            self.lane_first = np.repeat(np.array(starts, dtype=np.intp)[:, None], DENSE_TICKS, axis=1)
-            self.lane_multi = tuple((i, lo, hi) for i, (lo, hi) in enumerate(zip(starts, ends)) if hi - lo > 1)
+            self.lane_slices = tuple(zip([0, *ends[:-1]], ends))
 
         hist = scene.ego_history[-cfg.history_pad_ticks:]
         self.hist_psi = np.array([s.pose.psi for s in hist])
@@ -393,8 +390,8 @@ class _Shared:
         if self._lanes is None:
             _, d2 = _segment_projection(ctx.lane_segments, self.d.x, self.d.y)     # (S, 41)
             # each lane's closest segment; equidistant ones break to the lowest index
-            seg = ctx.lane_first.copy()
-            for i, lo, hi in ctx.lane_multi:
+            seg = np.empty((len(ctx.lane_slices), DENSE_TICKS), dtype=np.intp)
+            for i, (lo, hi) in enumerate(ctx.lane_slices):
                 seg[i] = d2[lo:hi].argmin(axis=0) + lo
             aligned = self.c * ctx.lane_dir_x.take(seg) + self.s * ctx.lane_dir_y.take(seg) > 0
             outside = np.ones(DENSE_TICKS, dtype=bool)
@@ -563,8 +560,6 @@ def score_lk(d: DenseTrajectory, ctx: ScoreContext) -> float:
     # distance to the nearest centerline whose legal direction the heading follows
     offset = np.where(aligned, dists, np.inf).min(axis=0)
     viol = (offset > cfg.lk_offset_m) & outside
-    if np.count_nonzero(viol) <= cfg.lk_window_ticks:
-        return 1.0  # no run is longer than all violations together
 
     run = longest = 0
     for flag in viol.tolist():

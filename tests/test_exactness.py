@@ -338,14 +338,50 @@ def test_segment_intersections_match_oracle():
     assert 0 < met < pairs
 
 
+def _lane_segments_chosen(ctx, d):
+    """The closest segment of each lane per tick, (L, 41), as the lane memo
+    chooses it, read back one bit at a time: with the heading along +x and
+    every segment's tangent set to +x or -x by one bit of its index within
+    its lane, ``aligned`` is that bit of the chosen segment."""
+    tangents = ctx.lane_dir_x, ctx.lane_dir_y
+    local = np.concatenate([np.arange(hi - lo) for lo, hi in ctx.lane_slices])
+    chosen = np.zeros((len(ctx.lane_slices), DENSE_TICKS), dtype=np.intp)
+    try:
+        ctx.lane_dir_y = np.zeros(len(local))
+        for b in range(int(local.max()).bit_length()):
+            ctx.lane_dir_x = np.where(local >> b & 1, 1.0, -1.0)
+            ctx._memo = None
+            chosen |= metrics._shared(d, ctx).lanes(ctx)[1].astype(np.intp) << b
+    finally:
+        ctx.lane_dir_x, ctx.lane_dir_y = tangents
+        ctx._memo = None
+    return chosen
+
+
 def test_project_many_matches_oracle():
+    # three random polylines per scene as its lanes, so the stacked
+    # projection and each lane's slice of it are used; the queries include
+    # every vertex, where two segments of a lane are equally close
     rng = np.random.default_rng(29)
-    for _ in range(50):
-        pts = np.cumsum(rng.uniform(0.5, 4.0, size=(int(rng.integers(2, 8)), 2)) * rng.choice([-1, 1], size=2), axis=0)
-        line = Polyline(pts)
-        queries = np.concatenate([pts, rng.uniform(pts.min() - 5, pts.max() + 5, size=(60, 2))])
-        s = oracles.project_many(pts, queries)[0]
-        assert bits(arc_positions(line, queries[:, 0], queries[:, 1])) == bits(s)
+    base = generate_scene(SyntheticSpec("lane_drift", seed=1))
+    for _ in range(30):
+        lines = [
+            np.cumsum(rng.uniform(0.5, 4.0, size=(int(rng.integers(2, 8)), 2)) * rng.choice([-1, 1], size=2), axis=0)
+            for _ in range(3)
+        ]
+        vertices = np.concatenate(lines)
+        lo, hi = vertices.min() - 5, vertices.max() + 5
+        queries = np.concatenate([vertices, rng.uniform(lo, hi, size=(2 * DENSE_TICKS - len(vertices), 2))])
+        scene = dataclasses.replace(base, lanes=[Lane(Polyline(p), 1) for p in lines], intersections=[])
+        ctx = ScoreContext(scene)
+        for q in (queries[:DENSE_TICKS], queries[DENSE_TICKS:]):
+            d = DenseTrajectory(q[:, 0], q[:, 1], np.zeros(DENSE_TICKS), *np.zeros((3, DENSE_TICKS)))
+            dists = metrics._shared(d, ctx).lanes(ctx)[0]
+            chosen = _lane_segments_chosen(ctx, d)
+            for i, pts in enumerate(lines):
+                s, _, dist, seg = oracles.project_many(pts, q)
+                assert bits(arc_positions(Polyline(pts), q[:, 0], q[:, 1])) == bits(s)
+                assert bits(dists[i]) == bits(dist) and np.array_equal(chosen[i], seg)
 
 
 def _distinct_pair(scene, rule, centers):
@@ -394,7 +430,7 @@ def test_shared_context_across_threads(centers):
 
     def work(offset):
         order = MEMO_READERS[offset:] + MEMO_READERS[:offset]
-        for rep in range(8):
+        for rep in range(20):
             for i in range(len(rollouts)):
                 j = (i + offset + rep) % len(rollouts)
                 got = {rule: rule(rollouts[j], ctx) for rule in order}
