@@ -99,8 +99,10 @@ class OrientedBox:
 class Polygon:
     """Simple polygon, stored CCW (input orientation is normalized).
 
-    `vertices` is an (n, 2) float array, n >= 3.  Self-intersection is the
-    caller's contract and is not checked.
+    `vertices` is an (n, 2) float array, n >= 3, the ring open: no vertex
+    repeats its predecessor, and the last does not repeat the first (each
+    within 1e-9 m).  Self-intersection is the caller's contract and is not
+    checked.
     """
 
     __slots__ = ("vertices", "_edges")
@@ -111,7 +113,11 @@ class Polygon:
             raise ValueError("polygon needs at least 3 planar vertices")
         if not (np.abs(v) <= COORD_LIMIT_M).all():
             raise _coord_error("polygon vertices", v)
-        area2 = float(np.sum(v[:, 0] * np.roll(v[:, 1], -1) - np.roll(v[:, 0], -1) * v[:, 1]))
+        nxt = np.concatenate([v[1:], v[:1]])
+        e = nxt - v
+        if (np.einsum("ij,ij->i", e, e) <= _EDGE_EPS**2).any():
+            raise ValueError("polygon has consecutive duplicate vertices")
+        area2 = float(np.sum(v[:, 0] * nxt[:, 1] - nxt[:, 0] * v[:, 1]))
         if abs(area2) < 1e-12:
             raise ValueError("polygon is degenerate (zero area)")
         if area2 < 0:

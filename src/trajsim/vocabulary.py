@@ -16,6 +16,23 @@ layout (eight interleaved accumulators per block of 128, halves above
 that), so the distances, and with them every k-means++ draw, are the same
 bits as the row-wise sum.  That order is a numpy implementation detail;
 tests/test_exactness.py pins it.
+
+Seeding recomputes only the distances a new center can change.  Each point
+p keeps the index l of its nearest chosen center and the computed squared
+distance d2 to it.  When center c is drawn, a lower bound of |c - l|^2 comes
+from one matrix-vector product of the earlier centers with c, less an
+absolute margin of 2 eps (|c|^2 + |l|^2); p is recomputed only where that
+bound is below 4 d2 (1 + eps) + tau.  With D coordinates, eps = (D + 8)
+2^-48 exceeds the (D + 2) ulp relative rounding of a D-term squared distance
+or dot product, with the few roundings of the bound itself, and tau = (D +
+8) 2^-1060 exceeds the D 2^-1074 absolute rounding of subnormal squares.
+For a skipped p the triangle inequality |p - c| >= |c - l| - |p - l| then
+puts the true |p - c|^2 above the true |p - l|^2 by more than either
+computed distance can be off, so the computed distance to c is not below
+d2 and the minimum with it would keep d2's bits.  The draw takes the steps
+Generator.choice(n, p=d2 / total) takes, without its checks on p: cumsum,
+division by the last entry, and searchsorted of one random() on the right.
+That too follows numpy's implementation, and a test pins it to choice.
 """
 
 from __future__ import annotations
@@ -156,6 +173,64 @@ def _sq_dist_to(xt: np.ndarray, c: np.ndarray, buf: np.ndarray) -> np.ndarray:
     return _pairwise_row_sum(buf)
 
 
+def _draw(d2, total, rng, cdf) -> int:
+    """rng.choice(len(d2), p=d2 / total) by the steps Generator.choice takes,
+    without its checks on p; cdf is a work array the size of d2."""
+    np.divide(d2, total, out=cdf)
+    np.cumsum(cdf, out=cdf)
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
+def _kmeans_pp(x: np.ndarray, k: int, rng):
+    """k-means++ centers of the rows of x, and every row's squared distance
+    to its nearest center: the bits of seeding that recomputes every row's
+    distance to each new center (see the module docstring for the bound)."""
+    n, dim = x.shape
+    eps = (dim + 8) * 2.0**-48
+    tau = (dim + 8) * 2.0**-1060
+    xt = np.ascontiguousarray(x.T)
+    work = np.empty(dim * n)  # the distance terms of the rows recomputed
+    centers = np.empty((k, dim))
+    shrunk = np.empty(k)  # (1 - 2 eps) |center|^2
+    lower = np.empty(k)
+    at_label = np.empty(n)
+    near = np.empty(n, dtype=bool)
+    cdf = np.empty(n)
+    labels = np.zeros(n, dtype=np.intp)  # each row's nearest center
+
+    centers[0] = x[int(rng.integers(n))]
+    shrunk[0] = (1.0 - 2.0 * eps) * (centers[0] @ centers[0])
+    d2 = _sq_dist_to(xt, centers[0], work.reshape(dim, n)).copy()
+    bound = d2 * (4.0 * (1.0 + eps)) + tau
+    for i in range(1, k):
+        total = d2.sum()
+        idx = int(rng.integers(n)) if total <= 0 else _draw(d2, total, rng, cdf)
+        c = centers[i]
+        c[:] = x[idx]
+        shrunk[i] = (1.0 - 2.0 * eps) * (c @ c)
+        # lo[j] <= |c - centers[j]|^2: the expansion less its error margin
+        lo = lower[:i]
+        np.matmul(centers[:i], c, out=lo)
+        lo *= -2.0
+        lo += shrunk[:i]
+        lo += shrunk[i] - tau
+        # mode="clip" since every index is in range; "raise" would buffer out
+        np.take(lo, labels, out=at_label, mode="clip")
+        np.less(at_label, bound, out=near)
+        rows = np.flatnonzero(near)
+        sub = work[: dim * len(rows)].reshape(dim, len(rows))
+        np.take(xt, rows, axis=1, out=sub, mode="clip")
+        new = _sq_dist_to(sub, c, sub)
+        closer = new < d2[rows]
+        rows = rows[closer]
+        new = new[closer]
+        d2[rows] = new
+        labels[rows] = i
+        bound[rows] = new * (4.0 * (1.0 + eps)) + tau
+    return centers, d2
+
+
 def _assign_chunk(x_chunk, xx, x2, centers, cc, k, d2):
     """Labels, per-cluster sums/counts, and inertia for one chunk.
 
@@ -170,8 +245,9 @@ def _assign_chunk(x_chunk, xx, x2, centers, cc, k, d2):
     # slightly negative from cancellation
     chosen = x_chunk - centers[labels]
     dist2 = np.sum(chosen * chosen, axis=1)
-    sums = np.zeros_like(centers)
-    np.add.at(sums, labels, x_chunk)
+    sums = np.empty_like(centers)
+    for j in range(x_chunk.shape[1]):
+        sums[:, j] = np.bincount(labels, weights=x_chunk[:, j], minlength=k)
     counts = np.bincount(labels, minlength=k)
     return labels, sums, counts, float(dist2.sum()), dist2
 
@@ -201,21 +277,7 @@ def kmeans(
     n = len(x)
     rng = np.random.default_rng(seed)
 
-    # k-means++ seeding
-    xt = np.ascontiguousarray(x.T)
-    buf = np.empty_like(xt)
-    centers = np.empty((k, x.shape[1]))
-    first = int(rng.integers(n))
-    centers[0] = x[first]
-    d2 = _sq_dist_to(xt, centers[0], buf).copy()
-    for i in range(1, k):
-        total = d2.sum()
-        if total <= 0:
-            idx = int(rng.integers(n))
-        else:
-            idx = int(rng.choice(n, p=d2 / total))
-        centers[i] = x[idx]
-        np.minimum(d2, _sq_dist_to(xt, centers[i], buf), out=d2)
+    centers, _ = _kmeans_pp(x, k, rng)
 
     # each chunk with the terms no iteration changes: its squared norms and 2x
     chunks = [(c, np.sum(c * c, axis=1), 2.0 * c) for c in (x[lo : lo + _CHUNK] for lo in range(0, n, _CHUNK))]
@@ -318,6 +380,7 @@ def export_vocabulary_csv(vocab: Vocabulary, path) -> None:
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["center", "waypoint", "x_m", "y_m", "psi_rad"])
-        for ci, center in enumerate(vocab.centers):
-            for wi, (x, y, psi) in enumerate(center.poses):
-                writer.writerow([ci, wi, repr(float(x)), repr(float(y)), repr(float(psi))])
+        # csv writes a float as str(), which is repr()
+        writer.writerows(
+            [ci, wi, *pose] for ci, center in enumerate(vocab.centers) for wi, pose in enumerate(center.poses.tolist())
+        )

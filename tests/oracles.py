@@ -4,6 +4,7 @@ Nothing here may call into trajsim geometry/metric code paths it validates;
 these are deliberately brute-force or analytic alternatives.
 """
 
+import csv
 import math
 
 import numpy as np
@@ -731,15 +732,10 @@ def assign_chunk(x_chunk, centers, k):
     return labels, sums, np.bincount(labels, minlength=k), float(dist2.sum()), dist2
 
 
-def kmeans(x, k, max_iters, seed, chunk=4096):
-    """k-means++ seeding and chunked Lloyd passes on the (N, D) embeddings x,
-    with the arithmetic of vocabulary.kmeans before its seeding was transposed
-    and its loop-invariant terms hoisted: every distance is a row-wise np.sum
-    and every chunk distance matrix is built from scratch.  `chunk` is
-    vocabulary._CHUNK, on which the reduction order depends.
-
-    Returns (centers, inertia history, number of empty clusters repaired).
-    """
+def kmeans_pp(x, k, seed):
+    """k-means++ centers of the rows of x and each row's squared distance to
+    its nearest center, every distance recomputed at every step and every
+    draw made by Generator.choice."""
     n = len(x)
     rng = np.random.default_rng(seed)
     centers = np.empty((k, x.shape[1]))
@@ -753,7 +749,21 @@ def kmeans(x, k, max_iters, seed, chunk=4096):
             idx = int(rng.choice(n, p=d2 / total))
         centers[i] = x[idx]
         d2 = np.minimum(d2, np.sum((x - centers[i]) ** 2, axis=1))
+    return centers, d2
 
+
+def kmeans(x, k, max_iters, seed, chunk=4096):
+    """k-means++ seeding and chunked Lloyd passes on the (N, D) embeddings x,
+    with the arithmetic of vocabulary.kmeans before its seeding was transposed
+    and pruned and its loop-invariant terms hoisted: every distance is a
+    row-wise np.sum, every chunk distance matrix is built from scratch, and
+    the cluster sums come from np.add.at.  `chunk` is
+    vocabulary._CHUNK, on which the reduction order depends.
+
+    Returns (centers, inertia history, number of empty clusters repaired).
+    """
+    n = len(x)
+    centers, _ = kmeans_pp(x, k, seed)
     prev_labels = None
     history = []
     repaired = 0
@@ -790,6 +800,17 @@ def kmeans(x, k, max_iters, seed, chunk=4096):
             prev_labels = labels
         centers = sums / counts[:, None]
     return centers, tuple(history), repaired
+
+
+def export_vocabulary_csv(vocab, path):
+    """vocabulary.export_vocabulary_csv as it was before it wrote whole rows
+    from lists: one row at a time, each float through repr()."""
+    with open(path, "w", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(["center", "waypoint", "x_m", "y_m", "psi_rad"])
+        for ci, center in enumerate(vocab.centers):
+            for wi, (x, y, psi) in enumerate(center.poses):
+                writer.writerow([ci, wi, repr(float(x)), repr(float(y)), repr(float(psi))])
 
 
 # ---------------------------------------------------------------------------

@@ -45,7 +45,8 @@ from trajsim import metrics, scene_io
 from trajsim.scene_io import TEMPLATES, SyntheticSpec, generate_scene, scene_to_doc, straight_plan, transform_scene
 from trajsim.seeding import stable_seed
 from trajsim.vocabulary import (
-    TrajectoryCorpus, Vocabulary, _assign_chunk, _pairwise_row_sum, headings_from_tangents, kmeans,
+    TrajectoryCorpus, Vocabulary, _assign_chunk, _draw, _kmeans_pp, _pairwise_row_sum, export_vocabulary_csv,
+    headings_from_tangents, kmeans,
 )
 
 import oracles
@@ -521,6 +522,79 @@ def test_kmeans_on_identical_trajectories_matches_oracle():
     # every distance is 0 from the first center on, the total <= 0 draw
     xy = np.tile(np.cumsum(np.full((8, 2), 1.5), axis=0), (40, 1, 1))
     assert _assert_kmeans_matches_oracle(xy, k=5, seed=7) > 0
+
+
+def _seeding_corpus(kind, rng):
+    """(N, 16) embeddings and the K to seed them with."""
+    if kind == "identical":  # every distance 0: the total <= 0 draw
+        return np.tile(rng.normal(size=16), (50, 1)), 20
+    if kind == "duplicates":  # 40 points, 30 copies each, more centers than points
+        return np.repeat(rng.normal(size=(40, 16)) * 3.0, 30, axis=0), 60
+    if kind == "on_bound_exact":
+        # collinear integer points: for centers a and b, the points midway
+        # are at exactly cd2 = 4 d2 from the nearer one, in every bit
+        return np.arange(600)[:, None] * rng.integers(-3, 4, size=16).astype(float), 120
+    if kind == "on_bound_rounded":
+        # the same chain with a direction whose products round, so a new
+        # center lies within a few ulps of 4 d2 from the midpoints
+        return np.arange(600)[:, None] * rng.normal(size=16), 120
+    if kind == "tiny":  # differences at 1e-165..1e-150: many squares subnormal
+        return rng.normal(size=(400, 16)) * 10.0 ** rng.uniform(-165, -150, size=(400, 1)), 60
+    if kind == "on_bound_subnormal":
+        # the rounded chain with every square subnormal, where the rounding
+        # of the distances is absolute, not relative
+        return np.arange(600)[:, None] * (rng.normal(size=16) * 1e-163), 120
+    if kind == "huge":
+        return rng.normal(size=(400, 16)) * 1e8, 60
+    return rng.normal(size=(80, 16)), 80  # K = N
+
+
+@pytest.mark.parametrize("kind", [
+    "identical", "duplicates", "on_bound_exact", "on_bound_rounded", "tiny", "on_bound_subnormal", "huge", "k_equals_n",
+])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_pruned_seeding_matches_oracle(kind, seed):
+    # the pruned seeding gives the centers and the final distances of seeding
+    # that recomputes every distance and draws with Generator.choice
+    x, k = _seeding_corpus(kind, np.random.default_rng([61, seed]))
+    want_centers, want_d2 = oracles.kmeans_pp(x, k, seed)
+    got_centers, got_d2 = _kmeans_pp(x, k, np.random.default_rng(seed))
+    assert bits(got_centers) == bits(want_centers)
+    assert bits(got_d2) == bits(want_d2)
+
+
+def test_draw_is_generator_choice():
+    # the same index and the same next random() as rng.choice(n, p=d2 / total)
+    rng = np.random.default_rng(67)
+    for case in range(3000):
+        n = int(rng.integers(1, 5001)) if case % 10 == 0 else int(rng.integers(1, 200))
+        d2 = 10.0 ** rng.uniform(-5.0, 5.0, size=n)
+        shape = case % 4
+        if shape == 1 and n > 2:  # zeros at both ends
+            d2[: int(rng.integers(1, n // 2 + 1))] = 0.0
+            d2[-int(rng.integers(1, n // 2 + 1)) :] = 0.0
+        elif shape == 2:  # one nonzero weight
+            d2[:] = 0.0
+            d2[int(rng.integers(n))] = 10.0 ** rng.uniform(-5.0, 5.0)
+        total = d2.sum()
+        if total <= 0:
+            continue
+        seed = int(rng.integers(2**32))
+        want, got = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert _draw(d2, total, got, np.empty(n)) == int(want.choice(n, p=d2 / total)), case
+        assert got.random() == want.random(), case
+
+
+def test_csv_export_matches_oracle(tmp_path):
+    poses = np.array([[-0.0, 5e-324, 1e9], [3.0, -2.0, 0.0], [0.1, -1e-300, -1e9], [2.5, 1.0, 1234567.0]])
+    rng = np.random.default_rng(71)
+    vocab = Vocabulary(
+        centers=[Trajectory(poses), Trajectory(poses[::-1].copy()), Trajectory(rng.normal(size=(6, 3)) * 50.0)],
+        k=3, seed=0, inertia=0.0,
+    )
+    export_vocabulary_csv(vocab, tmp_path / "got.csv")
+    oracles.export_vocabulary_csv(vocab, tmp_path / "want.csv")
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 def _proposal_set(rng):

@@ -142,6 +142,15 @@ class TestPointInPolygon:
         assert cw.area > 0
         assert inside((0.5, 0.5), cw)
 
+    @pytest.mark.parametrize("vertices", [
+        [[0, 0], [4, 0], [4, 0], [4, 3], [0, 3]],
+        [[0, 0], [4, 0], [4, 3], [0, 3], [0, 0]],  # closed ring: the last repeats the first
+    ])
+    def test_rejects_consecutive_duplicates(self, vertices):
+        # a zero-length edge would divide by zero in the boundary pass
+        with pytest.raises(ValueError, match="polygon has consecutive duplicate vertices"):
+            Polygon(vertices)
+
 
 class TestBoxInPolygons:
     def test_small_box_in_big_polygon(self):

@@ -314,6 +314,12 @@ def score_stderr(doc):
 FUZZ = settings(max_examples=300, deadline=None, derandomize=True)
 
 
+DUPLICATE_VERTICES = [
+    [[-20.0, -6.0], [80.0, -6.0], [80.0, -6.0], [80.0, 6.0], [-20.0, 6.0]],
+    [[-20.0, -6.0], [80.0, -6.0], [80.0, 6.0], [-20.0, 6.0], [-20.0, -6.0]],
+]
+
+
 class TestMutatedDocument:
     @pytest.mark.parametrize("where, value, message", UNNAMED_BY_CONSTRUCTOR)
     def test_constructor_error_names_the_field(self, scene, where, value, message):
@@ -339,6 +345,15 @@ class TestMutatedDocument:
     def test_score_exits_1_with_the_named_error_line(self, scene, where, value, message):
         code, err = score_stderr(doc_with(scene, where, value))
         assert code == 1 and len(err) == 1 and err[0].endswith(f"bad.json: {message}"), err
+
+    @pytest.mark.parametrize("vertices", DUPLICATE_VERTICES)
+    def test_polygon_with_duplicate_vertices_is_named(self, scene, vertices):
+        message = "drivable_polygons_m[0]: polygon has consecutive duplicate vertices"
+        doc = doc_with(scene, ("drivable_polygons_m", 0), vertices)
+        with pytest.raises(SceneFormatError, match=re.escape(message)):
+            scene_from_doc(doc)
+        code, err = score_stderr(doc)
+        assert code == 1 and len(err) == 1 and err[0].startswith("error: ") and err[0].endswith(message), err
 
 
 class TestGenerator:
