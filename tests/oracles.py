@@ -757,8 +757,8 @@ def kmeans(x, k, max_iters, seed, chunk=4096):
     with the arithmetic of vocabulary.kmeans before its seeding was transposed
     and pruned and its loop-invariant terms hoisted: every distance is a
     row-wise np.sum, every chunk distance matrix is built from scratch, and
-    the cluster sums come from np.add.at.  `chunk` is
-    vocabulary._CHUNK, on which the reduction order depends.
+    the cluster sums come from np.add.at.  `chunk` is vocabulary._CHUNK, on
+    which the reduction order depends.
 
     Returns (centers, inertia history, number of empty clusters repaired).
     """
