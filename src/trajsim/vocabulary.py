@@ -33,6 +33,41 @@ d2 and the minimum with it would keep d2's bits.  The draw takes the steps
 Generator.choice(n, p=d2 / total) takes, without its checks on p: cumsum,
 division by the last entry, and searchsorted of one random() on the right.
 That too follows numpy's implementation, and a test pins it to choice.
+
+The Lloyd passes skip the points whose label the bounds settle (Hamerly,
+"Making k-means even faster", SDM 2010), and give the labels of passes that
+assign every point.  A computed distance (xx - 2x.c) + cc is within E =
+eps (|x| + |c|)^2 + tau of the true squared distance, for any summation
+order of the product, so the margin m = sqrt(2 eps) (|x| + C) + tiny, with
+C the largest center norm and tiny = (D + 8) 2^-530, has m^2 >= 2 E.  Each
+point keeps an upper bound u on the distance to its label's center, from
+the directly computed distance, and a lower bound l on the distance to every
+other center: the root of the second-least distance of its last computed
+row, less m.  Per center, s is half the root of the least computed squared
+distance to another center, less C sqrt(2 eps) + tiny, a lower bound on
+half the true gap; it is computed in row blocks, never as a (k, k) array.
+After a pass, u grows by its label's center drift and l shrinks by the
+largest drift of another center, each sum stepped one ulp outward; a point
+moved by the empty-cluster repair gets u = inf and l = -inf.  A point whose
+max(l, s[label]) - u exceeds m keeps its label: every other center is
+farther by more than m, so its true squared distance exceeds the label's by
+more than 2 E, and the computed row's argmin is the label, with no tie.  A
+point that fails first has u replaced by its direct distance and is tested
+again; only then is its row computed.  eps is over 32 times the (D + 3)
+2^-53 relative rounding of a row entry, which leaves room for the roundings
+of the norms and bounds themselves.
+
+A computed row comes from a product of the rows being recomputed, gathered
+a block at a time into a small anonymous mapping.  Its bits need not be the
+whole chunk's: with OpenBLAS 0.3.31, the rows of a product of a few rows
+differ in their last bits from the same rows of the whole product once
+D >= 32 (up to 600 rows at k = 2, D = 140).  So a row's
+label is taken from the block only when its two least distances differ by
+more than 2 m^2 >= 4 E; otherwise (a tie, or nearly) the row is taken from
+the whole chunk's product, as the pass that assigns every point computes
+it.  The cluster sums, the inertia and the chunk-order reduction are as
+before, and the direct distances are summed over the transposed chunk in
+np.sum's order (_pairwise_row_sum), so every center keeps its bits.
 """
 
 from __future__ import annotations
@@ -65,6 +100,7 @@ __all__ = [
 _MAGIC = b"TVOC"
 _VERSION = 1
 _CHUNK = 4096  # fixed assignment chunk size; must not depend on worker count
+_BLOCK = 2**18  # distances per block of rows: 2 MiB, to stay in cache
 
 # vocabulary sizes balancing coverage against batch-scoring cost
 FULL_SCALE_K = 8192
@@ -166,9 +202,11 @@ def _pairwise_row_sum(a: np.ndarray) -> np.ndarray:
     return total
 
 
-def _sq_dist_to(xt: np.ndarray, c: np.ndarray, buf: np.ndarray) -> np.ndarray:
-    """np.sum((x - c) ** 2, axis=1) from the transposed xt, bit for bit; a view of buf."""
-    np.subtract(xt, c[:, None], out=buf)
+def _sq_dist_to(xt: np.ndarray, ct: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """np.sum((x - c) ** 2, axis=1) from the transposed xt and ct, bit for bit;
+    ct is one center as a (dim, 1) column or one center per point.  A view of
+    buf, which may be ct."""
+    np.subtract(xt, ct, out=buf)
     np.square(buf, out=buf)
     return _pairwise_row_sum(buf)
 
@@ -201,7 +239,7 @@ def _kmeans_pp(x: np.ndarray, k: int, rng):
 
     centers[0] = x[int(rng.integers(n))]
     shrunk[0] = (1.0 - 2.0 * eps) * (centers[0] @ centers[0])
-    d2 = _sq_dist_to(xt, centers[0], work.reshape(dim, n)).copy()
+    d2 = _sq_dist_to(xt, centers[0][:, None], work.reshape(dim, n)).copy()
     bound = d2 * (4.0 * (1.0 + eps)) + tau
     for i in range(1, k):
         total = d2.sum()
@@ -221,7 +259,7 @@ def _kmeans_pp(x: np.ndarray, k: int, rng):
         rows = np.flatnonzero(near)
         sub = work[: dim * len(rows)].reshape(dim, len(rows))
         np.take(xt, rows, axis=1, out=sub, mode="clip")
-        new = _sq_dist_to(sub, c, sub)
+        new = _sq_dist_to(sub, c[:, None], sub)
         closer = new < d2[rows]
         rows = rows[closer]
         new = new[closer]
@@ -231,25 +269,152 @@ def _kmeans_pp(x: np.ndarray, k: int, rng):
     return centers, d2
 
 
-def _assign_chunk(x_chunk, xx, x2, centers, cc, k, d2):
-    """Labels, per-cluster sums/counts, and inertia for one chunk.
+def _nearest_two(x2, xx, centers, cc, d2):
+    """Each row's label, its second-least and its least distance, from the
+    distances (xx - x2 @ centers.T) + cc written to the (len(x2), k) array d2.
 
-    xx and x2 are the chunk's squared norms and 2 * x_chunk, cc the centers'
-    squared norms; the distances (xx - x2 @ centers.T) + cc are written to
-    the (len(x_chunk), k) array d2."""
+    The label is argmin's, the first index of the least computed distance."""
     np.matmul(x2, centers.T, out=d2)
     np.subtract(xx[:, None], d2, out=d2)
     d2 += cc
     labels = np.argmin(d2, axis=1)
-    # recompute the chosen distance directly: the expansion above can go
-    # slightly negative from cancellation
-    chosen = x_chunk - centers[labels]
-    dist2 = np.sum(chosen * chosen, axis=1)
+    at = (np.arange(len(d2)), labels)
+    least = d2[at]
+    d2[at] = np.inf
+    return labels, d2.min(axis=1), least
+
+
+def _nearest_rows(rows, x2, xx, centers, cc, margin, buf):
+    """The labels that the whole chunk's product gives the sorted rows `rows`
+    of one chunk, and their second-least computed distances; margin holds
+    the rows' margins.
+
+    All rows of a chunk that fits the flat work array buf are computed
+    whole.  Otherwise the rows of 2x are gathered behind their distances in
+    buf, a block at a time, and a row whose two least distances lie within
+    2 margin^2 of each other is taken from the whole chunk's product instead:
+    the bits of a product of some rows need not be those of the same rows in
+    the whole product, so only a clear least distance settles the label."""
+    n, dim = x2.shape
+    k = len(centers)
+    if len(rows) == n and n * k <= len(buf):
+        labels, second, _ = _nearest_two(x2, xx, centers, cc, buf[: n * k].reshape(n, k))
+        return labels, second
+    labels = np.empty(len(rows), dtype=np.intp)
+    second = np.empty(len(rows))
+    close = np.empty(len(rows), dtype=bool)
+    b = len(buf) // (k + dim)
+    for lo in range(0, len(rows), b):
+        take = rows[lo : lo + b]
+        m = len(take)
+        sub = buf[m * k : m * (k + dim)].reshape(m, dim)
+        np.take(x2, take, axis=0, out=sub)
+        block = slice(lo, lo + m)
+        labels[block], second[block], least = _nearest_two(sub, xx[take], centers, cc, buf[: m * k].reshape(m, k))
+        margin2 = margin[block] ** 2
+        close[block] = second[block] - least <= margin2 + margin2
+    if close.any():
+        whole = np.frombuffer(mmap.mmap(-1, 8 * n * k)).reshape(n, k)
+        all_labels, all_second, _ = _nearest_two(x2, xx, centers, cc, whole)
+        labels[close] = all_labels[rows[close]]
+        second[close] = all_second[rows[close]]
+    return labels, second
+
+
+def _loose(rows, lab, u, l, s, mx, mc):
+    """Which of the rows `rows` the bounds do not settle: max(l, s[label]) - u
+    is at most the margin mx + mc."""
+    gap = np.maximum(l[rows], s[lab[rows]])
+    gap -= u[rows]
+    gap -= mx[rows]
+    return gap <= mc
+
+
+def _assign_chunk(chunk, centers, ct, cc, s, mc, eps, tiny, buf):
+    """Assign one chunk to the centers and refresh its bounds.
+
+    chunk is (x.T, xx, 2x, mx, labels, u, l) over the same points, the last
+    four views of kmeans' per-point arrays, which this updates in place; ct
+    is centers.T.  With s None every row is recomputed (the first pass);
+    otherwise only the rows whose bounds leave the label open.  Returns the
+    per-cluster sums and counts, the inertia, each point's squared distance
+    to its center and the number of labels that changed."""
+    xt, xx, x2, mx, lab, u, l = chunk
+    k = len(centers)
+    if s is None:
+        rows = np.arange(xt.shape[1])
+    else:
+        rows = np.flatnonzero(_loose(slice(None), lab, u, l, s, mx, mc))
+        # the cheaper check first: the distance to the point's own center
+        cols = np.take(xt, rows, axis=1)
+        u[rows] = _upper(_sq_dist_to(cols, np.take(ct, lab[rows], axis=1), cols), eps, tiny)
+        rows = rows[_loose(rows, lab, u, l, s, mx, mc)]
+    changed = 0
+    if len(rows):
+        margin = mx[rows] + mc
+        new, second = _nearest_rows(rows, x2, xx, centers, cc, margin, buf)
+        changed = int(np.count_nonzero(new != lab[rows]))
+        lab[rows] = new
+        np.maximum(second, 0.0, out=second)
+        l[rows] = np.sqrt(second) - margin
+    # recompute the chosen distance directly: the expansion can go slightly
+    # negative from cancellation
+    own = np.take(ct, lab, axis=1)
+    dist2 = _sq_dist_to(xt, own, own)
+    _upper(dist2, eps, tiny, out=u)
     sums = np.empty_like(centers)
-    for j in range(x_chunk.shape[1]):
-        sums[:, j] = np.bincount(labels, weights=x_chunk[:, j], minlength=k)
-    counts = np.bincount(labels, minlength=k)
-    return labels, sums, counts, float(dist2.sum()), dist2
+    for j in range(len(xt)):
+        sums[:, j] = np.bincount(lab, weights=xt[j], minlength=k)
+    counts = np.bincount(lab, minlength=k)
+    return sums, counts, float(dist2.sum()), dist2, changed
+
+
+def _upper(d2, eps, tiny, out=None):
+    """Upper bounds on the true distances whose computed squares are d2."""
+    d = np.sqrt(d2, out=out)
+    d *= 1.0 + eps
+    d += tiny
+    return d
+
+
+def _half_gaps(centers, cc, mc, buf):
+    """Per center, a lower bound on half the distance to its nearest other
+    center: half the root of the least computed squared distance, less mc.
+
+    The (k, k) distances are computed in row blocks in the flat work array
+    buf, never whole."""
+    k = len(centers)
+    gaps = np.empty(k)
+    minus2 = -2.0 * centers
+    step = len(buf) // k
+    for lo in range(0, k, step):
+        hi = min(lo + step, k)
+        blk = buf[: (hi - lo) * k].reshape(hi - lo, k)
+        np.matmul(minus2[lo:hi], centers.T, out=blk)
+        blk += cc[lo:hi, None]
+        blk += cc
+        blk[np.arange(hi - lo), np.arange(lo, hi)] = np.inf
+        np.min(blk, axis=1, out=gaps[lo:hi])
+    np.maximum(gaps, 0.0, out=gaps)
+    np.sqrt(gaps, out=gaps)
+    gaps *= 0.5
+    gaps -= mc
+    return gaps
+
+
+def _drift_bounds(old, centers, lab, u, l, eps, tiny):
+    """Carry the bounds from the centers `old` to `centers`: u grows by its
+    label's drift, l shrinks by the largest drift of another center, each
+    sum stepped one ulp outward."""
+    diff = centers - old
+    drift = _upper(np.sum(diff * diff, axis=1), eps, tiny)
+    top = int(np.argmax(drift))
+    other = np.full(len(drift), drift[top])
+    other[top] = np.delete(drift, top).max(initial=0.0)
+    u += drift[lab]
+    np.nextafter(u, np.inf, out=u)
+    l -= other[lab]
+    np.nextafter(l, -np.inf, out=l)
 
 
 def kmeans(
@@ -274,47 +439,71 @@ def kmeans(
     if corpus.count < k:
         raise ValueError(f"corpus has {corpus.count} trajectories but k={k}")
     x = embed_corpus(corpus)
-    n = len(x)
+    n, dim = x.shape
     rng = np.random.default_rng(seed)
 
     centers, _ = _kmeans_pp(x, k, rng)
 
-    # each chunk with the terms no iteration changes: its squared norms and 2x
-    chunks = [(c, np.sum(c * c, axis=1), 2.0 * c) for c in (x[lo : lo + _CHUNK] for lo in range(0, n, _CHUNK))]
+    # the rounding bounds of the module docstring
+    eps = (dim + 8) * 2.0**-48
+    tiny = (dim + 8) * 2.0**-530
+    root2eps = np.sqrt(2.0 * eps)
+    # per point: its label, upper bound u on the distance to the label's
+    # center, lower bound l on the distance to every other center, and the
+    # margin term sqrt(2 eps) |x|
+    labels = np.zeros(n, dtype=np.intp)
+    u = np.empty(n)
+    l = np.empty(n)
+    mx = np.empty(n)
+    # each chunk with the terms no iteration changes: its transpose, squared
+    # norms and 2x
+    chunks = []
+    for lo in range(0, n, _CHUNK):
+        hi = min(lo + _CHUNK, n)
+        c = x[lo:hi]
+        xx = np.sum(c * c, axis=1)
+        np.sqrt(xx, out=mx[lo:hi])
+        mx[lo:hi] *= root2eps
+        chunks.append((np.ascontiguousarray(c.T), xx, 2.0 * c, mx[lo:hi], labels[lo:hi], u[lo:hi], l[lo:hi]))
     pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
-    # one (chunk, k) distance buffer for every chunk and pass; pool threads
+    # one work array for a block of distance rows and the rows of 2x behind
+    # them, in every chunk and pass, and for the center gaps; pool threads
     # each take their own.  It is an anonymous mapping, so its pages go back
     # to the OS when kmeans returns: malloc may keep a freed block this size
     # resident, and every process forked later (a distill pool) would carry it
-    d2_buf = np.frombuffer(mmap.mmap(-1, 8 * min(n, _CHUNK) * k)).reshape(-1, k) if pool is None else None
+    buf = np.frombuffer(mmap.mmap(-1, 8 * max(_BLOCK // k, 1) * (k + dim)))
     try:
-        prev_labels = None
+        old = s = None
         history = []
         for _ in range(max_iters):
             cc = np.sum(centers * centers, axis=1)
+            ct = np.ascontiguousarray(centers.T)
+            mc = root2eps * np.sqrt(cc.max()) + tiny
+            if old is not None:
+                s = _half_gaps(centers, cc, mc, buf)
+                _drift_bounds(old, centers, labels, u, l, eps, tiny)
             if pool is None:
-                parts = [_assign_chunk(*chunk, centers, cc, k, d2_buf[: len(chunk[0])]) for chunk in chunks]
+                parts = [_assign_chunk(chunk, centers, ct, cc, s, mc, eps, tiny, buf) for chunk in chunks]
             else:
                 parts = list(pool.map(
-                    lambda chunk: _assign_chunk(*chunk, centers, cc, k, np.empty((len(chunk[0]), k))), chunks
+                    lambda chunk: _assign_chunk(chunk, centers, ct, cc, s, mc, eps, tiny, np.empty(len(buf))),
+                    chunks,
                 ))
-            labels = np.concatenate([p[0] for p in parts])
             # reduce in chunk-index order so results never depend on scheduling
             sums = np.zeros_like(centers)
             counts = np.zeros(k, dtype=np.int64)
             inertia = 0.0
-            for _, s, c, part_inertia, _ in parts:
-                sums += s
-                counts += c
+            for part_sums, part_counts, part_inertia, _, _ in parts:
+                sums += part_sums
+                counts += part_counts
                 inertia += part_inertia
             history.append(inertia)
-            if prev_labels is not None and np.array_equal(labels, prev_labels):
-                break
-            prev_labels = labels
+            if old is not None and not any(p[4] for p in parts):
+                break  # no label changed: an assignment fixed point
 
             empty = np.flatnonzero(counts == 0)
             if len(empty):
-                dist2 = np.concatenate([p[4] for p in parts])
+                dist2 = np.concatenate([p[3] for p in parts])
                 order = np.argsort(-dist2, kind="stable")
                 cursor = 0
                 for cluster in empty:
@@ -323,13 +512,16 @@ def kmeans(
                         cursor += 1
                     idx = int(order[cursor])
                     cursor += 1
-                    old = labels[idx]
-                    sums[old] -= x[idx]
-                    counts[old] -= 1
+                    old_label = labels[idx]
+                    sums[old_label] -= x[idx]
+                    counts[old_label] -= 1
                     sums[cluster] = x[idx]
                     counts[cluster] = 1
                     labels[idx] = cluster
-                prev_labels = labels
+                    # bounds that held for the old label say nothing now
+                    u[idx] = np.inf
+                    l[idx] = -np.inf
+            old = centers
             centers = sums / counts[:, None]
     finally:
         if pool is not None:
@@ -371,8 +563,17 @@ def load_vocabulary(path) -> Vocabulary:
     expected = _HEADER.size + k * m * 3 * 8
     if len(raw) != expected:
         raise ValueError(f"{path}: size {len(raw)} does not match header (expected {expected})")
+    if k < 1:
+        raise ValueError(f"{path}: k must be >= 1, got {k}")
+    if m < 2:  # every consumer rolls the centers out with the PID
+        raise ValueError(f"{path}: m must be >= 2 waypoints, got {m}")
     data = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size).reshape(k, m, 3)
-    centers = [Trajectory(data[i]) for i in range(k)]
+    centers = []
+    for i in range(k):
+        try:
+            centers.append(Trajectory(data[i]))
+        except ValueError as exc:
+            raise ValueError(f"{path}: centers[{i}]: {exc}") from None
     return Vocabulary(centers=centers, k=k, seed=seed, inertia=float("nan"))
 
 

@@ -1,5 +1,6 @@
 import json
 import os
+import struct
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -174,6 +175,25 @@ class TestDistillCmd:
         vocab_path = tmp_path / "vocab.bin"
         main(["build-vocab", "--scenes", str(d), "--k", "3", "--seed", "1", "--out", str(vocab_path)])
         return d, vocab_path
+
+    @pytest.mark.parametrize("k, m, message", [
+        (3, 8, "centers[1]: trajectory waypoints must be finite"),
+        (0, 8, "k must be >= 1, got 0"),
+        (3, 1, "m must be >= 2 waypoints, got 1"),
+    ])
+    def test_bad_vocabulary_fails_with_one_error_line_naming_the_file(self, tmp_path, capsys, k, m, message):
+        d = tmp_path / "scenes"
+        write_scenes(d, [("clean_straight", 0)])
+        poses = np.zeros((k, m, 3))
+        poses[:, :, 0] = np.arange(m)
+        if k == 3 and m == 8:
+            poses[1, 4, 1] = np.nan
+        vocab_path = tmp_path / "vocab.bin"
+        vocab_path.write_bytes(struct.pack("<4sIIIq", b"TVOC", 1, k, m, 0) + poses.astype("<f8").tobytes())
+        code = main(["distill", "--scenes", str(d), "--vocab", str(vocab_path), "--seed", "5",
+                     "--out", str(tmp_path / "m.bin"), "--teachers", str(tmp_path / "t.txt")])
+        assert code == 1
+        assert only_error_line(capsys) == f"error: {vocab_path}: {message}"
 
     def test_worker_counts_identical_bytes(self, tmp_path):
         d, vocab_path = self._vocab(tmp_path)

@@ -41,12 +41,12 @@ from trajsim.metrics import (
     score_dac, score_ddc, score_ec, score_lk, score_nc, score_tlc, score_ttc,
 )
 from trajsim.selection import ProposalSet, SelectionState, comfort_scores, select
-from trajsim import metrics, scene_io
+from trajsim import metrics, scene_io, vocabulary
 from trajsim.scene_io import TEMPLATES, SyntheticSpec, generate_scene, scene_to_doc, straight_plan, transform_scene
 from trajsim.seeding import stable_seed
 from trajsim.vocabulary import (
-    TrajectoryCorpus, Vocabulary, _assign_chunk, _draw, _kmeans_pp, _pairwise_row_sum, export_vocabulary_csv,
-    headings_from_tangents, kmeans,
+    TrajectoryCorpus, Vocabulary, _assign_chunk, _draw, _kmeans_pp, _nearest_rows, _nearest_two, _pairwise_row_sum,
+    export_vocabulary_csv, headings_from_tangents, kmeans,
 )
 
 import oracles
@@ -464,21 +464,53 @@ def test_pairwise_row_sum_is_numpys_row_sum_order():
         assert bits(_pairwise_row_sum(np.ascontiguousarray((a * a).T))) == bits(np.sum(a * a, axis=1)), width
 
 
+def _chunk(x):
+    """kmeans' per-chunk tuple for the points x, with room for their bounds."""
+    xx = np.sum(x * x, axis=1)
+    mx = np.sqrt(2.0 * (x.shape[1] + 8) * 2.0**-48) * np.sqrt(xx)
+    n = len(x)
+    return (np.ascontiguousarray(x.T), xx, 2.0 * x, mx, np.zeros(n, dtype=np.intp), np.empty(n), np.empty(n))
+
+
+def _bisector_points(rng, centers, n):
+    """n points near the bisectors of consecutive centers, where the last bit
+    of each distance, and so the order of its three terms, decides the label."""
+    pair = rng.integers(0, len(centers) - 1, size=n)
+    u = centers[pair + 1] - centers[pair]
+    v = rng.normal(size=(n, centers.shape[1]))
+    v -= (np.sum(v * u, axis=1) / np.sum(u * u, axis=1))[:, None] * u
+    return (centers[pair] + centers[pair + 1]) / 2 + 0.1 * v
+
+
 def test_assign_chunk_matches_oracle_at_near_ties():
-    # points on the bisector between two centers, where the last bit of each
-    # distance, and so the order of its three terms, decides the label
     rng = np.random.default_rng(47)
     centers = rng.normal(size=(6, 16)) * 10
-    pair = rng.integers(0, 5, size=4096)
-    u = centers[pair + 1] - centers[pair]
-    v = rng.normal(size=(4096, 16))
-    v -= (np.sum(v * u, axis=1) / np.sum(u * u, axis=1))[:, None] * u
-    x = (centers[pair] + centers[pair + 1]) / 2 + 0.1 * v
+    x = _bisector_points(rng, centers, 4096)
+    chunk = _chunk(x)
     cc = np.sum(centers * centers, axis=1)
-    got = _assign_chunk(x, np.sum(x * x, axis=1), 2.0 * x, centers, cc, 6, np.empty((4096, 6)))
+    got = _assign_chunk(chunk, centers, np.ascontiguousarray(centers.T), cc, None, 0.0, 0.0, 0.0, np.empty(4096 * 22))
     want = oracles.assign_chunk(x, centers, 6)
-    assert np.array_equal(got[0], want[0]) and np.array_equal(got[2], want[2])
-    assert bits(got[1]) == bits(want[1]) and bits(got[3]) == bits(want[3]) and bits(got[4]) == bits(want[4])
+    assert np.array_equal(chunk[4], want[0]) and np.array_equal(got[1], want[2])
+    assert bits(got[0]) == bits(want[1]) and bits(got[2]) == bits(want[3]) and bits(got[3]) == bits(want[4])
+
+
+@pytest.mark.parametrize("k", [6, 37, 256])
+def test_nearest_rows_give_the_whole_chunks_labels(k):
+    # any sorted subset of a chunk's rows, in blocks of any size, gets the
+    # labels the whole chunk's product gives; the second-least distance is
+    # the whole product's within the rounding the margin covers
+    rng = np.random.default_rng([53, k])
+    centers = rng.normal(size=(k, 140)) * 10
+    x = _bisector_points(rng, centers, 1500)
+    xx, x2, mx = _chunk(x)[1:4]
+    cc = np.sum(centers * centers, axis=1)
+    want_labels, want_second, _ = _nearest_two(x2, xx, centers, cc, np.empty((1500, k)))
+    margin = mx + np.sqrt(2.0 * 148 * 2.0**-48) * np.sqrt(cc.max())
+    for block in (1, 2, 5, 100, 1499):
+        rows = np.flatnonzero(rng.random(1500) < 0.3)
+        labels, second = _nearest_rows(rows, x2, xx, centers, cc, margin[rows], np.empty(block * (k + 140)))
+        assert np.array_equal(labels, want_labels[rows]), block
+        assert np.all(np.abs(second - want_second[rows]) <= margin[rows] ** 2), block
 
 
 def _corpus(xy):
@@ -487,11 +519,11 @@ def _corpus(xy):
 
 
 def _assert_kmeans_matches_oracle(xy, k, seed, max_iters=6):
-    """kmeans with 1 and 2 workers gives the oracle's centers and inertia
+    """kmeans with 1, 2 and 3 workers gives the oracle's centers and inertia
     history bit for bit; returns the oracle's count of repaired clusters."""
     want_centers, want_history, repaired = oracles.kmeans(xy.reshape(len(xy), -1), k, max_iters, seed)
     corpus = _corpus(xy)
-    for workers in (1, 2):
+    for workers in (1, 2, 3):
         got = kmeans(corpus, k=k, max_iters=max_iters, seed=seed, workers=workers)
         assert bits(got.embeddings()) == bits(want_centers), (k, seed, workers)
         assert bits(got.inertia_history) == bits(want_history), (k, seed, workers)
@@ -522,6 +554,74 @@ def test_kmeans_on_identical_trajectories_matches_oracle():
     # every distance is 0 from the first center on, the total <= 0 draw
     xy = np.tile(np.cumsum(np.full((8, 2), 1.5), axis=0), (40, 1, 1))
     assert _assert_kmeans_matches_oracle(xy, k=5, seed=7) > 0
+
+
+def _lloyd_corpus(kind, rng):
+    """(N, M, 2) waypoints and the K to cluster them into."""
+    if kind == "duplicates":  # 40 trajectories, 25 copies each: more centers than distinct points
+        return np.repeat(np.cumsum(rng.normal(size=(40, 8, 2)), axis=1), 25, axis=0), 60
+    if kind == "repair_ties":
+        # 6 integer trajectories, 4 interleaved copies each, and 7 centers:
+        # the seventh lands on a copy of another trajectory than point 0's,
+        # its cluster empties, and the repair moves point 0 there.  Its
+        # donor's center then has point 0's bits, a tie the whole row breaks
+        # to the lower index, which bounds kept from the old label would skip
+        return np.tile(rng.integers(-50, 51, size=(6, 8, 2)).astype(float), (4, 1, 1)), 7
+    if kind == "collinear_exact":
+        # integer multiples of one integer direction: a center is the mean of
+        # a run of them, and many points lie exactly midway between two
+        return np.arange(1, 801)[:, None, None] * rng.integers(-3, 4, size=(1, 8, 2)).astype(float), 40
+    if kind == "collinear_rounded":  # the same with a direction whose products round
+        return np.arange(1, 801)[:, None, None] * rng.normal(size=(1, 8, 2)), 40
+    if kind == "huge":  # 1e8 coordinates: the expanded distances round to noise
+        return 1e8 + np.cumsum(rng.normal(size=(600, 8, 2)), axis=1), 30
+    if kind == "k1":
+        return np.cumsum(rng.normal(size=(300, 8, 2)), axis=1), 1
+    if kind == "k2":
+        return np.cumsum(rng.normal(size=(300, 8, 2)), axis=1), 2
+    return np.cumsum(rng.normal(size=(80, 8, 2)), axis=1), 80  # K = N
+
+
+LLOYD_CORPORA = ["duplicates", "repair_ties", "collinear_exact", "collinear_rounded", "huge", "k1", "k2", "k_equals_n"]
+
+
+@pytest.mark.parametrize("kind", LLOYD_CORPORA)
+def test_pruned_lloyd_matches_oracle(kind):
+    # the Lloyd passes that skip rows the bounds settle give the centers and
+    # inertia of passes that assign every row
+    xy, k = _lloyd_corpus(kind, np.random.default_rng([73, LLOYD_CORPORA.index(kind)]))
+    _assert_kmeans_matches_oracle(xy, k, seed=3, max_iters=12)
+
+
+class _PerturbedProducts:
+    """numpy, except that a matrix product of fewer than `rows` rows moves
+    each result one ulp up or down at random: another BLAS's rounding."""
+
+    def __init__(self, rows, rng):
+        self.rows = rows
+        self.rng = rng
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def matmul(self, a, b, out):
+        np.matmul(a, b, out=out)
+        if out.ndim == 2 and len(out) < self.rows:
+            np.nextafter(out, np.where(self.rng.random(out.shape) < 0.5, -np.inf, np.inf), out=out)
+        return out
+
+
+@pytest.mark.parametrize("kind", ["duplicates", "collinear_exact", "collinear_rounded", "huge"])
+def test_lloyd_labels_do_not_depend_on_the_bits_of_partial_products(kind, monkeypatch):
+    # the rows of a product of some rows need not have the bits of the same
+    # rows in the whole chunk's product; near ties must still get the whole
+    # product's labels
+    xy, k = _lloyd_corpus(kind, np.random.default_rng([79, LLOYD_CORPORA.index(kind)]))
+    want_centers, want_history, _ = oracles.kmeans(xy.reshape(len(xy), -1), k, 12, 3)
+    monkeypatch.setattr(vocabulary, "np", _PerturbedProducts(len(xy), np.random.default_rng(83)))
+    got = kmeans(_corpus(xy), k=k, max_iters=12, seed=3)
+    assert bits(got.embeddings()) == bits(want_centers)
+    assert bits(got.inertia_history) == bits(want_history)
 
 
 def _seeding_corpus(kind, rng):

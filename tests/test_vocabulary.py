@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from trajsim import vocabulary
 from trajsim.kinematics import Trajectory
+from trajsim.scene_io import TEMPLATES, SyntheticSpec, generate_scene
 from trajsim.vocabulary import (
     TrajectoryCorpus,
     embed,
@@ -144,6 +146,27 @@ class TestKmeans:
         emb = vocab.embeddings()
         assert np.all(np.isfinite(emb))
         assert vocab.inertia == 0.0  # every point sits exactly on some center
+
+    def test_lloyd_passes_after_the_first_recompute_under_half_the_rows(self, monkeypatch):
+        # a refactor that stops the bounds from skipping rows fails here, not
+        # only in the benchmark
+        corpus = TrajectoryCorpus(
+            generate_scene(SyntheticSpec(TEMPLATES[j % len(TEMPLATES)], seed=j // len(TEMPLATES))).human_trajectory
+            for j in range(2000)
+        )
+        computed = []
+        real = vocabulary._nearest_two
+
+        def counting(x2, *args):
+            computed.append(len(x2))
+            return real(x2, *args)
+
+        monkeypatch.setattr(vocabulary, "_nearest_two", counting)
+        vocab = kmeans(corpus, k=64, max_iters=10, seed=1)
+        # one chunk of 2000 points: one product per pass that recomputes rows,
+        # and none of the whole chunk after the first
+        assert len(vocab.inertia_history) == 10 and computed[0] == 2000
+        assert 5 <= len(computed) <= 10 and max(computed[1:]) < 1000
 
 
 class TestPersistence:
