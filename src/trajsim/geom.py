@@ -176,13 +176,13 @@ class Polyline:
             raise ValueError("polyline needs at least 1 planar point")
         if not (np.abs(p) <= COORD_LIMIT_M).all():
             raise _coord_error("polyline points", p)
+        self._cum = np.zeros(len(p))
         if len(p) > 1:
-            seg = np.linalg.norm(np.diff(p, axis=0), axis=1)
-            if np.any(seg <= _EDGE_EPS):
+            sq = (p[1:] - p[:-1]) ** 2
+            seg = np.sqrt(sq[:, 0] + sq[:, 1])
+            if (seg <= _EDGE_EPS).any():
                 raise ValueError("polyline has consecutive duplicate points")
-            self._cum = np.concatenate([[0.0], np.cumsum(seg)])
-        else:
-            self._cum = np.zeros(1)
+            np.cumsum(seg, out=self._cum[1:])
         self.points = p
         self.points.setflags(write=False)
         self._segs = None

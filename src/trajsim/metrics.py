@@ -22,6 +22,7 @@ recompute a part and never receive another rollout's values.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,12 +31,14 @@ from .geom import (
     COORD_LIMIT_M,
     Polygon,
     Polyline,
+    Pose,
     _coord_error,
     _obb_overlap,
     _ring_meets_polygon,
     _segment_projection,
     arc_length,
     arc_positions,
+    wrap_angle,
     xy_in_polygon,
 )
 from .kinematics import (
@@ -147,13 +150,47 @@ class Intersection:
     light: TrafficLight
 
 
+# The bounds on the columns of an ego state row (x, y, psi, v, a, steer),
+# which Pose and EgoState apply to one state; the largest float stands for
+# "finite".  The speed must also be non-negative.
+_STATE_BOUNDS = np.array([COORD_LIMIT_M, COORD_LIMIT_M, np.finfo(float).max,
+                          COORD_LIMIT_M, np.finfo(float).max, np.finfo(float).max])
+
+
+def _ego_states(states) -> np.ndarray:
+    """`states` as a new read-only (H, 6) float array of x, y, psi, v, a and
+    steer rows, H >= 16, each row valid as Pose and EgoState check one
+    state, and psi wrapped to (-pi, pi].  An error names the first bad row
+    as the scene file does, ego.history[i]."""
+    h = np.array(states, dtype=float)
+    if h.ndim != 2 or h.shape[1] != 6:
+        raise ValueError(f"ego history must be an (H, 6) array of x, y, psi, v, a and steer, got shape {h.shape}")
+    if len(h) < 16:
+        raise ValueError("ego history needs at least 16 states (1.5 s plus margin)")
+    if not ((np.abs(h) <= _STATE_BOUNDS).all() and (h[:, 3] >= 0).all()):
+        for i, (x, y, psi, v, a, steer) in enumerate(h.tolist()):
+            try:
+                EgoState(Pose(x, y, psi), v, a, steer)  # which names what is wrong
+            except ValueError as exc:
+                raise ValueError(f"ego.history[{i}]: {exc}") from None
+    h[:, 2] = [wrap_angle(p) for p in h[:, 2].tolist()]
+    h.setflags(write=False)
+    return h
+
+
 @dataclass(eq=False)
 class Scene:
-    """Log-replayed world state for one 4 s scoring window."""
+    """Log-replayed world state for one 4 s scoring window.
+
+    ego_history is an (H, 6) float array, H >= 16, of the past ego states at
+    0.1 s, oldest first, one row of x, y, psi, v, a and steer each (world
+    frame); the scene keeps a read-only copy with each psi wrapped to
+    (-pi, pi].
+    """
 
     scene_id: str
     ego_init: EgoState            # world frame
-    ego_history: list             # >= 16 past EgoStates at 0.1 s, oldest first
+    ego_history: np.ndarray       # (H, 6), see above
     agents: list
     drivable: list                # list of Polygon, nonempty
     route: Polyline
@@ -170,8 +207,7 @@ class Scene:
             raise ValueError("scene needs at least one drivable polygon")
         if arc_length(self.route) <= 0:
             raise ValueError("route must have positive arc length")
-        if len(self.ego_history) < 16:
-            raise ValueError("ego history needs at least 16 states (1.5 s plus margin)")
+        self.ego_history = _ego_states(self.ego_history)
         if self.command not in COMMANDS:
             raise ValueError(f"command must be one of {COMMANDS}")
         for name in ("ego_half_length", "ego_half_width"):
@@ -233,6 +269,12 @@ class MetricConfig:
     ep_min_ref_progress_m: float = 0.1
     history_pad_ticks: int = 15
 
+    def __post_init__(self):
+        for name, least in (("lk_window_ticks", 0), ("ttc_substeps", 1), ("history_pad_ticks", 0)):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < least:
+                raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
+
 
 _DEFAULT_METRIC_CFG = MetricConfig()
 _DEFAULT_KIN_CFG = KinematicsConfig()
@@ -245,8 +287,9 @@ class ScoreContext:
     of their headings and, for TTC, their constant-velocity positions over
     the horizon; the ego box's corner offsets; every lane's centerline
     segments stacked into one array, with the legal direction of each; and
-    the history that pads HC.  The human reference rollout (needed by EP) is
-    computed on first use.
+    the speeds and headings of the last history_pad_ticks history rows, which
+    pad HC.  The human reference rollout (needed by EP) is computed on first
+    use.
 
     The values that several rules derive from one rollout (the cosine and
     sine of its heading, its box corners, which corners and centers lie in
@@ -315,9 +358,12 @@ class ScoreContext:
             ends = np.cumsum([len(lane.centerline) - 1 for lane in scene.lanes]).tolist()
             self.lane_slices = tuple(zip([0, *ends[:-1]], ends))
 
-        hist = scene.ego_history[-cfg.history_pad_ticks:]
-        self.hist_psi = np.array([s.pose.psi for s in hist])
-        self.hist_v = np.array([s.v for s in hist])
+        history, pad = scene.ego_history, cfg.history_pad_ticks
+        if pad > len(history):
+            raise ValueError(f"history_pad_ticks={pad} exceeds the {len(history)} history states "
+                             f"of scene {scene.scene_id!r}")
+        self.hist_psi = history[len(history) - pad:, 2]
+        self.hist_v = history[len(history) - pad:, 3]
 
         self._reference = None
         self._ref_progress = None

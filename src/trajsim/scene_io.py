@@ -15,17 +15,26 @@ template guarantees a documented ground-truth property for every seed:
                    full-speed plan enters on red (TLC=0)
   oncoming_lane    human incurs into the oncoming lane (DDC < 1)
   lane_drift       human holds an off-center offset long enough that LK=0
+
+A template gives its scene as plain arrays in a canonical frame: points,
+agent poses, and the ego states as one array.  One placement function moves
+them to the world pose, each point through ``geom.to_world`` and each
+heading plus the pose's heading through ``wrap_angle``, and assembles the
+``Scene`` once, so each object is built and checked once.
+``transform_scene`` takes a scene's arrays out and runs the same placement.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -80,15 +89,12 @@ class SceneFormatError(ValueError):
 # JSON serialization
 
 
+# an ego state's fields in the file, in the order of a history row's columns
+_STATE_KEYS = ("x_m", "y_m", "psi_rad", "speed_mps", "accel_mps2", "steer_rad")
+
+
 def _state_doc(s: EgoState) -> dict:
-    return {
-        "x_m": s.pose.x,
-        "y_m": s.pose.y,
-        "psi_rad": s.pose.psi,
-        "speed_mps": s.v,
-        "accel_mps2": s.a,
-        "steer_rad": s.steer,
-    }
+    return dict(zip(_STATE_KEYS, (s.pose.x, s.pose.y, s.pose.psi, s.v, s.a, s.steer)))
 
 
 _JSON_TYPES = {
@@ -158,11 +164,14 @@ def _check_version(doc: dict) -> None:
         raise SceneFormatError(f"unsupported schema_version {version!r} (expected {SCHEMA_VERSION})")
 
 
-def _state_from(doc, where: str) -> EgoState:
+def _state_row(doc, where: str) -> list:
+    """The numbers of the ego state object `doc`, in _STATE_KEYS order."""
     _typed(doc, dict, where)
-    x, y, psi, v, a, steer = [
-        _field(doc, key, float, where) for key in ("x_m", "y_m", "psi_rad", "speed_mps", "accel_mps2", "steer_rad")
-    ]
+    return [_field(doc, key, float, where) for key in _STATE_KEYS]
+
+
+def _state_from(doc, where: str) -> EgoState:
+    x, y, psi, v, a, steer = _state_row(doc, where)
     return _built(where, lambda: EgoState(Pose(x, y, psi), v, a, steer))
 
 
@@ -175,7 +184,7 @@ def scene_to_doc(scene: Scene) -> dict:
             "half_length_m": scene.ego_half_length,
             "half_width_m": scene.ego_half_width,
             "init": _state_doc(scene.ego_init),
-            "history": [_state_doc(s) for s in scene.ego_history],
+            "history": [dict(zip(_STATE_KEYS, row)) for row in scene.ego_history.tolist()],
         },
         "agents": [
             {
@@ -257,7 +266,7 @@ def scene_from_doc(doc: dict) -> Scene:
         scene = Scene(
             scene_id=_field(doc, "scene_id", str),
             ego_init=_state_from(_field(ego, "init", where="ego"), "ego.init"),
-            ego_history=[_state_from(s, f"ego.history[{i}]") for i, s in enumerate(history)],
+            ego_history=[_state_row(s, f"ego.history[{i}]") for i, s in enumerate(history)],
             agents=agents,
             drivable=drivable,
             route=route,
@@ -330,16 +339,59 @@ def load_scene(path) -> Scene:
 
 
 # ---------------------------------------------------------------------------
-# rigid transforms
+# placement: a scene's content as plain arrays, moved rigidly, assembled once
 
 
-def _transform_points(frame: Pose, points: np.ndarray) -> np.ndarray:
-    return np.stack(to_world(frame, points[:, 0], points[:, 1]), axis=1)
+class _Frame(NamedTuple):
+    """The world pose generate_scene places a scene at, as to_world reads a
+    pose, psi in (-pi, pi]: a plain tuple, so that the only Pose the
+    generator builds is the one its scene holds."""
+
+    x: float
+    y: float
+    psi: float
 
 
-def _transform_state(frame: Pose, st: EgoState) -> EgoState:
-    x, y = to_world(frame, st.pose.x, st.pose.y)
-    return EgoState(Pose(float(x), float(y), wrap_angle(st.pose.psi + frame.psi)), st.v, st.a, st.steer)
+def _placed(frame, ego, agents, drivable, route, route_polygon, lanes, intersections, **rest) -> Scene:
+    """A scene from its parts in their own frame, moved rigidly by the pose
+    `frame`: every point through to_world, and every heading plus frame.psi,
+    wrapped.  Polygons, polylines and agent poses come as plain arrays, and
+    the ego states as one (H + 1, 6) array: the history rows, then the
+    initial state.  An array given twice (a template's road is both its
+    drivable area and its route band) gives one object.  The remaining
+    parts, the ego-frame human trajectory among them, go to Scene
+    unchanged."""
+
+    def placed(rows):
+        """A copy of `rows` with the x and y columns placed, and the psi
+        column if there is one."""
+        out = rows.copy()
+        out[:, 0], out[:, 1] = to_world(frame, rows[:, 0], rows[:, 1])
+        if rows.shape[1] > 2:
+            out[:, 2] = [wrap_angle(a) for a in (rows[:, 2] + frame.psi).tolist()]
+        return out
+
+    built = {}
+
+    def once(make, points):
+        key = (make, id(points))
+        if key not in built:
+            built[key] = make(placed(points))
+        return built[key]
+
+    ego = placed(ego)
+    x, y, psi, v, a, steer = ego[-1].tolist()
+    return Scene(
+        ego_init=EgoState(Pose(x, y, psi), v, a, steer),
+        ego_history=ego[:-1],
+        agents=[Agent(id_, hl, hw, placed(poses), static) for id_, hl, hw, poses, static in agents],
+        drivable=[once(Polygon, v) for v in drivable],
+        route=once(Polyline, route),
+        route_polygon=once(Polygon, route_polygon),
+        lanes=[Lane(once(Polyline, p), sign) for p, sign in lanes],
+        intersections=[Intersection(once(Polygon, v), light) for v, light in intersections],
+        **rest,
+    )
 
 
 def transform_scene(scene: Scene, frame: Pose) -> Scene:
@@ -347,27 +399,17 @@ def transform_scene(scene: Scene, frame: Pose) -> Scene:
 
     The human trajectory is ego-frame and therefore unchanged.
     """
-    agents = []
-    for a in scene.agents:
-        nx, ny = to_world(frame, a.x, a.y)
-        npsi = np.array([wrap_angle(p) for p in a.psi + frame.psi])
-        agents.append(Agent(a.id, a.half_length, a.half_width, np.stack([nx, ny, npsi], axis=1), a.is_static))
-    return Scene(
+    e = scene.ego_init
+    return _placed(
+        frame,
+        ego=np.vstack([scene.ego_history, [[e.pose.x, e.pose.y, e.pose.psi, e.v, e.a, e.steer]]]),
+        agents=[(a.id, a.half_length, a.half_width, a.poses, a.is_static) for a in scene.agents],
+        drivable=[p.vertices for p in scene.drivable],
+        route=scene.route.points,
+        route_polygon=scene.route_polygon.vertices,
+        lanes=[(lane.centerline.points, lane.direction_sign) for lane in scene.lanes],
+        intersections=[(i.polygon.vertices, i.light) for i in scene.intersections],
         scene_id=scene.scene_id,
-        ego_init=_transform_state(frame, scene.ego_init),
-        ego_history=[_transform_state(frame, s) for s in scene.ego_history],
-        agents=agents,
-        drivable=[Polygon(_transform_points(frame, p.vertices)) for p in scene.drivable],
-        route=Polyline(_transform_points(frame, scene.route.points)),
-        route_polygon=Polygon(_transform_points(frame, scene.route_polygon.vertices)),
-        lanes=[
-            Lane(Polyline(_transform_points(frame, l.centerline.points)), l.direction_sign)
-            for l in scene.lanes
-        ],
-        intersections=[
-            Intersection(Polygon(_transform_points(frame, i.polygon.vertices)), i.light)
-            for i in scene.intersections
-        ],
         human_trajectory=scene.human_trajectory,
         command=scene.command,
         ego_half_length=scene.ego_half_length,
@@ -394,6 +436,13 @@ class SyntheticSpec:
     def __post_init__(self):
         if self.template not in TEMPLATES:
             raise ValueError(f"unknown template {self.template!r}; known: {TEMPLATES}")
+        if not isinstance(self.seed, numbers.Integral) or isinstance(self.seed, bool) or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+        if not isinstance(self.params, dict):
+            raise ValueError(f"params must be a dict, not {type(self.params).__name__}")
+        for name, value in self.params.items():
+            if not isinstance(value, numbers.Real) or isinstance(value, bool):
+                raise ValueError(f"params[{name!r}] must be a real number, got {value!r}")
 
 
 # documented parameter ranges per template
@@ -447,64 +496,53 @@ def straight_plan(v: float, m: int = 8) -> Trajectory:
     return Trajectory(np.stack([v * t, np.zeros(m), np.zeros(m)], axis=1))
 
 
-def _history(v0: float, n: int = 16) -> list:
-    """Constant-speed straight history ending one tick before t=0."""
-    return [EgoState(Pose(-v0 * TICK_DT * j, 0.0, 0.0), v0, 0.0, 0.0) for j in range(n, 0, -1)]
+def _road_polygon(x_lo, x_hi, y_lo, y_hi) -> np.ndarray:
+    """The vertices of an axis-aligned rectangle, counter-clockwise."""
+    return np.array([[x_lo, y_lo], [x_hi, y_lo], [x_hi, y_hi], [x_lo, y_hi]])
 
 
-def _road_polygon(x_lo, x_hi, y_lo, y_hi) -> Polygon:
-    return Polygon([[x_lo, y_lo], [x_hi, y_lo], [x_hi, y_hi], [x_lo, y_hi]])
+def _lane_at(y) -> np.ndarray:
+    """The points of a template lane along the road at lateral offset y."""
+    return np.array([[-15.0, y], [70.0, y]])
 
 
-def _static_agent(agent_id, x, y, psi=0.0, hl=2.3, hw=0.95) -> Agent:
-    states = np.tile([x, y, psi], (DENSE_TICKS, 1))
-    return Agent(agent_id, hl, hw, states, is_static=True)
-
-
-def _base_scene(scene_id, v0, human, road_y, extra_lanes=(), agents=(), intersections=()):
-    """A scene on the template road, x from -15 to 70 m and y from road_y[0]
-    to road_y[1]: the road is both the drivable area and the route band, and
-    the route and the main lane run along y = 0."""
+def _on_road(v0, human, road_y, lanes=(), agents=(), intersections=()) -> dict:
+    """The parts (see _placed) of a scene in its canonical frame, on the
+    template road, x from -15 to 70 m and y from road_y[0] to road_y[1]: the
+    road is both the drivable area and the route band, and the route and the
+    main lane run along y = 0.  The ego starts at the origin heading +x at
+    v0, after a constant-speed straight history of 16 ticks."""
     road = _road_polygon(-15.0, 70.0, *road_y)
-    main = Polyline([[-15.0, 0.0], [70.0, 0.0]])
-    return Scene(
-        scene_id=scene_id,
-        ego_init=EgoState(Pose(0.0, 0.0, 0.0), v0, 0.0, 0.0),
-        ego_history=_history(v0),
-        agents=list(agents),
-        drivable=[road],
-        route=main,
-        route_polygon=road,
-        lanes=[Lane(main, 1), *extra_lanes],
-        intersections=list(intersections),
-        human_trajectory=human,
-        command="forward",
-    )
+    main = _lane_at(0.0)
+    ego = np.zeros((17, 6))
+    ego[:16, 0] = -v0 * TICK_DT * np.arange(16, 0, -1)
+    ego[:, 3] = v0
+    return dict(ego=ego, agents=list(agents), drivable=[road], route=main, route_polygon=road,
+                lanes=[(main, 1), *lanes], intersections=list(intersections), human_trajectory=human,
+                command="forward")
 
 
 def generate_scene(spec: SyntheticSpec) -> Scene:
     """Build a synthetic scene; deterministic for a fixed spec and seed.
 
-    Scenes are constructed on a canonical straight road (ego at the origin
-    heading +x) and then placed at a seed-dependent world pose, so world and
-    ego frames never coincide by accident.
+    Each template gives its scene as plain arrays in a canonical frame, on a
+    straight road with the ego at the origin heading +x.  One placement moves
+    them to a seed-dependent world pose, so world and ego frames never
+    coincide by accident, and the scene's objects are built once, there.
     """
     rng = np.random.default_rng(stable_seed("trajsim-scene", spec.template, spec.seed))
-    p = _draw_params(spec, rng)
-    builder = _BUILDERS[spec.template]
-    scene = builder(f"{spec.template}-{spec.seed:05d}", p)
-    world = Pose(rng.uniform(-200.0, 200.0), rng.uniform(-200.0, 200.0), rng.uniform(-math.pi, math.pi))
-    return transform_scene(scene, world)
+    parts = _BUILDERS[spec.template](_draw_params(spec, rng))
+    world = _Frame(rng.uniform(-200.0, 200.0), rng.uniform(-200.0, 200.0), wrap_angle(rng.uniform(-math.pi, math.pi)))
+    return _placed(world, scene_id=f"{spec.template}-{spec.seed:05d}", **parts)
 
 
-def _build_clean_straight(scene_id, p):
+def _build_clean_straight(p):
     v0 = p["v0"]
-    return _base_scene(scene_id, v0, straight_plan(v0), (-3.5, 3.5))
+    return _on_road(v0, straight_plan(v0), (-3.5, 3.5))
 
 
-def _build_parked_agent(scene_id, p):
+def _build_parked_agent(p):
     v0 = p["v0"]
-    agent_x = p["gap_factor"] * v0
     lane_shift = 3.5
     t_change, t0 = 1.4, 0.0
 
@@ -512,21 +550,19 @@ def _build_parked_agent(scene_id, p):
         return lane_shift * _smoothstep((np.asarray(t) - t0) / t_change)
 
     human = _plan_from_profile(lambda t: v0 * np.asarray(t), y_of_t)
-    shifted = Lane(Polyline([[-15.0, lane_shift], [70.0, lane_shift]]), 1)
-    agent = _static_agent("parked-0", agent_x, 0.0)
-    return _base_scene(scene_id, v0, human, (-3.5, 7.0), [shifted], agents=[agent])
+    parked = ("parked-0", 2.3, 0.95, np.tile([p["gap_factor"] * v0, 0.0, 0.0], (DENSE_TICKS, 1)), True)
+    return _on_road(v0, human, (-3.5, 7.0), [(_lane_at(lane_shift), 1)], agents=[parked])
 
 
-def _build_crossing_agent(scene_id, p):
+def _build_crossing_agent(p):
     v0 = p["v0"]
     cross_x, y0, va = p["cross_x"], p["agent_y0"], p["agent_speed"]
     t = TICK_DT * np.arange(DENSE_TICKS)
     states = np.stack([np.full(DENSE_TICKS, cross_x), y0 - va * t, np.full(DENSE_TICKS, -math.pi / 2)], axis=1)
-    agent = Agent("crossing-0", 2.3, 0.95, states, is_static=False)
-    return _base_scene(scene_id, v0, straight_plan(v0), (-3.5, 3.5), agents=[agent])
+    return _on_road(v0, straight_plan(v0), (-3.5, 3.5), agents=[("crossing-0", 2.3, 0.95, states, False)])
 
 
-def _build_red_light(scene_id, p):
+def _build_red_light(p):
     v0, stop_x = p["v0"], p["stopline_x"]
     x_stop = stop_x - 5.5  # rest position of the ego center, with controller overshoot margin
     decel = v0 * v0 / (2.0 * x_stop)
@@ -538,12 +574,11 @@ def _build_red_light(scene_id, p):
         return np.where(t < t_stop, moving, x_stop)
 
     human = _plan_from_profile(x_of_t, lambda t: np.zeros_like(np.asarray(t, dtype=float)))
-    poly = _road_polygon(stop_x, stop_x + 12.0, -6.0, 6.0)
     light = TrafficLight("signal-0", np.full(DENSE_TICKS, PHASE_RED))
-    return _base_scene(scene_id, v0, human, (-6.0, 6.0), intersections=[Intersection(poly, light)])
+    return _on_road(v0, human, (-6.0, 6.0), intersections=[(_road_polygon(stop_x, stop_x + 12.0, -6.0, 6.0), light)])
 
 
-def _build_oncoming_lane(scene_id, p):
+def _build_oncoming_lane(p):
     v0, t0 = p["v0"], p["incursion_t0"]
     lane_shift, t_change = 3.5, 1.0
 
@@ -551,11 +586,10 @@ def _build_oncoming_lane(scene_id, p):
         return lane_shift * _smoothstep((np.asarray(t) - t0) / t_change)
 
     human = _plan_from_profile(lambda t: v0 * np.asarray(t), y_of_t)
-    oncoming = Lane(Polyline([[-15.0, lane_shift], [70.0, lane_shift]]), -1)
-    return _base_scene(scene_id, v0, human, (-3.5, 7.0), [oncoming])
+    return _on_road(v0, human, (-3.5, 7.0), [(_lane_at(lane_shift), -1)])
 
 
-def _build_lane_drift(scene_id, p):
+def _build_lane_drift(p):
     v0, drift = p["v0"], p["drift_m"]
     t0, t_change = 1.0, 0.8
 
@@ -563,7 +597,7 @@ def _build_lane_drift(scene_id, p):
         return drift * _smoothstep((np.asarray(t) - t0) / t_change)
 
     human = _plan_from_profile(lambda t: v0 * np.asarray(t), y_of_t)
-    return _base_scene(scene_id, v0, human, (-3.5, 3.5))
+    return _on_road(v0, human, (-3.5, 3.5))
 
 
 _BUILDERS = {

@@ -9,6 +9,11 @@ import math
 
 import numpy as np
 
+from trajsim.geom import Polygon, Polyline, Pose
+from trajsim.kinematics import DENSE_TICKS, TICK_DT, EgoState
+from trajsim.metrics import PHASE_RED, Agent, Intersection, Lane, Scene, TrafficLight
+from trajsim.scene_io import _plan_from_profile, _smoothstep, straight_plan
+
 
 def sample_points_in_box(rng, x, y, psi, hl, hw, n):
     """Uniform points inside one oriented box, (n, 2)."""
@@ -209,11 +214,18 @@ def _compose(frame, x, y, psi=None):
     return nx, ny, np.asarray(psi) + frame.psi
 
 
+def history_states(history):
+    """The EgoStates of the rows of an (H, 6) ego history array."""
+    return [EgoState(Pose(x, y, psi), v, a, steer) for x, y, psi, v, a, steer in history.tolist()]
+
+
+def history_array(states):
+    """The (H, 6) ego history array of a list of EgoStates."""
+    return np.array([[s.pose.x, s.pose.y, s.pose.psi, s.v, s.a, s.steer] for s in states])
+
+
 def transform_scene(scene, frame):
-    """scene_io.transform_scene over _compose."""
-    from trajsim.geom import Polygon, Polyline, Pose
-    from trajsim.kinematics import EgoState
-    from trajsim.metrics import Agent, Intersection, Lane, Scene
+    """scene_io.transform_scene over _compose, one EgoState at a time."""
 
     def points(p):
         nx, ny = _compose(frame, p[:, 0], p[:, 1])
@@ -231,7 +243,7 @@ def transform_scene(scene, frame):
     return Scene(
         scene_id=scene.scene_id,
         ego_init=state(scene.ego_init),
-        ego_history=[state(st) for st in scene.ego_history],
+        ego_history=history_array([state(st) for st in history_states(scene.ego_history)]),
         agents=agents,
         drivable=[Polygon(points(p.vertices)) for p in scene.drivable],
         route=Polyline(points(scene.route.points)),
@@ -243,6 +255,123 @@ def transform_scene(scene, frame):
         ego_half_length=scene.ego_half_length,
         ego_half_width=scene.ego_half_width,
     )
+
+
+# ---------------------------------------------------------------------------
+# the scene generator as it was before each template gave plain arrays that
+# one placement builds into a scene: every template built and validated a
+# canonical scene, which transform_scene then rebuilt at the world pose
+
+
+def _history(v0, n=16):
+    """Constant-speed straight history ending one tick before t=0."""
+    return [EgoState(Pose(-v0 * TICK_DT * j, 0.0, 0.0), v0, 0.0, 0.0) for j in range(n, 0, -1)]
+
+
+def _road_polygon(x_lo, x_hi, y_lo, y_hi):
+    return Polygon([[x_lo, y_lo], [x_hi, y_lo], [x_hi, y_hi], [x_lo, y_hi]])
+
+
+def _static_agent(agent_id, x, y, psi=0.0, hl=2.3, hw=0.95):
+    states = np.tile([x, y, psi], (DENSE_TICKS, 1))
+    return Agent(agent_id, hl, hw, states, is_static=True)
+
+
+def _base_scene(scene_id, v0, human, road_y, extra_lanes=(), agents=(), intersections=()):
+    road = _road_polygon(-15.0, 70.0, *road_y)
+    main = Polyline([[-15.0, 0.0], [70.0, 0.0]])
+    return Scene(
+        scene_id=scene_id,
+        ego_init=EgoState(Pose(0.0, 0.0, 0.0), v0, 0.0, 0.0),
+        ego_history=history_array(_history(v0)),
+        agents=list(agents),
+        drivable=[road],
+        route=main,
+        route_polygon=road,
+        lanes=[Lane(main, 1), *extra_lanes],
+        intersections=list(intersections),
+        human_trajectory=human,
+        command="forward",
+    )
+
+
+def _build_clean_straight(scene_id, p):
+    v0 = p["v0"]
+    return _base_scene(scene_id, v0, straight_plan(v0), (-3.5, 3.5))
+
+
+def _build_parked_agent(scene_id, p):
+    v0 = p["v0"]
+    agent_x = p["gap_factor"] * v0
+    lane_shift = 3.5
+    t_change, t0 = 1.4, 0.0
+
+    def y_of_t(t):
+        return lane_shift * _smoothstep((np.asarray(t) - t0) / t_change)
+
+    human = _plan_from_profile(lambda t: v0 * np.asarray(t), y_of_t)
+    shifted = Lane(Polyline([[-15.0, lane_shift], [70.0, lane_shift]]), 1)
+    agent = _static_agent("parked-0", agent_x, 0.0)
+    return _base_scene(scene_id, v0, human, (-3.5, 7.0), [shifted], agents=[agent])
+
+
+def _build_crossing_agent(scene_id, p):
+    v0 = p["v0"]
+    cross_x, y0, va = p["cross_x"], p["agent_y0"], p["agent_speed"]
+    t = TICK_DT * np.arange(DENSE_TICKS)
+    states = np.stack([np.full(DENSE_TICKS, cross_x), y0 - va * t, np.full(DENSE_TICKS, -math.pi / 2)], axis=1)
+    agent = Agent("crossing-0", 2.3, 0.95, states, is_static=False)
+    return _base_scene(scene_id, v0, straight_plan(v0), (-3.5, 3.5), agents=[agent])
+
+
+def _build_red_light(scene_id, p):
+    v0, stop_x = p["v0"], p["stopline_x"]
+    x_stop = stop_x - 5.5
+    decel = v0 * v0 / (2.0 * x_stop)
+    t_stop = v0 / decel
+
+    def x_of_t(t):
+        t = np.asarray(t, dtype=float)
+        moving = v0 * t - 0.5 * decel * t * t
+        return np.where(t < t_stop, moving, x_stop)
+
+    human = _plan_from_profile(x_of_t, lambda t: np.zeros_like(np.asarray(t, dtype=float)))
+    poly = _road_polygon(stop_x, stop_x + 12.0, -6.0, 6.0)
+    light = TrafficLight("signal-0", np.full(DENSE_TICKS, PHASE_RED))
+    return _base_scene(scene_id, v0, human, (-6.0, 6.0), intersections=[Intersection(poly, light)])
+
+
+def _build_oncoming_lane(scene_id, p):
+    v0, t0 = p["v0"], p["incursion_t0"]
+    lane_shift, t_change = 3.5, 1.0
+
+    def y_of_t(t):
+        return lane_shift * _smoothstep((np.asarray(t) - t0) / t_change)
+
+    human = _plan_from_profile(lambda t: v0 * np.asarray(t), y_of_t)
+    oncoming = Lane(Polyline([[-15.0, lane_shift], [70.0, lane_shift]]), -1)
+    return _base_scene(scene_id, v0, human, (-3.5, 7.0), [oncoming])
+
+
+def _build_lane_drift(scene_id, p):
+    v0, drift = p["v0"], p["drift_m"]
+    t0, t_change = 1.0, 0.8
+
+    def y_of_t(t):
+        return drift * _smoothstep((np.asarray(t) - t0) / t_change)
+
+    human = _plan_from_profile(lambda t: v0 * np.asarray(t), y_of_t)
+    return _base_scene(scene_id, v0, human, (-3.5, 3.5))
+
+
+BUILDERS = {
+    "clean_straight": _build_clean_straight,
+    "parked_agent": _build_parked_agent,
+    "crossing_agent": _build_crossing_agent,
+    "red_light": _build_red_light,
+    "oncoming_lane": _build_oncoming_lane,
+    "lane_drift": _build_lane_drift,
+}
 
 
 def _interp_targets(plan, init, dt, ticks):
@@ -640,7 +769,7 @@ def _finite_difference(v, dt):
 
 def score_hc(d, scene, cfg, dt=0.1):
     """HC with the motion profiles derived first, lon jerk differenced again."""
-    hist = scene.ego_history[-cfg.history_pad_ticks:]
+    hist = history_states(scene.ego_history)[len(scene.ego_history) - cfg.history_pad_ticks:]
     v = np.concatenate([[s.v for s in hist], d.v])
     psi = np.concatenate([[s.pose.psi for s in hist], d.psi])
     lon_accel = _finite_difference(v, dt)

@@ -13,7 +13,8 @@ rasterized on one shared lattice, and extended comfort over whole arrays
 and selection comfort over full rollouts, before either stopped at the
 first tick that breaks a tolerance.  The scene transform keeps its own copy
 of the rigid frame change, as it had before it shared geom.to_world with
-trajectory_to_world.  Besides the generated scenes, a hand-built scene
+trajectory_to_world, and the templates build a canonical scene that it
+places, as the generator did before each scene was built once.  Besides the generated scenes, a hand-built scene
 checks the rules on geometry the generator never makes: multi-segment and
 curved lanes, five agents, a concave drivable area with a second polygon,
 and two intersections.  Every comparison here is on the bytes of the
@@ -21,6 +22,7 @@ float64 values, so -0.0 against 0.0 fails too.
 """
 
 import dataclasses
+import itertools
 import json
 import math
 import sys
@@ -142,7 +144,7 @@ def rich_scene(seed):
         Intersection(Polygon([[20, -4], [30, -4], [30, 4], [20, 4]]), TrafficLight("a", phases_a)),
         Intersection(Polygon([[44, 4], [60, 4], [60, 16], [44, 16]]), TrafficLight("b", phases_b)),
     ]
-    history = [EgoState(Pose(-v0 * 0.1 * j, 0.0, 0.0), v0) for j in range(16, 0, -1)]
+    history = [[-v0 * 0.1 * j, 0.0, 0.0, v0, 0.0, 0.0] for j in range(16, 0, -1)]
     scene = Scene(f"rich-{seed}", EgoState(Pose(0.0, 0.0, 0.0), v0), history, agents, [road, layby],
                   Polyline([[-20, 0], [50, 0], [52, 30]]), road, lanes, intersections, straight_plan(v0))
     return transform_scene(scene, Pose(rng.uniform(-100, 100), rng.uniform(-100, 100), rng.uniform(-math.pi, math.pi)))
@@ -266,19 +268,28 @@ def doc_json(scene) -> str:
 
 
 def oracle_generate_scene(spec):
-    """generate_scene with the scene placed by the oracle transform."""
+    """generate_scene as it was: the template's canonical scene built, then
+    placed by the oracle transform."""
     rng = np.random.default_rng(stable_seed("trajsim-scene", spec.template, spec.seed))
     params = scene_io._draw_params(spec, rng)
-    scene = scene_io._BUILDERS[spec.template](f"{spec.template}-{spec.seed:05d}", params)
+    scene = oracles.BUILDERS[spec.template](f"{spec.template}-{spec.seed:05d}", params)
     world = Pose(rng.uniform(-200.0, 200.0), rng.uniform(-200.0, 200.0), rng.uniform(-math.pi, math.pi))
     return oracles.transform_scene(scene, world)
 
 
+def pinned_specs(template):
+    """One spec for each corner of the template's parameter box: every
+    parameter pinned at one end of its documented range."""
+    ranges = scene_io._RANGES[template]
+    for i, ends in enumerate(itertools.product(*ranges.values())):
+        yield SyntheticSpec(template, seed=i, params=dict(zip(ranges, ends)))
+
+
 @pytest.mark.parametrize("template", TEMPLATES)
 def test_generated_scenes_match_oracle(template):
-    for seed in range(8):
-        spec = SyntheticSpec(template, seed=seed)
-        assert doc_json(generate_scene(spec)) == doc_json(oracle_generate_scene(spec)), seed
+    specs = [SyntheticSpec(template, seed=seed) for seed in range(100)] + list(pinned_specs(template))
+    for spec in specs:
+        assert doc_json(generate_scene(spec)) == doc_json(oracle_generate_scene(spec)), spec
 
 
 def test_transform_scene_matches_oracle_when_headings_wrap(scenes):
@@ -291,11 +302,24 @@ def test_transform_scene_matches_oracle_when_headings_wrap(scenes):
             base = oracles.transform_scene(scene, Pose(0.0, 0.0, sign * 3.0 - scene.ego_init.pose.psi))
             frame = Pose(rng.uniform(-300, 300), rng.uniform(-300, 300), sign * rng.uniform(3.0, math.pi))
             assert abs(base.ego_init.pose.psi + frame.psi) > math.pi
+            assert (np.abs(base.ego_history[:, 2] + frame.psi) > math.pi).all()
             got, want = transform_scene(base, frame), oracles.transform_scene(base, frame)
             assert doc_json(got) == doc_json(want), (scene.scene_id, frame)
+            assert bits(got.ego_history) == bits(want.ego_history)
             for a, b in zip(got.agents, want.agents):
                 assert bits(a.poses) == bits(b.poses)
-            assert all(-math.pi < st.pose.psi <= math.pi for st in got.ego_history)
+            psi = got.ego_history[:, 2]
+            assert ((-math.pi < psi) & (psi <= math.pi)).all()
+
+
+def test_polyline_arc_lengths_match_norm():
+    # Polyline's sqrt(dx^2 + dy^2) segment lengths against np.linalg.norm's
+    rng = np.random.default_rng(41)
+    for n in (2, 3, 11, 200):
+        for scale in (1e-3, 1.0, 1e3, 1e6):
+            points = rng.normal(size=(n, 2)) * scale
+            want = np.concatenate([[0.0], np.cumsum(np.linalg.norm(np.diff(points, axis=0), axis=1))])
+            assert bits(Polyline(points)._cum) == bits(want), (n, scale)
 
 
 def test_points_on_polygon_edges_match_oracle():

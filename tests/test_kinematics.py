@@ -133,7 +133,7 @@ class TestDeriveProfiles:
         t = TICK_DT * np.arange(-16, DENSE_TICKS)
         vs, psis = v(t), psi(t)
         scene = generate_scene(SyntheticSpec("clean_straight", seed=0))
-        history = [EgoState(Pose(0.0, 0.0, p), s) for s, p in zip(vs[:16], psis[:16])]
+        history = [[0.0, 0.0, p, s, 0.0, 0.0] for s, p in zip(vs[:16], psis[:16])]
         scene = dataclasses.replace(scene, ego_history=history)
         z = np.zeros(DENSE_TICKS)
         d = DenseTrajectory(z, z, [wrap_angle(p) for p in psis[16:]], vs[16:], z, z)

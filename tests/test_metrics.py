@@ -1,5 +1,6 @@
 import functools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from trajsim.metrics import (
     Agent,
     Intersection,
     Lane,
+    MetricConfig,
     Scene,
     ScoreContext,
     SubScores,
@@ -57,11 +59,11 @@ def dense_from_xy(x, y, v):
 
 
 def history(v0, n=16):
-    return [EgoState(Pose(-v0 * 0.1 * j, 0.0, 0.0), v0, 0.0, 0.0) for j in range(n, 0, -1)]
+    return np.array([[-v0 * 0.1 * j, 0.0, 0.0, v0, 0.0, 0.0] for j in range(n, 0, -1)])
 
 
 def make_scene(agents=(), lanes=None, intersections=(), v0=10.0, drivable=None,
-               human=None, route=None):
+               human=None, route=None, hist=None):
     if lanes is None:
         lanes = [Lane(Polyline([[-50.0, 0.0], [100.0, 0.0]]), 1)]
     if drivable is None:
@@ -72,7 +74,7 @@ def make_scene(agents=(), lanes=None, intersections=(), v0=10.0, drivable=None,
     return Scene(
         scene_id="test",
         ego_init=EgoState(Pose(0.0, 0.0, 0.0), v0, 0.0, 0.0),
-        ego_history=history(v0),
+        ego_history=history(v0) if hist is None else hist,
         agents=list(agents),
         drivable=drivable,
         route=route or Polyline([[-50.0, 0.0], [100.0, 0.0]]),
@@ -268,15 +270,85 @@ class TestHistoryComfort:
         assert score_hc(d, ScoreContext(make_scene(v0=10.0))) == 0.0
 
     def test_junction_jerk_fails(self):
-        # history accelerating at +2 m/s^2 into a constant-speed rollout:
-        # lon accel flips 2 -> 0 in one tick, lon jerk ~ 20 m/s^3
-        hist = [
-            EgoState(Pose(-10 * 0.1 * j + 0.01 * j * j, 0.0, 0.0), 10.0 - 2.0 * 0.1 * j, 2.0, 0.0)
-            for j in range(16, 0, -1)
-        ]
-        scene = make_scene(v0=10.0)
-        scene.ego_history[:] = hist
-        assert score_hc(straight_dense(10.0), ScoreContext(scene)) == 0.0
+        assert score_hc(straight_dense(10.0), ScoreContext(junction_scene())) == 0.0
+
+
+def junction_scene():
+    """A scene whose history accelerates at +2 m/s^2 up to 10 m/s: into a
+    constant-speed rollout, lon accel flips 2 -> 0 in one tick, lon jerk
+    ~ 20 m/s^3."""
+    hist = [[-10 * 0.1 * j + 0.01 * j * j, 0.0, 0.0, 10.0 - 2.0 * 0.1 * j, 2.0, 0.0] for j in range(16, 0, -1)]
+    return make_scene(v0=10.0, hist=hist)
+
+
+class TestEgoHistory:
+    """Scene keeps its history as one checked, read-only (H, 6) array."""
+
+    def test_read_only_copy_with_wrapped_headings(self):
+        hist = history(10.0)
+        hist[5, 2], hist[6, 2], hist[7, 2] = 1.5 * math.pi, -math.pi, 0.25
+        scene = make_scene(hist=hist)
+        assert scene.ego_history is not hist and hist[5, 2] == 1.5 * math.pi
+        assert not scene.ego_history.flags.writeable
+        assert scene.ego_history[5, 2] == wrap_angle(1.5 * math.pi)
+        assert scene.ego_history[6, 2] == math.pi and scene.ego_history[7, 2] == 0.25
+        assert np.array_equal(np.delete(scene.ego_history, 2, axis=1), np.delete(hist, 2, axis=1))
+
+    @pytest.mark.parametrize("column, value, message", [
+        (0, float("nan"), "pose components"),
+        (1, -2e9, "pose components"),
+        (2, float("inf"), "pose components"),
+        (3, -0.5, "speed v must be finite and non-negative"),
+        (3, 2e9, "speed v must be finite and non-negative, at most 1e+09"),
+        (4, float("nan"), "acceleration a must be finite"),
+        (5, float("-inf"), "steer must be finite"),
+    ])
+    def test_bad_state_named_by_its_row(self, column, value, message):
+        hist = history(10.0)
+        hist[[3, 9], column] = value
+        with pytest.raises(ValueError, match=re.escape(f"ego.history[3]: {message}")):
+            make_scene(hist=hist)
+
+    @pytest.mark.parametrize("hist, message", [
+        (history(10.0)[:15], "ego history needs at least 16 states"),
+        (history(10.0)[:, :5], "ego history must be an (H, 6) array"),
+        (history(10.0).ravel(), "ego history must be an (H, 6) array"),
+    ])
+    def test_bad_shape(self, hist, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            make_scene(hist=hist)
+
+
+class TestMetricConfig:
+    def test_defaults_unchanged(self):
+        assert repr(MetricConfig()) == (
+            "MetricConfig(ddc_minor_m=2.0, ddc_major_m=6.0, lk_offset_m=0.5, lk_window_ticks=10, ec_pos_m=1.0, "
+            "ec_heading_rad=0.2, ec_speed_mps=2.0, ttc_horizon_s=1.0, ttc_substeps=10, lon_accel_min=-4.05, "
+            "lon_accel_max=2.4, lat_accel_max=4.89, lon_jerk_max=4.13, jerk_max=8.37, yaw_rate_max=0.95, "
+            "yaw_accel_max=1.93, ep_min_ref_progress_m=0.1, history_pad_ticks=15)"
+        )
+
+    @pytest.mark.parametrize("name, value", [
+        ("history_pad_ticks", -3),
+        ("ttc_substeps", 0),
+        ("lk_window_ticks", -1),
+        ("ttc_substeps", 2.5),
+        ("lk_window_ticks", True),
+    ])
+    def test_bad_integer_named(self, name, value):
+        with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer of at least")):
+            MetricConfig(**{name: value})
+
+    def test_pad_of_zero_uses_no_history(self):
+        # the junction history fails HC at the default pad; at 0 no state of it counts
+        ctx = ScoreContext(junction_scene(), metric_cfg=MetricConfig(history_pad_ticks=0))
+        assert ctx.hist_v.size == ctx.hist_psi.size == 0
+        assert score_hc(straight_dense(10.0), ctx) == 1.0
+
+    def test_pad_beyond_the_history_named(self):
+        ScoreContext(make_scene(), metric_cfg=MetricConfig(history_pad_ticks=16))
+        with pytest.raises(ValueError, match=re.escape("history_pad_ticks=40 exceeds the 16 history states")):
+            ScoreContext(make_scene(), metric_cfg=MetricConfig(history_pad_ticks=40))
 
 
 class TestExtendedComfort:

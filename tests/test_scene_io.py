@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import copy
 import functools
@@ -13,10 +14,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from trajsim.cli import main
-from trajsim.geom import COORD_LIMIT_M, Pose
+from trajsim.geom import COORD_LIMIT_M, Polygon, Polyline, Pose
 from trajsim.kinematics import pid_track, trajectory_to_world
 from trajsim.vocabulary import TrajectoryCorpus
-from trajsim.metrics import ScoreContext, aggregate_epdms, evaluate_rollout, score_nc, score_tlc
+from trajsim.metrics import Agent, Scene, ScoreContext, aggregate_epdms, evaluate_rollout, score_nc, score_tlc
 from trajsim.scene_io import (
     TEMPLATES,
     SceneFormatError,
@@ -367,6 +368,39 @@ class TestGenerator:
     def test_unknown_template(self):
         with pytest.raises(ValueError):
             SyntheticSpec("zigzag", seed=0)
+
+    @pytest.mark.parametrize("seed, params, message", [
+        (1, {"v0": "9"}, "params['v0'] must be a real number, got '9'"),
+        (1, {"v0": True}, "params['v0'] must be a real number"),
+        (1.5, {}, "seed must be a non-negative integer, got 1.5"),
+        (True, {}, "seed must be a non-negative integer, got True"),
+        (-1, {}, "seed must be a non-negative integer, got -1"),
+        (1, None, "params must be a dict, not NoneType"),
+    ])
+    def test_bad_field_named(self, seed, params, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            SyntheticSpec("clean_straight", seed=seed, params=params)
+
+    @pytest.mark.parametrize("template", TEMPLATES)
+    def test_each_object_built_once(self, template, monkeypatch):
+        # a generator that builds a canonical scene and then places it builds each object twice
+        counts = collections.Counter()
+        for cls in (Scene, Polygon, Polyline, Agent, Pose):
+            def counting(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
+                counts[_name] += 1
+                _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counting)
+        scene = generate_scene(SyntheticSpec(template, seed=7))
+        polygons = [*scene.drivable, scene.route_polygon, *(i.polygon for i in scene.intersections)]
+        held = {
+            "Scene": 1,
+            "Polygon": len(set(map(id, polygons))),
+            "Polyline": len(set(map(id, [scene.route, *(lane.centerline for lane in scene.lanes)]))),
+            "Agent": len(scene.agents),
+            "Pose": 1,
+        }
+        assert counts["Scene"] == 1 and all(counts[name] <= n for name, n in held.items()), (counts, held)
 
     @pytest.mark.parametrize("seed", [0, 17])
     def test_template_ground_truths(self, seed):
