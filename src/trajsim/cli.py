@@ -70,7 +70,7 @@ def cmd_score(args) -> int:
 
 
 def cmd_build_vocab(args) -> int:
-    corpus = vocabulary.TrajectoryCorpus(s.human_trajectory for s in scene_io.load_scene_dir(args.scenes))
+    corpus = vocabulary.TrajectoryCorpus(s.human_trajectory for s in scene_io.iter_scene_dir(args.scenes))
     vocab = vocabulary.kmeans(corpus, k=args.k, max_iters=args.max_iters, seed=args.seed, workers=args.workers)
     vocabulary.save_vocabulary(vocab, args.out)
     if args.csv:

@@ -58,6 +58,7 @@ __all__ = [
     "save_scene",
     "load_scene",
     "load_scene_dir",
+    "iter_scene_dir",
     "generate_scene",
     "transform_scene",
     "straight_plan",
@@ -263,6 +264,10 @@ def scene_from_doc(doc: dict) -> Scene:
         route = _from_array(Polyline, _field(doc, "route_polyline_m"), "route_polyline_m")
         if len(route) < 2:  # which Scene would reject without naming the field
             raise SceneFormatError("route_polyline_m: route needs at least 2 points")
+        plan = _from_array(Trajectory, _field(human, "waypoints", where="human_trajectory_ego"),
+                           "human_trajectory_ego.waypoints")
+        if plan.m < 2:  # likewise
+            raise SceneFormatError(f"human_trajectory_ego.waypoints: plan needs at least 2 waypoints, got {plan.m}")
         scene = Scene(
             scene_id=_field(doc, "scene_id", str),
             ego_init=_state_from(_field(ego, "init", where="ego"), "ego.init"),
@@ -281,8 +286,7 @@ def scene_from_doc(doc: dict) -> Scene:
                 for where, lane in _objects(doc, "lanes")
             ],
             intersections=intersections,
-            human_trajectory=_from_array(Trajectory, _field(human, "waypoints", where="human_trajectory_ego"),
-                                         "human_trajectory_ego.waypoints"),
+            human_trajectory=plan,
             command=_field(doc, "command", str),
             ego_half_length=_field(ego, "half_length_m", float, "ego"),
             ego_half_width=_field(ego, "half_width_m", float, "ego"),
@@ -614,17 +618,22 @@ _BUILDERS = {
 # scene directories and auxiliary file formats
 
 
-def load_scene_dir(directory) -> list:
+def iter_scene_dir(directory):
     """The scenes of every *.json file in `directory`, in sorted file-name
-    order; a missing directory or one without scene files raises
-    FileNotFoundError naming it."""
+    order, each loaded as the iterator reaches it; a missing directory or
+    one without scene files raises FileNotFoundError naming it at once."""
     directory = Path(directory)
     if not directory.is_dir():
         raise FileNotFoundError(f"scene directory not found: {directory}")
     paths = sorted(directory.glob("*.json"))
     if not paths:
         raise FileNotFoundError(f"no scene files (*.json) under {directory}")
-    return [load_scene(p) for p in paths]
+    return map(load_scene, paths)
+
+
+def load_scene_dir(directory) -> list:
+    """iter_scene_dir(directory) as a list."""
+    return list(iter_scene_dir(directory))
 
 
 def save_trajectory_map(trajs: dict, path) -> None:

@@ -1,20 +1,29 @@
 """Trajectory vocabulary: k-means over flattened (x, y) waypoint embeddings.
 
+A corpus and a vocabulary are each one read-only array.  TrajectoryCorpus
+holds the (N, 2M) flattened (x, y) waypoints that kmeans clusters, read once
+from its trajectories; headings are never clustered, so it drops them.
+Vocabulary holds the (K, M, 3) center poses that save_vocabulary writes, and
+builds its per-center Trajectory views only when `centers` is first read;
+they stay out of its pickle, so a process-pool submit ships one array.
+
 Clustering works on positions only; headings are reconstructed on the final
 centers from consecutive displacement tangents (mixing radians into a metric
-of meters would need an arbitrary scale).  The implementation is k-means++
-seeding plus Lloyd iterations, with a deterministic chunked assignment step:
-chunks may be processed by a thread pool, but labels are order-free and the
-per-cluster reduction always runs in chunk-index order, so the result is
-bitwise identical for any worker count.
+of meters would need an arbitrary scale), for all centers in one arctan2.
+The implementation is k-means++ seeding plus Lloyd iterations, with a
+deterministic chunked assignment step: chunks may be processed by a thread
+pool, but labels are order-free and the per-cluster reduction always runs
+in chunk-index order, so the result is bitwise identical for any worker
+count.
 
-Seeding keeps a transposed (2M, N) copy of the embeddings, so each new
-center's squared distances are a few whole-row operations over N points
-instead of N short rows.  The rows are then summed in the order numpy's
-pairwise summation uses for ``np.sum(a, axis=1)`` over the original (N, 2M)
-layout (eight interleaved accumulators per block of 128, halves above
-that), so the distances, and with them every k-means++ draw, are the same
-bits as the row-wise sum.  That order is a numpy implementation detail;
+kmeans keeps one transposed (2M, N) copy of the embeddings, which seeding
+and every Lloyd chunk read.  In seeding, each new center's squared
+distances are a few whole-row operations over N points instead of N short
+rows.  The rows are then summed in the order numpy's pairwise summation
+uses for ``np.sum(a, axis=1)`` over the original (N, 2M) layout (eight
+interleaved accumulators per block of 128, halves above that), so the
+distances, and with them every k-means++ draw, are the same bits as the
+row-wise sum.  That order is a numpy implementation detail;
 tests/test_exactness.py pins it.
 
 Seeding recomputes only the distances a new center can change.  Each point
@@ -58,7 +67,9 @@ again; only then is its row computed.  eps is over 32 times the (D + 3)
 of the norms and bounds themselves.
 
 A computed row comes from a product of the rows being recomputed, gathered
-a block at a time into a small anonymous mapping.  Its bits need not be the
+a block at a time into a small anonymous mapping, with the doubled centers:
+doubling is exact, so each term x_i (2 c_i) is the real number (2 x_i) c_i
+and rounds the same, and no doubled copy of the points is kept.  Its bits need not be the
 whole chunk's: with OpenBLAS 0.3.31, the rows of a product of a few rows
 differ in their last bits from the same rows of the whole product once
 D >= 32 (up to 600 rows at k = 2, D = 140).  So a row's
@@ -72,15 +83,14 @@ np.sum's order (_pairwise_row_sum), so every center keeps its bits.
 
 from __future__ import annotations
 
-import csv
 import mmap
 import struct
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from .geom import COORD_LIMIT_M, _coord_error
 from .kinematics import Trajectory
 
 __all__ = [
@@ -89,7 +99,6 @@ __all__ = [
     "TrajectoryCorpus",
     "Vocabulary",
     "embed",
-    "embed_corpus",
     "headings_from_tangents",
     "kmeans",
     "save_vocabulary",
@@ -108,51 +117,89 @@ DESK_SCALE_K = 256
 
 
 class TrajectoryCorpus:
-    """Ego-frame trajectories with a common waypoint count."""
+    """The (x, y) waypoints of N ego-frame trajectories with one waypoint
+    count M >= 2, as one read-only (N, 2M) array `xy`, row i the flattened
+    waypoints of trajectory i.  `items` is read once and not kept."""
 
-    __slots__ = ("items",)
+    __slots__ = ("xy", "m")
 
     def __init__(self, items):
-        items = list(items)
-        if not items:
+        items = iter(items)
+        first = next(items, None)
+        if first is None:
             raise ValueError("corpus is empty")
-        m = items[0].m
-        if any(t.m != m for t in items):
-            raise ValueError("corpus trajectories must share one waypoint count")
-        self.items = items
+        m = first.m
+        if m < 2:  # every consumer rolls the centers out with the PID
+            raise ValueError(f"corpus trajectories need at least 2 waypoints, got {m}")
+
+        def positions():
+            yield first.xy
+            for t in items:
+                if t.m != m:
+                    raise ValueError("corpus trajectories must share one waypoint count")
+                yield t.xy
+
+        # one growing array, not a list of N small ones whose freed heap a
+        # later fork would carry
+        xy = np.fromiter(positions(), dtype=np.dtype((float, (m, 2)))).reshape(-1, 2 * m)
+        xy.setflags(write=False)
+        self.xy = xy
+        self.m = m
 
     @property
     def count(self) -> int:
-        return len(self.items)
-
-    @property
-    def m(self) -> int:
-        return self.items[0].m
+        return len(self.xy)
 
     def __len__(self):
-        return len(self.items)
+        return len(self.xy)
 
 
-@dataclass(frozen=True)
 class Vocabulary:
-    """K cluster-center trajectories plus the clustering provenance."""
+    """K cluster-center trajectories as one read-only (K, M, 3) array of
+    (x, y, psi) poses, plus the clustering provenance."""
 
-    centers: list
-    k: int
-    seed: int
-    inertia: float
-    inertia_history: tuple = field(default=(), repr=False)
+    __slots__ = ("poses", "seed", "inertia", "inertia_history", "_centers")
 
-    def __post_init__(self):
-        if self.k < 1 or len(self.centers) != self.k:
-            raise ValueError("vocabulary must hold exactly k centers, k >= 1")
+    def __init__(self, poses, seed: int, inertia: float, inertia_history=()):
+        p = np.asarray(poses, dtype=float)
+        if p.ndim != 3 or p.shape[2] != 3:
+            raise ValueError("vocabulary needs a (K, M, 3) array of center waypoints")
+        if len(p) < 1:
+            raise ValueError(f"k must be >= 1, got {len(p)}")
+        if p.shape[1] < 2:  # every consumer rolls the centers out with the PID
+            raise ValueError(f"m must be >= 2 waypoints, got {p.shape[1]}")
+        # the test Trajectory makes of each center, headings too
+        ok = (np.abs(p) <= COORD_LIMIT_M).all(axis=(1, 2))
+        if not ok.all():
+            i = int(np.argmin(ok))
+            raise ValueError(f"centers[{i}]: {_coord_error('trajectory waypoints', p[i])}")
+        p.setflags(write=False)
+        self.poses = p
+        self.seed = seed
+        self.inertia = inertia
+        self.inertia_history = tuple(inertia_history)
+        self._centers = None
+
+    @property
+    def k(self) -> int:
+        return self.poses.shape[0]
 
     @property
     def m(self) -> int:
-        return self.centers[0].m
+        return self.poses.shape[1]
+
+    @property
+    def centers(self) -> tuple:
+        """One read-only Trajectory view of `poses` per center."""
+        if self._centers is None:
+            self._centers = tuple(Trajectory(p) for p in self.poses)
+        return self._centers
+
+    def __reduce__(self):
+        return Vocabulary, (self.poses, self.seed, self.inertia, self.inertia_history)
 
     def embeddings(self) -> np.ndarray:
-        return np.stack([embed(c) for c in self.centers])
+        return self.poses[:, :, :2].reshape(self.k, -1)
 
 
 def embed(t: Trajectory) -> np.ndarray:
@@ -160,20 +207,21 @@ def embed(t: Trajectory) -> np.ndarray:
     return t.xy.reshape(-1).copy()
 
 
-def embed_corpus(corpus: TrajectoryCorpus) -> np.ndarray:
-    return np.stack([t.xy for t in corpus.items]).reshape(corpus.count, -1)
-
-
 def headings_from_tangents(xy: np.ndarray) -> np.ndarray:
-    """Headings from consecutive displacements; the last copies its neighbor."""
-    d = np.diff(xy, axis=0)
-    psi = np.arctan2(d[:, 1], d[:, 0])
-    return np.concatenate([psi, psi[-1:]]) if len(psi) else np.zeros(1)
+    """Headings of the (..., M, 2) waypoints xy from consecutive
+    displacements; the last copies its neighbor."""
+    d = np.diff(xy, axis=-2)
+    psi = np.arctan2(d[..., 1], d[..., 0])
+    return np.concatenate([psi, psi[..., -1:]], axis=-1) if psi.shape[-1] else np.zeros(xy.shape[:-1])
 
 
-def _center_to_trajectory(vec: np.ndarray, m: int) -> Trajectory:
-    xy = vec.reshape(m, 2)
-    return Trajectory(np.column_stack([xy, headings_from_tangents(xy)]))
+def _center_poses(centers: np.ndarray, m: int) -> np.ndarray:
+    """The (K, M, 3) poses of the (K, 2M) flattened center positions, with
+    the headings of all centers from one headings_from_tangents."""
+    poses = np.empty((len(centers), m, 3))
+    poses[:, :, :2] = centers.reshape(len(centers), m, 2)
+    poses[:, :, 2] = headings_from_tangents(poses[:, :, :2])
+    return poses
 
 
 def _pairwise_row_sum(a: np.ndarray) -> np.ndarray:
@@ -220,14 +268,14 @@ def _draw(d2, total, rng, cdf) -> int:
     return int(cdf.searchsorted(rng.random(), side="right"))
 
 
-def _kmeans_pp(x: np.ndarray, k: int, rng):
-    """k-means++ centers of the rows of x, and every row's squared distance
-    to its nearest center: the bits of seeding that recomputes every row's
-    distance to each new center (see the module docstring for the bound)."""
-    n, dim = x.shape
+def _kmeans_pp(xt: np.ndarray, k: int, rng):
+    """k-means++ centers of the columns of xt, the transposed points, and
+    every point's squared distance to its nearest center: the bits of
+    seeding that recomputes every point's distance to each new center (see
+    the module docstring for the bound)."""
+    dim, n = xt.shape
     eps = (dim + 8) * 2.0**-48
     tau = (dim + 8) * 2.0**-1060
-    xt = np.ascontiguousarray(x.T)
     work = np.empty(dim * n)  # the distance terms of the rows recomputed
     centers = np.empty((k, dim))
     shrunk = np.empty(k)  # (1 - 2 eps) |center|^2
@@ -237,7 +285,7 @@ def _kmeans_pp(x: np.ndarray, k: int, rng):
     cdf = np.empty(n)
     labels = np.zeros(n, dtype=np.intp)  # each row's nearest center
 
-    centers[0] = x[int(rng.integers(n))]
+    centers[0] = xt[:, int(rng.integers(n))]
     shrunk[0] = (1.0 - 2.0 * eps) * (centers[0] @ centers[0])
     d2 = _sq_dist_to(xt, centers[0][:, None], work.reshape(dim, n)).copy()
     bound = d2 * (4.0 * (1.0 + eps)) + tau
@@ -245,7 +293,7 @@ def _kmeans_pp(x: np.ndarray, k: int, rng):
         total = d2.sum()
         idx = int(rng.integers(n)) if total <= 0 else _draw(d2, total, rng, cdf)
         c = centers[i]
-        c[:] = x[idx]
+        c[:] = xt[:, idx]
         shrunk[i] = (1.0 - 2.0 * eps) * (c @ c)
         # lo[j] <= |c - centers[j]|^2: the expansion less its error margin
         lo = lower[:i]
@@ -269,12 +317,14 @@ def _kmeans_pp(x: np.ndarray, k: int, rng):
     return centers, d2
 
 
-def _nearest_two(x2, xx, centers, cc, d2):
+def _nearest_two(x, xx, c2, cc, d2):
     """Each row's label, its second-least and its least distance, from the
-    distances (xx - x2 @ centers.T) + cc written to the (len(x2), k) array d2.
+    distances (xx - x @ c2.T) + cc written to the (len(x), k) array d2; c2
+    is the centers doubled, whose products with x are exactly those of 2x
+    with the centers.
 
     The label is argmin's, the first index of the least computed distance."""
-    np.matmul(x2, centers.T, out=d2)
+    np.matmul(x, c2.T, out=d2)
     np.subtract(xx[:, None], d2, out=d2)
     d2 += cc
     labels = np.argmin(d2, axis=1)
@@ -284,21 +334,21 @@ def _nearest_two(x2, xx, centers, cc, d2):
     return labels, d2.min(axis=1), least
 
 
-def _nearest_rows(rows, x2, xx, centers, cc, margin, buf):
+def _nearest_rows(rows, x, xx, c2, cc, margin, buf):
     """The labels that the whole chunk's product gives the sorted rows `rows`
-    of one chunk, and their second-least computed distances; margin holds
-    the rows' margins.
+    of one chunk x, and their second-least computed distances; c2 is the
+    centers doubled and margin holds the rows' margins.
 
     All rows of a chunk that fits the flat work array buf are computed
-    whole.  Otherwise the rows of 2x are gathered behind their distances in
+    whole.  Otherwise the rows of x are gathered behind their distances in
     buf, a block at a time, and a row whose two least distances lie within
     2 margin^2 of each other is taken from the whole chunk's product instead:
     the bits of a product of some rows need not be those of the same rows in
     the whole product, so only a clear least distance settles the label."""
-    n, dim = x2.shape
-    k = len(centers)
+    n, dim = x.shape
+    k = len(c2)
     if len(rows) == n and n * k <= len(buf):
-        labels, second, _ = _nearest_two(x2, xx, centers, cc, buf[: n * k].reshape(n, k))
+        labels, second, _ = _nearest_two(x, xx, c2, cc, buf[: n * k].reshape(n, k))
         return labels, second
     labels = np.empty(len(rows), dtype=np.intp)
     second = np.empty(len(rows))
@@ -308,14 +358,14 @@ def _nearest_rows(rows, x2, xx, centers, cc, margin, buf):
         take = rows[lo : lo + b]
         m = len(take)
         sub = buf[m * k : m * (k + dim)].reshape(m, dim)
-        np.take(x2, take, axis=0, out=sub)
+        np.take(x, take, axis=0, out=sub)
         block = slice(lo, lo + m)
-        labels[block], second[block], least = _nearest_two(sub, xx[take], centers, cc, buf[: m * k].reshape(m, k))
+        labels[block], second[block], least = _nearest_two(sub, xx[take], c2, cc, buf[: m * k].reshape(m, k))
         margin2 = margin[block] ** 2
         close[block] = second[block] - least <= margin2 + margin2
     if close.any():
         whole = np.frombuffer(mmap.mmap(-1, 8 * n * k)).reshape(n, k)
-        all_labels, all_second, _ = _nearest_two(x2, xx, centers, cc, whole)
+        all_labels, all_second, _ = _nearest_two(x, xx, c2, cc, whole)
         labels[close] = all_labels[rows[close]]
         second[close] = all_second[rows[close]]
     return labels, second
@@ -333,13 +383,13 @@ def _loose(rows, lab, u, l, s, mx, mc):
 def _assign_chunk(chunk, centers, ct, cc, s, mc, eps, tiny, buf):
     """Assign one chunk to the centers and refresh its bounds.
 
-    chunk is (x.T, xx, 2x, mx, labels, u, l) over the same points, the last
+    chunk is (x.T, xx, x, mx, labels, u, l) over the same points, the last
     four views of kmeans' per-point arrays, which this updates in place; ct
     is centers.T.  With s None every row is recomputed (the first pass);
     otherwise only the rows whose bounds leave the label open.  Returns the
     per-cluster sums and counts, the inertia, each point's squared distance
     to its center and the number of labels that changed."""
-    xt, xx, x2, mx, lab, u, l = chunk
+    xt, xx, x, mx, lab, u, l = chunk
     k = len(centers)
     if s is None:
         rows = np.arange(xt.shape[1])
@@ -352,7 +402,7 @@ def _assign_chunk(chunk, centers, ct, cc, s, mc, eps, tiny, buf):
     changed = 0
     if len(rows):
         margin = mx[rows] + mc
-        new, second = _nearest_rows(rows, x2, xx, centers, cc, margin, buf)
+        new, second = _nearest_rows(rows, x, xx, centers + centers, cc, margin, buf)
         changed = int(np.count_nonzero(new != lab[rows]))
         lab[rows] = new
         np.maximum(second, 0.0, out=second)
@@ -438,11 +488,12 @@ def kmeans(
         raise ValueError(f"workers must be >= 1, got {workers}")
     if corpus.count < k:
         raise ValueError(f"corpus has {corpus.count} trajectories but k={k}")
-    x = embed_corpus(corpus)
+    x = corpus.xy
     n, dim = x.shape
     rng = np.random.default_rng(seed)
 
-    centers, _ = _kmeans_pp(x, k, rng)
+    xt = np.ascontiguousarray(x.T)  # seeding's and every chunk's
+    centers, _ = _kmeans_pp(xt, k, rng)
 
     # the rounding bounds of the module docstring
     eps = (dim + 8) * 2.0**-48
@@ -455,8 +506,8 @@ def kmeans(
     u = np.empty(n)
     l = np.empty(n)
     mx = np.empty(n)
-    # each chunk with the terms no iteration changes: its transpose, squared
-    # norms and 2x
+    # each chunk with the terms no iteration changes: its transpose and
+    # squared norms
     chunks = []
     for lo in range(0, n, _CHUNK):
         hi = min(lo + _CHUNK, n)
@@ -464,9 +515,9 @@ def kmeans(
         xx = np.sum(c * c, axis=1)
         np.sqrt(xx, out=mx[lo:hi])
         mx[lo:hi] *= root2eps
-        chunks.append((np.ascontiguousarray(c.T), xx, 2.0 * c, mx[lo:hi], labels[lo:hi], u[lo:hi], l[lo:hi]))
+        chunks.append((xt[:, lo:hi], xx, c, mx[lo:hi], labels[lo:hi], u[lo:hi], l[lo:hi]))
     pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
-    # one work array for a block of distance rows and the rows of 2x behind
+    # one work array for a block of distance rows and the rows of x behind
     # them, in every chunk and pass, and for the center gaps; pool threads
     # each take their own.  It is an anonymous mapping, so its pages go back
     # to the OS when kmeans returns: malloc may keep a freed block this size
@@ -527,14 +578,7 @@ def kmeans(
         if pool is not None:
             pool.shutdown()
 
-    m = corpus.m
-    return Vocabulary(
-        centers=[_center_to_trajectory(c, m) for c in centers],
-        k=k,
-        seed=seed,
-        inertia=history[-1],
-        inertia_history=tuple(history),
-    )
+    return Vocabulary(_center_poses(centers, corpus.m), seed=seed, inertia=history[-1], inertia_history=tuple(history))
 
 
 # ---------------------------------------------------------------------------
@@ -545,10 +589,9 @@ _HEADER = struct.Struct("<4sIIIq")
 
 
 def save_vocabulary(vocab: Vocabulary, path) -> None:
-    data = np.stack([c.poses for c in vocab.centers]).astype("<f8")
     with open(path, "wb") as f:
         f.write(_HEADER.pack(_MAGIC, _VERSION, vocab.k, vocab.m, vocab.seed))
-        f.write(data.tobytes())
+        f.write(np.ascontiguousarray(vocab.poses, dtype="<f8").data)
 
 
 def load_vocabulary(path) -> Vocabulary:
@@ -563,25 +606,20 @@ def load_vocabulary(path) -> Vocabulary:
     expected = _HEADER.size + k * m * 3 * 8
     if len(raw) != expected:
         raise ValueError(f"{path}: size {len(raw)} does not match header (expected {expected})")
-    if k < 1:
-        raise ValueError(f"{path}: k must be >= 1, got {k}")
-    if m < 2:  # every consumer rolls the centers out with the PID
-        raise ValueError(f"{path}: m must be >= 2 waypoints, got {m}")
     data = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size).reshape(k, m, 3)
-    centers = []
-    for i in range(k):
-        try:
-            centers.append(Trajectory(data[i]))
-        except ValueError as exc:
-            raise ValueError(f"{path}: centers[{i}]: {exc}") from None
-    return Vocabulary(centers=centers, k=k, seed=seed, inertia=float("nan"))
+    try:
+        return Vocabulary(data, seed=seed, inertia=float("nan"))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def export_vocabulary_csv(vocab: Vocabulary, path) -> None:
+    """One `center,waypoint,x_m,y_m,psi_rad` row per waypoint, each float
+    as repr() writes it, with the \\r\\n line ends of csv.writer."""
     with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["center", "waypoint", "x_m", "y_m", "psi_rad"])
-        # csv writes a float as str(), which is repr()
-        writer.writerows(
-            [ci, wi, *pose] for ci, center in enumerate(vocab.centers) for wi, pose in enumerate(center.poses.tolist())
+        f.write("center,waypoint,x_m,y_m,psi_rad\r\n")
+        f.writelines(
+            f"{ci},{wi},{x!r},{y!r},{psi!r}\r\n"
+            for ci, center in enumerate(vocab.poses.tolist())
+            for wi, (x, y, psi) in enumerate(center)
         )

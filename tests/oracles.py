@@ -10,7 +10,7 @@ import math
 import numpy as np
 
 from trajsim.geom import Polygon, Polyline, Pose
-from trajsim.kinematics import DENSE_TICKS, TICK_DT, EgoState
+from trajsim.kinematics import DENSE_TICKS, TICK_DT, EgoState, Trajectory
 from trajsim.metrics import PHASE_RED, Agent, Intersection, Lane, Scene, TrafficLight
 from trajsim.scene_io import _plan_from_profile, _smoothstep, straight_plan
 
@@ -192,8 +192,6 @@ def wrap_angle(a):
 
 
 def trajectory_to_world(t, frame):
-    from trajsim.kinematics import Trajectory
-
     c, s = math.cos(frame.psi), math.sin(frame.psi)
     p = t.poses
     out = np.empty_like(p)
@@ -931,15 +929,31 @@ def kmeans(x, k, max_iters, seed, chunk=4096):
     return centers, tuple(history), repaired
 
 
+def center_poses(centers, m):
+    """kmeans' (K, M, 3) center poses as they were assembled before the
+    headings of all centers came from one arctan2: per (2M,) center row, the
+    headings of that center's own displacements, the last one copied, and
+    one Trajectory built from the waypoints and headings."""
+    out = []
+    for vec in centers:
+        xy = vec.reshape(m, 2)
+        d = np.diff(xy, axis=0)
+        psi = np.arctan2(d[:, 1], d[:, 0])
+        psi = np.concatenate([psi, psi[-1:]]) if len(psi) else np.zeros(1)
+        out.append(Trajectory(np.column_stack([xy, psi])).poses)
+    return np.stack(out)
+
+
 def export_vocabulary_csv(vocab, path):
-    """vocabulary.export_vocabulary_csv as it was before it wrote whole rows
-    from lists: one row at a time, each float through repr()."""
+    """vocabulary.export_vocabulary_csv as it was before it formatted rows
+    from the pose array: csv.writer over each center Trajectory's rows."""
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["center", "waypoint", "x_m", "y_m", "psi_rad"])
-        for ci, center in enumerate(vocab.centers):
-            for wi, (x, y, psi) in enumerate(center.poses):
-                writer.writerow([ci, wi, repr(float(x)), repr(float(y)), repr(float(psi))])
+        # csv writes a float as str(), which is repr()
+        writer.writerows(
+            [ci, wi, *pose] for ci, center in enumerate(vocab.centers) for wi, pose in enumerate(center.poses.tolist())
+        )
 
 
 # ---------------------------------------------------------------------------

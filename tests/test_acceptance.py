@@ -220,9 +220,9 @@ def _distill_suite():
         spec = SyntheticSpec(templates[s % len(templates)], seed=1000 + s)
         corpus_items.append(generate_scene(spec).human_trajectory)
     vocab = kmeans(TrajectoryCorpus(corpus_items), k=256, seed=11)
-    centers = list(vocab.centers)
-    centers[0] = scenes[0].human_trajectory  # identical across all pinned clean scenes
-    return scenes, Vocabulary(centers=centers, k=256, seed=11, inertia=vocab.inertia)
+    poses = vocab.poses.copy()
+    poses[0] = scenes[0].human_trajectory.poses  # identical across all pinned clean scenes
+    return scenes, Vocabulary(poses, seed=11, inertia=vocab.inertia)
 
 
 def test_criterion_7_distillation_pipeline():
@@ -243,7 +243,7 @@ def test_criterion_7_distillation_pipeline():
             ts = select_pseudo_teachers(m1.values[i], vocab, cfg, scene.scene_id)
             if not len(ts):
                 continue
-            sub = Vocabulary(centers=list(ts.trajectories), k=len(ts), seed=0, inertia=0.0)
+            sub = Vocabulary(np.stack([t.poses for t in ts.trajectories]), seed=0, inertia=0.0)
             again = score_scene_row(scene, sub)
             assert np.all(again >= 0.95)
             assert np.allclose(again, np.asarray(ts.scores), atol=1e-12)

@@ -39,6 +39,16 @@ def write_scenes(directory, specs):
     return scenes
 
 
+def one_waypoint_scene(directory) -> Path:
+    """A scene file in `directory` whose human plan holds one waypoint."""
+    write_scenes(directory, [("clean_straight", 0)])
+    bad = directory / "zz-one-waypoint.json"
+    doc = json.loads((directory / "clean_straight-00000.json").read_text())
+    del doc["human_trajectory_ego"]["waypoints"][1:]
+    bad.write_text(json.dumps(doc))
+    return bad
+
+
 @pytest.fixture
 def clean_dir(tmp_path):
     d = tmp_path / "clean"
@@ -121,6 +131,15 @@ class TestScore:
         assert code == 1
         assert only_error_line(capsys) == f"error: {bad}: ego.init.speed_mps must be a number, not a string"
 
+    def test_one_waypoint_human_plan_named_in_error(self, tmp_path, capsys):
+        bad = one_waypoint_scene(tmp_path / "scenes")
+        code = main(["score", "--scenes", str(tmp_path / "scenes"), "--traj", "human",
+                     "--out", str(tmp_path / "r.json")])
+        assert code == 1
+        assert only_error_line(capsys) == (
+            f"error: {bad}: human_trajectory_ego.waypoints: plan needs at least 2 waypoints, got 1"
+        )
+
     def test_missing_dir_fails(self, tmp_path, capsys):
         code = main(["score", "--scenes", str(tmp_path / "nope"), "--traj", "human",
                      "--out", str(tmp_path / "r.json")])
@@ -145,6 +164,16 @@ class TestBuildVocab:
 
         vocab = load_vocabulary(out)
         assert vocab.k == 4 and vocab.seed == 3
+
+    def test_one_waypoint_human_plan_named_in_error(self, tmp_path, capsys):
+        bad = one_waypoint_scene(tmp_path / "scenes")
+        out = tmp_path / "v.bin"
+        code = main(["build-vocab", "--scenes", str(tmp_path / "scenes"), "--k", "1", "--seed", "0", "--out", str(out)])
+        assert code == 1
+        assert only_error_line(capsys) == (
+            f"error: {bad}: human_trajectory_ego.waypoints: plan needs at least 2 waypoints, got 1"
+        )
+        assert not out.exists()
 
     def test_k_exceeding_corpus_surfaces_module_error(self, tmp_path, capsys):
         d = tmp_path / "scenes"

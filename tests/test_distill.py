@@ -7,6 +7,7 @@ from trajsim.distill import (
     DistillConfig,
     PseudoTeacherSet,
     ScoreMatrix,
+    _run_fingerprint,
     distill_loss,
     load_score_matrix,
     load_teacher_sets,
@@ -16,9 +17,9 @@ from trajsim.distill import (
     score_vocabulary,
     select_pseudo_teachers,
 )
-from trajsim.geom import Pose
-from trajsim.kinematics import KinematicsConfig, Trajectory
-from trajsim.metrics import MetricConfig
+from trajsim.geom import Polygon, Polyline, Pose
+from trajsim.kinematics import EgoState, KinematicsConfig, Trajectory
+from trajsim.metrics import Lane, MetricConfig, Scene
 from trajsim.scene_io import SyntheticSpec, generate_scene, transform_scene
 from trajsim.vocabulary import TrajectoryCorpus, Vocabulary, headings_from_tangents, kmeans
 
@@ -55,9 +56,9 @@ def small_world():
     )
     vocab = kmeans(corpus, k=8, seed=5)
     # plant the clean scene's exact human trajectory as center 0
-    centers = list(vocab.centers)
-    centers[0] = scenes[0].human_trajectory
-    vocab = Vocabulary(centers=centers, k=8, seed=5, inertia=vocab.inertia)
+    poses = vocab.poses.copy()
+    poses[0] = scenes[0].human_trajectory.poses
+    vocab = Vocabulary(poses, seed=5, inertia=vocab.inertia)
     return scenes, vocab
 
 
@@ -137,8 +138,8 @@ class TestScoreVocabulary:
     def test_checkpoint_of_another_vocabulary_refused(self, small_world, tmp_path):
         scenes, vocab = small_world
         path = tmp_path / "matrix.bin"
-        first = Vocabulary(centers=list(vocab.centers[:3]), k=3, seed=5, inertia=vocab.inertia)
-        other = Vocabulary(centers=list(vocab.centers[3:6]), k=3, seed=5, inertia=vocab.inertia)
+        first = Vocabulary(vocab.poses[:3], seed=5, inertia=vocab.inertia)
+        other = Vocabulary(vocab.poses[3:6], seed=5, inertia=vocab.inertia)
         score_vocabulary(scenes[:2], first, checkpoint=path)
         before = path.read_bytes()
         with pytest.raises(ValueError, match="matrix.bin: existing checkpoint was written for other"):
@@ -174,12 +175,31 @@ class TestScoreVocabulary:
         with pytest.raises(ValueError):
             score_vocabulary([], vocab)
 
+    def test_fingerprint_keeps_the_bytes_of_older_checkpoints(self):
+        # the hex of the version that hashed one Trajectory per center, so
+        # the checkpoints it wrote still resume
+        t = 0.5 * (np.arange(8) + 1)
+        plan = Trajectory(np.stack([10.0 * t, np.zeros(8), np.zeros(8)], axis=1))
+        box = Polygon([[-50, -6], [100, -6], [100, 6], [-50, 6]])
+        road = Polyline([[-50.0, 0.0], [100.0, 0.0]])
+        scene = Scene(
+            scene_id="pinned",
+            ego_init=EgoState(Pose(0.0, 0.0, 0.0), 10.0),
+            ego_history=np.array([[-1.0 * j, 0.0, 0.0, 10.0, 0.0, 0.0] for j in range(16, 0, -1)]),
+            agents=[], drivable=[box], route=road, route_polygon=box, lanes=[Lane(road, 1)], intersections=[],
+            human_trajectory=plan,
+        )
+        poses = np.stack([plan.poses, 0.5 * plan.poses, -plan.poses + [0.0, 1.5, 0.25]])
+        vocab = Vocabulary(poses, seed=3, inertia=0.0)
+        want = "0669c543f9865aa5795f65c767a209ab9398aad7e42ef3680fcbaf771bafa6d4"
+        assert _run_fingerprint([scene], vocab, None, None) == want
+
 
 class TestSelectPseudoTeachers:
     def _vocab(self, k=100):
         t = 0.5 * (np.arange(8) + 1)
         centers = [traj_from_xy(np.stack([10 * t, np.full(8, 0.1 * i)], axis=1)) for i in range(k)]
-        return Vocabulary(centers=centers, k=k, seed=0, inertia=0.0)
+        return Vocabulary(np.stack([c.poses for c in centers]), seed=0, inertia=0.0)
 
     def test_no_candidates_empty_set(self):
         vocab = self._vocab(8)
@@ -307,7 +327,7 @@ class TestSelfConsistency:
             ts = select_pseudo_teachers(matrix.values[i], vocab, cfg, scene.scene_id)
             if not len(ts):
                 continue
-            sub_vocab = Vocabulary(centers=list(ts.trajectories), k=len(ts), seed=0, inertia=0.0)
+            sub_vocab = Vocabulary(np.stack([t.poses for t in ts.trajectories]), seed=0, inertia=0.0)
             again = score_scene_row(scene, sub_vocab)
             assert np.allclose(again, np.asarray(ts.scores), atol=1e-12)
             assert all(s >= cfg.threshold for s in ts.scores)

@@ -219,8 +219,7 @@ def test_center_score_does_not_depend_on_its_batch(scenes, vocab):
     # a center scores the same bits alone, in the K=32 vocabulary, in that
     # vocabulary reversed and in a sub-vocabulary
     def batch(centers):
-        centers = list(centers)
-        return Vocabulary(centers=centers, k=len(centers), seed=vocab.seed, inertia=0.0)
+        return Vocabulary(np.stack([c.poses for c in centers]), seed=vocab.seed, inertia=0.0)
 
     picked = list(range(1, vocab.k, 3))
     one_per_template = scenes[::2]
@@ -493,7 +492,7 @@ def _chunk(x):
     xx = np.sum(x * x, axis=1)
     mx = np.sqrt(2.0 * (x.shape[1] + 8) * 2.0**-48) * np.sqrt(xx)
     n = len(x)
-    return (np.ascontiguousarray(x.T), xx, 2.0 * x, mx, np.zeros(n, dtype=np.intp), np.empty(n), np.empty(n))
+    return (np.ascontiguousarray(x.T), xx, x, mx, np.zeros(n, dtype=np.intp), np.empty(n), np.empty(n))
 
 
 def _bisector_points(rng, centers, n):
@@ -526,13 +525,14 @@ def test_nearest_rows_give_the_whole_chunks_labels(k):
     rng = np.random.default_rng([53, k])
     centers = rng.normal(size=(k, 140)) * 10
     x = _bisector_points(rng, centers, 1500)
-    xx, x2, mx = _chunk(x)[1:4]
+    _, xx, _, mx = _chunk(x)[:4]
     cc = np.sum(centers * centers, axis=1)
-    want_labels, want_second, _ = _nearest_two(x2, xx, centers, cc, np.empty((1500, k)))
+    c2 = centers + centers
+    want_labels, want_second, _ = _nearest_two(x, xx, c2, cc, np.empty((1500, k)))
     margin = mx + np.sqrt(2.0 * 148 * 2.0**-48) * np.sqrt(cc.max())
     for block in (1, 2, 5, 100, 1499):
         rows = np.flatnonzero(rng.random(1500) < 0.3)
-        labels, second = _nearest_rows(rows, x2, xx, centers, cc, margin[rows], np.empty(block * (k + 140)))
+        labels, second = _nearest_rows(rows, x, xx, c2, cc, margin[rows], np.empty(block * (k + 140)))
         assert np.array_equal(labels, want_labels[rows]), block
         assert np.all(np.abs(second - want_second[rows]) <= margin[rows] ** 2), block
 
@@ -555,7 +555,7 @@ def _assert_kmeans_matches_oracle(xy, k, seed, max_iters=6):
 
 
 @pytest.mark.parametrize("m, k, seed", [
-    (1, 12, 0), (3, 256, 1), (8, 1, 2), (8, 12, 3), (8, 256, 23), (70, 12, 4), (70, 256, 5),
+    (2, 12, 0), (3, 256, 1), (8, 1, 2), (8, 12, 3), (8, 256, 23), (70, 12, 4), (70, 256, 5),
 ])
 def test_kmeans_matches_oracle(m, k, seed):
     # 2M = 2, 6, 16 and 140 embedding widths cover each branch of the
@@ -682,7 +682,7 @@ def test_pruned_seeding_matches_oracle(kind, seed):
     # that recomputes every distance and draws with Generator.choice
     x, k = _seeding_corpus(kind, np.random.default_rng([61, seed]))
     want_centers, want_d2 = oracles.kmeans_pp(x, k, seed)
-    got_centers, got_d2 = _kmeans_pp(x, k, np.random.default_rng(seed))
+    got_centers, got_d2 = _kmeans_pp(np.ascontiguousarray(x.T), k, np.random.default_rng(seed))
     assert bits(got_centers) == bits(want_centers)
     assert bits(got_d2) == bits(want_d2)
 
@@ -710,15 +710,34 @@ def test_draw_is_generator_choice():
 
 
 def test_csv_export_matches_oracle(tmp_path):
-    poses = np.array([[-0.0, 5e-324, 1e9], [3.0, -2.0, 0.0], [0.1, -1e-300, -1e9], [2.5, 1.0, 1234567.0]])
+    # floats as csv.writer writes them: -0.0, whole numbers, subnormal and
+    # tiny, the coordinate limit and below it, 17 significant digits, and
+    # small ones that print with an exponent (1e16, where large ones would
+    # start, is past the limit)
+    poses = np.array([[-0.0, 5.0, 1e9], [3.0, -2.0, 0.0], [0.1, -1e-300, -1e9], [2.5, 1e-05, 1234567.0],
+                      [5e-324, 0.30000000000000004, -123456789.12345678], [1e-300, 999999999.9999999, 2.0 / 3.0]])
     rng = np.random.default_rng(71)
-    vocab = Vocabulary(
-        centers=[Trajectory(poses), Trajectory(poses[::-1].copy()), Trajectory(rng.normal(size=(6, 3)) * 50.0)],
-        k=3, seed=0, inertia=0.0,
-    )
+    vocab = Vocabulary(np.stack([poses, poses[::-1], rng.normal(size=(6, 3)) * 50.0]), seed=0, inertia=0.0)
     export_vocabulary_csv(vocab, tmp_path / "got.csv")
     oracles.export_vocabulary_csv(vocab, tmp_path / "want.csv")
     assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+def test_center_headings_match_per_center_oracle():
+    # one arctan2 over every center's displacements gives the bits of one
+    # call per center, zero displacements and signed zeros included
+    rng = np.random.default_rng(73)
+    for trial in range(240):
+        k, m = int(rng.integers(1, 300)), int(rng.integers(2, 13))
+        xy = rng.normal(size=(k, m, 2)) * 10.0 ** rng.uniform(-3.0, 3.0, size=(k, 1, 1))
+        repeat = rng.random((k, m)) < 0.2  # the previous waypoint again
+        repeat[:, 0] = False
+        for j in range(1, m):
+            xy[:, j][repeat[:, j]] = xy[:, j - 1][repeat[:, j]]
+        zeros = rng.random(xy.shape) < 0.1
+        xy[zeros] = np.where(rng.random(int(zeros.sum())) < 0.5, -0.0, 0.0)
+        centers = xy.reshape(k, 2 * m)
+        assert bits(vocabulary._center_poses(centers, m)) == bits(oracles.center_poses(centers, m)), trial
 
 
 def _proposal_set(rng):

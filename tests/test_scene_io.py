@@ -26,6 +26,7 @@ from trajsim.scene_io import (
     load_proposal_frames,
     load_proposal_set,
     load_scene,
+    iter_scene_dir,
     load_scene_dir,
     load_score_frames,
     load_trajectory_map,
@@ -453,6 +454,25 @@ class TestCorpus:
     def test_missing_dir_rejected(self, tmp_path):
         with pytest.raises(FileNotFoundError, match="scene directory not found: .*nope"):
             load_scene_dir(tmp_path / "nope")
+
+    def test_iter_checks_the_directory_at_once_and_loads_lazily(self, tmp_path):
+        with pytest.raises(FileNotFoundError, match="scene directory not found"):
+            iter_scene_dir(tmp_path / "nope")
+        with pytest.raises(FileNotFoundError, match="no scene files"):
+            iter_scene_dir(tmp_path)
+        save_scene(generate_scene(SyntheticSpec("clean_straight", seed=1)), tmp_path / "a.json")
+        (tmp_path / "b.json").write_text("{}")
+        scenes = iter_scene_dir(tmp_path)
+        assert next(scenes).scene_id == "clean_straight-00001"
+        with pytest.raises(SceneFormatError, match="b.json"):
+            next(scenes)
+
+    def test_one_waypoint_human_plan_named(self):
+        doc = scene_to_doc(generate_scene(SyntheticSpec("clean_straight", seed=2)))
+        del doc["human_trajectory_ego"]["waypoints"][1:]
+        message = "human_trajectory_ego.waypoints: plan needs at least 2 waypoints, got 1"
+        with pytest.raises(SceneFormatError, match=re.escape(message)):
+            scene_from_doc(doc)
 
     def test_corpus_items_are_ego_frame(self, tmp_path):
         # placing an item back at its scene's world pose must reproduce the

@@ -1,3 +1,8 @@
+import gc
+import re
+import pickle
+import weakref
+
 import numpy as np
 import pytest
 
@@ -6,6 +11,7 @@ from trajsim.kinematics import Trajectory
 from trajsim.scene_io import TEMPLATES, SyntheticSpec, generate_scene
 from trajsim.vocabulary import (
     TrajectoryCorpus,
+    Vocabulary,
     embed,
     export_vocabulary_csv,
     headings_from_tangents,
@@ -60,6 +66,37 @@ class TestEmbed:
         assert psi[-1] == psi[-2]  # final heading copies the penultimate tangent
 
 
+class TestCorpus:
+    def test_holds_the_flattened_positions(self):
+        rng = np.random.default_rng(14)
+        items = [traj_from_xy(rng.normal(size=(5, 2))) for _ in range(7)]
+        corpus = TrajectoryCorpus(iter(items))
+        assert corpus.m == 5 and corpus.count == len(corpus) == 7
+        assert np.array_equal(corpus.xy, np.stack([embed(t) for t in items]))
+        assert not corpus.xy.flags.writeable
+
+    def test_one_waypoint_rejected(self):
+        with pytest.raises(ValueError, match="corpus trajectories need at least 2 waypoints, got 1"):
+            TrajectoryCorpus([Trajectory([[1.0, 2.0, 0.0]])] * 3)
+
+    def test_mixed_waypoint_counts_rejected(self):
+        with pytest.raises(ValueError, match="share one waypoint count"):
+            TrajectoryCorpus([traj_from_xy(np.ones((3, 2))), traj_from_xy(np.ones((4, 2)))])
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError, match="corpus is empty"):
+            TrajectoryCorpus(iter(()))
+
+    def test_keeps_no_reference_to_its_items(self):
+        rng = np.random.default_rng(15)
+        items = [traj_from_xy(rng.normal(size=(8, 2))) for _ in range(50)]
+        refs = [weakref.ref(t.poses) for t in items]
+        corpus = TrajectoryCorpus(items)
+        del items
+        gc.collect()
+        assert corpus.count == 50 and all(r() is None for r in refs)
+
+
 class TestKmeans:
     def test_k_equals_n_recovers_inputs(self):
         rng = np.random.default_rng(0)
@@ -67,7 +104,7 @@ class TestKmeans:
         vocab = kmeans(corpus, k=12, seed=1)
         assert vocab.inertia == 0.0
         got = sorted(map(tuple, vocab.embeddings()))
-        want = sorted(tuple(embed(t)) for t in corpus.items)
+        want = sorted(map(tuple, corpus.xy))
         assert got == want
 
     def test_identical_corpus_k1(self):
@@ -116,7 +153,7 @@ class TestKmeans:
         rng = np.random.default_rng(7)
         corpus = random_corpus(rng, 500)
         vocab = kmeans(corpus, k=8, seed=13)
-        x = np.stack([embed(t) for t in corpus.items])
+        x = corpus.xy
         c = vocab.embeddings()
         d2 = ((x[:, None, :] - c[None, :, :]) ** 2).sum(axis=2)
         labels = d2.argmin(axis=1)
@@ -157,9 +194,9 @@ class TestKmeans:
         computed = []
         real = vocabulary._nearest_two
 
-        def counting(x2, *args):
-            computed.append(len(x2))
-            return real(x2, *args)
+        def counting(x, *args):
+            computed.append(len(x))
+            return real(x, *args)
 
         monkeypatch.setattr(vocabulary, "_nearest_two", counting)
         vocab = kmeans(corpus, k=64, max_iters=10, seed=1)
@@ -167,6 +204,62 @@ class TestKmeans:
         # and none of the whole chunk after the first
         assert len(vocab.inertia_history) == 10 and computed[0] == 2000
         assert 5 <= len(computed) <= 10 and max(computed[1:]) < 1000
+
+
+class TestArrays:
+    def test_vocabulary_checks_its_poses_in_bulk(self):
+        good = np.zeros((3, 4, 3))
+        bad = good.copy()
+        bad[2, 1, 0] = np.nan
+        for poses, message in [
+            (np.zeros((0, 4, 3)), "k must be >= 1, got 0"),
+            (np.zeros((3, 1, 3)), "m must be >= 2 waypoints, got 1"),
+            (np.zeros((3, 4, 2)), "(K, M, 3) array"),
+            (bad, "centers[2]: trajectory waypoints must be finite"),
+            (good + 2e9, "centers[0]: trajectory waypoints must be at most 1e+09 in magnitude"),
+        ]:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                Vocabulary(poses, seed=0, inertia=0.0)
+        vocab = Vocabulary(good, seed=0, inertia=0.0)
+        assert (vocab.k, vocab.m) == (3, 4) and not vocab.poses.flags.writeable
+
+    def test_centers_are_read_only_views(self):
+        rng = np.random.default_rng(16)
+        vocab = kmeans(random_corpus(rng, 40), k=5, seed=1)
+        assert vocab.centers is vocab.centers and len(vocab.centers) == 5
+        for c, p in zip(vocab.centers, vocab.poses):
+            assert np.shares_memory(c.poses, vocab.poses)
+            assert np.array_equal(c.poses, p) and not c.poses.flags.writeable
+
+    def test_pickle_holds_one_array(self):
+        rng = np.random.default_rng(17)
+        vocab = kmeans(random_corpus(rng, 300), k=64, seed=4)
+        centers = vocab.centers  # built, so a pickle of the cache would show
+        data = pickle.dumps(vocab)
+        assert b"Trajectory" not in data
+        assert len(data) <= vocab.poses.nbytes + 1024
+        back = pickle.loads(data)
+        assert back.poses.tobytes() == vocab.poses.tobytes()
+        assert (back.seed, back.inertia, back.inertia_history) == (vocab.seed, vocab.inertia, vocab.inertia_history)
+        assert all(a == b for a, b in zip(back.centers, centers, strict=True))
+
+    def test_no_trajectory_built_from_valid_arrays(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(18)
+        corpus = random_corpus(rng, 400)
+        built = []
+
+        def counting(self, *args, _init=Trajectory.__init__):
+            built.append(1)
+            _init(self, *args)
+
+        monkeypatch.setattr(Trajectory, "__init__", counting)
+        vocab = kmeans(corpus, k=16, seed=3)
+        save_vocabulary(vocab, tmp_path / "v.bin")
+        export_vocabulary_csv(vocab, tmp_path / "v.csv")
+        again = load_vocabulary(tmp_path / "v.bin")
+        assert again.poses.tobytes() == vocab.poses.tobytes()
+        assert built == []
+        assert len(again.centers) == 16 and len(built) == 16  # only centers builds them
 
 
 class TestPersistence:
