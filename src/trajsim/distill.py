@@ -38,7 +38,6 @@ __all__ = [
     "save_score_matrix",
     "load_score_matrix",
     "save_teacher_sets",
-    "load_teacher_sets",
 ]
 
 _MAGIC = b"TSCR"
@@ -383,21 +382,3 @@ def save_teacher_sets(teacher_sets, path) -> None:
                 )
                 + "\n"
             )
-
-
-def load_teacher_sets(path, vocab: Vocabulary) -> list:
-    out = []
-    for line in Path(path).read_text().splitlines():
-        if not line.strip():
-            continue
-        doc = json.loads(line)
-        idx = doc["indices"]
-        out.append(
-            PseudoTeacherSet(
-                scene_id=doc["scene_id"],
-                trajectories=tuple(vocab.centers[i] for i in idx),
-                source_indices=tuple(idx),
-                scores=tuple(doc["scores"]),
-            )
-        )
-    return out

@@ -6,11 +6,15 @@ measure.  The scene is immutable during scoring and every function here
 returns a value that depends only on its arguments, so (trajectory, scene)
 pairs can be scored concurrently.
 
-Every rule takes the rollout and a ``ScoreContext`` of its scene, which
-precomputes the per-scene arrays once (agent headings as cosines and sines,
-TTC's agent horizon positions, the ego box's corner offsets, every lane's
-segments stacked into one array) and the human reference rollout (EP's
-denominator, ``ego_rollout`` of the scene's human plan) on first use.
+A ``Scene`` holds its replayed agents as arrays, one row per agent: the
+(A, 41, 3) world-frame states and the (A,) box extents, checked at once
+when the scene is built.  Each ``Intersection`` holds its light's (41,)
+phases.  Every rule takes the rollout and a ``ScoreContext`` of its scene,
+which reads views of those arrays, precomputes the per-scene arrays once
+(agent headings as cosines and sines, TTC's agent horizon positions, the
+ego box's corner offsets, every lane's segments stacked into one array)
+and the human reference rollout (EP's denominator, ``ego_rollout`` of the
+scene's human plan) on first use.
 A context also keeps what the rules derive from the last rollout they
 scored: the cosine and sine of its heading, its box corners, which corners
 and centers lie in each intersection, and its lane geometry, each computed
@@ -57,8 +61,6 @@ __all__ = [
     "PHASE_YELLOW",
     "PHASE_RED",
     "PHASE_NAMES",
-    "Agent",
-    "TrafficLight",
     "Lane",
     "Intersection",
     "Scene",
@@ -86,52 +88,6 @@ PHASE_NAMES = ("green", "yellow", "red")
 COMMANDS = ("left", "forward", "right")
 
 
-class Agent:
-    """Replayed road agent: oriented box footprint with 41 world-frame poses."""
-
-    __slots__ = ("id", "half_length", "half_width", "x", "y", "psi", "is_static")
-
-    def __init__(self, id, half_length, half_width, states, is_static=False):
-        for name, value in (("half_length", half_length), ("half_width", half_width)):
-            if not 0 < value <= COORD_LIMIT_M:
-                raise ValueError(f"agent {id!r}: {name} must be finite and positive, at most {COORD_LIMIT_M:g}, "
-                                 f"got {value}")
-        s = np.asarray(states, dtype=float)
-        if s.shape != (DENSE_TICKS, 3):
-            raise ValueError(f"agent {id!r}: states must be ({DENSE_TICKS}, 3), got {s.shape}")
-        if not (np.abs(s) <= COORD_LIMIT_M).all():  # headings too, which keeps it one test
-            raise _coord_error(f"agent {id!r}: states", s)
-        self.id = id
-        self.half_length = float(half_length)
-        self.half_width = float(half_width)
-        self.x = s[:, 0].copy()
-        self.y = s[:, 1].copy()
-        self.psi = s[:, 2].copy()
-        for arr in (self.x, self.y, self.psi):
-            arr.setflags(write=False)
-        self.is_static = bool(is_static)
-
-    @property
-    def poses(self) -> np.ndarray:
-        return np.stack([self.x, self.y, self.psi], axis=1)
-
-
-class TrafficLight:
-    """Signal phase per tick for one intersection (codes from PHASE_*)."""
-
-    __slots__ = ("intersection_id", "phases")
-
-    def __init__(self, intersection_id, phases):
-        p = np.asarray(phases, dtype=np.int8)
-        if p.shape != (DENSE_TICKS,):
-            raise ValueError(f"traffic light {intersection_id!r}: needs {DENSE_TICKS} phases")
-        if not np.all((p >= PHASE_GREEN) & (p <= PHASE_RED)):
-            raise ValueError(f"traffic light {intersection_id!r}: invalid phase code")
-        self.intersection_id = intersection_id
-        self.phases = p
-        self.phases.setflags(write=False)
-
-
 @dataclass(frozen=True, eq=False)
 class Lane:
     centerline: Polyline
@@ -146,8 +102,22 @@ class Lane:
 
 @dataclass(frozen=True, eq=False)
 class Intersection:
+    """A signalised intersection: its polygon, the id of its traffic light,
+    and the light's phase per tick, kept as a read-only (41,) int8 copy of
+    PHASE_* codes."""
+
     polygon: Polygon
-    light: TrafficLight
+    light_id: object
+    phases: np.ndarray
+
+    def __post_init__(self):
+        p = np.array(self.phases, dtype=np.int8)
+        if p.shape != (DENSE_TICKS,):
+            raise ValueError(f"traffic light {self.light_id!r}: needs {DENSE_TICKS} phases")
+        if not np.all((p >= PHASE_GREEN) & (p <= PHASE_RED)):
+            raise ValueError(f"traffic light {self.light_id!r}: invalid phase code")
+        p.setflags(write=False)
+        object.__setattr__(self, "phases", p)
 
 
 # The bounds on the columns of an ego state row (x, y, psi, v, a, steer),
@@ -178,6 +148,52 @@ def _ego_states(states) -> np.ndarray:
     return h
 
 
+def _agent_arrays(ids, states, half_lengths, half_widths, is_static) -> tuple:
+    """The agents of a scene as (ids, states, half lengths, half widths,
+    is_static): a tuple and new read-only (A, 41, 3) float, (A,) float,
+    (A,) float and (A,) bool arrays, one row per id.  The extents must be
+    finite and positive, and every state value finite, all at most
+    COORD_LIMIT_M in magnitude (headings too, which keeps it one test).  An
+    error names the first bad agent as the scene file does, agents[i], and
+    its id."""
+    ids = tuple(ids)
+    n = len(ids)
+    if not len(states) == len(half_lengths) == len(half_widths) == len(is_static) == n:
+        raise ValueError(f"agent states, half lengths, half widths and is_static need one entry per id, {n}")
+    if not n:
+        return _NO_AGENTS
+    extents = np.array([half_lengths, half_widths], dtype=float)
+    try:
+        s = np.array(states, dtype=float)
+    except ValueError:  # states of different shapes
+        s = None
+    # a NaN fails each comparison, since min and max return it
+    if s is None or s.shape != (n, DENSE_TICKS, 3) or not (
+        0 < extents.min() and extents.max() <= COORD_LIMIT_M and np.abs(s).max() <= COORD_LIMIT_M
+    ):
+        for i, (id_, hl, hw, poses) in enumerate(zip(ids, half_lengths, half_widths, states)):
+            where = f"agents[{i}]: agent {id_!r}"
+            for name, value in (("half_length", hl), ("half_width", hw)):
+                if not 0 < value <= COORD_LIMIT_M:
+                    raise ValueError(f"{where}: {name} must be finite and positive, at most {COORD_LIMIT_M:g}, "
+                                     f"got {value}")
+            poses = np.asarray(poses, dtype=float)
+            if poses.shape != (DENSE_TICKS, 3):
+                raise ValueError(f"{where}: states must be ({DENSE_TICKS}, 3), got {poses.shape}")
+            if not (np.abs(poses) <= COORD_LIMIT_M).all():
+                raise _coord_error(f"{where}: states", poses)
+    static = np.array(is_static, dtype=bool)
+    for arr in (s, extents, static):
+        arr.setflags(write=False)
+    return ids, s, extents[0], extents[1], static
+
+
+# the agent arrays of every scene without agents: empty, so one read-only set serves all
+_NO_AGENTS = ((), np.empty((0, DENSE_TICKS, 3)), np.empty(0), np.empty(0), np.empty(0, dtype=bool))
+for _arr in _NO_AGENTS[1:]:
+    _arr.setflags(write=False)
+
+
 @dataclass(eq=False)
 class Scene:
     """Log-replayed world state for one 4 s scoring window.
@@ -186,18 +202,30 @@ class Scene:
     0.1 s, oldest first, one row of x, y, psi, v, a and steer each (world
     frame); the scene keeps a read-only copy with each psi wrapped to
     (-pi, pi].
+
+    The replayed agents are arrays with one row per agent, in file order:
+    agent_ids, a tuple; agent_states, (A, 41, 3) world-frame x, y and psi at
+    each tick; agent_half_lengths and agent_half_widths, (A,) box extents;
+    and agent_is_static, (A,) bool, which no rule reads (schema v1 files
+    carry it).  Any sequences of those shapes are accepted, checked at once
+    and kept as a tuple and read-only arrays (see ``_agent_arrays``); a
+    scene without agents leaves them out.
     """
 
     scene_id: str
     ego_init: EgoState            # world frame
     ego_history: np.ndarray       # (H, 6), see above
-    agents: list
     drivable: list                # list of Polygon, nonempty
     route: Polyline
     route_polygon: Polygon
     lanes: list
     intersections: list
     human_trajectory: Trajectory  # ego frame
+    agent_ids: tuple = ()
+    agent_states: np.ndarray = ()          # (A, 41, 3), see above
+    agent_half_lengths: np.ndarray = ()    # (A,)
+    agent_half_widths: np.ndarray = ()     # (A,)
+    agent_is_static: np.ndarray = ()       # (A,)
     command: str = "forward"
     ego_half_length: float = 2.3
     ego_half_width: float = 0.95
@@ -210,6 +238,9 @@ class Scene:
         if self.human_trajectory.m < 2:  # every consumer rolls it out with the PID
             raise ValueError(f"human trajectory needs at least 2 waypoints, got {self.human_trajectory.m}")
         self.ego_history = _ego_states(self.ego_history)
+        (self.agent_ids, self.agent_states, self.agent_half_lengths, self.agent_half_widths,
+         self.agent_is_static) = _agent_arrays(self.agent_ids, self.agent_states, self.agent_half_lengths,
+                                               self.agent_half_widths, self.agent_is_static)
         if self.command not in COMMANDS:
             raise ValueError(f"command must be one of {COMMANDS}")
         for name in ("ego_half_length", "ego_half_width"):
@@ -285,9 +316,10 @@ _DEFAULT_KIN_CFG = KinematicsConfig()
 class ScoreContext:
     """Per-scene precomputation shared across many rollout evaluations.
 
-    Built once per scene: the agents' replay arrays with the cosine and sine
-    of their headings and, for TTC, their constant-velocity positions over
-    the horizon; the ego box's corner offsets; every lane's centerline
+    Built once per scene: views of the scene's agent arrays (x, y and the
+    extents), with the cosine and sine of their headings, their replay
+    velocities and, for TTC, their constant-velocity positions over the
+    horizon; the ego box's corner offsets; every lane's centerline
     segments stacked into one array, with the legal direction of each; and
     the speeds and headings of the last history_pad_ticks history rows, which
     pad HC.  The human reference rollout (needed by EP) is computed on first
@@ -312,30 +344,22 @@ class ScoreContext:
         self.kin_cfg = kin_cfg or _DEFAULT_KIN_CFG
         self.metric_cfg = cfg = metric_cfg or _DEFAULT_METRIC_CFG
 
-        agents = scene.agents
-        self.n_agents = len(agents)
-        if agents:
-            self.agent_x = np.stack([a.x for a in agents])
-            self.agent_y = np.stack([a.y for a in agents])
-            psi = np.stack([a.psi for a in agents])
-            self.agent_cos, self.agent_sin = np.cos(psi), np.sin(psi)
-            self.agent_hl = np.array([a.half_length for a in agents])[:, None]
-            self.agent_hw = np.array([a.half_width for a in agents])[:, None]
-            # replay velocity by forward difference, last tick repeats
-            self.agent_vx = np.empty_like(self.agent_x)
-            self.agent_vy = np.empty_like(self.agent_y)
-            self.agent_vx[:, :-1] = np.diff(self.agent_x, axis=1) / TICK_DT
-            self.agent_vy[:, :-1] = np.diff(self.agent_y, axis=1) / TICK_DT
-            self.agent_vx[:, -1] = self.agent_vx[:, -2]
-            self.agent_vy[:, -1] = self.agent_vy[:, -2]
-            # TTC's substep offsets (J,) and the agents' positions there, (A, 41, J)
-            self.ttc_horizon = np.arange(1, cfg.ttc_substeps + 1) * (cfg.ttc_horizon_s / cfg.ttc_substeps)
-            self.ttc_x = self.agent_x[:, :, None] + self.agent_vx[:, :, None] * self.ttc_horizon
-            self.ttc_y = self.agent_y[:, :, None] + self.agent_vy[:, :, None] * self.ttc_horizon
-        else:
-            self.agent_x = self.agent_y = self.agent_cos = self.agent_sin = None
-            self.agent_hl = self.agent_hw = self.agent_vx = self.agent_vy = None
-            self.ttc_horizon = self.ttc_x = self.ttc_y = None
+        # views of the scene's agent arrays, (A, 41) each but the (A, 1) extents
+        states = scene.agent_states
+        self.n_agents = len(states)
+        self.agent_x, self.agent_y, psi = states[:, :, 0], states[:, :, 1], states[:, :, 2]
+        self.agent_cos, self.agent_sin = np.cos(psi), np.sin(psi)
+        self.agent_hl = scene.agent_half_lengths[:, None]
+        self.agent_hw = scene.agent_half_widths[:, None]
+        # replay velocity by forward difference, last tick repeats
+        v = np.empty((self.n_agents, DENSE_TICKS, 2))
+        v[:, :-1] = np.diff(states[:, :, :2], axis=1) / TICK_DT
+        v[:, -1] = v[:, -2]
+        self.agent_vx, self.agent_vy = v[:, :, 0], v[:, :, 1]
+        # TTC's substep offsets (J,) and the agents' positions there, (A, 41, J)
+        self.ttc_horizon = np.arange(1, cfg.ttc_substeps + 1) * (cfg.ttc_horizon_s / cfg.ttc_substeps)
+        self.ttc_x = self.agent_x[:, :, None] + self.agent_vx[:, :, None] * self.ttc_horizon
+        self.ttc_y = self.agent_y[:, :, None] + self.agent_vy[:, :, None] * self.ttc_horizon
 
         # box corners in the ego frame, (4, 1) columns, CCW from front-left
         hl, hw = scene.ego_half_length, scene.ego_half_width
@@ -344,20 +368,18 @@ class ScoreContext:
 
         # every lane's segments, stacked in lane order: (S, 1) columns of start
         # x, start y, dx, dy and squared length, each segment's unit tangent
-        # signed by its lane's legal direction, and each lane's (lo, hi)
-        # range of segments
+        # (dx and dy over its cached length) signed by its lane's legal
+        # direction, and each lane's (lo, hi) range of segments
         self.lane_segments = self.lane_dir_x = self.lane_dir_y = None
         self.lane_slices = ()
         if scene.lanes:
-            segments = [lane.centerline._segment_arrays()[:5] for lane in scene.lanes]
-            self.lane_segments = tuple(np.concatenate(cols) for cols in zip(*segments))
-            dirs = []
-            for lane in scene.lanes:
-                d = np.diff(lane.centerline.points, axis=0)
-                d /= np.linalg.norm(d, axis=1, keepdims=True)
-                dirs.append(lane.direction_sign * d)
-            self.lane_dir_x, self.lane_dir_y = np.concatenate(dirs).T.copy()
-            ends = np.cumsum([len(lane.centerline) - 1 for lane in scene.lanes]).tolist()
+            cols = [np.concatenate(c) for c in zip(*(lane.centerline._segment_arrays() for lane in scene.lanes))]
+            self.lane_segments = tuple(cols[:5])
+            counts = [len(lane.centerline) - 1 for lane in scene.lanes]
+            sign = np.repeat([lane.direction_sign for lane in scene.lanes], counts)
+            self.lane_dir_x = sign * (cols[2][:, 0] / cols[5])
+            self.lane_dir_y = sign * (cols[3][:, 0] / cols[5])
+            ends = np.cumsum(counts).tolist()
             self.lane_slices = tuple(zip([0, *ends[:-1]], ends))
 
         history, pad = scene.ego_history, cfg.history_pad_ticks
@@ -559,7 +581,7 @@ def score_tlc(d: DenseTrajectory, ctx: ScoreContext) -> float:
     for inter, points_in in zip(ctx.scene.intersections, sh.in_intersections(ctx)):
         inside = _box_in_polygon_per_tick(sh, ctx, points_in[:4], inter.polygon)
         entries = np.flatnonzero(inside[1:] & ~inside[:-1]) + 1
-        if np.any(inter.light.phases[entries] != PHASE_GREEN):
+        if np.any(inter.phases[entries] != PHASE_GREEN):
             return 0.0
     return 1.0
 

@@ -63,14 +63,15 @@ def render_scene_svg(scene: Scene, trajectories, path) -> None:
     for poly in scene.drivable:
         out.append(f'<polygon points="{_poly_points(poly.vertices)}" fill="#e0e0e0" stroke="#9e9e9e" stroke-width="0.15"/>')
     for inter in scene.intersections:
-        phase = int(inter.light.phases[0])
+        phase = int(inter.phases[0])
         tint = "#c8e6c9" if phase == PHASE_GREEN else ("#fff9c4" if phase == PHASE_YELLOW else "#ffcdd2")
         out.append(f'<polygon points="{_poly_points(inter.polygon.vertices)}" fill="{tint}" fill-opacity="0.8" stroke="#757575" stroke-width="0.1"/>')
     for lane in scene.lanes:
         out.append(f'<polyline points="{_poly_points(lane.centerline.points)}" fill="none" stroke="#bdbdbd" stroke-width="0.1" stroke-dasharray="1,1"/>')
     out.append(f'<polyline points="{_poly_points(scene.route.points)}" fill="none" stroke="#43a047" stroke-width="0.25" stroke-dasharray="2,1"/>')
-    for agent in scene.agents:
-        corners = _box_corners(agent.x[0], agent.y[0], agent.psi[0], agent.half_length, agent.half_width)
+    for (x, y, psi), hl, hw in zip(scene.agent_states[:, 0].tolist(), scene.agent_half_lengths.tolist(),
+                                   scene.agent_half_widths.tolist()):
+        corners = _box_corners(x, y, psi, hl, hw)
         out.append(f'<polygon points="{_poly_points(corners)}" fill="#90a4ae" stroke="#455a64" stroke-width="0.12"/>')
     ego = scene.ego_init.pose
     ego_corners = _box_corners(ego.x, ego.y, ego.psi, scene.ego_half_length, scene.ego_half_width)

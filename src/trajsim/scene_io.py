@@ -17,8 +17,8 @@ template guarantees a documented ground-truth property for every seed:
   lane_drift       human holds an off-center offset long enough that LK=0
 
 A template gives its scene as plain arrays in a canonical frame: points,
-agent poses, and the ego states as one array.  One placement function moves
-them to the world pose, each point through ``geom.to_world`` and each
+the agent states, and the ego states as one array.  One placement function
+moves them to the world pose, each point through ``geom.to_world`` and each
 heading plus the pose's heading through ``wrap_angle``, and assembles the
 ``Scene`` once, so each object is built and checked once.
 ``transform_scene`` takes a scene's arrays out and runs the same placement.
@@ -41,15 +41,7 @@ import numpy as np
 from .geom import Polygon, Polyline, Pose, to_world, wrap_angle
 from .seeding import stable_seed
 from .kinematics import DENSE_TICKS, PLAN_DT, TICK_DT, EgoState, Trajectory
-from .metrics import (
-    PHASE_NAMES,
-    PHASE_RED,
-    Agent,
-    Intersection,
-    Lane,
-    Scene,
-    TrafficLight,
-)
+from .metrics import PHASE_NAMES, PHASE_RED, Intersection, Lane, Scene
 
 __all__ = [
     "SceneFormatError",
@@ -188,14 +180,11 @@ def scene_to_doc(scene: Scene) -> dict:
             "history": [dict(zip(_STATE_KEYS, row)) for row in scene.ego_history.tolist()],
         },
         "agents": [
-            {
-                "id": a.id,
-                "half_length_m": a.half_length,
-                "half_width_m": a.half_width,
-                "is_static": a.is_static,
-                "states": a.poses.tolist(),
-            }
-            for a in scene.agents
+            {"id": id_, "half_length_m": hl, "half_width_m": hw, "is_static": static, "states": states}
+            for id_, hl, hw, static, states in zip(
+                scene.agent_ids, scene.agent_half_lengths.tolist(), scene.agent_half_widths.tolist(),
+                scene.agent_is_static.tolist(), scene.agent_states.tolist(),
+            )
         ],
         "drivable_polygons_m": [p.vertices.tolist() for p in scene.drivable],
         "route_polyline_m": scene.route.points.tolist(),
@@ -208,14 +197,22 @@ def scene_to_doc(scene: Scene) -> dict:
             {
                 "polygon_m": inter.polygon.vertices.tolist(),
                 "light": {
-                    "intersection_id": inter.light.intersection_id,
-                    "phase_per_tick": [PHASE_NAMES[p] for p in inter.light.phases],
+                    "intersection_id": inter.light_id,
+                    "phase_per_tick": [PHASE_NAMES[p] for p in inter.phases.tolist()],
                 },
             }
             for inter in scene.intersections
         ],
         "human_trajectory_ego": {"waypoints": scene.human_trajectory.poses.tolist()},
     }
+
+
+def _agent_fields(agents) -> dict:
+    """Scene's agent arguments from one (id, half length, half width,
+    (41, 3) states, is_static) tuple per agent."""
+    ids, half_lengths, half_widths, states, is_static = zip(*agents) if agents else ((),) * 5
+    return dict(agent_ids=ids, agent_states=states, agent_half_lengths=half_lengths,
+                agent_half_widths=half_widths, agent_is_static=is_static)
 
 
 def scene_from_doc(doc: dict) -> Scene:
@@ -225,9 +222,7 @@ def scene_from_doc(doc: dict) -> Scene:
     try:
         ego = _field(doc, "ego", dict)
         agents = [
-            _built(
-                where,
-                Agent,
+            (
                 _field(a, "id", object, where),
                 _field(a, "half_length_m", float, where),
                 _field(a, "half_width_m", float, where),
@@ -246,13 +241,9 @@ def scene_from_doc(doc: dict) -> Scene:
                 raise SceneFormatError(
                     f"intersection {light.get('intersection_id')!r}: bad phase in phase_per_tick"
                 ) from None
-            intersections.append(
-                Intersection(
-                    polygon=_from_array(Polygon, _field(inter, "polygon_m", where=where), f"{where}.polygon_m"),
-                    light=_built(f"{where}.light", TrafficLight,
-                                 _field(light, "intersection_id", object, f"{where}.light"), phases),
-                )
-            )
+            polygon = _from_array(Polygon, _field(inter, "polygon_m", where=where), f"{where}.polygon_m")
+            intersections.append(_built(f"{where}.light", Intersection, polygon,
+                                        _field(light, "intersection_id", object, f"{where}.light"), phases))
         history = _field(ego, "history", list, "ego")
         human = _field(doc, "human_trajectory_ego", dict)
         drivable = [
@@ -272,7 +263,7 @@ def scene_from_doc(doc: dict) -> Scene:
             scene_id=_field(doc, "scene_id", str),
             ego_init=_state_from(_field(ego, "init", where="ego"), "ego.init"),
             ego_history=[_state_row(s, f"ego.history[{i}]") for i, s in enumerate(history)],
-            agents=agents,
+            **_agent_fields(agents),
             drivable=drivable,
             route=route,
             route_polygon=_from_array(Polygon, _field(doc, "route_polygon_m"), "route_polygon_m"),
@@ -356,14 +347,15 @@ class _Frame(NamedTuple):
     psi: float
 
 
-def _placed(frame, ego, agents, drivable, route, route_polygon, lanes, intersections, **rest) -> Scene:
+def _placed(frame, ego, agent_states, drivable, route, route_polygon, lanes, intersections, **rest) -> Scene:
     """A scene from its parts in their own frame, moved rigidly by the pose
     `frame`: every point through to_world, and every heading plus frame.psi,
-    wrapped.  Polygons, polylines and agent poses come as plain arrays, and
-    the ego states as one (H + 1, 6) array: the history rows, then the
-    initial state.  An array given twice (a template's road is both its
-    drivable area and its route band) gives one object.  The remaining
-    parts, the ego-frame human trajectory among them, go to Scene
+    wrapped.  Polygons and polylines come as plain arrays, the agent states
+    as (A, 41, 3) rows placed in one pass, and the ego states as one
+    (H + 1, 6) array: the history rows, then the initial state.  An array
+    given twice (a template's road is both its drivable area and its route
+    band) gives one object.  The remaining parts, the agents' ids and
+    extents and the ego-frame human trajectory among them, go to Scene
     unchanged."""
 
     def placed(rows):
@@ -388,12 +380,12 @@ def _placed(frame, ego, agents, drivable, route, route_polygon, lanes, intersect
     return Scene(
         ego_init=EgoState(Pose(x, y, psi), v, a, steer),
         ego_history=ego[:-1],
-        agents=[Agent(id_, hl, hw, placed(poses), static) for id_, hl, hw, poses, static in agents],
+        agent_states=placed(np.concatenate(agent_states)).reshape(-1, DENSE_TICKS, 3) if len(agent_states) else (),
         drivable=[once(Polygon, v) for v in drivable],
         route=once(Polyline, route),
         route_polygon=once(Polygon, route_polygon),
         lanes=[Lane(once(Polyline, p), sign) for p, sign in lanes],
-        intersections=[Intersection(once(Polygon, v), light) for v, light in intersections],
+        intersections=[Intersection(once(Polygon, v), light_id, phases) for v, light_id, phases in intersections],
         **rest,
     )
 
@@ -407,13 +399,17 @@ def transform_scene(scene: Scene, frame: Pose) -> Scene:
     return _placed(
         frame,
         ego=np.vstack([scene.ego_history, [[e.pose.x, e.pose.y, e.pose.psi, e.v, e.a, e.steer]]]),
-        agents=[(a.id, a.half_length, a.half_width, a.poses, a.is_static) for a in scene.agents],
+        agent_states=scene.agent_states,
         drivable=[p.vertices for p in scene.drivable],
         route=scene.route.points,
         route_polygon=scene.route_polygon.vertices,
         lanes=[(lane.centerline.points, lane.direction_sign) for lane in scene.lanes],
-        intersections=[(i.polygon.vertices, i.light) for i in scene.intersections],
+        intersections=[(i.polygon.vertices, i.light_id, i.phases) for i in scene.intersections],
         scene_id=scene.scene_id,
+        agent_ids=scene.agent_ids,
+        agent_half_lengths=scene.agent_half_lengths,
+        agent_half_widths=scene.agent_half_widths,
+        agent_is_static=scene.agent_is_static,
         human_trajectory=scene.human_trajectory,
         command=scene.command,
         ego_half_length=scene.ego_half_length,
@@ -521,9 +517,9 @@ def _on_road(v0, human, road_y, lanes=(), agents=(), intersections=()) -> dict:
     ego = np.zeros((17, 6))
     ego[:16, 0] = -v0 * TICK_DT * np.arange(16, 0, -1)
     ego[:, 3] = v0
-    return dict(ego=ego, agents=list(agents), drivable=[road], route=main, route_polygon=road,
-                lanes=[(main, 1), *lanes], intersections=list(intersections), human_trajectory=human,
-                command="forward")
+    return dict(ego=ego, drivable=[road], route=main, route_polygon=road, lanes=[(main, 1), *lanes],
+                intersections=list(intersections), human_trajectory=human, command="forward",
+                **_agent_fields(agents))
 
 
 def generate_scene(spec: SyntheticSpec) -> Scene:
@@ -578,8 +574,8 @@ def _build_red_light(p):
         return np.where(t < t_stop, moving, x_stop)
 
     human = _plan_from_profile(x_of_t, lambda t: np.zeros_like(np.asarray(t, dtype=float)))
-    light = TrafficLight("signal-0", np.full(DENSE_TICKS, PHASE_RED))
-    return _on_road(v0, human, (-6.0, 6.0), intersections=[(_road_polygon(stop_x, stop_x + 12.0, -6.0, 6.0), light)])
+    light = (_road_polygon(stop_x, stop_x + 12.0, -6.0, 6.0), "signal-0", np.full(DENSE_TICKS, PHASE_RED))
+    return _on_road(v0, human, (-6.0, 6.0), intersections=[light])
 
 
 def _build_oncoming_lane(p):

@@ -98,7 +98,6 @@ __all__ = [
     "DESK_SCALE_K",
     "TrajectoryCorpus",
     "Vocabulary",
-    "embed",
     "headings_from_tangents",
     "kmeans",
     "save_vocabulary",
@@ -200,11 +199,6 @@ class Vocabulary:
 
     def embeddings(self) -> np.ndarray:
         return self.poses[:, :, :2].reshape(self.k, -1)
-
-
-def embed(t: Trajectory) -> np.ndarray:
-    """Flatten the M (x, y) waypoints into a length-2M feature vector."""
-    return t.xy.reshape(-1).copy()
 
 
 def headings_from_tangents(xy: np.ndarray) -> np.ndarray:

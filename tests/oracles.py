@@ -11,8 +11,8 @@ import numpy as np
 
 from trajsim.geom import Polygon, Polyline, Pose
 from trajsim.kinematics import DENSE_TICKS, TICK_DT, EgoState, Trajectory
-from trajsim.metrics import PHASE_RED, Agent, Intersection, Lane, Scene, TrafficLight
-from trajsim.scene_io import _plan_from_profile, _smoothstep, straight_plan
+from trajsim.metrics import PHASE_RED, Intersection, Lane, Scene
+from trajsim.scene_io import _agent_fields, _plan_from_profile, _smoothstep, straight_plan
 
 
 def sample_points_in_box(rng, x, y, psi, hl, hw, n):
@@ -233,21 +233,24 @@ def transform_scene(scene, frame):
         nx, ny, npsi = _compose(frame, st.pose.x, st.pose.y, st.pose.psi)
         return EgoState(Pose(float(nx), float(ny), wrap_angle(float(npsi))), st.v, st.a, st.steer)
 
-    agents = []
-    for a in scene.agents:
-        nx, ny, npsi = _compose(frame, a.x, a.y, a.psi)
-        npsi = np.array([wrap_angle(p) for p in npsi])
-        agents.append(Agent(a.id, a.half_length, a.half_width, np.stack([nx, ny, npsi], axis=1), a.is_static))
+    s = scene.agent_states
+    nx, ny, npsi = _compose(frame, s[:, :, 0], s[:, :, 1], s[:, :, 2])
+    npsi = np.reshape([wrap_angle(p) for p in npsi.ravel()], npsi.shape)
     return Scene(
         scene_id=scene.scene_id,
         ego_init=state(scene.ego_init),
         ego_history=history_array([state(st) for st in history_states(scene.ego_history)]),
-        agents=agents,
+        agent_ids=scene.agent_ids,
+        agent_states=np.stack([nx, ny, npsi], axis=2),
+        agent_half_lengths=scene.agent_half_lengths,
+        agent_half_widths=scene.agent_half_widths,
+        agent_is_static=scene.agent_is_static,
         drivable=[Polygon(points(p.vertices)) for p in scene.drivable],
         route=Polyline(points(scene.route.points)),
         route_polygon=Polygon(points(scene.route_polygon.vertices)),
         lanes=[Lane(Polyline(points(lane.centerline.points)), lane.direction_sign) for lane in scene.lanes],
-        intersections=[Intersection(Polygon(points(i.polygon.vertices)), i.light) for i in scene.intersections],
+        intersections=[Intersection(Polygon(points(i.polygon.vertices)), i.light_id, i.phases)
+                       for i in scene.intersections],
         human_trajectory=scene.human_trajectory,
         command=scene.command,
         ego_half_length=scene.ego_half_length,
@@ -271,8 +274,7 @@ def _road_polygon(x_lo, x_hi, y_lo, y_hi):
 
 
 def _static_agent(agent_id, x, y, psi=0.0, hl=2.3, hw=0.95):
-    states = np.tile([x, y, psi], (DENSE_TICKS, 1))
-    return Agent(agent_id, hl, hw, states, is_static=True)
+    return agent_id, hl, hw, np.tile([x, y, psi], (DENSE_TICKS, 1)), True
 
 
 def _base_scene(scene_id, v0, human, road_y, extra_lanes=(), agents=(), intersections=()):
@@ -282,7 +284,7 @@ def _base_scene(scene_id, v0, human, road_y, extra_lanes=(), agents=(), intersec
         scene_id=scene_id,
         ego_init=EgoState(Pose(0.0, 0.0, 0.0), v0, 0.0, 0.0),
         ego_history=history_array(_history(v0)),
-        agents=list(agents),
+        **_agent_fields(agents),
         drivable=[road],
         route=main,
         route_polygon=road,
@@ -318,7 +320,7 @@ def _build_crossing_agent(scene_id, p):
     cross_x, y0, va = p["cross_x"], p["agent_y0"], p["agent_speed"]
     t = TICK_DT * np.arange(DENSE_TICKS)
     states = np.stack([np.full(DENSE_TICKS, cross_x), y0 - va * t, np.full(DENSE_TICKS, -math.pi / 2)], axis=1)
-    agent = Agent("crossing-0", 2.3, 0.95, states, is_static=False)
+    agent = ("crossing-0", 2.3, 0.95, states, False)
     return _base_scene(scene_id, v0, straight_plan(v0), (-3.5, 3.5), agents=[agent])
 
 
@@ -335,8 +337,8 @@ def _build_red_light(scene_id, p):
 
     human = _plan_from_profile(x_of_t, lambda t: np.zeros_like(np.asarray(t, dtype=float)))
     poly = _road_polygon(stop_x, stop_x + 12.0, -6.0, 6.0)
-    light = TrafficLight("signal-0", np.full(DENSE_TICKS, PHASE_RED))
-    return _base_scene(scene_id, v0, human, (-6.0, 6.0), intersections=[Intersection(poly, light)])
+    inter = Intersection(poly, "signal-0", np.full(DENSE_TICKS, PHASE_RED))
+    return _base_scene(scene_id, v0, human, (-6.0, 6.0), intersections=[inter])
 
 
 def _build_oncoming_lane(scene_id, p):
@@ -648,7 +650,7 @@ def score_tlc(d, scene):
     for inter in scene.intersections:
         inside = _box_in_polygon_per_tick(d, hl, hw, inter.polygon.vertices)
         entries = np.flatnonzero(inside[1:] & ~inside[:-1]) + 1
-        if np.any(inter.light.phases[entries] != 0):
+        if np.any(inter.phases[entries] != 0):
             return 0.0
     return 1.0
 
@@ -700,12 +702,10 @@ def _ego_at_fault(ex, ey, epsi, ev, ax, ay, avx, avy):
 def _agent_arrays(scene):
     """(x, y, psi, half length, half width, vx, vy) of the agents, (A, 41)
     each but the (A, 1) extents; replay velocity by forward difference."""
-    agents = scene.agents
-    x = np.stack([a.x for a in agents])
-    y = np.stack([a.y for a in agents])
-    psi = np.stack([a.psi for a in agents])
-    hl = np.array([a.half_length for a in agents])[:, None]
-    hw = np.array([a.half_width for a in agents])[:, None]
+    s = scene.agent_states
+    x, y, psi = s[:, :, 0], s[:, :, 1], s[:, :, 2]
+    hl = scene.agent_half_lengths[:, None]
+    hw = scene.agent_half_widths[:, None]
     vx = np.empty_like(x)
     vy = np.empty_like(y)
     vx[:, :-1] = np.diff(x, axis=1) / 0.1
@@ -716,7 +716,7 @@ def _agent_arrays(scene):
 
 
 def score_nc(d, scene):
-    if not scene.agents:
+    if not scene.agent_ids:
         return 1.0
     x, y, psi, hl, hw, vx, vy = _agent_arrays(scene)
     overlap = obb_overlap_batch(d.x, d.y, d.psi, scene.ego_half_length, scene.ego_half_width, x, y, psi, hl, hw)
@@ -730,7 +730,7 @@ def score_nc(d, scene):
 
 
 def score_ttc(d, scene, cfg):
-    if not scene.agents:
+    if not scene.agent_ids:
         return 1.0
     x, y, psi, hl, hw, vx, vy = _agent_arrays(scene)
     sub_dt = cfg.ttc_horizon_s / cfg.ttc_substeps

@@ -24,7 +24,7 @@ from trajsim.metrics import (
 )
 from trajsim.scene_io import SyntheticSpec, generate_scene, straight_plan
 from trajsim.selection import ProposalSet, SelectionState, recalibrate, select
-from trajsim.vocabulary import TrajectoryCorpus, Vocabulary, embed, headings_from_tangents, kmeans
+from trajsim.vocabulary import TrajectoryCorpus, Vocabulary, headings_from_tangents, kmeans
 
 import oracles
 

@@ -1,3 +1,4 @@
+import json
 import multiprocessing
 
 import numpy as np
@@ -10,7 +11,6 @@ from trajsim.distill import (
     _run_fingerprint,
     distill_loss,
     load_score_matrix,
-    load_teacher_sets,
     save_score_matrix,
     save_teacher_sets,
     score_scene_row,
@@ -22,6 +22,8 @@ from trajsim.kinematics import EgoState, KinematicsConfig, Trajectory
 from trajsim.metrics import Lane, MetricConfig, Scene
 from trajsim.scene_io import SyntheticSpec, generate_scene, transform_scene
 from trajsim.vocabulary import TrajectoryCorpus, Vocabulary, headings_from_tangents, kmeans
+
+from scenes import rich_scene
 
 
 def traj_from_xy(xy):
@@ -186,13 +188,16 @@ class TestScoreVocabulary:
             scene_id="pinned",
             ego_init=EgoState(Pose(0.0, 0.0, 0.0), 10.0),
             ego_history=np.array([[-1.0 * j, 0.0, 0.0, 10.0, 0.0, 0.0] for j in range(16, 0, -1)]),
-            agents=[], drivable=[box], route=road, route_polygon=box, lanes=[Lane(road, 1)], intersections=[],
+            drivable=[box], route=road, route_polygon=box, lanes=[Lane(road, 1)], intersections=[],
             human_trajectory=plan,
         )
         poses = np.stack([plan.poses, 0.5 * plan.poses, -plan.poses + [0.0, 1.5, 0.25]])
         vocab = Vocabulary(poses, seed=3, inertia=0.0)
         want = "0669c543f9865aa5795f65c767a209ab9398aad7e42ef3680fcbaf771bafa6d4"
         assert _run_fingerprint([scene], vocab, None, None) == want
+        # a scene with agents and lights
+        want = "606d3c1a81268edc3d53e50c5a7ac049b54c9ca965264318655620e49fac6b0c"
+        assert _run_fingerprint([rich_scene(1)], vocab, None, None) == want
 
 
 class TestSelectPseudoTeachers:
@@ -361,8 +366,8 @@ class TestPersistence:
         ]
         path = tmp_path / "teachers.txt"
         save_teacher_sets(sets, path)
-        again = load_teacher_sets(path, vocab)
-        assert again[0].source_indices == (1, 3)
-        assert again[0].scores == (0.97, 0.96)
-        assert np.array_equal(again[0].trajectories[0].poses, vocab.centers[1].poses)
-        assert len(again[1]) == 0
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        assert records == [
+            {"scene_id": "s0", "indices": [1, 3], "scores": [0.97, 0.96]},
+            {"scene_id": "s1", "indices": [], "scores": []},
+        ]

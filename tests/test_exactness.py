@@ -39,12 +39,12 @@ from trajsim.kinematics import (
     DENSE_TICKS, DenseTrajectory, EgoState, KinematicsConfig, Trajectory, ego_rollout, pid_track, trajectory_to_world,
 )
 from trajsim.metrics import (
-    PHASE_GREEN, PHASE_RED, PHASE_YELLOW, Agent, Intersection, Lane, MetricConfig, Scene, ScoreContext, TrafficLight,
+    PHASE_RED, Intersection, Lane, MetricConfig, ScoreContext,
     score_dac, score_ddc, score_ec, score_lk, score_nc, score_tlc, score_ttc,
 )
 from trajsim.selection import ProposalSet, SelectionState, comfort_scores, select
 from trajsim import metrics, scene_io, vocabulary
-from trajsim.scene_io import TEMPLATES, SyntheticSpec, generate_scene, scene_to_doc, straight_plan, transform_scene
+from trajsim.scene_io import TEMPLATES, SyntheticSpec, generate_scene, scene_to_doc, transform_scene
 from trajsim.seeding import stable_seed
 from trajsim.vocabulary import (
     TrajectoryCorpus, Vocabulary, _assign_chunk, _draw, _kmeans_pp, _nearest_rows, _nearest_two, _pairwise_row_sum,
@@ -52,6 +52,7 @@ from trajsim.vocabulary import (
 )
 
 import oracles
+from scenes import rich_scene
 
 FIELDS = ("x", "y", "psi", "v", "a", "steer")
 RULES = ("nc", "dac", "ddc", "tlc", "ep", "ttc", "lk", "hc")
@@ -106,50 +107,6 @@ def test_each_subscore_matches_oracle(scenes, centers):
                 assert bits(got) == bits(want[rule]), (scene.scene_id, rule)
 
 
-def rich_scene(seed):
-    """A hand-built scene with the geometry the generator never makes, placed
-    at a seeded world pose: a concave L-shaped road plus a lay-by polygon
-    overlapping it; three lanes, two of several segments of unequal length
-    (one along the curve, one the other way); five agents, one ahead that
-    the faster rollouts hit, one that reaches the slower ones from behind;
-    and two intersections whose lights change at different ticks."""
-    rng = np.random.default_rng(seed)
-    v0 = 8.0
-    t = 0.1 * np.arange(DENSE_TICKS)
-
-    def moving(x0, y0, psi, speed):
-        return np.column_stack([x0 + speed * math.cos(psi) * t, y0 + speed * math.sin(psi) * t, np.full(DENSE_TICKS, psi)])
-
-    agents = [
-        Agent("slow-ahead", 2.3, 0.95, moving(22.0 + rng.uniform(-1, 1), 0.2, 0.0, 4.0)),
-        Agent("crossing", 2.2, 1.0, moving(36.0, 9.0 + rng.uniform(-1, 1), -math.pi / 2, 4.0)),
-        Agent("oncoming", 2.4, 0.9, moving(52.0, 28.0, -math.pi / 2, 5.0)),
-        Agent("from-behind", 2.3, 0.95, moving(-12.0, 0.3, 0.0, 9.0)),
-        Agent("parked", 2.0, 0.9, np.tile([30.0, -3.0, 0.3], (DENSE_TICKS, 1)), is_static=True),
-    ]
-    road = Polygon([[-20, -4], [60, -4], [60, 30], [44, 30], [44, 4], [-20, 4]])
-    layby = Polygon([[8, -9], [30, -9], [30, -3], [8, -3]])
-    arc = [[40 + 8 * math.sin(a), 8 - 8 * math.cos(a)] for a in np.linspace(0.3, math.pi / 2, 4)]
-    lanes = [
-        Lane(Polyline([[-20, 0.0], [12, 0.0], [38, 0.2], *arc, [48, 30]]), 1),
-        Lane(Polyline([[58, 2.5], [30, 2.6], [25, 2.0], [-20, 2.5]]), 1),
-        Lane(Polyline([[8, -6], [30, -6]]), 1),
-    ]
-    phases_a = np.full(DENSE_TICKS, PHASE_GREEN)
-    phases_a[18:26] = PHASE_YELLOW
-    phases_a[26:] = PHASE_RED
-    phases_b = np.full(DENSE_TICKS, PHASE_RED)
-    phases_b[30:] = PHASE_GREEN
-    intersections = [
-        Intersection(Polygon([[20, -4], [30, -4], [30, 4], [20, 4]]), TrafficLight("a", phases_a)),
-        Intersection(Polygon([[44, 4], [60, 4], [60, 16], [44, 16]]), TrafficLight("b", phases_b)),
-    ]
-    history = [[-v0 * 0.1 * j, 0.0, 0.0, v0, 0.0, 0.0] for j in range(16, 0, -1)]
-    scene = Scene(f"rich-{seed}", EgoState(Pose(0.0, 0.0, 0.0), v0), history, agents, [road, layby],
-                  Polyline([[-20, 0], [50, 0], [52, 30]]), road, lanes, intersections, straight_plan(v0))
-    return transform_scene(scene, Pose(rng.uniform(-100, 100), rng.uniform(-100, 100), rng.uniform(-math.pi, math.pi)))
-
-
 @pytest.fixture(scope="module")
 def rich_scenes():
     return [rich_scene(seed) for seed in (1, 2)]
@@ -190,11 +147,9 @@ def test_box_polygon_contacts_match_oracle():
     polys = [[[0, 0], [6, 0], [6, 4], [0, 4]], [[0, 0], [8, 0], [8, 6], [4, 2], [0, 6]]]
     contacts = 0
     for verts in polys:
-        light = TrafficLight("x", np.full(DENSE_TICKS, PHASE_RED))
+        inter = Intersection(Polygon(verts), "x", np.full(DENSE_TICKS, PHASE_RED))
         scene = generate_scene(SyntheticSpec("red_light", seed=1))
-        scene = dataclasses.replace(
-            scene, intersections=[Intersection(Polygon(verts), light)], ego_half_length=hl, ego_half_width=hw
-        )
+        scene = dataclasses.replace(scene, intersections=[inter], ego_half_length=hl, ego_half_width=hw)
         ctx = ScoreContext(scene)
         for _ in range(40):
             x = rng.integers(-12, 28, size=DENSE_TICKS) / 2
@@ -305,8 +260,7 @@ def test_transform_scene_matches_oracle_when_headings_wrap(scenes):
             got, want = transform_scene(base, frame), oracles.transform_scene(base, frame)
             assert doc_json(got) == doc_json(want), (scene.scene_id, frame)
             assert bits(got.ego_history) == bits(want.ego_history)
-            for a, b in zip(got.agents, want.agents):
-                assert bits(a.poses) == bits(b.poses)
+            assert bits(got.agent_states) == bits(want.agent_states)
             psi = got.ego_history[:, 2]
             assert ((-math.pi < psi) & (psi <= math.pi)).all()
 

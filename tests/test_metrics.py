@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 import re
@@ -19,14 +20,12 @@ from trajsim import metrics
 from trajsim.metrics import (
     PHASE_GREEN,
     PHASE_RED,
-    Agent,
     Intersection,
     Lane,
     MetricConfig,
     Scene,
     ScoreContext,
     SubScores,
-    TrafficLight,
     aggregate_epdms,
     aggregate_pdms,
     diversity,
@@ -41,7 +40,7 @@ from trajsim.metrics import (
     score_tlc,
     score_ttc,
 )
-from trajsim.scene_io import TEMPLATES, SyntheticSpec, generate_scene, transform_scene
+from trajsim.scene_io import TEMPLATES, SyntheticSpec, _agent_fields, generate_scene, transform_scene
 
 import oracles
 
@@ -75,7 +74,7 @@ def make_scene(agents=(), lanes=None, intersections=(), v0=10.0, drivable=None,
         scene_id="test",
         ego_init=EgoState(Pose(0.0, 0.0, 0.0), v0, 0.0, 0.0),
         ego_history=history(v0) if hist is None else hist,
-        agents=list(agents),
+        **_agent_fields(agents),
         drivable=drivable,
         route=route or Polyline([[-50.0, 0.0], [100.0, 0.0]]),
         route_polygon=Polygon([[-50, -6], [100, -6], [100, 6], [-50, 6]]),
@@ -87,12 +86,12 @@ def make_scene(agents=(), lanes=None, intersections=(), v0=10.0, drivable=None,
 
 
 def parked(agent_id, x, y, psi=0.0):
-    return Agent(agent_id, 2.3, 0.95, np.tile([x, y, psi], (DENSE_TICKS, 1)), is_static=True)
+    return agent_id, 2.3, 0.95, np.tile([x, y, psi], (DENSE_TICKS, 1)), True
 
 
 def moving(agent_id, x0, y0, vx, vy, psi):
     states = np.stack([x0 + vx * T, y0 + vy * T, np.full(DENSE_TICKS, psi)], axis=1)
-    return Agent(agent_id, 2.3, 0.95, states)
+    return agent_id, 2.3, 0.95, states, False
 
 
 class TestNoCollision:
@@ -152,10 +151,9 @@ class TestDrivingDirection:
 
     def test_incursion_inside_intersection_ignored(self):
         poly = Polygon([[24, -6], [100, -6], [100, 6], [24, 6]])
-        light = TrafficLight("i0", np.full(DENSE_TICKS, PHASE_GREEN))
         scene = make_scene(
             lanes=self._scene_with_flip(25.0).lanes,
-            intersections=[Intersection(poly, light)],
+            intersections=[Intersection(poly, "i0", np.full(DENSE_TICKS, PHASE_GREEN))],
         )
         assert score_ddc(straight_dense(10.0), ScoreContext(scene)) == 1.0
 
@@ -163,7 +161,7 @@ class TestDrivingDirection:
 class TestTrafficLight:
     def _intersection(self, x_lo, phases):
         poly = Polygon([[x_lo, -6], [x_lo + 20, -6], [x_lo + 20, 6], [x_lo, 6]])
-        return Intersection(poly, TrafficLight("i0", phases))
+        return Intersection(poly, "i0", phases)
 
     def test_no_intersections(self):
         assert score_tlc(straight_dense(10.0), ScoreContext(make_scene())) == 1.0
@@ -182,6 +180,19 @@ class TestTrafficLight:
     def test_starting_inside_is_not_an_entry(self):
         inter = self._intersection(-10.0, np.full(DENSE_TICKS, PHASE_RED))
         assert score_tlc(straight_dense(10.0, x0=0.0), ScoreContext(make_scene(intersections=[inter]))) == 1.0
+
+    def test_phases_kept_read_only(self):
+        phases = np.full(DENSE_TICKS, PHASE_RED)
+        inter = self._intersection(0.0, phases)
+        assert inter.phases.dtype == np.int8 and not inter.phases.flags.writeable and phases.flags.writeable
+
+    @pytest.mark.parametrize("phases, message", [
+        (np.full(DENSE_TICKS - 1, PHASE_GREEN), "traffic light 'i0': needs 41 phases"),
+        (np.full(DENSE_TICKS, 3), "traffic light 'i0': invalid phase code"),
+    ])
+    def test_bad_phases_named(self, phases, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            self._intersection(0.0, phases)
 
 
 class TestEgoProgress:
@@ -254,7 +265,7 @@ class TestLaneKeeping:
 
     def test_offset_inside_intersection_ignored(self):
         poly = Polygon([[5, -6], [50, -6], [50, 6], [5, 6]])
-        inter = Intersection(poly, TrafficLight("i0", np.full(DENSE_TICKS, PHASE_GREEN)))
+        inter = Intersection(poly, "i0", np.full(DENSE_TICKS, PHASE_GREEN))
         d = self._offset_dense(1.2, 10, 30)
         assert score_lk(d, ScoreContext(make_scene(intersections=[inter]))) == 1.0
 
@@ -317,6 +328,63 @@ class TestEgoHistory:
     def test_bad_shape(self, hist, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             make_scene(hist=hist)
+
+
+class TestAgentArrays:
+    """Scene keeps its agents as checked, read-only arrays, which the
+    context reads as views."""
+
+    def test_read_only_copies_one_row_per_agent(self):
+        agents = [parked("p", 10.0, 1.0, 0.5), moving("m", -5.0, 0.0, 4.0, 0.0, 0.0)]
+        scene = make_scene(agents=agents)
+        assert scene.agent_ids == ("p", "m")
+        assert scene.agent_states.shape == (2, DENSE_TICKS, 3)
+        assert np.array_equal(scene.agent_states, np.stack([a[3] for a in agents]))
+        assert scene.agent_half_lengths.tolist() == [2.3, 2.3] and scene.agent_half_widths.tolist() == [0.95, 0.95]
+        assert scene.agent_is_static.tolist() == [True, False]
+        for arr in (scene.agent_states, scene.agent_half_lengths, scene.agent_half_widths, scene.agent_is_static):
+            assert not arr.flags.writeable
+        assert not any(np.shares_memory(scene.agent_states, a[3]) for a in agents)
+
+    def test_context_reads_views(self):
+        scene = make_scene(agents=[parked("p", 10.0, 1.0), parked("q", 20.0, -1.0)])
+        ctx = ScoreContext(scene)
+        for arr in (ctx.agent_x, ctx.agent_y):
+            assert np.shares_memory(arr, scene.agent_states)
+        assert np.shares_memory(ctx.agent_hl, scene.agent_half_lengths)
+        assert np.shares_memory(ctx.agent_hw, scene.agent_half_widths)
+
+    def test_replay_velocity_repeats_the_last_step(self):
+        # accelerating in x, so the last tick's velocity differs from any other
+        states = np.column_stack([T * T, -3.0 * T, np.zeros(DENSE_TICKS)])
+        ctx = ScoreContext(make_scene(agents=[("a", 2.3, 0.95, states, False)]))
+        steps = np.diff(states[:, :2], axis=0) / 0.1
+        want = np.vstack([steps, steps[-1:]])
+        assert np.array_equal(ctx.agent_vx[0], want[:, 0]) and np.array_equal(ctx.agent_vy[0], want[:, 1])
+
+    def test_no_agents(self):
+        scene = make_scene()
+        assert scene.agent_ids == () and scene.agent_states.shape == (0, DENSE_TICKS, 3)
+        assert scene.agent_half_lengths.shape == scene.agent_is_static.shape == (0,)
+        assert ScoreContext(scene).n_agents == 0
+
+    @pytest.mark.parametrize("index, agent, message", [
+        (1, ("b", 2.3, -1.0, np.zeros((DENSE_TICKS, 3)), False),
+         "agents[1]: agent 'b': half_width must be finite and positive, at most 1e+09, got -1.0"),
+        (2, ("c", 2.3, 0.95, np.zeros((DENSE_TICKS - 1, 3)), False),
+         "agents[2]: agent 'c': states must be (41, 3), got (40, 3)"),
+        (2, ("c", 2.3, 0.95, np.full((DENSE_TICKS, 3), np.nan), False), "agents[2]: agent 'c': states must be finite"),
+    ])
+    def test_first_bad_agent_named(self, index, agent, message):
+        agents = [parked(f"ok-{i}", 10.0 * i, 0.0) for i in range(4)]
+        agents[index] = agent
+        agents[3] = ("d", 2.3, float("nan"), np.zeros((DENSE_TICKS - 1, 3)), False)  # a later defect is not named
+        with pytest.raises(ValueError, match=re.escape(message)):
+            make_scene(agents=agents)
+
+    def test_one_entry_per_id(self):
+        with pytest.raises(ValueError, match="one entry per id"):
+            dataclasses.replace(make_scene(), agent_ids=("x",))
 
 
 class TestMetricConfig:

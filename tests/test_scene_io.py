@@ -2,6 +2,7 @@ import collections
 import contextlib
 import copy
 import functools
+import hashlib
 import io
 import json
 import operator
@@ -17,7 +18,7 @@ from trajsim.cli import main
 from trajsim.geom import COORD_LIMIT_M, Polygon, Polyline, Pose
 from trajsim.kinematics import pid_track, trajectory_to_world
 from trajsim.vocabulary import TrajectoryCorpus
-from trajsim.metrics import Agent, Scene, ScoreContext, aggregate_epdms, evaluate_rollout, score_nc, score_tlc
+from trajsim.metrics import Scene, ScoreContext, aggregate_epdms, evaluate_rollout, score_nc, score_tlc
 from trajsim.scene_io import (
     TEMPLATES,
     SceneFormatError,
@@ -36,6 +37,13 @@ from trajsim.scene_io import (
     scene_to_doc,
     straight_plan,
 )
+
+from scenes import rich_scene
+
+# a path that starts with RICH is into the document of rich_scene(1), whose
+# five agents and two lights catch a check that names the wrong one
+RICH = "rich"
+RICH_SCENE = rich_scene(1)
 
 
 def doc_json(scene) -> str:
@@ -66,7 +74,34 @@ class TestRoundTrip:
         again = load_scene(path)
         assert np.array_equal(again.human_trajectory.poses, scene.human_trajectory.poses)
         assert again.ego_init.pose.x == scene.ego_init.pose.x
-        assert np.array_equal(again.agents[0].poses, scene.agents[0].poses)
+        assert np.array_equal(again.agent_states, scene.agent_states)
+
+
+# The SHA-256 of scene files as save_scene writes them.  rich_scene has
+# five agents and two lights; clean_straight and crossing_agent plan no
+# heading with np.arctan2, so their bytes are the same at every SIMD level.
+SCENE_FILE_SHA256 = [
+    (RICH, 1, "7995509fa4ace762715908c628afe79302c26b1c37f82a7fd2ff6a83b93ab685"),
+    (RICH, 2, "3c2171b04448889e3860b550d356e7311edb42704fb118aec83c1b96848324ec"),
+    ("clean_straight", 0, "7ebb6c887ed7dfdb8ef0a95733fe9ab0b0d71f8357102316a1dfa8ac5e48b541"),
+    ("clean_straight", 1, "dc66b8e05115a732754c95a9feced9eac78d39b0ed6c9bb5f164df9cd276cd00"),
+    ("clean_straight", 2, "69158bcffc9efe8f7d688d368ee2463656ffb4e61cc61bd1c5ac262afc47d171"),
+    ("clean_straight", 3, "32330470eb411bcfdd25bd1550a4c769b2f17f7320bbb360763643c5bf42cd86"),
+    ("clean_straight", 4, "3bc91529db84a335a9c967b28da14304ed8f3e6d9d408c2e05420d4ad27df931"),
+    ("crossing_agent", 0, "8b07a626cc1440bb96dd38de981cb68a4309b0ca7d1e0121c77bed42fb1729f1"),
+    ("crossing_agent", 1, "404762876683afb686481709b7cdb347bb2062baf78391b766730907cce48b8e"),
+    ("crossing_agent", 2, "a196810db0541ccd938591f0ab8b93c0561888a4244392901e8513369702cf4e"),
+    ("crossing_agent", 3, "1075a91fd41d0c70ab8168a932092dfd4010736565f1aa2fcb24d4a1b0afc118"),
+    ("crossing_agent", 4, "1670fafa1318f169a9fe143d8035b7336302d0b17cd959b2fa3a24745695ef77"),
+]
+
+
+@pytest.mark.parametrize("template, seed, sha256", SCENE_FILE_SHA256)
+def test_scene_files_keep_their_bytes(tmp_path, template, seed, sha256):
+    scene = rich_scene(seed) if template == RICH else generate_scene(SyntheticSpec(template, seed=seed))
+    path = tmp_path / "scene.json"
+    save_scene(scene, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
 
 
 class TestValidation:
@@ -76,7 +111,7 @@ class TestValidation:
         with pytest.raises(SceneFormatError) as err:
             scene_from_doc(doc)
         assert "states" in str(err.value)
-        assert str(scene.agents[0].id) in str(err.value)
+        assert str(scene.agent_ids[0]) in str(err.value)
 
     def test_unknown_schema_version(self, scene):
         doc = scene_to_doc(scene)
@@ -126,11 +161,16 @@ NON_FINITE = [
     (("ego", "history", 3, "speed_mps"), float("-inf"), "ego.history[3]: speed"),
     (("ego", "half_length_m"), float("nan"), "ego_half_length"),
     (("ego", "half_width_m"), float("inf"), "ego_half_width"),
+    ((RICH, "agents", 3, "half_width_m"), float("nan"),
+     "agents[3]: agent 'from-behind': half_width must be finite and positive"),
 ]
 
 
 def doc_with(scene, where, value) -> dict:
-    """The document of `scene` with the value at path `where` replaced."""
+    """The document of `scene`, or of rich_scene(1) if the path starts with
+    RICH, with the value at path `where` replaced."""
+    if where[0] == RICH:
+        scene, where = RICH_SCENE, where[1:]
     doc = scene_to_doc(scene)
     target = doc
     for key in where[:-1]:
@@ -177,6 +217,7 @@ HUGE = [
     (("agents", 0, "half_length_m"), "agent 'parked-0': half_length must be finite and positive, at most 1e+09"),
     (("human_trajectory_ego", "waypoints", 2, 0),
      "human_trajectory_ego.waypoints: trajectory waypoints must be at most 1e+09 in magnitude"),
+    ((RICH, "agents", 3, "states", 7, 0), "agents[3]: agent 'from-behind': states must be at most 1e+09 in magnitude"),
 ]
 
 
@@ -188,7 +229,7 @@ class TestHuge:
 
     def test_the_limit_itself_loads(self, scene):
         doc = doc_with(scene, ("agents", 0, "states", 7, 0), -COORD_LIMIT_M)
-        assert scene_from_doc(doc).agents[0].x[7] == -COORD_LIMIT_M
+        assert scene_from_doc(doc).agent_states[0, 7, 0] == -COORD_LIMIT_M
 
     def test_score_exits_1_with_one_error_line(self, scene):
         # a drivable vertex at x = 1e200 used to overflow in the edge arrays
@@ -219,6 +260,11 @@ MORE_WRONG_TYPES = [
     (("scene_id",), 7, "scene_id must be a string, not a number"),
     (("human_trajectory_ego", "waypoints"), "x", "human_trajectory_ego.waypoints must be an array, not a string"),
     (("human_trajectory_ego", "waypoints"), [[1.0, 2.0]], "human_trajectory_ego.waypoints: trajectory needs an (M, 3)"),
+    ((RICH, "agents", 3, "is_static"), "no", "agents[3].is_static must be a boolean, not a string"),
+    ((RICH, "agents", 3, "states"), [[0.0, 0.0, 0.0]] * 40,
+     "agents[3]: agent 'from-behind': states must be (41, 3), got (40, 3)"),
+    ((RICH, "intersections", 1, "light", "phase_per_tick"), ["red"] * 40,
+     "intersections[1].light: traffic light 'b': needs 41 phases"),
 ]
 
 
@@ -386,7 +432,7 @@ class TestGenerator:
     def test_each_object_built_once(self, template, monkeypatch):
         # a generator that builds a canonical scene and then places it builds each object twice
         counts = collections.Counter()
-        for cls in (Scene, Polygon, Polyline, Agent, Pose):
+        for cls in (Scene, Polygon, Polyline, Pose):
             def counting(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
                 counts[_name] += 1
                 _init(self, *args, **kwargs)
@@ -398,7 +444,6 @@ class TestGenerator:
             "Scene": 1,
             "Polygon": len(set(map(id, polygons))),
             "Polyline": len(set(map(id, [scene.route, *(lane.centerline for lane in scene.lanes)]))),
-            "Agent": len(scene.agents),
             "Pose": 1,
         }
         assert counts["Scene"] == 1 and all(counts[name] <= n for name, n in held.items()), (counts, held)
