@@ -123,9 +123,8 @@ def _run_fingerprint(scenes, vocab: Vocabulary, kin_cfg, metric_cfg) -> str:
     h = hashlib.sha256()
     for scene in scenes:
         h.update(json.dumps(scene_to_doc(scene), sort_keys=True).encode() + b"\n")
-    shape = repr((vocab.m, 3)).encode()  # before each center's bytes, so existing checkpoints still match
-    for poses in vocab.poses.astype("<f8", copy=False):
-        h.update(shape + poses.tobytes())
+    h.update(repr(vocab.poses.shape).encode())
+    h.update(vocab.poses.astype("<f8", copy=False).tobytes())
     h.update(repr(kin_cfg or KinematicsConfig()).encode())
     h.update(repr(metric_cfg or MetricConfig()).encode())
     return h.hexdigest()

@@ -4,8 +4,10 @@ Conventions used throughout the package:
   * headings are radians in (-pi, pi], +x is "forward", angles grow CCW
   * points on polygon edges count as inside; touching boxes count as
     overlapping (a grazing contact is a collision)
-  * all values are immutable after construction and every operation here is
-    a pure function, so everything is safe to share across threads
+  * all values are immutable after construction: polygons and polylines
+    build the edge and segment arrays their queries read in the constructor
+    and hold them read-only, and every operation here is a pure function, so
+    everything is safe to share across threads
 """
 
 from __future__ import annotations
@@ -103,9 +105,16 @@ class Polygon:
     repeats its predecessor, and the last does not repeat the first (each
     within 1e-9 m).  Self-intersection is the caller's contract and is not
     checked.
+
+    The constructor also keeps the edge arrays every query reads, edge i
+    running from vertex i to vertex i+1 of the stored ring: `_nxt`, (n, 2)
+    end points; `_e`, (n, 2) offsets; `_len2`, (n, 1) squared lengths; and
+    `_ey_div`, (n, 1), the y offsets with the zeros of horizontal edges
+    replaced by 1, for the crossing test, where they never count.  Every
+    array is read-only.
     """
 
-    __slots__ = ("vertices", "_edges")
+    __slots__ = ("vertices", "_nxt", "_e", "_len2", "_ey_div")
 
     def __init__(self, vertices):
         v = np.asarray(vertices, dtype=float)
@@ -114,49 +123,27 @@ class Polygon:
         if not (np.abs(v) <= COORD_LIMIT_M).all():
             raise _coord_error("polygon vertices", v)
         nxt = np.concatenate([v[1:], v[:1]])
-        e = nxt - v
-        if (np.einsum("ij,ij->i", e, e) <= _EDGE_EPS**2).any():
-            raise ValueError("polygon has consecutive duplicate vertices")
         area2 = float(np.sum(v[:, 0] * nxt[:, 1] - nxt[:, 0] * v[:, 1]))
-        if abs(area2) < 1e-12:
-            raise ValueError("polygon is degenerate (zero area)")
         if area2 < 0:
             v = v[::-1].copy()
-        self.vertices = v
-        self.vertices.setflags(write=False)
-        self._edges = None
-
-    def _edge_arrays(self):
-        """(end points, start x, start y, end y, dx, dy, squared length, dy
-        divisor) of every edge, edge i running from vertex i to vertex i+1;
-        all but the end points are (n, 1) columns, to broadcast against rows
-        of points.  The dy divisor is dy with the zeros of horizontal edges
-        replaced by 1, for the crossing test, where they never count.
-
-        Built on the first geometric query and kept: many polygons, such as
-        those of generated scenes used only for their human trajectory, are
-        never queried.  Two threads may both build them; the results are
-        equal, and either may be kept.
-        """
-        edges = self._edges
-        if edges is None:
-            v = self.vertices
             nxt = np.concatenate([v[1:], v[:1]])
-            e = nxt - v
-            nxt.setflags(write=False)
-            e.setflags(write=False)  # before taking views, which keep the flag they start with
-            ex, ey = e[:, 0:1], e[:, 1:2]
-            len2 = ex * ex + ey * ey
-            ey_div = np.where(ey == 0.0, 1.0, ey)
-            for arr in (len2, ey_div):
-                arr.setflags(write=False)
-            edges = self._edges = (nxt, v[:, 0:1], v[:, 1:2], nxt[:, 1:2], ex, ey, len2, ey_div)
-        return edges
+        e = nxt - v
+        sq = e * e
+        len2 = sq[:, 0:1] + sq[:, 1:2]
+        if (len2 <= _EDGE_EPS**2).any():
+            raise ValueError("polygon has consecutive duplicate vertices")
+        if abs(area2) < 1e-12:
+            raise ValueError("polygon is degenerate (zero area)")
+        ey = e[:, 1:2]
+        ey_div = np.where(ey == 0.0, 1.0, ey)
+        for arr in (v, nxt, e, len2, ey_div):
+            arr.setflags(write=False)
+        self.vertices, self._nxt, self._e, self._len2, self._ey_div = v, nxt, e, len2, ey_div
 
     @property
     def area(self) -> float:
-        v = self.vertices
-        return 0.5 * float(np.sum(v[:, 0] * np.roll(v[:, 1], -1) - np.roll(v[:, 0], -1) * v[:, 1]))
+        v, nxt = self.vertices, self._nxt
+        return 0.5 * float(np.sum(v[:, 0] * nxt[:, 1] - nxt[:, 0] * v[:, 1]))
 
     def __eq__(self, other):
         return isinstance(other, Polygon) and np.array_equal(self.vertices, other.vertices)
@@ -166,9 +153,15 @@ class Polygon:
 
 
 class Polyline:
-    """Ordered point chain, >= 1 point, no consecutive duplicates (> 1e-9 m)."""
+    """Ordered point chain, >= 1 point, no consecutive duplicates (> 1e-9 m).
 
-    __slots__ = ("points", "_cum", "_segs")
+    The constructor also keeps the segment arrays every projection reads,
+    segment i running from point i to point i+1: `_d`, (n - 1, 2) offsets;
+    `_len2`, (n - 1, 1) squared lengths; `_seg_len`, (n - 1,) lengths; and
+    `_cum`, (n,) the arc length at each point.  Every array is read-only.
+    """
+
+    __slots__ = ("points", "_d", "_len2", "_seg_len", "_cum")
 
     def __init__(self, points):
         p = np.asarray(points, dtype=float)
@@ -176,31 +169,17 @@ class Polyline:
             raise ValueError("polyline needs at least 1 planar point")
         if not (np.abs(p) <= COORD_LIMIT_M).all():
             raise _coord_error("polyline points", p)
-        self._cum = np.zeros(len(p))
-        if len(p) > 1:
-            sq = (p[1:] - p[:-1]) ** 2
-            seg = np.sqrt(sq[:, 0] + sq[:, 1])
-            if (seg <= _EDGE_EPS).any():
-                raise ValueError("polyline has consecutive duplicate points")
-            np.cumsum(seg, out=self._cum[1:])
-        self.points = p
-        self.points.setflags(write=False)
-        self._segs = None
-
-    def _segment_arrays(self):
-        """(start x, start y, dx, dy, squared length, length) of every
-        segment, built on the first projection and kept, as for polygons;
-        all but the lengths are (n, 1) columns."""
-        segs = self._segs
-        if segs is None:
-            p = self.points
-            d = np.diff(p, axis=0)
-            len2 = np.sum(d * d, axis=1)
-            seg_len = np.sqrt(len2)
-            for arr in (d, len2, seg_len):
-                arr.setflags(write=False)
-            segs = self._segs = (p[:-1, 0:1], p[:-1, 1:2], d[:, 0:1], d[:, 1:2], len2[:, None], seg_len)
-        return segs
+        d = p[1:] - p[:-1]
+        sq = d * d
+        len2 = sq[:, 0:1] + sq[:, 1:2]
+        seg_len = np.sqrt(len2[:, 0])
+        if (seg_len <= _EDGE_EPS).any():
+            raise ValueError("polyline has consecutive duplicate points")
+        cum = np.zeros(len(p))
+        np.cumsum(seg_len, out=cum[1:])
+        for arr in (p, d, len2, seg_len, cum):
+            arr.setflags(write=False)
+        self.points, self._d, self._len2, self._seg_len, self._cum = p, d, len2, seg_len, cum
 
     def __len__(self):
         return len(self.points)
@@ -260,12 +239,13 @@ def xy_in_polygon(px: np.ndarray, py: np.ndarray, poly: Polygon) -> np.ndarray:
     Work arrays are (edges, points), so numpy's inner loops run over the
     many points rather than the few edges.
     """
-    _, ax, ay, by, ex, ey, len2, ey_div = poly._edge_arrays()
+    v, e, len2 = poly.vertices, poly._e, poly._len2
+    ax, ay, by, ex, ey = v[:, 0:1], v[:, 1:2], poly._nxt[:, 1:2], e[:, 0:1], e[:, 1:2]
     ry = py - ay
     # crossing number: edge straddles the horizontal ray through the point
     cond = (ay > py) != (by > py)
     # x coordinate where the edge crosses the ray (for the straddling edges)
-    x_cross = ax + ry * ex / ey_div
+    x_cross = ax + ry * ex / poly._ey_div
     # an odd number of crossings is inside
     inside = np.bitwise_xor.reduce(cond & (px < x_cross), axis=0)
     if inside.all():
@@ -287,14 +267,14 @@ def arc_length(line: Polyline) -> float:
     return float(line._cum[-1])
 
 
-def _segment_projection(segments, px: np.ndarray, py: np.ndarray):
+def _segment_projection(starts, d, len2, px: np.ndarray, py: np.ndarray):
     """Each of the (n,) points projected onto each segment: (S, n) arrays of
     the clamped parameter along the segment and of the squared distance to
-    it.  `segments` holds (start x, start y, dx, dy, squared length) as
-    (S, 1) columns, as Polyline._segment_arrays gives them."""
-    ax, ay, dx, dy, len2 = segments
-    rx = px - ax
-    ry = py - ay
+    it.  The segments are given by their (S, 2) start points and offsets and
+    (S, 1) squared lengths, as a Polyline holds them."""
+    dx, dy = d[:, 0:1], d[:, 1:2]
+    rx = px - starts[:, 0:1]
+    ry = py - starts[:, 1:2]
     t = ((rx * dx + ry * dy) / len2).clip(0.0, 1.0)
     qx = rx - t * dx
     qy = ry - t * dy
@@ -307,10 +287,9 @@ def arc_positions(line: Polyline, px: np.ndarray, py: np.ndarray) -> np.ndarray:
     index."""
     if len(line) < 2:
         raise ValueError("projection needs a polyline with at least 2 points")
-    segments = line._segment_arrays()
-    t, d2 = _segment_projection(segments[:5], px, py)
+    t, d2 = _segment_projection(line.points[:-1], line._d, line._len2, px, py)
     seg = d2.argmin(axis=0)
-    return line._cum[seg] + t[seg, np.arange(len(px))] * segments[5][seg]
+    return line._cum[seg] + t[seg, np.arange(len(px))] * line._seg_len[seg]
 
 
 # ---------------------------------------------------------------------------
@@ -328,8 +307,8 @@ def _ring_meets_polygon(px, py, nxt, poly: Polygon) -> np.ndarray:
     d1 = e x r and d3 = b x (-r) = r x b; d2 and d4 are d1 at the next ring
     point and d3 at the next polygon vertex, so each is one gather.
     """
-    nxt_vertices, ax, ay, _, ex, ey = poly._edge_arrays()[:6]
-    bx, by = nxt_vertices[:, 0:1], nxt_vertices[:, 1:2]
+    v, e = poly.vertices, poly._e
+    ax, ay, bx, by, ex, ey = v[:, 0:1], v[:, 1:2], poly._nxt[:, 0:1], poly._nxt[:, 1:2], e[:, 0:1], e[:, 1:2]
     rx = px - ax                                       # (E, n)
     ry = py - ay
     qx, qy = px.take(nxt), py.take(nxt)

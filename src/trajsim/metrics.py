@@ -9,8 +9,10 @@ pairs can be scored concurrently.
 A ``Scene`` holds its replayed agents as arrays, one row per agent: the
 (A, 41, 3) world-frame states and the (A,) box extents, checked at once
 when the scene is built.  Each ``Intersection`` holds its light's (41,)
-phases.  Every rule takes the rollout and a ``ScoreContext`` of its scene,
-which reads views of those arrays, precomputes the per-scene arrays once
+phases, and each polygon and polyline holds the edge or segment arrays
+its queries read, built with it.  Every rule takes the rollout and a
+``ScoreContext`` of its scene, which reads views of those arrays,
+precomputes the per-scene arrays once
 (agent headings as cosines and sines, TTC's agent horizon positions, the
 ego box's corner offsets, every lane's segments stacked into one array)
 and the human reference rollout (EP's denominator, ``ego_rollout`` of the
@@ -148,18 +150,17 @@ def _ego_states(states) -> np.ndarray:
     return h
 
 
-def _agent_arrays(ids, states, half_lengths, half_widths, is_static) -> tuple:
-    """The agents of a scene as (ids, states, half lengths, half widths,
-    is_static): a tuple and new read-only (A, 41, 3) float, (A,) float,
-    (A,) float and (A,) bool arrays, one row per id.  The extents must be
-    finite and positive, and every state value finite, all at most
-    COORD_LIMIT_M in magnitude (headings too, which keeps it one test).  An
-    error names the first bad agent as the scene file does, agents[i], and
-    its id."""
+def _agent_arrays(ids, states, half_lengths, half_widths) -> tuple:
+    """The agents of a scene as (ids, states, half lengths, half widths): a
+    tuple and new read-only (A, 41, 3), (A,) and (A,) float arrays, one row
+    per id.  The extents must be finite and positive, and every state value
+    finite, all at most COORD_LIMIT_M in magnitude (headings too, which
+    keeps it one test).  An error names the first bad agent as the scene
+    file does, agents[i], and its id."""
     ids = tuple(ids)
     n = len(ids)
-    if not len(states) == len(half_lengths) == len(half_widths) == len(is_static) == n:
-        raise ValueError(f"agent states, half lengths, half widths and is_static need one entry per id, {n}")
+    if not len(states) == len(half_lengths) == len(half_widths) == n:
+        raise ValueError(f"agent states, half lengths and half widths need one entry per id, {n}")
     if not n:
         return _NO_AGENTS
     extents = np.array([half_lengths, half_widths], dtype=float)
@@ -182,14 +183,13 @@ def _agent_arrays(ids, states, half_lengths, half_widths, is_static) -> tuple:
                 raise ValueError(f"{where}: states must be ({DENSE_TICKS}, 3), got {poses.shape}")
             if not (np.abs(poses) <= COORD_LIMIT_M).all():
                 raise _coord_error(f"{where}: states", poses)
-    static = np.array(is_static, dtype=bool)
-    for arr in (s, extents, static):
+    for arr in (s, extents):
         arr.setflags(write=False)
-    return ids, s, extents[0], extents[1], static
+    return ids, s, extents[0], extents[1]
 
 
 # the agent arrays of every scene without agents: empty, so one read-only set serves all
-_NO_AGENTS = ((), np.empty((0, DENSE_TICKS, 3)), np.empty(0), np.empty(0), np.empty(0, dtype=bool))
+_NO_AGENTS = ((), np.empty((0, DENSE_TICKS, 3)), np.empty(0), np.empty(0))
 for _arr in _NO_AGENTS[1:]:
     _arr.setflags(write=False)
 
@@ -205,9 +205,8 @@ class Scene:
 
     The replayed agents are arrays with one row per agent, in file order:
     agent_ids, a tuple; agent_states, (A, 41, 3) world-frame x, y and psi at
-    each tick; agent_half_lengths and agent_half_widths, (A,) box extents;
-    and agent_is_static, (A,) bool, which no rule reads (schema v1 files
-    carry it).  Any sequences of those shapes are accepted, checked at once
+    each tick; and agent_half_lengths and agent_half_widths, (A,) box
+    extents.  Any sequences of those shapes are accepted, checked at once
     and kept as a tuple and read-only arrays (see ``_agent_arrays``); a
     scene without agents leaves them out.
     """
@@ -217,7 +216,6 @@ class Scene:
     ego_history: np.ndarray       # (H, 6), see above
     drivable: list                # list of Polygon, nonempty
     route: Polyline
-    route_polygon: Polygon
     lanes: list
     intersections: list
     human_trajectory: Trajectory  # ego frame
@@ -225,7 +223,6 @@ class Scene:
     agent_states: np.ndarray = ()          # (A, 41, 3), see above
     agent_half_lengths: np.ndarray = ()    # (A,)
     agent_half_widths: np.ndarray = ()     # (A,)
-    agent_is_static: np.ndarray = ()       # (A,)
     command: str = "forward"
     ego_half_length: float = 2.3
     ego_half_width: float = 0.95
@@ -238,9 +235,8 @@ class Scene:
         if self.human_trajectory.m < 2:  # every consumer rolls it out with the PID
             raise ValueError(f"human trajectory needs at least 2 waypoints, got {self.human_trajectory.m}")
         self.ego_history = _ego_states(self.ego_history)
-        (self.agent_ids, self.agent_states, self.agent_half_lengths, self.agent_half_widths,
-         self.agent_is_static) = _agent_arrays(self.agent_ids, self.agent_states, self.agent_half_lengths,
-                                               self.agent_half_widths, self.agent_is_static)
+        self.agent_ids, self.agent_states, self.agent_half_lengths, self.agent_half_widths = _agent_arrays(
+            self.agent_ids, self.agent_states, self.agent_half_lengths, self.agent_half_widths)
         if self.command not in COMMANDS:
             raise ValueError(f"command must be one of {COMMANDS}")
         for name in ("ego_half_length", "ego_half_width"):
@@ -366,19 +362,22 @@ class ScoreContext:
         self.corner_lon = np.array([[hl], [-hl], [-hl], [hl]])
         self.corner_lat = np.array([[hw], [hw], [-hw], [-hw]])
 
-        # every lane's segments, stacked in lane order: (S, 1) columns of start
-        # x, start y, dx, dy and squared length, each segment's unit tangent
-        # (dx and dy over its cached length) signed by its lane's legal
-        # direction, and each lane's (lo, hi) range of segments
+        # every lane's segments, stacked in lane order: (S, 2) start points and
+        # offsets and (S, 1) squared lengths, each segment's unit tangent (its
+        # offset over its length) signed by its lane's legal direction, and
+        # each lane's (lo, hi) range of segments
         self.lane_segments = self.lane_dir_x = self.lane_dir_y = None
         self.lane_slices = ()
         if scene.lanes:
-            cols = [np.concatenate(c) for c in zip(*(lane.centerline._segment_arrays() for lane in scene.lanes))]
-            self.lane_segments = tuple(cols[:5])
-            counts = [len(lane.centerline) - 1 for lane in scene.lanes]
+            lines = [lane.centerline for lane in scene.lanes]
+            d = np.concatenate([line._d for line in lines])
+            seg_len = np.concatenate([line._seg_len for line in lines])
+            self.lane_segments = (np.concatenate([line.points[:-1] for line in lines]), d,
+                                  np.concatenate([line._len2 for line in lines]))
+            counts = [len(line) - 1 for line in lines]
             sign = np.repeat([lane.direction_sign for lane in scene.lanes], counts)
-            self.lane_dir_x = sign * (cols[2][:, 0] / cols[5])
-            self.lane_dir_y = sign * (cols[3][:, 0] / cols[5])
+            self.lane_dir_x = sign * (d[:, 0] / seg_len)
+            self.lane_dir_y = sign * (d[:, 1] / seg_len)
             ends = np.cumsum(counts).tolist()
             self.lane_slices = tuple(zip([0, *ends[:-1]], ends))
 
@@ -458,7 +457,7 @@ class _Shared:
         segment, and (41,) whether the ego center is outside every
         intersection."""
         if self._lanes is None:
-            _, d2 = _segment_projection(ctx.lane_segments, self.d.x, self.d.y)     # (S, 41)
+            _, d2 = _segment_projection(*ctx.lane_segments, self.d.x, self.d.y)    # (S, 41)
             # each lane's closest segment; equidistant ones break to the lowest index
             seg = np.empty((len(ctx.lane_slices), DENSE_TICKS), dtype=np.intp)
             for i, (lo, hi) in enumerate(ctx.lane_slices):
@@ -561,7 +560,7 @@ def _box_in_polygon_per_tick(sh: _Shared, ctx: ScoreContext, corners_in: np.ndar
     """
     d, c, s = sh.d, sh.c, sh.s
     # polygon vertex inside the box, tested in the box frame
-    _, ax, ay = poly._edge_arrays()[:3]
+    ax, ay = poly.vertices[:, 0:1], poly.vertices[:, 1:2]
     dx = ax - d.x                                     # (E, 41)
     dy = ay - d.y
     vert_in = (

@@ -1,8 +1,10 @@
 """Scene persistence, synthetic scene generation, and shared file formats.
 
 Scene files are JSON with units spelled out in the field names (``_m``,
-``_rad``, ``_mps``).  The full schema is documented in the README.  Binary
-formats (vocabulary, score matrix) live with their owning modules.
+``_rad``, ``_mps``).  The full schema is documented in the README; the
+loader ignores any key it does not list, so older files that carry more
+still load.  Binary formats (vocabulary, score matrix) live with their
+owning modules.
 
 Synthetic templates replace recorded driving data at desk scale.  Each
 template guarantees a documented ground-truth property for every seed:
@@ -180,15 +182,14 @@ def scene_to_doc(scene: Scene) -> dict:
             "history": [dict(zip(_STATE_KEYS, row)) for row in scene.ego_history.tolist()],
         },
         "agents": [
-            {"id": id_, "half_length_m": hl, "half_width_m": hw, "is_static": static, "states": states}
-            for id_, hl, hw, static, states in zip(
+            {"id": id_, "half_length_m": hl, "half_width_m": hw, "states": states}
+            for id_, hl, hw, states in zip(
                 scene.agent_ids, scene.agent_half_lengths.tolist(), scene.agent_half_widths.tolist(),
-                scene.agent_is_static.tolist(), scene.agent_states.tolist(),
+                scene.agent_states.tolist(),
             )
         ],
         "drivable_polygons_m": [p.vertices.tolist() for p in scene.drivable],
         "route_polyline_m": scene.route.points.tolist(),
-        "route_polygon_m": scene.route_polygon.vertices.tolist(),
         "lanes": [
             {"centerline_m": lane.centerline.points.tolist(), "direction_sign": lane.direction_sign}
             for lane in scene.lanes
@@ -209,15 +210,16 @@ def scene_to_doc(scene: Scene) -> dict:
 
 def _agent_fields(agents) -> dict:
     """Scene's agent arguments from one (id, half length, half width,
-    (41, 3) states, is_static) tuple per agent."""
-    ids, half_lengths, half_widths, states, is_static = zip(*agents) if agents else ((),) * 5
+    (41, 3) states) tuple per agent."""
+    ids, half_lengths, half_widths, states = zip(*agents) if agents else ((),) * 4
     return dict(agent_ids=ids, agent_states=states, agent_half_lengths=half_lengths,
-                agent_half_widths=half_widths, agent_is_static=is_static)
+                agent_half_widths=half_widths)
 
 
 def scene_from_doc(doc: dict) -> Scene:
     """Build a scene from its JSON document, checking the JSON type of every
-    field where it is read; any defect raises SceneFormatError naming it."""
+    field where it is read; any defect raises SceneFormatError naming it.
+    Keys it does not read are ignored."""
     _check_version(doc)
     try:
         ego = _field(doc, "ego", dict)
@@ -227,7 +229,6 @@ def scene_from_doc(doc: dict) -> Scene:
                 _field(a, "half_length_m", float, where),
                 _field(a, "half_width_m", float, where),
                 _field(a, "states", np.ndarray, where),
-                _field(a, "is_static", bool, where),
             )
             for where, a in _objects(doc, "agents")
         ]
@@ -238,9 +239,9 @@ def scene_from_doc(doc: dict) -> Scene:
             try:
                 phases = [PHASE_NAMES.index(n) for n in names]
             except ValueError:
-                raise SceneFormatError(
-                    f"intersection {light.get('intersection_id')!r}: bad phase in phase_per_tick"
-                ) from None
+                j = next(j for j, n in enumerate(names) if n not in PHASE_NAMES)
+                raise SceneFormatError(f"{where}.light.phase_per_tick[{j}] must be one of {PHASE_NAMES}, "
+                                       f"not {names[j]!r}") from None
             polygon = _from_array(Polygon, _field(inter, "polygon_m", where=where), f"{where}.polygon_m")
             intersections.append(_built(f"{where}.light", Intersection, polygon,
                                         _field(light, "intersection_id", object, f"{where}.light"), phases))
@@ -266,7 +267,6 @@ def scene_from_doc(doc: dict) -> Scene:
             **_agent_fields(agents),
             drivable=drivable,
             route=route,
-            route_polygon=_from_array(Polygon, _field(doc, "route_polygon_m"), "route_polygon_m"),
             lanes=[
                 _built(
                     where,
@@ -347,16 +347,15 @@ class _Frame(NamedTuple):
     psi: float
 
 
-def _placed(frame, ego, agent_states, drivable, route, route_polygon, lanes, intersections, **rest) -> Scene:
+def _placed(frame, ego, agent_states, drivable, route, lanes, intersections, **rest) -> Scene:
     """A scene from its parts in their own frame, moved rigidly by the pose
     `frame`: every point through to_world, and every heading plus frame.psi,
     wrapped.  Polygons and polylines come as plain arrays, the agent states
     as (A, 41, 3) rows placed in one pass, and the ego states as one
     (H + 1, 6) array: the history rows, then the initial state.  An array
-    given twice (a template's road is both its drivable area and its route
-    band) gives one object.  The remaining parts, the agents' ids and
-    extents and the ego-frame human trajectory among them, go to Scene
-    unchanged."""
+    given twice (a template's route is also its main lane) gives one object.
+    The remaining parts, the agents' ids and extents and the ego-frame human
+    trajectory among them, go to Scene unchanged."""
 
     def placed(rows):
         """A copy of `rows` with the x and y columns placed, and the psi
@@ -383,7 +382,6 @@ def _placed(frame, ego, agent_states, drivable, route, route_polygon, lanes, int
         agent_states=placed(np.concatenate(agent_states)).reshape(-1, DENSE_TICKS, 3) if len(agent_states) else (),
         drivable=[once(Polygon, v) for v in drivable],
         route=once(Polyline, route),
-        route_polygon=once(Polygon, route_polygon),
         lanes=[Lane(once(Polyline, p), sign) for p, sign in lanes],
         intersections=[Intersection(once(Polygon, v), light_id, phases) for v, light_id, phases in intersections],
         **rest,
@@ -402,14 +400,12 @@ def transform_scene(scene: Scene, frame: Pose) -> Scene:
         agent_states=scene.agent_states,
         drivable=[p.vertices for p in scene.drivable],
         route=scene.route.points,
-        route_polygon=scene.route_polygon.vertices,
         lanes=[(lane.centerline.points, lane.direction_sign) for lane in scene.lanes],
         intersections=[(i.polygon.vertices, i.light_id, i.phases) for i in scene.intersections],
         scene_id=scene.scene_id,
         agent_ids=scene.agent_ids,
         agent_half_lengths=scene.agent_half_lengths,
         agent_half_widths=scene.agent_half_widths,
-        agent_is_static=scene.agent_is_static,
         human_trajectory=scene.human_trajectory,
         command=scene.command,
         ego_half_length=scene.ego_half_length,
@@ -508,16 +504,15 @@ def _lane_at(y) -> np.ndarray:
 
 def _on_road(v0, human, road_y, lanes=(), agents=(), intersections=()) -> dict:
     """The parts (see _placed) of a scene in its canonical frame, on the
-    template road, x from -15 to 70 m and y from road_y[0] to road_y[1]: the
-    road is both the drivable area and the route band, and the route and the
-    main lane run along y = 0.  The ego starts at the origin heading +x at
-    v0, after a constant-speed straight history of 16 ticks."""
-    road = _road_polygon(-15.0, 70.0, *road_y)
+    template road, x from -15 to 70 m and y from road_y[0] to road_y[1], the
+    drivable area; the route and the main lane run along y = 0.  The ego
+    starts at the origin heading +x at v0, after a constant-speed straight
+    history of 16 ticks."""
     main = _lane_at(0.0)
     ego = np.zeros((17, 6))
     ego[:16, 0] = -v0 * TICK_DT * np.arange(16, 0, -1)
     ego[:, 3] = v0
-    return dict(ego=ego, drivable=[road], route=main, route_polygon=road, lanes=[(main, 1), *lanes],
+    return dict(ego=ego, drivable=[_road_polygon(-15.0, 70.0, *road_y)], route=main, lanes=[(main, 1), *lanes],
                 intersections=list(intersections), human_trajectory=human, command="forward",
                 **_agent_fields(agents))
 
@@ -550,7 +545,7 @@ def _build_parked_agent(p):
         return lane_shift * _smoothstep((np.asarray(t) - t0) / t_change)
 
     human = _plan_from_profile(lambda t: v0 * np.asarray(t), y_of_t)
-    parked = ("parked-0", 2.3, 0.95, np.tile([p["gap_factor"] * v0, 0.0, 0.0], (DENSE_TICKS, 1)), True)
+    parked = ("parked-0", 2.3, 0.95, np.tile([p["gap_factor"] * v0, 0.0, 0.0], (DENSE_TICKS, 1)))
     return _on_road(v0, human, (-3.5, 7.0), [(_lane_at(lane_shift), 1)], agents=[parked])
 
 
@@ -559,7 +554,7 @@ def _build_crossing_agent(p):
     cross_x, y0, va = p["cross_x"], p["agent_y0"], p["agent_speed"]
     t = TICK_DT * np.arange(DENSE_TICKS)
     states = np.stack([np.full(DENSE_TICKS, cross_x), y0 - va * t, np.full(DENSE_TICKS, -math.pi / 2)], axis=1)
-    return _on_road(v0, straight_plan(v0), (-3.5, 3.5), agents=[("crossing-0", 2.3, 0.95, states, False)])
+    return _on_road(v0, straight_plan(v0), (-3.5, 3.5), agents=[("crossing-0", 2.3, 0.95, states)])
 
 
 def _build_red_light(p):

@@ -244,10 +244,8 @@ def transform_scene(scene, frame):
         agent_states=np.stack([nx, ny, npsi], axis=2),
         agent_half_lengths=scene.agent_half_lengths,
         agent_half_widths=scene.agent_half_widths,
-        agent_is_static=scene.agent_is_static,
         drivable=[Polygon(points(p.vertices)) for p in scene.drivable],
         route=Polyline(points(scene.route.points)),
-        route_polygon=Polygon(points(scene.route_polygon.vertices)),
         lanes=[Lane(Polyline(points(lane.centerline.points)), lane.direction_sign) for lane in scene.lanes],
         intersections=[Intersection(Polygon(points(i.polygon.vertices)), i.light_id, i.phases)
                        for i in scene.intersections],
@@ -274,7 +272,7 @@ def _road_polygon(x_lo, x_hi, y_lo, y_hi):
 
 
 def _static_agent(agent_id, x, y, psi=0.0, hl=2.3, hw=0.95):
-    return agent_id, hl, hw, np.tile([x, y, psi], (DENSE_TICKS, 1)), True
+    return agent_id, hl, hw, np.tile([x, y, psi], (DENSE_TICKS, 1))
 
 
 def _base_scene(scene_id, v0, human, road_y, extra_lanes=(), agents=(), intersections=()):
@@ -287,7 +285,6 @@ def _base_scene(scene_id, v0, human, road_y, extra_lanes=(), agents=(), intersec
         **_agent_fields(agents),
         drivable=[road],
         route=main,
-        route_polygon=road,
         lanes=[Lane(main, 1), *extra_lanes],
         intersections=list(intersections),
         human_trajectory=human,
@@ -320,7 +317,7 @@ def _build_crossing_agent(scene_id, p):
     cross_x, y0, va = p["cross_x"], p["agent_y0"], p["agent_speed"]
     t = TICK_DT * np.arange(DENSE_TICKS)
     states = np.stack([np.full(DENSE_TICKS, cross_x), y0 - va * t, np.full(DENSE_TICKS, -math.pi / 2)], axis=1)
-    agent = ("crossing-0", 2.3, 0.95, states, False)
+    agent = ("crossing-0", 2.3, 0.95, states)
     return _base_scene(scene_id, v0, straight_plan(v0), (-3.5, 3.5), agents=[agent])
 
 

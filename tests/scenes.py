@@ -8,6 +8,7 @@ from trajsim.geom import Polygon, Polyline, Pose
 from trajsim.kinematics import DENSE_TICKS, EgoState
 from trajsim.metrics import PHASE_GREEN, PHASE_RED, PHASE_YELLOW, Intersection, Lane, Scene
 from trajsim.scene_io import _agent_fields, straight_plan, transform_scene
+from trajsim.vocabulary import Vocabulary
 
 
 def rich_scene(seed):
@@ -25,11 +26,11 @@ def rich_scene(seed):
         return np.column_stack([x0 + speed * math.cos(psi) * t, y0 + speed * math.sin(psi) * t, np.full(DENSE_TICKS, psi)])
 
     agents = [
-        ("slow-ahead", 2.3, 0.95, moving(22.0 + rng.uniform(-1, 1), 0.2, 0.0, 4.0), False),
-        ("crossing", 2.2, 1.0, moving(36.0, 9.0 + rng.uniform(-1, 1), -math.pi / 2, 4.0), False),
-        ("oncoming", 2.4, 0.9, moving(52.0, 28.0, -math.pi / 2, 5.0), False),
-        ("from-behind", 2.3, 0.95, moving(-12.0, 0.3, 0.0, 9.0), False),
-        ("parked", 2.0, 0.9, np.tile([30.0, -3.0, 0.3], (DENSE_TICKS, 1)), True),
+        ("slow-ahead", 2.3, 0.95, moving(22.0 + rng.uniform(-1, 1), 0.2, 0.0, 4.0)),
+        ("crossing", 2.2, 1.0, moving(36.0, 9.0 + rng.uniform(-1, 1), -math.pi / 2, 4.0)),
+        ("oncoming", 2.4, 0.9, moving(52.0, 28.0, -math.pi / 2, 5.0)),
+        ("from-behind", 2.3, 0.95, moving(-12.0, 0.3, 0.0, 9.0)),
+        ("parked", 2.0, 0.9, np.tile([30.0, -3.0, 0.3], (DENSE_TICKS, 1))),
     ]
     road = Polygon([[-20, -4], [60, -4], [60, 30], [44, 30], [44, 4], [-20, 4]])
     layby = Polygon([[8, -9], [30, -9], [30, -3], [8, -3]])
@@ -50,6 +51,27 @@ def rich_scene(seed):
     ]
     history = [[-v0 * 0.1 * j, 0.0, 0.0, v0, 0.0, 0.0] for j in range(16, 0, -1)]
     scene = Scene(f"rich-{seed}", EgoState(Pose(0.0, 0.0, 0.0), v0), history, [road, layby],
-                  Polyline([[-20, 0], [50, 0], [52, 30]]), road, lanes, intersections, straight_plan(v0),
+                  Polyline([[-20, 0], [50, 0], [52, 30]]), lanes, intersections, straight_plan(v0),
                   **_agent_fields(agents))
     return transform_scene(scene, Pose(rng.uniform(-100, 100), rng.uniform(-100, 100), rng.uniform(-math.pi, math.pi)))
+
+
+def pinned_run():
+    """(scene, vocabulary) of the run whose distill fingerprint is pinned: a
+    straight road without agents or lights, and three centers."""
+    plan = straight_plan(10.0)
+    box = Polygon([[-50, -6], [100, -6], [100, 6], [-50, 6]])
+    road = Polyline([[-50.0, 0.0], [100.0, 0.0]])
+    scene = Scene(
+        scene_id="pinned",
+        ego_init=EgoState(Pose(0.0, 0.0, 0.0), 10.0),
+        ego_history=np.array([[-1.0 * j, 0.0, 0.0, 10.0, 0.0, 0.0] for j in range(16, 0, -1)]),
+        drivable=[box], route=road, lanes=[Lane(road, 1)], intersections=[], human_trajectory=plan,
+    )
+    poses = np.stack([plan.poses, 0.5 * plan.poses, -plan.poses + [0.0, 1.5, 0.25]])
+    return scene, Vocabulary(poses, seed=3, inertia=0.0)
+
+
+# the fingerprint of pinned_run() while scene documents held route_polygon_m
+# and agents[].is_static, and before the centers were hashed as one array
+OLD_PINNED_FINGERPRINT = "0669c543f9865aa5795f65c767a209ab9398aad7e42ef3680fcbaf771bafa6d4"

@@ -3,11 +3,15 @@
 import ast
 import importlib
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
 
 import trajsim
+from trajsim.scene_io import scene_to_doc
+
+from scenes import rich_scene
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(trajsim.__path__))
 
@@ -52,3 +56,20 @@ def test_no_import_inside_a_function(name):
         if isinstance(node, (ast.Import, ast.ImportFrom))
     ]
     assert not nested
+
+
+def readme_scene_table() -> dict:
+    """{field cell: meaning cell} of each row of the README's scene-file table."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    section = text.split("### Scene file", 1)[1].split("\n#", 1)[0]
+    rows = [line.split("|")[1:3] for line in section.splitlines() if line.startswith("| `")]
+    return {field.strip(): meaning.strip() for field, meaning in rows}
+
+
+def test_readme_scene_table_lists_the_keys_a_scene_file_holds():
+    doc = scene_to_doc(rich_scene(1))
+    table = readme_scene_table()
+    # the first name of each backquoted field path: `ego.init` names ego, `agents[]` agents
+    assert {name for field in table for name in re.findall(r"`(\w+)", field)} == set(doc)
+    # the backquoted plain names of the agents[] row
+    assert set(re.findall(r"`(\w+)`", table["`agents[]`"])) == set(doc["agents"][0])

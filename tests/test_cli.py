@@ -11,6 +11,7 @@ import pytest
 
 import trajsim
 from trajsim.cli import main
+from trajsim.distill import ScoreMatrix, save_score_matrix
 from trajsim.kinematics import Trajectory
 from trajsim.scene_io import (
     SyntheticSpec,
@@ -20,6 +21,9 @@ from trajsim.scene_io import (
     save_trajectory_map,
     straight_plan,
 )
+from trajsim.vocabulary import save_vocabulary
+
+from scenes import OLD_PINNED_FINGERPRINT, pinned_run
 
 
 def only_error_line(capsys) -> str:
@@ -306,6 +310,26 @@ class TestDistillCmd:
             named = done
         assert main(args) == 1
         assert only_error_line(capsys).startswith(f"error: {named}: ")
+
+    def test_checkpoint_of_the_format_with_dropped_scene_keys_refused(self, tmp_path, capsys):
+        # a checkpoint of the pinned run as written while scene documents held
+        # route_polygon_m and agents[].is_static: refused, and nothing written
+        scene, vocab = pinned_run()
+        d = tmp_path / "scenes"
+        d.mkdir()
+        save_scene(scene, d / "pinned.json")
+        vocab_path = tmp_path / "vocab.bin"
+        save_vocabulary(vocab, vocab_path)
+        out, done, teachers = tmp_path / "m.bin", tmp_path / "m.bin.done", tmp_path / "t.txt"
+        save_score_matrix(ScoreMatrix(("pinned",), np.full((1, vocab.k), 0.5)), out)
+        done.write_text(f"sha256:{OLD_PINNED_FINGERPRINT}\n0\n")
+        stale = out.read_bytes()
+        code = main(["distill", "--scenes", str(d), "--vocab", str(vocab_path), "--seed", "5",
+                     "--out", str(out), "--teachers", str(teachers)])
+        assert code == 1
+        assert only_error_line(capsys).startswith(
+            f"error: {out}: existing checkpoint was written for other scenes, vocabulary or configs")
+        assert out.read_bytes() == stale and not teachers.exists()
 
     def test_rerun_resumes_identically(self, tmp_path, capsys):
         d, vocab_path = self._vocab(tmp_path)

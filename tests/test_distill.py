@@ -17,13 +17,13 @@ from trajsim.distill import (
     score_vocabulary,
     select_pseudo_teachers,
 )
-from trajsim.geom import Polygon, Polyline, Pose
-from trajsim.kinematics import EgoState, KinematicsConfig, Trajectory
-from trajsim.metrics import Lane, MetricConfig, Scene
+from trajsim.geom import Pose
+from trajsim.kinematics import KinematicsConfig, Trajectory
+from trajsim.metrics import MetricConfig
 from trajsim.scene_io import SyntheticSpec, generate_scene, transform_scene
 from trajsim.vocabulary import TrajectoryCorpus, Vocabulary, headings_from_tangents, kmeans
 
-from scenes import rich_scene
+from scenes import OLD_PINNED_FINGERPRINT, pinned_run, rich_scene
 
 
 def traj_from_xy(xy):
@@ -177,27 +177,24 @@ class TestScoreVocabulary:
         with pytest.raises(ValueError):
             score_vocabulary([], vocab)
 
-    def test_fingerprint_keeps_the_bytes_of_older_checkpoints(self):
-        # the hex of the version that hashed one Trajectory per center, so
-        # the checkpoints it wrote still resume
-        t = 0.5 * (np.arange(8) + 1)
-        plan = Trajectory(np.stack([10.0 * t, np.zeros(8), np.zeros(8)], axis=1))
-        box = Polygon([[-50, -6], [100, -6], [100, 6], [-50, 6]])
-        road = Polyline([[-50.0, 0.0], [100.0, 0.0]])
-        scene = Scene(
-            scene_id="pinned",
-            ego_init=EgoState(Pose(0.0, 0.0, 0.0), 10.0),
-            ego_history=np.array([[-1.0 * j, 0.0, 0.0, 10.0, 0.0, 0.0] for j in range(16, 0, -1)]),
-            drivable=[box], route=road, route_polygon=box, lanes=[Lane(road, 1)], intersections=[],
-            human_trajectory=plan,
-        )
-        poses = np.stack([plan.poses, 0.5 * plan.poses, -plan.poses + [0.0, 1.5, 0.25]])
-        vocab = Vocabulary(poses, seed=3, inertia=0.0)
-        want = "0669c543f9865aa5795f65c767a209ab9398aad7e42ef3680fcbaf771bafa6d4"
+    def test_fingerprint_of_pinned_scenes_and_centers(self):
+        scene, vocab = pinned_run()
+        want = "9068662b0493be1eaf3d29cb421a8aed97b11d14653af91de4918a28eab750ad"
         assert _run_fingerprint([scene], vocab, None, None) == want
         # a scene with agents and lights
-        want = "606d3c1a81268edc3d53e50c5a7ac049b54c9ca965264318655620e49fac6b0c"
+        want = "a34b427167db0424ad4525178f0e4919baa357ac4c774beb84d0b3258ab0d0c9"
         assert _run_fingerprint([rich_scene(1)], vocab, None, None) == want
+
+    def test_checkpoint_of_the_format_with_dropped_scene_keys_refused(self, tmp_path):
+        # the sidecar the pinned run wrote while scene documents still held
+        # route_polygon_m and agents[].is_static
+        scene, vocab = pinned_run()
+        path = tmp_path / "matrix.bin"
+        score_vocabulary([scene], vocab, checkpoint=path)
+        done = tmp_path / "matrix.bin.done"
+        done.write_text(f"sha256:{OLD_PINNED_FINGERPRINT}\n0\n")
+        with pytest.raises(ValueError, match="written for other scenes, vocabulary or configs"):
+            score_vocabulary([scene], vocab, checkpoint=path)
 
 
 class TestSelectPseudoTeachers:

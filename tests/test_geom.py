@@ -15,9 +15,10 @@ from trajsim.geom import (
     wrap_angle,
     xy_in_polygon,
 )
-from trajsim.scene_io import SyntheticSpec, generate_scene
+from trajsim.scene_io import SyntheticSpec, generate_scene, scene_from_doc, scene_to_doc
 
 import oracles
+from scenes import rich_scene
 
 
 def box(x, y, psi, hl, hw):
@@ -207,3 +208,32 @@ class TestPolyline:
     def test_needs_two_points_for_projection(self):
         with pytest.raises(ValueError):
             arc_at(Polyline([[0, 0]]), (1, 1))
+
+
+def held_arrays(obj) -> list:
+    """Every ndarray reachable from `obj` through the attributes and slots of
+    trajsim objects and through lists and tuples; a slot never filled
+    raises AttributeError."""
+    if isinstance(obj, np.ndarray):
+        return [obj]
+    if isinstance(obj, (list, tuple)):
+        return [a for item in obj for a in held_arrays(item)]
+    if type(obj).__module__.startswith("trajsim."):
+        names = [*getattr(obj, "__dict__", ()), *getattr(type(obj), "__slots__", ())]
+        return [a for name in names for a in held_arrays(getattr(obj, name))]
+    return []
+
+
+@pytest.mark.parametrize("make, count", [
+    (lambda: Polygon([[0, 0], [2, 0], [0, 2]]), 5),
+    (lambda: Polygon([[0, 0], [0, 2], [2, 0]]), 5),  # given CW, stored reversed
+    (lambda: Polyline([[0, 0], [3, 4], [3, 9]]), 5),
+    (lambda: Polyline([[1, 2]]), 5),
+    (lambda: generate_scene(SyntheticSpec("parked_agent", seed=3)), None),
+    (lambda: rich_scene(1), None),
+    (lambda: scene_from_doc(scene_to_doc(rich_scene(2))), None),
+])
+def test_every_array_held_is_read_only_once_built(make, count):
+    arrays = held_arrays(make())
+    assert arrays and not any(a.flags.writeable for a in arrays)
+    assert count is None or len(arrays) == count

@@ -77,7 +77,6 @@ def make_scene(agents=(), lanes=None, intersections=(), v0=10.0, drivable=None,
         **_agent_fields(agents),
         drivable=drivable,
         route=route or Polyline([[-50.0, 0.0], [100.0, 0.0]]),
-        route_polygon=Polygon([[-50, -6], [100, -6], [100, 6], [-50, 6]]),
         lanes=lanes,
         intersections=list(intersections),
         human_trajectory=human,
@@ -86,12 +85,12 @@ def make_scene(agents=(), lanes=None, intersections=(), v0=10.0, drivable=None,
 
 
 def parked(agent_id, x, y, psi=0.0):
-    return agent_id, 2.3, 0.95, np.tile([x, y, psi], (DENSE_TICKS, 1)), True
+    return agent_id, 2.3, 0.95, np.tile([x, y, psi], (DENSE_TICKS, 1))
 
 
 def moving(agent_id, x0, y0, vx, vy, psi):
     states = np.stack([x0 + vx * T, y0 + vy * T, np.full(DENSE_TICKS, psi)], axis=1)
-    return agent_id, 2.3, 0.95, states, False
+    return agent_id, 2.3, 0.95, states
 
 
 class TestNoCollision:
@@ -341,8 +340,7 @@ class TestAgentArrays:
         assert scene.agent_states.shape == (2, DENSE_TICKS, 3)
         assert np.array_equal(scene.agent_states, np.stack([a[3] for a in agents]))
         assert scene.agent_half_lengths.tolist() == [2.3, 2.3] and scene.agent_half_widths.tolist() == [0.95, 0.95]
-        assert scene.agent_is_static.tolist() == [True, False]
-        for arr in (scene.agent_states, scene.agent_half_lengths, scene.agent_half_widths, scene.agent_is_static):
+        for arr in (scene.agent_states, scene.agent_half_lengths, scene.agent_half_widths):
             assert not arr.flags.writeable
         assert not any(np.shares_memory(scene.agent_states, a[3]) for a in agents)
 
@@ -357,7 +355,7 @@ class TestAgentArrays:
     def test_replay_velocity_repeats_the_last_step(self):
         # accelerating in x, so the last tick's velocity differs from any other
         states = np.column_stack([T * T, -3.0 * T, np.zeros(DENSE_TICKS)])
-        ctx = ScoreContext(make_scene(agents=[("a", 2.3, 0.95, states, False)]))
+        ctx = ScoreContext(make_scene(agents=[("a", 2.3, 0.95, states)]))
         steps = np.diff(states[:, :2], axis=0) / 0.1
         want = np.vstack([steps, steps[-1:]])
         assert np.array_equal(ctx.agent_vx[0], want[:, 0]) and np.array_equal(ctx.agent_vy[0], want[:, 1])
@@ -365,20 +363,20 @@ class TestAgentArrays:
     def test_no_agents(self):
         scene = make_scene()
         assert scene.agent_ids == () and scene.agent_states.shape == (0, DENSE_TICKS, 3)
-        assert scene.agent_half_lengths.shape == scene.agent_is_static.shape == (0,)
+        assert scene.agent_half_lengths.shape == scene.agent_half_widths.shape == (0,)
         assert ScoreContext(scene).n_agents == 0
 
     @pytest.mark.parametrize("index, agent, message", [
-        (1, ("b", 2.3, -1.0, np.zeros((DENSE_TICKS, 3)), False),
+        (1, ("b", 2.3, -1.0, np.zeros((DENSE_TICKS, 3))),
          "agents[1]: agent 'b': half_width must be finite and positive, at most 1e+09, got -1.0"),
-        (2, ("c", 2.3, 0.95, np.zeros((DENSE_TICKS - 1, 3)), False),
+        (2, ("c", 2.3, 0.95, np.zeros((DENSE_TICKS - 1, 3))),
          "agents[2]: agent 'c': states must be (41, 3), got (40, 3)"),
-        (2, ("c", 2.3, 0.95, np.full((DENSE_TICKS, 3), np.nan), False), "agents[2]: agent 'c': states must be finite"),
+        (2, ("c", 2.3, 0.95, np.full((DENSE_TICKS, 3), np.nan)), "agents[2]: agent 'c': states must be finite"),
     ])
     def test_first_bad_agent_named(self, index, agent, message):
         agents = [parked(f"ok-{i}", 10.0 * i, 0.0) for i in range(4)]
         agents[index] = agent
-        agents[3] = ("d", 2.3, float("nan"), np.zeros((DENSE_TICKS - 1, 3)), False)  # a later defect is not named
+        agents[3] = ("d", 2.3, float("nan"), np.zeros((DENSE_TICKS - 1, 3)))  # a later defect is not named
         with pytest.raises(ValueError, match=re.escape(message)):
             make_scene(agents=agents)
 

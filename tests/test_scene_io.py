@@ -15,9 +15,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from trajsim.cli import main
+from trajsim.distill import score_scene_row
 from trajsim.geom import COORD_LIMIT_M, Polygon, Polyline, Pose
 from trajsim.kinematics import pid_track, trajectory_to_world
-from trajsim.vocabulary import TrajectoryCorpus
+from trajsim.vocabulary import TrajectoryCorpus, Vocabulary
 from trajsim.metrics import Scene, ScoreContext, aggregate_epdms, evaluate_rollout, score_nc, score_tlc
 from trajsim.scene_io import (
     TEMPLATES,
@@ -77,31 +78,86 @@ class TestRoundTrip:
         assert np.array_equal(again.agent_states, scene.agent_states)
 
 
-# The SHA-256 of scene files as save_scene writes them.  rich_scene has
-# five agents and two lights; clean_straight and crossing_agent plan no
-# heading with np.arctan2, so their bytes are the same at every SIMD level.
+# The SHA-256 of scene files: as the format before this one wrote them,
+# with route_polygon_m and each agent's is_static, and as save_scene writes
+# them.  rich_scene has five agents and two lights; clean_straight and
+# crossing_agent plan no heading with np.arctan2, so their bytes are the
+# same at every SIMD level.
 SCENE_FILE_SHA256 = [
-    (RICH, 1, "7995509fa4ace762715908c628afe79302c26b1c37f82a7fd2ff6a83b93ab685"),
-    (RICH, 2, "3c2171b04448889e3860b550d356e7311edb42704fb118aec83c1b96848324ec"),
-    ("clean_straight", 0, "7ebb6c887ed7dfdb8ef0a95733fe9ab0b0d71f8357102316a1dfa8ac5e48b541"),
-    ("clean_straight", 1, "dc66b8e05115a732754c95a9feced9eac78d39b0ed6c9bb5f164df9cd276cd00"),
-    ("clean_straight", 2, "69158bcffc9efe8f7d688d368ee2463656ffb4e61cc61bd1c5ac262afc47d171"),
-    ("clean_straight", 3, "32330470eb411bcfdd25bd1550a4c769b2f17f7320bbb360763643c5bf42cd86"),
-    ("clean_straight", 4, "3bc91529db84a335a9c967b28da14304ed8f3e6d9d408c2e05420d4ad27df931"),
-    ("crossing_agent", 0, "8b07a626cc1440bb96dd38de981cb68a4309b0ca7d1e0121c77bed42fb1729f1"),
-    ("crossing_agent", 1, "404762876683afb686481709b7cdb347bb2062baf78391b766730907cce48b8e"),
-    ("crossing_agent", 2, "a196810db0541ccd938591f0ab8b93c0561888a4244392901e8513369702cf4e"),
-    ("crossing_agent", 3, "1075a91fd41d0c70ab8168a932092dfd4010736565f1aa2fcb24d4a1b0afc118"),
-    ("crossing_agent", 4, "1670fafa1318f169a9fe143d8035b7336302d0b17cd959b2fa3a24745695ef77"),
+    (RICH, 1, "7995509fa4ace762715908c628afe79302c26b1c37f82a7fd2ff6a83b93ab685",
+     "7a078950416186ee4b2a0dcfe6f40113f058a0523c18d7150a8009d449b2e311"),
+    (RICH, 2, "3c2171b04448889e3860b550d356e7311edb42704fb118aec83c1b96848324ec",
+     "048b53dcaf723d19570ddfbe7469ad7d36cee6aa201d3d5a697388d2ad8903e9"),
+    ("clean_straight", 0, "7ebb6c887ed7dfdb8ef0a95733fe9ab0b0d71f8357102316a1dfa8ac5e48b541",
+     "47bba817909489a51f8cc5bd187e4f0eb310725e501b52128c41d7396eb6f187"),
+    ("clean_straight", 1, "dc66b8e05115a732754c95a9feced9eac78d39b0ed6c9bb5f164df9cd276cd00",
+     "0f6c58ff977004f553b6a65d0456a955a5c5971dfe0b69ea8d0a87fe1ca759aa"),
+    ("clean_straight", 2, "69158bcffc9efe8f7d688d368ee2463656ffb4e61cc61bd1c5ac262afc47d171",
+     "cf26afd20a19f6d81b889c7b4e0a5b58d391a3cfa98fa91f0c1a6eac06157b78"),
+    ("clean_straight", 3, "32330470eb411bcfdd25bd1550a4c769b2f17f7320bbb360763643c5bf42cd86",
+     "b3fdfcce1d450e9e0bd55fdac9304410909e546876049976861c04c394e36e72"),
+    ("clean_straight", 4, "3bc91529db84a335a9c967b28da14304ed8f3e6d9d408c2e05420d4ad27df931",
+     "5760f070846bc3f88566adfd1003d4e42636695d0ee83579b9a111d1e5d8e1f3"),
+    ("crossing_agent", 0, "8b07a626cc1440bb96dd38de981cb68a4309b0ca7d1e0121c77bed42fb1729f1",
+     "a9b9e4cecedce6aa759d02077fbf0d2ccc43a1182815ab2571efff2be1a00d33"),
+    ("crossing_agent", 1, "404762876683afb686481709b7cdb347bb2062baf78391b766730907cce48b8e",
+     "a21fdfd4f7ea41492562602ed03f62f1c1e0483c722f0f032f86dc70b7c45a4a"),
+    ("crossing_agent", 2, "a196810db0541ccd938591f0ab8b93c0561888a4244392901e8513369702cf4e",
+     "a8063f31ea20dfff49e78701ec8301022c0f2cdd6b13bdca24d07bb09c176ea3"),
+    ("crossing_agent", 3, "1075a91fd41d0c70ab8168a932092dfd4010736565f1aa2fcb24d4a1b0afc118",
+     "fbd1793db4c45b5738197dde808f57a9cde5d0c70fa3b51965682eba976753ea"),
+    ("crossing_agent", 4, "1670fafa1318f169a9fe143d8035b7336302d0b17cd959b2fa3a24745695ef77",
+     "7cba1e66f083438fe67e655c0c4c2dc3dfeaeba8747e9245479795c4b1222dea"),
 ]
 
 
-@pytest.mark.parametrize("template, seed, sha256", SCENE_FILE_SHA256)
-def test_scene_files_keep_their_bytes(tmp_path, template, seed, sha256):
-    scene = rich_scene(seed) if template == RICH else generate_scene(SyntheticSpec(template, seed=seed))
+def table_scene(template, seed):
+    return rich_scene(seed) if template == RICH else generate_scene(SyntheticSpec(template, seed=seed))
+
+
+@pytest.mark.parametrize("template, seed, old_sha256, sha256", SCENE_FILE_SHA256)
+def test_scene_files_keep_their_bytes(tmp_path, template, seed, old_sha256, sha256):
     path = tmp_path / "scene.json"
-    save_scene(scene, path)
+    save_scene(table_scene(template, seed), path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
+
+
+def inserted(d: dict, before: str, key: str, value) -> dict:
+    """A copy of `d` with key: value inserted just ahead of the key `before`."""
+    items = list(d.items())
+    i = list(d).index(before)
+    return dict([*items[:i], (key, value), *items[i:]])
+
+
+def old_format_doc(scene, route_polygon=None, is_static=None) -> dict:
+    """The document of `scene` as the format before this one wrote it: each
+    agent's is_static ahead of its states, true for the parked agents, and
+    route_polygon_m, the first drivable polygon, after route_polyline_m.
+    Either value may be replaced, by one that was never valid there."""
+    doc = scene_to_doc(scene)
+    doc["agents"] = [
+        inserted(a, "states", "is_static", a["id"].startswith("parked") if is_static is None else is_static)
+        for a in doc["agents"]
+    ]
+    polygon = doc["drivable_polygons_m"][0] if route_polygon is None else route_polygon
+    return inserted(doc, "lanes", "route_polygon_m", polygon)
+
+
+@pytest.mark.parametrize("template, seed, old_sha256, sha256", SCENE_FILE_SHA256)
+def test_files_lose_only_the_two_dropped_keys(tmp_path, template, seed, old_sha256, sha256):
+    # the format before this one, rebuilt from today's document, has the
+    # bytes it had; it and copies with malformed dropped keys load to scenes
+    # that score the same bits as the scene itself
+    scene = table_scene(template, seed)
+    text = json.dumps(old_format_doc(scene), indent=2) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == old_sha256
+    vocab = Vocabulary(np.stack([straight_plan(v).poses for v in (4.0, 8.0, 12.0)]), seed=0, inertia=0.0)
+    want = score_scene_row(scene, vocab)
+    malformed = [old_format_doc(scene, [[float("nan"), 0.0]], "no"), old_format_doc(scene, "x", 7)]
+    for doc in (old_format_doc(scene), *malformed):
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(doc))
+        assert score_scene_row(load_scene(path), vocab).tobytes() == want.tobytes()
 
 
 class TestValidation:
@@ -130,7 +186,8 @@ class TestValidation:
     def test_bad_phase_name(self, scene, tmp_path):
         doc = scene_to_doc(generate_scene(SyntheticSpec("red_light", seed=0)))
         doc["intersections"][0]["light"]["phase_per_tick"][3] = "purple"
-        with pytest.raises(SceneFormatError):
+        message = "intersections[0].light.phase_per_tick[3] must be one of ('green', 'yellow', 'red'), not 'purple'"
+        with pytest.raises(SceneFormatError, match=re.escape(message)):
             scene_from_doc(doc)
 
     def test_not_json(self, tmp_path):
@@ -253,14 +310,16 @@ MORE_WRONG_TYPES = [
     (("ego", "init", "steer_rad"), None, "ego.init.steer_rad must be a number, not null"),
     (("agents", 0, "states"), "x", "agents[0].states must be an array, not a string"),
     (("agents", 0, "states", 3, 1), "1.5", "agents[0].states must hold only numbers"),
-    (("agents", 0, "is_static"), "no", "agents[0].is_static must be a boolean, not a string"),
+    ((RICH, "intersections", 0, "light"), [], "intersections[0].light must be an object, not an array"),
     (("drivable_polygons_m", 0), {"x": 1}, "drivable_polygons_m[0] must be an array, not an object"),
     (("lanes", 0, "direction_sign"), "1", "lanes[0].direction_sign must be a number, not a string"),
     (("human_trajectory_ego",), [], "human_trajectory_ego must be an object, not an array"),
     (("scene_id",), 7, "scene_id must be a string, not a number"),
     (("human_trajectory_ego", "waypoints"), "x", "human_trajectory_ego.waypoints must be an array, not a string"),
     (("human_trajectory_ego", "waypoints"), [[1.0, 2.0]], "human_trajectory_ego.waypoints: trajectory needs an (M, 3)"),
-    ((RICH, "agents", 3, "is_static"), "no", "agents[3].is_static must be a boolean, not a string"),
+    # both lights share one id, and only the path tells which holds the bad phase
+    ((RICH, "intersections", 1, "light"), {"intersection_id": "a", "phase_per_tick": ["red"] * 40 + ["purple"]},
+     "intersections[1].light.phase_per_tick[40] must be one of ('green', 'yellow', 'red'), not 'purple'"),
     ((RICH, "agents", 3, "states"), [[0.0, 0.0, 0.0]] * 40,
      "agents[3]: agent 'from-behind': states must be (41, 3), got (40, 3)"),
     ((RICH, "intersections", 1, "light", "phase_per_tick"), ["red"] * 40,
@@ -293,7 +352,7 @@ class TestWrongJsonType:
 
 # Constructor errors name the field the constructor's input was read from.
 UNNAMED_BY_CONSTRUCTOR = [
-    (("route_polygon_m", 0, 0), float("nan"), "route_polygon_m: polygon vertices must be finite"),
+    (("drivable_polygons_m", 0, 0, 0), float("nan"), "drivable_polygons_m[0]: polygon vertices must be finite"),
     (("route_polyline_m",), [], "route_polyline_m: polyline needs at least 1 planar point"),
     (("drivable_polygons_m", 0), [[0.0, 0.0]], "drivable_polygons_m[0]: polygon needs at least 3 planar vertices"),
     (("drivable_polygons_m",), [], "drivable_polygons_m must hold at least one polygon"),
@@ -439,7 +498,7 @@ class TestGenerator:
 
             monkeypatch.setattr(cls, "__init__", counting)
         scene = generate_scene(SyntheticSpec(template, seed=7))
-        polygons = [*scene.drivable, scene.route_polygon, *(i.polygon for i in scene.intersections)]
+        polygons = [*scene.drivable, *(i.polygon for i in scene.intersections)]
         held = {
             "Scene": 1,
             "Polygon": len(set(map(id, polygons))),

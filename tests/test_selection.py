@@ -15,7 +15,6 @@ def road_scene(x0=0.0, v0=10.0):
         ego_history=[[x0 - v0 * 0.1 * j, 0.0, 0.0, v0, 0.0, 0.0] for j in range(16, 0, -1)],
         drivable=[Polygon([[-50, -8], [200, -8], [200, 8], [-50, 8]])],
         route=Polyline([[-50.0, 0.0], [200.0, 0.0]]),
-        route_polygon=Polygon([[-50, -8], [200, -8], [200, 8], [-50, 8]]),
         lanes=[Lane(Polyline([[-50.0, 0.0], [200.0, 0.0]]), 1)],
         intersections=[],
         human_trajectory=human,

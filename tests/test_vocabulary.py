@@ -44,15 +44,7 @@ def blob_corpus(rng, per_blob=200, offset=50.0):
     return corpus, means
 
 
-class TestEmbed:
-    def test_shape(self):
-        t = traj_from_xy(np.ones((8, 2)))
-        assert t.xy.reshape(-1).copy().shape == (16,)
-
-    def test_straight_values(self):
-        xy = np.stack([5.0 * np.arange(1, 9), np.zeros(8)], axis=1)
-        assert np.array_equal(traj_from_xy(xy).xy.reshape(-1).copy(), xy.reshape(-1))
-
+class TestHeadings:
     def test_heading_reconstruction_straight(self):
         xy = np.stack([5.0 * np.arange(1, 9), np.zeros(8)], axis=1)
         assert np.all(headings_from_tangents(xy) == 0.0)
