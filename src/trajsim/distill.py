@@ -47,18 +47,20 @@ _HEADER = struct.Struct("<4sIII")
 
 @dataclass(frozen=True)
 class ScoreMatrix:
-    """EPDMS of every vocabulary center against every scene, (S, K) in [0, 1]."""
+    """EPDMS of every vocabulary center against every scene, (S, K) in [0, 1];
+    `values` is the matrix's own read-only copy."""
 
     scene_ids: tuple
     values: np.ndarray
 
     def __post_init__(self):
-        v = self.values
+        v = np.array(self.values, dtype=float)
         if v.ndim != 2 or v.shape[0] != len(self.scene_ids):
             raise ValueError("values must be (n_scenes, k)")
         if not np.all((v >= 0.0) & (v <= 1.0)):  # also rejects NaN
             raise ValueError("scores must lie in [0, 1]")
         v.setflags(write=False)
+        object.__setattr__(self, "values", v)
 
     @property
     def n_scenes(self) -> int:
@@ -363,7 +365,7 @@ def load_score_matrix(path) -> ScoreMatrix:
     """The matrix of a file written by save_score_matrix; rows are named by
     their index, since the file holds no scene ids."""
     raw, s, k = _read_matrix(path)
-    values = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size).reshape(s, k).copy()
+    values = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size).reshape(s, k)
     return ScoreMatrix(scene_ids=tuple(str(i) for i in range(s)), values=values)
 
 

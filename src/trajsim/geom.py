@@ -1,13 +1,15 @@
-"""Planar geometry kernel: poses, oriented boxes, polygons, polylines.
+"""Planar geometry kernel: poses, the rigid frame change, polygons,
+polylines and the oriented-box overlap test.
 
 Conventions used throughout the package:
   * headings are radians in (-pi, pi], +x is "forward", angles grow CCW
   * points on polygon edges count as inside; touching boxes count as
     overlapping (a grazing contact is a collision)
   * all values are immutable after construction: polygons and polylines
-    build the edge and segment arrays their queries read in the constructor
-    and hold them read-only, and every operation here is a pure function, so
-    everything is safe to share across threads
+    copy the points they are given, build the edge and segment arrays their
+    queries read in the constructor and hold them all read-only, and every
+    operation here is a pure function, so everything is safe to share across
+    threads
 """
 
 from __future__ import annotations
@@ -19,12 +21,10 @@ import numpy as np
 
 __all__ = [
     "Pose",
-    "OrientedBox",
     "Polygon",
     "Polyline",
     "wrap_angle",
     "to_world",
-    "obb_overlap_batch",
     "xy_in_polygon",
     "arc_length",
     "arc_positions",
@@ -56,11 +56,20 @@ def wrap_angle(a: float) -> float:
     return r
 
 
-def to_world(frame: Pose, x, y):
-    """World coordinates of the points (x, y) given in the frame of the pose
-    `frame`; x and y are floats or arrays of one shape."""
+def to_world(frame: Pose, rows: np.ndarray) -> np.ndarray:
+    """The (n, >= 2) float rows, given in the frame of the pose `frame`, in
+    the world frame, as a new array: columns 0 and 1 are the point, column 2,
+    if there is one, the heading (plus frame.psi, wrapped to (-pi, pi]), and
+    any further column is copied.  `frame` is read only for its x, y and psi,
+    and `rows` is not written."""
     c, s = math.cos(frame.psi), math.sin(frame.psi)
-    return frame.x + c * x - s * y, frame.y + s * x + c * y
+    x, y = rows[:, 0], rows[:, 1]
+    out = rows.copy()
+    out[:, 0] = frame.x + c * x - s * y
+    out[:, 1] = frame.y + s * x + c * y
+    if rows.shape[1] > 2:
+        out[:, 2] = [wrap_angle(a) for a in (rows[:, 2] + frame.psi).tolist()]
+    return out
 
 
 @dataclass(frozen=True)
@@ -77,27 +86,6 @@ class Pose:
         object.__setattr__(self, "psi", wrap_angle(self.psi))
 
 
-@dataclass(frozen=True)
-class OrientedBox:
-    """Rectangle given by center pose and half extents (both > 0)."""
-
-    center: Pose
-    half_length: float
-    half_width: float
-
-    def __post_init__(self):
-        if self.half_length <= 0 or self.half_width <= 0:
-            raise ValueError("box extents must be positive")
-
-    def corners(self) -> np.ndarray:
-        """4x2 array of corners, CCW starting front-left."""
-        c, s = math.cos(self.center.psi), math.sin(self.center.psi)
-        hl, hw = self.half_length, self.half_width
-        local = np.array([[hl, hw], [-hl, hw], [-hl, -hw], [hl, -hw]])
-        rot = np.array([[c, -s], [s, c]])
-        return local @ rot.T + np.array([self.center.x, self.center.y])
-
-
 class Polygon:
     """Simple polygon, stored CCW (input orientation is normalized).
 
@@ -111,7 +99,7 @@ class Polygon:
     end points; `_e`, (n, 2) offsets; `_len2`, (n, 1) squared lengths; and
     `_ey_div`, (n, 1), the y offsets with the zeros of horizontal edges
     replaced by 1, for the crossing test, where they never count.  Every
-    array is read-only.
+    array is the polygon's own and read-only.
     """
 
     __slots__ = ("vertices", "_nxt", "_e", "_len2", "_ey_div")
@@ -125,8 +113,9 @@ class Polygon:
         nxt = np.concatenate([v[1:], v[:1]])
         area2 = float(np.sum(v[:, 0] * nxt[:, 1] - nxt[:, 0] * v[:, 1]))
         if area2 < 0:
-            v = v[::-1].copy()
+            v = v[::-1]
             nxt = np.concatenate([v[1:], v[:1]])
+        v = v.copy()  # the polygon's own ring, which no later write of the caller's reaches
         e = nxt - v
         sq = e * e
         len2 = sq[:, 0:1] + sq[:, 1:2]
@@ -158,13 +147,14 @@ class Polyline:
     The constructor also keeps the segment arrays every projection reads,
     segment i running from point i to point i+1: `_d`, (n - 1, 2) offsets;
     `_len2`, (n - 1, 1) squared lengths; `_seg_len`, (n - 1,) lengths; and
-    `_cum`, (n,) the arc length at each point.  Every array is read-only.
+    `_cum`, (n,) the arc length at each point.  Every array is the
+    polyline's own and read-only.
     """
 
     __slots__ = ("points", "_d", "_len2", "_seg_len", "_cum")
 
     def __init__(self, points):
-        p = np.asarray(points, dtype=float)
+        p = np.array(points, dtype=float)  # a copy: no later write of the caller's reaches it
         if p.ndim != 2 or p.shape[1] != 2 or p.shape[0] < 1:
             raise ValueError("polyline needs at least 1 planar point")
         if not (np.abs(p) <= COORD_LIMIT_M).all():
@@ -192,25 +182,16 @@ class Polyline:
 # oriented-box overlap (separating axis test)
 
 
-def obb_overlap_batch(ax, ay, apsi, ahl, ahw, bx, by, bpsi, bhl, bhw) -> np.ndarray:
-    """Vectorized SAT overlap for paired boxes; touching counts as overlap.
-
-    All arguments broadcast together; returns a bool array of their
-    broadcast shape.
-    """
-    return np.asarray(_obb_overlap(
-        ax, ay, np.cos(apsi), np.sin(apsi), ahl, ahw, bx, by, np.cos(bpsi), np.sin(bpsi), bhl, bhw
-    ))
-
-
 def _obb_overlap(ax, ay, ca, sa, ahl, ahw, bx, by, cb, sb, bhl, bhw) -> np.ndarray:
-    """The SAT body of obb_overlap_batch, with each heading given by its
-    cosine and sine (ca, sa for box A, cb, sb for box B).
+    """SAT overlap of paired boxes, each given by its center, the cosine and
+    sine of its heading (ca, sa for box A, cb, sb for box B) and its half
+    length and half width; touching counts as overlap.
 
-    The arguments broadcast together, but each term is formed at the shape
-    of its own operands: heading terms repeated along an axis on which only
-    the centers move (TTC's horizon substeps) are computed once, not per
-    element of that axis.
+    The arguments broadcast together, and the result is a bool array of
+    their broadcast shape.  Each term is formed at the shape of its own
+    operands: heading terms repeated along an axis on which only the centers
+    move (TTC's horizon substeps) are computed once, not per element of that
+    axis.
     """
     dx = bx - ax
     dy = by - ay

@@ -4,11 +4,12 @@ A plan is M waypoints at 0.5 s spacing (waypoint i at t + 0.5*(i+1), ego at
 the origin of its own frame at time t).  Metrics never consume plans
 directly; they consume the 41-state, 10 Hz rollout produced by tracking the
 plan with a PID-controlled kinematic bicycle.  ``ego_rollout`` is that step
-for an ego-frame plan: it places the plan at the initial pose and tracks it
-in the world frame (EP's reference, distillation rows and the CLI all call
-it).  The tracking loop itself is one generator, ``_pid_ticks``, that yields
-each state as it is computed: ``pid_track`` collects all 40, and selection
-comfort stops at the first tick that fails it.
+for an ego-frame plan: it places the plan at the initial pose
+(``trajectory_to_world``, one ``geom.to_world`` of the plan's pose rows) and
+tracks it in the world frame (EP's reference, distillation rows and the CLI
+all call it).  The tracking loop itself is one generator, ``_pid_ticks``,
+that yields each state as it is computed: ``pid_track`` collects all 40, and
+selection comfort stops at the first tick that fails it.
 """
 
 from __future__ import annotations
@@ -41,18 +42,19 @@ PLAN_DT = 0.5
 
 
 class Trajectory:
-    """Sparse planned motion: (M, 3) array of (x, y, psi) at 0.5 s spacing."""
+    """Sparse planned motion: (M, 3) array of (x, y, psi) at 0.5 s spacing,
+    the trajectory's own copy, read-only."""
 
     __slots__ = ("poses",)
 
     def __init__(self, poses):
-        p = np.asarray(poses, dtype=float)
+        p = np.array(poses, dtype=float)
         if p.ndim != 2 or p.shape[1] != 3 or p.shape[0] < 1:
             raise ValueError("trajectory needs an (M, 3) array of waypoints")
         if not (np.abs(p) <= COORD_LIMIT_M).all():  # headings too, which keeps it one test
             raise _coord_error("trajectory waypoints", p)
+        p.setflags(write=False)
         self.poses = p
-        self.poses.setflags(write=False)
 
     @property
     def m(self) -> int:
@@ -91,12 +93,13 @@ class EgoState:
 
 
 class DenseTrajectory:
-    """Exactly 41 kinematic states at 0.1 s, stored as per-field arrays."""
+    """Exactly 41 kinematic states at 0.1 s, stored as per-field arrays, each
+    the rollout's own copy, read-only."""
 
     __slots__ = ("x", "y", "psi", "v", "a", "steer")
 
     def __init__(self, x, y, psi, v, a, steer):
-        arrays = [np.asarray(f, dtype=float) for f in (x, y, psi, v, a, steer)]
+        arrays = [np.array(f, dtype=float) for f in (x, y, psi, v, a, steer)]
         for arr in arrays:
             if arr.shape != (DENSE_TICKS,):
                 raise ValueError(f"dense trajectory fields must have shape ({DENSE_TICKS},)")
@@ -111,10 +114,6 @@ class DenseTrajectory:
 
     def state(self, i: int) -> EgoState:
         return EgoState(Pose(self.x[i], self.y[i], self.psi[i]), self.v[i], self.a[i], self.steer[i])
-
-    @property
-    def xy(self) -> np.ndarray:
-        return np.stack([self.x, self.y], axis=1)
 
     def __eq__(self, other):
         return isinstance(other, DenseTrajectory) and all(
@@ -290,11 +289,7 @@ def finite_difference(values: np.ndarray, dt: float) -> np.ndarray:
 
 def trajectory_to_world(t: Trajectory, frame: Pose) -> Trajectory:
     """Express an ego-frame trajectory in the world frame of `frame`."""
-    p = t.poses
-    out = np.empty_like(p)
-    out[:, 0], out[:, 1] = to_world(frame, p[:, 0], p[:, 1])
-    out[:, 2] = [wrap_angle(a) for a in (p[:, 2] + frame.psi).tolist()]
-    return Trajectory(out)
+    return Trajectory(to_world(frame, t.poses))
 
 
 def ego_rollout(plan: Trajectory, init: EgoState, cfg: KinematicsConfig | None = None) -> DenseTrajectory:

@@ -11,16 +11,16 @@ A ``Scene`` holds its replayed agents as arrays, one row per agent: the
 when the scene is built.  Each ``Intersection`` holds its light's (41,)
 phases, and each polygon and polyline holds the edge or segment arrays
 its queries read, built with it.  Every rule takes the rollout and a
-``ScoreContext`` of its scene, which reads views of those arrays,
-precomputes the per-scene arrays once
-(agent headings as cosines and sines, TTC's agent horizon positions, the
-ego box's corner offsets, every lane's segments stacked into one array)
-and the human reference rollout (EP's denominator, ``ego_rollout`` of the
-scene's human plan) on first use.
-A context also keeps what the rules derive from the last rollout they
-scored: the cosine and sine of its heading, its box corners, which corners
-and centers lie in each intersection, and its lane geometry, each computed
-on first use and then shared by every rule that reads it.  The memo is one
+``ScoreContext`` of its scene.  The context reads views of those arrays,
+and when it is built it computes the per-scene arrays (agent headings as
+cosines and sines, TTC's agent horizon positions, the ego box's corner
+offsets, every lane's segments stacked into one array) and the human
+reference rollout with its route progress (EP's denominator, from
+``ego_rollout`` of the scene's human plan).  A context also keeps what the
+rules derive from the last rollout they scored: the cosine and sine of its
+heading, its box corners, which corners and centers lie in each
+intersection, and its lane geometry, each computed on first use and then
+shared by every rule that reads it.  The memo is one
 object per rollout, replaced whole and matched by rollout identity
 (rollouts are immutable), so threads sharing a context can at worst
 recompute a part and never receive another rollout's values.
@@ -318,8 +318,8 @@ class ScoreContext:
     horizon; the ego box's corner offsets; every lane's centerline
     segments stacked into one array, with the legal direction of each; and
     the speeds and headings of the last history_pad_ticks history rows, which
-    pad HC.  The human reference rollout (needed by EP) is computed on first
-    use.
+    pad HC; and the human reference rollout with its route progress, EP's
+    denominator.
 
     The values that several rules derive from one rollout (the cosine and
     sine of its heading, its box corners, which corners and centers lie in
@@ -332,7 +332,7 @@ class ScoreContext:
         "agent_x", "agent_y", "agent_cos", "agent_sin", "agent_hl", "agent_hw",
         "agent_vx", "agent_vy", "n_agents", "ttc_horizon", "ttc_x", "ttc_y",
         "corner_lon", "corner_lat", "lane_segments", "lane_slices", "lane_dir_x", "lane_dir_y",
-        "_reference", "_ref_progress", "_memo", "hist_psi", "hist_v",
+        "reference", "ref_progress", "_memo", "hist_psi", "hist_v",
     )
 
     def __init__(self, scene: Scene, kin_cfg=None, metric_cfg=None):
@@ -388,21 +388,10 @@ class ScoreContext:
         self.hist_psi = history[len(history) - pad:, 2]
         self.hist_v = history[len(history) - pad:, 3]
 
-        self._reference = None
-        self._ref_progress = None
+        # EP's denominator: the human plan's rollout and its route progress
+        self.reference = ego_rollout(scene.human_trajectory, scene.ego_init, self.kin_cfg)
+        self.ref_progress = route_progress(self.reference, scene.route)
         self._memo = None
-
-    @property
-    def reference(self) -> DenseTrajectory:
-        if self._reference is None:
-            self._reference = ego_rollout(self.scene.human_trajectory, self.scene.ego_init, self.kin_cfg)
-        return self._reference
-
-    @property
-    def ref_progress(self) -> float:
-        if self._ref_progress is None:
-            self._ref_progress = route_progress(self.reference, self.scene.route)
-        return self._ref_progress
 
 
 _TICKS = np.arange(DENSE_TICKS)
@@ -781,7 +770,8 @@ def _corridor_cells(xy: np.ndarray):
     center lies within half the corridor width of the waypoint polyline
     (round caps and joins).
     """
-    pts = _corridor_polyline(xy).points
+    line = _corridor_polyline(xy)
+    pts = line.points
     radius = 0.5 * _CORRIDOR_WIDTH_M
     lo = np.floor((pts.min(axis=0) - radius - _CELL_M) / _CELL_M).astype(np.int64)
     n = np.ceil((pts.max(axis=0) + radius + _CELL_M - lo * _CELL_M) / _CELL_M).astype(np.int64)
@@ -790,16 +780,9 @@ def _corridor_cells(xy: np.ndarray):
     if len(pts) == 1:
         d2 = (gx - pts[0, 0]) ** 2 + (gy - pts[0, 1]) ** 2
     else:
-        a = pts[:-1]
-        d = np.diff(pts, axis=0)
-        len2 = np.sum(d * d, axis=1)
-        # distance from every cell center to every segment, min over segments
-        rx = gx[:, :, None] - a[:, 0]
-        ry = gy[:, :, None] - a[:, 1]
-        t = np.clip((rx * d[:, 0] + ry * d[:, 1]) / len2, 0.0, 1.0)
-        qx = rx - t * d[:, 0]
-        qy = ry - t * d[:, 1]
-        d2 = np.min(qx * qx + qy * qy, axis=2)
+        # squared distance from every cell center to every segment, min over segments
+        _, d2 = _segment_projection(pts[:-1], line._d, line._len2, gx.ravel(), gy.ravel())
+        d2 = d2.min(axis=0).reshape(gx.shape)
     return lo, d2 <= radius * radius
 
 

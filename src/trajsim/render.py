@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geom import Pose, OrientedBox
+from .geom import Pose, to_world
 from .kinematics import trajectory_to_world
 from .metrics import PHASE_GREEN, PHASE_YELLOW, Scene
 
@@ -32,8 +32,14 @@ def _poly_points(vertices: np.ndarray) -> str:
     return " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in vertices)
 
 
+# a box's corners in its own frame, CCW from front-left, per half length and half width
+_CORNER_SIGNS = np.array([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]])
+
+
 def _box_corners(x, y, psi, hl, hw) -> np.ndarray:
-    return OrientedBox(Pose(float(x), float(y), float(psi)), hl, hw).corners()
+    """The (4, 2) world corners of the box of center (x, y), heading psi and
+    half extents hl and hw."""
+    return to_world(Pose(float(x), float(y), float(psi)), _CORNER_SIGNS * [hl, hw])
 
 
 def render_scene_svg(scene: Scene, trajectories, path) -> None:

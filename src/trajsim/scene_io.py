@@ -20,10 +20,10 @@ template guarantees a documented ground-truth property for every seed:
 
 A template gives its scene as plain arrays in a canonical frame: points,
 the agent states, and the ego states as one array.  One placement function
-moves them to the world pose, each point through ``geom.to_world`` and each
-heading plus the pose's heading through ``wrap_angle``, and assembles the
-``Scene`` once, so each object is built and checked once.
-``transform_scene`` takes a scene's arrays out and runs the same placement.
+moves each array to the world pose in one ``geom.to_world`` call, the rigid
+frame change that also places plans, and assembles the ``Scene`` once, so
+each object is built and checked once.  ``transform_scene`` takes a scene's
+arrays out and runs the same placement.
 """
 
 from __future__ import annotations
@@ -349,37 +349,27 @@ class _Frame(NamedTuple):
 
 def _placed(frame, ego, agent_states, drivable, route, lanes, intersections, **rest) -> Scene:
     """A scene from its parts in their own frame, moved rigidly by the pose
-    `frame`: every point through to_world, and every heading plus frame.psi,
-    wrapped.  Polygons and polylines come as plain arrays, the agent states
-    as (A, 41, 3) rows placed in one pass, and the ego states as one
-    (H + 1, 6) array: the history rows, then the initial state.  An array
-    given twice (a template's route is also its main lane) gives one object.
+    `frame`, each array of rows through to_world.  Polygons and polylines
+    come as plain arrays, the agent states as (A, 41, 3) rows placed in one
+    pass, and the ego states as one (H + 1, 6) array: the history rows, then
+    the initial state.  An array given twice (a template's route is also its
+    main lane) gives one object.
     The remaining parts, the agents' ids and extents and the ego-frame human
     trajectory among them, go to Scene unchanged."""
-
-    def placed(rows):
-        """A copy of `rows` with the x and y columns placed, and the psi
-        column if there is one."""
-        out = rows.copy()
-        out[:, 0], out[:, 1] = to_world(frame, rows[:, 0], rows[:, 1])
-        if rows.shape[1] > 2:
-            out[:, 2] = [wrap_angle(a) for a in (rows[:, 2] + frame.psi).tolist()]
-        return out
-
     built = {}
 
     def once(make, points):
         key = (make, id(points))
         if key not in built:
-            built[key] = make(placed(points))
+            built[key] = make(to_world(frame, points))
         return built[key]
 
-    ego = placed(ego)
+    ego = to_world(frame, ego)
     x, y, psi, v, a, steer = ego[-1].tolist()
     return Scene(
         ego_init=EgoState(Pose(x, y, psi), v, a, steer),
         ego_history=ego[:-1],
-        agent_states=placed(np.concatenate(agent_states)).reshape(-1, DENSE_TICKS, 3) if len(agent_states) else (),
+        agent_states=to_world(frame, np.concatenate(agent_states)).reshape(-1, DENSE_TICKS, 3) if len(agent_states) else (),
         drivable=[once(Polygon, v) for v in drivable],
         route=once(Polyline, route),
         lanes=[Lane(once(Polyline, p), sign) for p, sign in lanes],

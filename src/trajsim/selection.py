@@ -24,13 +24,14 @@ __all__ = ["ProposalSet", "SelectionState", "comfort_scores", "recalibrate", "se
 
 @dataclass(frozen=True)
 class ProposalSet:
-    """Ego-frame candidate trajectories with their external scores in [0, 1]."""
+    """Ego-frame candidate trajectories with their external scores in [0, 1],
+    the set's own read-only copy."""
 
     proposals: tuple
     scores: np.ndarray
 
     def __post_init__(self):
-        scores = np.asarray(self.scores, dtype=float)
+        scores = np.array(self.scores, dtype=float)
         if len(self.proposals) < 1:
             raise ValueError("need at least one proposal")
         if scores.shape != (len(self.proposals),):

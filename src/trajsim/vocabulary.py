@@ -155,12 +155,13 @@ class TrajectoryCorpus:
 
 class Vocabulary:
     """K cluster-center trajectories as one read-only (K, M, 3) array of
-    (x, y, psi) poses, plus the clustering provenance."""
+    (x, y, psi) poses, the vocabulary's own copy, plus the clustering
+    provenance."""
 
     __slots__ = ("poses", "seed", "inertia", "inertia_history", "_centers")
 
     def __init__(self, poses, seed: int, inertia: float, inertia_history=()):
-        p = np.asarray(poses, dtype=float)
+        p = np.array(poses, dtype=float)
         if p.ndim != 3 or p.shape[2] != 3:
             raise ValueError("vocabulary needs a (K, M, 3) array of center waypoints")
         if len(p) < 1:
@@ -189,16 +190,14 @@ class Vocabulary:
 
     @property
     def centers(self) -> tuple:
-        """One read-only Trajectory view of `poses` per center."""
+        """One Trajectory per center, built from its rows of `poses` on first
+        use."""
         if self._centers is None:
             self._centers = tuple(Trajectory(p) for p in self.poses)
         return self._centers
 
     def __reduce__(self):
         return Vocabulary, (self.poses, self.seed, self.inertia, self.inertia_history)
-
-    def embeddings(self) -> np.ndarray:
-        return self.poses[:, :, :2].reshape(self.k, -1)
 
 
 def headings_from_tangents(xy: np.ndarray) -> np.ndarray:

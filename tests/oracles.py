@@ -202,8 +202,10 @@ def trajectory_to_world(t, frame):
 
 
 def _compose(frame, x, y, psi=None):
-    """The rigid frame change transform_scene applied before it shared
-    geom.to_world with trajectory_to_world."""
+    """The rigid frame change of points (x, y) and, if given, headings psi
+    (unwrapped), written out per coordinate as transform_scene had it before
+    scenes, plans and render's boxes all placed their rows through one
+    geom.to_world."""
     c, s = math.cos(frame.psi), math.sin(frame.psi)
     nx = frame.x + c * np.asarray(x) - s * np.asarray(y)
     ny = frame.y + s * np.asarray(x) + c * np.asarray(y)
@@ -560,7 +562,7 @@ def _lane_projections(scene, pts, heading):
 def score_ddc(d, scene, cfg):
     if not scene.lanes:
         return 1.0
-    pts = d.xy
+    pts = np.stack([d.x, d.y], axis=1)
     dists, aligned = _lane_projections(scene, pts, d.psi)
     nearest = np.argmin(np.stack(dists), axis=0)
     opposing = ~np.stack(aligned)[nearest, np.arange(len(pts))]
@@ -577,7 +579,7 @@ def score_ddc(d, scene, cfg):
 def score_lk(d, scene, cfg):
     if not scene.lanes:
         return 1.0
-    pts = d.xy
+    pts = np.stack([d.x, d.y], axis=1)
     dists, aligned = _lane_projections(scene, pts, d.psi)
     offset = np.full(len(pts), np.inf)
     for dist, ok in zip(dists, aligned):

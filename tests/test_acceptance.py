@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from trajsim.distill import DistillConfig, distill_loss, score_scene_row, score_vocabulary, select_pseudo_teachers
-from trajsim.geom import OrientedBox, Pose, obb_overlap_batch
+from trajsim.geom import Pose, _obb_overlap
 from trajsim.kinematics import DENSE_TICKS, EgoState, Trajectory, pid_track, trajectory_to_world
 from trajsim.metrics import (
     ScoreContext,
@@ -145,9 +145,9 @@ def test_criterion_4_geometry_oracle():
             rng.uniform(0.5, 2.5, n), rng.uniform(0.3, 1.5, n),
         ])
         outside_band = np.abs(oracles.box_axes_measure_batch(a, b)) >= 0.01
-        lib = obb_overlap_batch(
-            a[:, 0], a[:, 1], a[:, 2], a[:, 3], a[:, 4],
-            b[:, 0], b[:, 1], b[:, 2], b[:, 3], b[:, 4],
+        lib = _obb_overlap(
+            a[:, 0], a[:, 1], np.cos(a[:, 2]), np.sin(a[:, 2]), a[:, 3], a[:, 4],
+            b[:, 0], b[:, 1], np.cos(b[:, 2]), np.sin(b[:, 2]), b[:, 3], b[:, 4],
         )
         oracle = oracles.sampling_overlap_batch(np.random.default_rng(103), a, b, n=10_000)
         checked = int(outside_band.sum())
@@ -190,7 +190,7 @@ def test_criterion_6_kmeans_properties():
             means.append(pts.reshape(200, -1).mean(axis=0))
         corpus = TrajectoryCorpus([_traj_from_xy(xy) for b in blobs for xy in b])
         vocab = kmeans(corpus, k=2, seed=0)
-        got = sorted(vocab.embeddings(), key=lambda c: c[1])
+        got = sorted(vocab.poses[:, :, :2].reshape(vocab.k, -1), key=lambda c: c[1])
         for g, w in zip(got, sorted(means, key=lambda c: c[1])):
             assert np.hypot(*(g - w).reshape(8, 2).T).max() < 0.5
 
@@ -200,7 +200,7 @@ def test_criterion_6_kmeans_properties():
         )
         v1 = kmeans(big, k=256, seed=9, workers=1)
         v2 = kmeans(big, k=256, seed=9, workers=2)
-        assert np.array_equal(v1.embeddings(), v2.embeddings())
+        assert np.array_equal(v1.poses[:, :, :2], v2.poses[:, :, :2])
         assert v1.inertia_history == v2.inertia_history
     _report(6, "k-means properties", t, f"desk-scale inertia {v1.inertia:.1f} in {len(v1.inertia_history)} iters")
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import struct
@@ -13,6 +14,7 @@ import trajsim
 from trajsim.cli import main
 from trajsim.distill import ScoreMatrix, save_score_matrix
 from trajsim.kinematics import Trajectory
+from trajsim.render import render_scene_svg
 from trajsim.scene_io import (
     SyntheticSpec,
     generate_scene,
@@ -23,7 +25,7 @@ from trajsim.scene_io import (
 )
 from trajsim.vocabulary import save_vocabulary
 
-from scenes import OLD_PINNED_FINGERPRINT, pinned_run
+from scenes import OLD_PINNED_FINGERPRINT, pinned_run, rich_scene
 
 
 def only_error_line(capsys) -> str:
@@ -481,6 +483,34 @@ class TestRenderCmd:
         main(["render", "--scene", str(scene_path), "--trajs", str(tpath), "--out", str(a)])
         main(["render", "--scene", str(scene_path), "--trajs", str(tpath), "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+
+# SHA-256 of render_scene_svg's file for each scene with pinned_plans()
+RENDER_PINS = {
+    "rich-1": "80f758a6735d278bdca65fea310558e15eb97ddc85d90c20596bfcd586807402",
+    "clean_straight": "f6d594f2570fda79778cde8d6c201db8b6c5b1907b089e1520255fae39bbe92f",
+    "parked_agent": "e8d4e4a03973f19406f60b2a183f452ae020bcf96e99574a942612ad2b3c1f69",
+    "crossing_agent": "eff90cfc805f656bcc319a1b03b41557096b1dcc9b99ec872e65ab82a51cdce2",
+    "red_light": "e57294299067a64606de481764d6e85a038c125be3350699c036deace7b59d90",
+    "oncoming_lane": "f5cae4b9fc5b5e0255993534991eb974a42e922da16ffd7a2fd4ad5f0534b775",
+    "lane_drift": "88f068fc356a28be1f4fdff84913c2ea317c0e6180d3bb97a810a2bb3151d341",
+}
+
+
+def pinned_plans():
+    """Three fixed ego-frame plans: straight at two speeds, and a left arc
+    of radius 20 m."""
+    psi = 0.15 * (np.arange(8) + 1)
+    arc = np.column_stack([20.0 * np.sin(psi), 20.0 * (1.0 - np.cos(psi)), psi])
+    return [straight_plan(8.0), straight_plan(3.0), Trajectory(arc)]
+
+
+@pytest.mark.parametrize("name", RENDER_PINS)
+def test_render_bytes_pinned(name, tmp_path):
+    scene = rich_scene(1) if name == "rich-1" else generate_scene(SyntheticSpec(name, seed=2))
+    out = tmp_path / "scene.svg"
+    render_scene_svg(scene, pinned_plans(), out)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == RENDER_PINS[name]
 
 
 class TestEntryPoint:

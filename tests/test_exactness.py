@@ -11,13 +11,15 @@ before its seeding distances were summed over a transposed copy and its
 loop-invariant terms hoisted, diversity before every corridor was
 rasterized on one shared lattice, and extended comfort over whole arrays
 and selection comfort over full rollouts, before either stopped at the
-first tick that breaks a tolerance.  The scene transform keeps its own copy
-of the rigid frame change, as it had before it shared geom.to_world with
-trajectory_to_world, and the templates build a canonical scene that it
-places, as the generator did before each scene was built once.  Besides the generated scenes, a hand-built scene
-checks the rules on geometry the generator never makes: multi-segment and
-curved lanes, five agents, a concave drivable area with a second polygon,
-and two intersections.  Every comparison here is on the bytes of the
+first tick that breaks a tolerance.  The rigid frame change keeps its
+per-coordinate form (``oracles._compose``), as the scene transform had it
+before scenes, plans and render's boxes all placed their rows through one
+geom.to_world, and the templates build a canonical scene that the oracle
+transform places, as the generator did before each scene was built once.
+Besides the generated scenes, a hand-built scene checks the rules on
+geometry the generator never makes: multi-segment and curved lanes, five
+agents, a concave drivable area with a second polygon, and two
+intersections.  Every comparison here is on the bytes of the
 float64 values, so -0.0 against 0.0 fails too.
 """
 
@@ -33,7 +35,7 @@ import pytest
 
 from trajsim.distill import score_scene_row
 from trajsim.geom import (
-    Polygon, Polyline, Pose, _ring_meets_polygon, arc_positions, xy_in_polygon,
+    Polygon, Polyline, Pose, _ring_meets_polygon, arc_positions, to_world, xy_in_polygon,
 )
 from trajsim.kinematics import (
     DENSE_TICKS, DenseTrajectory, EgoState, KinematicsConfig, Trajectory, ego_rollout, pid_track, trajectory_to_world,
@@ -203,6 +205,16 @@ def test_headings_that_need_wrapping():
         assert bits(world.poses) == bits(want_world.poses)
         init = EgoState(frame, v=float(rng.uniform(0, 15)), a=float(rng.uniform(-2, 2)), steer=float(rng.uniform(-0.3, 0.3)))
         assert_same_rollout(pid_track(world, init), oracles.pid_track(want_world, init))
+        # the placement itself, on point rows and on state rows with extra columns
+        for rows in (xy, np.column_stack([xy, psi, rng.uniform(-20, 20, size=(m, 3))])):
+            before = rows.copy()
+            got = to_world(frame, rows)
+            want = oracles._compose(frame, *rows[:, :3].T)
+            assert bits(got[:, 0]) == bits(want[0]) and bits(got[:, 1]) == bits(want[1])
+            if rows.shape[1] > 2:
+                assert bits(got[:, 2]) == bits(np.vectorize(oracles.wrap_angle)(want[2]))
+                assert bits(got[:, 3:]) == bits(rows[:, 3:])
+            assert bits(rows) == bits(before)
 
 
 def test_ego_rollout_is_the_world_frame_rollout(scenes, centers):
@@ -503,7 +515,7 @@ def _assert_kmeans_matches_oracle(xy, k, seed, max_iters=6):
     corpus = _corpus(xy)
     for workers in (1, 2, 3):
         got = kmeans(corpus, k=k, max_iters=max_iters, seed=seed, workers=workers)
-        assert bits(got.embeddings()) == bits(want_centers), (k, seed, workers)
+        assert bits(got.poses[:, :, :2].reshape(got.k, -1)) == bits(want_centers), (k, seed, workers)
         assert bits(got.inertia_history) == bits(want_history), (k, seed, workers)
     return repaired
 
@@ -598,7 +610,7 @@ def test_lloyd_labels_do_not_depend_on_the_bits_of_partial_products(kind, monkey
     want_centers, want_history, _ = oracles.kmeans(xy.reshape(len(xy), -1), k, 12, 3)
     monkeypatch.setattr(vocabulary, "np", _PerturbedProducts(len(xy), np.random.default_rng(83)))
     got = kmeans(_corpus(xy), k=k, max_iters=12, seed=3)
-    assert bits(got.embeddings()) == bits(want_centers)
+    assert bits(got.poses[:, :, :2].reshape(got.k, -1)) == bits(want_centers)
     assert bits(got.inertia_history) == bits(want_history)
 
 

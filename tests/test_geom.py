@@ -5,29 +5,36 @@ import numpy as np
 import pytest
 
 from trajsim.geom import (
-    OrientedBox,
     Polygon,
     Polyline,
     Pose,
+    _obb_overlap,
     arc_length,
     arc_positions,
-    obb_overlap_batch,
+    to_world,
     wrap_angle,
     xy_in_polygon,
 )
-from trajsim.scene_io import SyntheticSpec, generate_scene, scene_from_doc, scene_to_doc
+from trajsim.distill import ScoreMatrix
+from trajsim.kinematics import DENSE_TICKS, DenseTrajectory, Trajectory
+from trajsim.metrics import _agent_arrays
+from trajsim.scene_io import SyntheticSpec, generate_scene, scene_from_doc, scene_to_doc, straight_plan
+from trajsim.selection import ProposalSet
+from trajsim.vocabulary import Vocabulary
 
 import oracles
 from scenes import rich_scene
 
 
-def box(x, y, psi, hl, hw):
-    return OrientedBox(Pose(x, y, psi), hl, hw)
+def box(x, y, psi, hl, hw) -> np.ndarray:
+    """The (4, 2) corners of a box, CCW from front-left."""
+    return to_world(Pose(x, y, psi), np.array([[hl, hw], [-hl, hw], [-hl, -hw], [hl, -hw]], dtype=float))
 
 
 def overlaps(pa, pb) -> bool:
-    """obb_overlap_batch on two boxes given as (x, y, psi, hl, hw)."""
-    return bool(obb_overlap_batch(*pa, *pb))
+    """The rules' SAT test on two boxes given as (x, y, psi, hl, hw)."""
+    (ax, ay, apsi, ahl, ahw), (bx, by, bpsi, bhl, bhw) = pa, pb
+    return bool(_obb_overlap(ax, ay, np.cos(apsi), np.sin(apsi), ahl, ahw, bx, by, np.cos(bpsi), np.sin(bpsi), bhl, bhw))
 
 
 def in_polygon(pts, poly) -> np.ndarray:
@@ -40,11 +47,11 @@ def inside(p, poly) -> bool:
     return bool(in_polygon([p], poly)[0])
 
 
-def corners_covered(b: OrientedBox, polys) -> bool:
+def corners_covered(corners, polys) -> bool:
     """All four box corners inside the union of the polygons, as DAC tests."""
     covered = np.zeros(4, dtype=bool)
     for poly in polys:
-        covered |= in_polygon(b.corners(), poly)
+        covered |= in_polygon(corners, poly)
     return bool(covered.all())
 
 
@@ -111,8 +118,9 @@ class TestObbOverlap:
         assert disagree / checked <= 0.001
 
     def test_rejects_degenerate(self):
-        with pytest.raises(ValueError):
-            box(0, 0, 0, 0, 1)
+        # the boxes the rules test are a scene's, and the scene checks their extents
+        with pytest.raises(ValueError, match="half_length must be finite and positive"):
+            _agent_arrays(("a",), [np.zeros((DENSE_TICKS, 3))], [0.0], [1.0])
 
 
 class TestPointInPolygon:
@@ -224,11 +232,48 @@ def held_arrays(obj) -> list:
     return []
 
 
+# Each class that validates arrays, as (a float64 array a caller holds, how
+# the class is built from it, how many arrays the object holds).
+_TRIANGLE = [[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]]
+OWNERS = {
+    "Polygon": (np.array(_TRIANGLE), Polygon, 5),
+    "Polygon CW": (np.array(_TRIANGLE[::-1]), Polygon, 5),  # stored reversed
+    "Polyline": (np.array(_TRIANGLE), Polyline, 5),
+    "Trajectory": (np.array([[1.0, 0.0, 0.0], [2.0, 0.1, 0.1]]), Trajectory, 1),
+    "DenseTrajectory": (np.full((6, DENSE_TICKS), 0.5), lambda a: DenseTrajectory(*a), 6),
+    "Vocabulary": (np.ones((2, 4, 3)), lambda a: Vocabulary(a, seed=0, inertia=0.0), 1),
+    "ScoreMatrix": (np.full((2, 3), 0.5), lambda a: ScoreMatrix(("a", "b"), a), 1),
+    # the two proposals' poses too
+    "ProposalSet": (np.array([0.2, 0.7]), lambda a: ProposalSet((straight_plan(4.0), straight_plan(6.0)), a), 3),
+}
+
+
+@pytest.mark.parametrize("name", OWNERS)
+def test_the_callers_array_stays_writable(name):
+    given, make, _ = OWNERS[name]
+    arr = given.copy()
+    make(arr)
+    assert arr.flags.writeable
+    arr[...] = 0.25  # and writing it is allowed
+
+
+@pytest.mark.parametrize("name", OWNERS)
+def test_a_write_to_the_base_of_a_view_changes_nothing_held(name):
+    given, make, _ = OWNERS[name]
+    base = np.stack([given, given])
+    obj = make(base[1])
+    held = [a.tobytes() for a in held_arrays(obj)]  # derived arrays included
+    base += 1.0
+    assert [a.tobytes() for a in held_arrays(obj)] == held
+
+
 @pytest.mark.parametrize("make, count", [
     (lambda: Polygon([[0, 0], [2, 0], [0, 2]]), 5),
     (lambda: Polygon([[0, 0], [0, 2], [2, 0]]), 5),  # given CW, stored reversed
     (lambda: Polyline([[0, 0], [3, 4], [3, 9]]), 5),
     (lambda: Polyline([[1, 2]]), 5),
+    *(pytest.param(lambda given=given, make=make: make(given.copy()), count, id=name)
+      for name, (given, make, count) in OWNERS.items()),
     (lambda: generate_scene(SyntheticSpec("parked_agent", seed=3)), None),
     (lambda: rich_scene(1), None),
     (lambda: scene_from_doc(scene_to_doc(rich_scene(2))), None),

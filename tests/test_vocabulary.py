@@ -94,7 +94,7 @@ class TestKmeans:
         corpus = random_corpus(rng, 12)
         vocab = kmeans(corpus, k=12, seed=1)
         assert vocab.inertia == 0.0
-        got = sorted(map(tuple, vocab.embeddings()))
+        got = sorted(map(tuple, vocab.poses[:, :, :2].reshape(vocab.k, -1)))
         want = sorted(map(tuple, corpus.xy))
         assert got == want
 
@@ -108,7 +108,7 @@ class TestKmeans:
         rng = np.random.default_rng(2)
         corpus, means = blob_corpus(rng)
         vocab = kmeans(corpus, k=2, seed=3)
-        centers = sorted(vocab.embeddings(), key=lambda c: c[1])
+        centers = sorted(vocab.poses[:, :, :2].reshape(vocab.k, -1), key=lambda c: c[1])
         means = sorted(means, key=lambda c: c[1])
         for got, want in zip(centers, means):
             # waypointwise distance between center and brute-force blob mean
@@ -129,7 +129,7 @@ class TestKmeans:
         corpus = random_corpus(rng, 400)
         a = kmeans(corpus, k=16, seed=9)
         b = kmeans(corpus, k=16, seed=9)
-        assert np.array_equal(a.embeddings(), b.embeddings())
+        assert np.array_equal(a.poses[:, :, :2], b.poses[:, :, :2])
         assert a.inertia == b.inertia
 
     def test_deterministic_across_workers(self):
@@ -137,7 +137,7 @@ class TestKmeans:
         corpus = random_corpus(rng, 9000)  # spans multiple assignment chunks
         a = kmeans(corpus, k=24, seed=11, workers=1)
         b = kmeans(corpus, k=24, seed=11, workers=4)
-        assert np.array_equal(a.embeddings(), b.embeddings())
+        assert np.array_equal(a.poses[:, :, :2], b.poses[:, :, :2])
         assert a.inertia_history == b.inertia_history
 
     def test_centers_are_cluster_means(self):
@@ -145,7 +145,7 @@ class TestKmeans:
         corpus = random_corpus(rng, 500)
         vocab = kmeans(corpus, k=8, seed=13)
         x = corpus.xy
-        c = vocab.embeddings()
+        c = vocab.poses[:, :, :2].reshape(vocab.k, -1)
         d2 = ((x[:, None, :] - c[None, :, :]) ** 2).sum(axis=2)
         labels = d2.argmin(axis=1)
         for j in range(8):
@@ -171,7 +171,7 @@ class TestKmeans:
         distinct = [traj_from_xy(np.cumsum(np.full((8, 2), 0.5 * (i + 1)), axis=0)) for i in range(4)]
         corpus = TrajectoryCorpus(distinct * 10)
         vocab = kmeans(corpus, k=16, seed=2)
-        emb = vocab.embeddings()
+        emb = vocab.poses[:, :, :2].reshape(vocab.k, -1)
         assert np.all(np.isfinite(emb))
         assert vocab.inertia == 0.0  # every point sits exactly on some center
 
@@ -214,12 +214,13 @@ class TestArrays:
         vocab = Vocabulary(good, seed=0, inertia=0.0)
         assert (vocab.k, vocab.m) == (3, 4) and not vocab.poses.flags.writeable
 
-    def test_centers_are_read_only_views(self):
+    def test_centers_are_read_only_copies(self):
+        # each center's Trajectory owns its poses, as every Trajectory does
         rng = np.random.default_rng(16)
         vocab = kmeans(random_corpus(rng, 40), k=5, seed=1)
         assert vocab.centers is vocab.centers and len(vocab.centers) == 5
         for c, p in zip(vocab.centers, vocab.poses):
-            assert np.shares_memory(c.poses, vocab.poses)
+            assert not np.shares_memory(c.poses, vocab.poses)
             assert np.array_equal(c.poses, p) and not c.poses.flags.writeable
 
     def test_pickle_holds_one_array(self):
