@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 import os
 import struct
 from concurrent.futures import ProcessPoolExecutor
@@ -20,8 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .kinematics import KinematicsConfig, Trajectory, ego_rollout
-from .metrics import MetricConfig, Scene, ScoreContext, aggregate_epdms, evaluate_rollout
+from .kinematics import _DEFAULT_KIN_CFG, KinematicsConfig, Trajectory, _check_real_fields, ego_rollout
+from .metrics import _DEFAULT_METRIC_CFG, MetricConfig, Scene, ScoreContext, aggregate_epdms, evaluate_rollout
 from .scene_io import scene_to_doc
 from .seeding import stable_seed
 from .vocabulary import Vocabulary
@@ -95,8 +96,13 @@ class DistillConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
+        _check_real_fields(self)
         if not 0.0 < self.threshold <= 1.0:
             raise ValueError("threshold must be in (0, 1]")
+        for name in ("n_pseudo", "rng_seed"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n_pseudo < 0:
             raise ValueError("n_pseudo must be non-negative")
 
@@ -127,8 +133,8 @@ def _run_fingerprint(scenes, vocab: Vocabulary, kin_cfg, metric_cfg) -> str:
         h.update(json.dumps(scene_to_doc(scene), sort_keys=True).encode() + b"\n")
     h.update(repr(vocab.poses.shape).encode())
     h.update(vocab.poses.astype("<f8", copy=False).tobytes())
-    h.update(repr(kin_cfg or KinematicsConfig()).encode())
-    h.update(repr(metric_cfg or MetricConfig()).encode())
+    h.update(repr(kin_cfg or _DEFAULT_KIN_CFG).encode())
+    h.update(repr(metric_cfg or _DEFAULT_METRIC_CFG).encode())
     return h.hexdigest()
 
 

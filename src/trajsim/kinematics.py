@@ -14,8 +14,10 @@ selection comfort stops at the first tick that fails it.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,6 +124,17 @@ class DenseTrajectory:
         )
 
 
+def _check_real_fields(cfg) -> None:
+    """Raise ValueError naming the first field of the dataclass `cfg`
+    declared float whose value is not a finite real number (a bool is not
+    one)."""
+    for field in dataclasses.fields(cfg):
+        if field.type == "float":
+            value = getattr(cfg, field.name)
+            if not isinstance(value, numbers.Real) or isinstance(value, bool) or not math.isfinite(value):
+                raise ValueError(f"{field.name} must be a finite real number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class KinematicsConfig:
     """Bicycle geometry, command bounds, and PID gains; the controller steps
@@ -138,8 +151,12 @@ class KinematicsConfig:
     kd_lat: float = 0.3
 
     def __post_init__(self):
+        _check_real_fields(self)
         if self.wheelbase <= 0:
             raise ValueError("wheelbase must be positive")
+
+
+_DEFAULT_KIN_CFG = KinematicsConfig()
 
 
 @functools.lru_cache(maxsize=16)
@@ -177,7 +194,7 @@ def _pid_ticks(plan: Trajectory, init: EgoState, cfg: KinematicsConfig | None = 
     if plan.m < 2:
         raise ValueError("plan needs at least 2 waypoints")
     if cfg is None:
-        cfg = KinematicsConfig()
+        cfg = _DEFAULT_KIN_CFG
     dt = TICK_DT
     # the control step at tick k tracks the target at tick time k - 1
     schedule = _tick_schedule(plan.m)

@@ -19,11 +19,12 @@ reference rollout with its route progress (EP's denominator, from
 ``ego_rollout`` of the scene's human plan).  A context also keeps what the
 rules derive from the last rollout they scored: the cosine and sine of its
 heading, its box corners, which corners and centers lie in each
-intersection, and its lane geometry, each computed on first use and then
-shared by every rule that reads it.  The memo is one
-object per rollout, replaced whole and matched by rollout identity
-(rollouts are immutable), so threads sharing a context can at worst
-recompute a part and never receive another rollout's values.
+intersection, and its lane geometry, all computed when the first rule to
+read that rollout builds the record, then shared by every rule that reads
+it.  The memo is one record per rollout, complete when built and never
+changed, replaced whole and matched by rollout identity (rollouts are
+immutable), so threads sharing a context can at worst build a rollout's
+record again and never receive another rollout's values.
 """
 
 from __future__ import annotations
@@ -48,12 +49,13 @@ from .geom import (
     xy_in_polygon,
 )
 from .kinematics import (
+    _DEFAULT_KIN_CFG,
     DENSE_TICKS,
     TICK_DT,
     DenseTrajectory,
     EgoState,
-    KinematicsConfig,
     Trajectory,
+    _check_real_fields,
     ego_rollout,
     finite_difference,
 )
@@ -299,6 +301,7 @@ class MetricConfig:
     history_pad_ticks: int = 15
 
     def __post_init__(self):
+        _check_real_fields(self)
         for name, least in (("lk_window_ticks", 0), ("ttc_substeps", 1), ("history_pad_ticks", 0)):
             value = getattr(self, name)
             if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < least:
@@ -306,7 +309,6 @@ class MetricConfig:
 
 
 _DEFAULT_METRIC_CFG = MetricConfig()
-_DEFAULT_KIN_CFG = KinematicsConfig()
 
 
 class ScoreContext:
@@ -321,10 +323,11 @@ class ScoreContext:
     pad HC; and the human reference rollout with its route progress, EP's
     denominator.
 
-    The values that several rules derive from one rollout (the cosine and
-    sine of its heading, its box corners, which corners and centers lie in
-    each intersection, and its lane geometry) are kept for the last rollout
-    scored, so each is computed once per rollout (see ``_shared``).
+    The values that several rules derive from one rollout (a ``_Shared``
+    record) are kept in ``_memo`` for the last rollout scored, so they are
+    computed once per rollout (see ``_shared``); ``_memo`` is None until a
+    rule reads it.  In a scene without lanes ``lane_segments``,
+    ``lane_dir_x`` and ``lane_dir_y`` are None and ``lane_slices`` is empty.
     """
 
     __slots__ = (
@@ -405,67 +408,52 @@ def route_progress(d: DenseTrajectory, route: Polyline) -> float:
 
 
 class _Shared:
-    """What several rules derive from one rollout, each part computed once:
-    ``c`` and ``s``, the cosine and sine of its heading, and the parts built
-    on first request.  Every part depends only on the rollout and the scene,
-    so two threads that fill in the same part store equal values."""
+    """What several rules derive from one rollout d, all computed when the
+    record is built and never changed: ``c`` and ``s``, the cosine and sine
+    of its heading; ``corners``, (4, 41) world x and y of the ego box
+    corners, CCW from front-left; ``in_intersections``, per intersection,
+    (5, 41) whether each box corner (rows 0-3) and the ego center (row 4)
+    lie in its polygon, () without intersections; and ``lanes``, the lane
+    geometry DDC and LK share, (dists, aligned, outside): the (L, 41)
+    distances to each centerline, (L, 41) whether the heading agrees with
+    that lane's legal direction at the closest segment, and (41,) whether
+    the ego center is outside every intersection, None without lanes."""
 
-    __slots__ = ("d", "c", "s", "_corners", "_in_intersections", "_lanes")
+    __slots__ = ("d", "c", "s", "corners", "in_intersections", "lanes")
 
-    def __init__(self, d: DenseTrajectory):
+    def __init__(self, d: DenseTrajectory, ctx: ScoreContext):
         self.d = d
-        self.c = np.cos(d.psi)
-        self.s = np.sin(d.psi)
-        self._corners = None
-        self._in_intersections = None
-        self._lanes = None
-
-    def corners(self, ctx: ScoreContext):
-        """(4, 41) world x and y of the ego box corners, CCW from front-left."""
-        if self._corners is None:
-            d, c, s, lon, lat = self.d, self.c, self.s, ctx.corner_lon, ctx.corner_lat
-            self._corners = (d.x + lon * c - lat * s, d.y + lon * s + lat * c)
-        return self._corners
-
-    def in_intersections(self, ctx: ScoreContext):
-        """Per intersection, (5, 41) whether each box corner (rows 0-3) and
-        the ego center (row 4) lie in its polygon."""
-        if self._in_intersections is None:
-            cx, cy = self.corners(ctx)
-            px = np.concatenate([cx.ravel(), self.d.x])
-            py = np.concatenate([cy.ravel(), self.d.y])
-            self._in_intersections = tuple(
+        self.c = c = np.cos(d.psi)
+        self.s = s = np.sin(d.psi)
+        lon, lat = ctx.corner_lon, ctx.corner_lat
+        self.corners = cx, cy = (d.x + lon * c - lat * s, d.y + lon * s + lat * c)
+        self.in_intersections = ()
+        if ctx.scene.intersections:
+            px, py = np.concatenate([cx.ravel(), d.x]), np.concatenate([cy.ravel(), d.y])
+            self.in_intersections = tuple(
                 xy_in_polygon(px, py, inter.polygon).reshape(5, DENSE_TICKS) for inter in ctx.scene.intersections
             )
-        return self._in_intersections
-
-    def lanes(self, ctx: ScoreContext):
-        """Lane geometry DDC and LK share, per lane and tick: (dists, aligned,
-        outside), the (L, 41) distances to each centerline, (L, 41) whether
-        the heading agrees with that lane's legal direction at the closest
-        segment, and (41,) whether the ego center is outside every
-        intersection."""
-        if self._lanes is None:
-            _, d2 = _segment_projection(*ctx.lane_segments, self.d.x, self.d.y)    # (S, 41)
+        self.lanes = None
+        if ctx.scene.lanes:
+            _, d2 = _segment_projection(*ctx.lane_segments, d.x, d.y)    # (S, 41)
             # each lane's closest segment; equidistant ones break to the lowest index
             seg = np.empty((len(ctx.lane_slices), DENSE_TICKS), dtype=np.intp)
             for i, (lo, hi) in enumerate(ctx.lane_slices):
                 seg[i] = d2[lo:hi].argmin(axis=0) + lo
-            aligned = self.c * ctx.lane_dir_x.take(seg) + self.s * ctx.lane_dir_y.take(seg) > 0
+            aligned = c * ctx.lane_dir_x.take(seg) + s * ctx.lane_dir_y.take(seg) > 0
             outside = np.ones(DENSE_TICKS, dtype=bool)
-            for inside in self.in_intersections(ctx):
+            for inside in self.in_intersections:
                 outside &= ~inside[4]
-            self._lanes = (np.sqrt(d2[seg, _TICKS]), aligned, outside)
-        return self._lanes
+            self.lanes = (np.sqrt(d2[seg, _TICKS]), aligned, outside)
 
 
 def _shared(d: DenseTrajectory, ctx: ScoreContext) -> _Shared:
     """The shared values of rollout d: the context's memo if it is d's, else
-    a new one that replaces it.  The memo holds d, so d's id cannot be
-    reused while the memo is matched against it."""
+    a new one, complete when built, that replaces it.  The memo holds d, so
+    d's id cannot be reused while the memo is matched against it."""
     memo = ctx._memo
     if memo is None or memo.d is not d:
-        memo = ctx._memo = _Shared(d)
+        memo = ctx._memo = _Shared(d, ctx)
     return memo
 
 
@@ -508,7 +496,7 @@ def score_nc(d: DenseTrajectory, ctx: ScoreContext) -> float:
 
 def score_dac(d: DenseTrajectory, ctx: ScoreContext) -> float:
     """Drivable-area compliance: all ego corners inside the drivable union."""
-    cx, cy = _shared(d, ctx).corners(ctx)
+    cx, cy = _shared(d, ctx).corners
     px, py = cx.ravel(), cy.ravel()
     covered = np.zeros(len(px), dtype=bool)
     for poly in ctx.scene.drivable:
@@ -524,7 +512,7 @@ def score_ddc(d: DenseTrajectory, ctx: ScoreContext) -> float:
     cfg = ctx.metric_cfg
     if not ctx.scene.lanes:
         return 1.0
-    dists, aligned, outside = _shared(d, ctx).lanes(ctx)
+    dists, aligned, outside = _shared(d, ctx).lanes
     opposing = ~aligned[dists.argmin(axis=0), _TICKS]
     wrong = (opposing & outside)[:-1]
     # the sum over no steps is 0.0, so the steps are measured only when needed
@@ -556,7 +544,7 @@ def _box_in_polygon_per_tick(sh: _Shared, ctx: ScoreContext, corners_in: np.ndar
         (np.abs(dx * c + dy * s) <= ctx.scene.ego_half_length) & (np.abs(dy * c - dx * s) <= ctx.scene.ego_half_width)
     ).any(axis=0)
 
-    cx, cy = sh.corners(ctx)
+    cx, cy = sh.corners
     edge_cross = _ring_meets_polygon(cx.ravel(), cy.ravel(), _NEXT_CORNER, poly)    # (E, 4 * 41)
     return corners_in.any(axis=0) | vert_in | edge_cross.reshape(-1, 4, DENSE_TICKS).any(axis=(0, 1))
 
@@ -566,7 +554,7 @@ def score_tlc(d: DenseTrajectory, ctx: ScoreContext) -> float:
     if not ctx.scene.intersections:
         return 1.0
     sh = _shared(d, ctx)
-    for inter, points_in in zip(ctx.scene.intersections, sh.in_intersections(ctx)):
+    for inter, points_in in zip(ctx.scene.intersections, sh.in_intersections):
         inside = _box_in_polygon_per_tick(sh, ctx, points_in[:4], inter.polygon)
         entries = np.flatnonzero(inside[1:] & ~inside[:-1]) + 1
         if np.any(inter.phases[entries] != PHASE_GREEN):
@@ -614,7 +602,7 @@ def score_lk(d: DenseTrajectory, ctx: ScoreContext) -> float:
     cfg = ctx.metric_cfg
     if not ctx.scene.lanes:
         return 1.0
-    dists, aligned, outside = _shared(d, ctx).lanes(ctx)
+    dists, aligned, outside = _shared(d, ctx).lanes
     # distance to the nearest centerline whose legal direction the heading follows
     offset = np.where(aligned, dists, np.inf).min(axis=0)
     viol = (offset > cfg.lk_offset_m) & outside

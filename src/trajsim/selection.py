@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kinematics import DENSE_TICKS, DenseTrajectory, KinematicsConfig, _pid_ticks, trajectory_to_world
-from .metrics import MetricConfig, Scene, _ec_breaks
+from .metrics import _DEFAULT_METRIC_CFG, MetricConfig, Scene, _ec_breaks
 
 __all__ = ["ProposalSet", "SelectionState", "comfort_scores", "recalibrate", "select"]
 
@@ -80,7 +80,7 @@ def comfort_scores(
     """
     if state.previous_selected is None:
         return np.ones(len(ps))
-    breaks = _ec_breaks(state.previous_selected, state.frame_gap, metric_cfg or MetricConfig())
+    breaks = _ec_breaks(state.previous_selected, state.frame_gap, metric_cfg or _DEFAULT_METRIC_CFG)
     init = scene.ego_init
     if breaks(0, init.pose.x, init.pose.y, init.pose.psi, init.v):
         return np.zeros(len(ps))

@@ -27,6 +27,7 @@ import dataclasses
 import itertools
 import json
 import math
+import re
 import sys
 import threading
 
@@ -159,7 +160,7 @@ def test_box_polygon_contacts_match_oracle():
             psi = np.full(DENSE_TICKS, rng.choice([0.0, math.pi / 2]))
             d = DenseTrajectory(x, y, psi, np.zeros(DENSE_TICKS), np.zeros(DENSE_TICKS), np.zeros(DENSE_TICKS))
             sh = metrics._shared(d, ctx)
-            got = metrics._box_in_polygon_per_tick(sh, ctx, sh.in_intersections(ctx)[0][:4], scene.intersections[0].polygon)
+            got = metrics._box_in_polygon_per_tick(sh, ctx, sh.in_intersections[0][:4], scene.intersections[0].polygon)
             want = oracles._box_in_polygon_per_tick(d, hl, hw, scene.intersections[0].polygon.vertices)
             assert np.array_equal(got, want)
             assert bits(score_tlc(d, ctx)) == bits(oracles.score_tlc(d, scene))
@@ -341,7 +342,7 @@ def _lane_segments_chosen(ctx, d):
         for b in range(int(local.max()).bit_length()):
             ctx.lane_dir_x = np.where(local >> b & 1, 1.0, -1.0)
             ctx._memo = None
-            chosen |= metrics._shared(d, ctx).lanes(ctx)[1].astype(np.intp) << b
+            chosen |= metrics._shared(d, ctx).lanes[1].astype(np.intp) << b
     finally:
         ctx.lane_dir_x, ctx.lane_dir_y = tangents
         ctx._memo = None
@@ -366,7 +367,7 @@ def test_project_many_matches_oracle():
         ctx = ScoreContext(scene)
         for q in (queries[:DENSE_TICKS], queries[DENSE_TICKS:]):
             d = DenseTrajectory(q[:, 0], q[:, 1], np.zeros(DENSE_TICKS), *np.zeros((3, DENSE_TICKS)))
-            dists = metrics._shared(d, ctx).lanes(ctx)[0]
+            dists = metrics._shared(d, ctx).lanes[0]
             chosen = _lane_segments_chosen(ctx, d)
             for i, pts in enumerate(lines):
                 s, _, dist, seg = oracles.project_many(pts, q)
@@ -439,6 +440,32 @@ def test_shared_context_across_threads(centers):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert wrong == []
+
+
+def _assert_complete(obj):
+    """Every slot of obj is set, and a slot holds None only where its class
+    docstring has a sentence (or clause) that names it together with None."""
+    clauses = re.split(r"(?<=[.;])\s+", " ".join(type(obj).__doc__.split()))
+    for slot in type(obj).__slots__:
+        assert hasattr(obj, slot), slot
+        if getattr(obj, slot) is None:
+            assert any(f"``{slot}``" in c and "None" in c for c in clauses), slot
+
+
+@pytest.mark.parametrize("bare", [False, True], ids=["rich", "no_lanes_agents_or_intersections"])
+def test_scoring_objects_complete_when_built(bare, centers):
+    scene = rich_scene(1)
+    if bare:
+        scene = dataclasses.replace(scene, lanes=[], intersections=[], agent_ids=(), agent_states=(),
+                                    agent_half_lengths=(), agent_half_widths=())
+    ctx = ScoreContext(scene)
+    _assert_complete(ctx)
+    d = pid_track(trajectory_to_world(centers[0], scene.ego_init.pose), scene.ego_init)
+    sh = metrics._Shared(d, ctx)
+    _assert_complete(sh)
+    assert (sh.lanes is None, len(sh.in_intersections)) == ((True, 0) if bare else (False, 2))
+    # a record: nothing is computed after its constructor
+    assert [name for name, value in vars(metrics._Shared).items() if callable(value)] == ["__init__"]
 
 
 def test_pairwise_row_sum_is_numpys_row_sum_order():
