@@ -128,7 +128,11 @@ def cmd_distill(args) -> int:
 
 
 def cmd_select(args) -> int:
-    scenes = {s.scene_id: s for s in scene_io.load_scene_dir(args.scenes)}
+    scenes = {}
+    for scene in scene_io.iter_scene_dir(args.scenes):
+        if scene.scene_id in scenes:
+            raise ValueError(f"{args.scenes}: two scene files hold scene_id {scene.scene_id!r}")
+        scenes[scene.scene_id] = scene
     frames = scene_io.load_proposal_frames(args.proposals)
     score_map = scene_io.load_score_frames(args.scores)
 
@@ -155,6 +159,8 @@ def cmd_select(args) -> int:
 
 def cmd_diversity(args) -> int:
     proposals = scene_io.load_proposal_set(args.proposals)
+    if not proposals:
+        raise ValueError(f"{args.proposals}: proposals must hold at least one proposal")
     d = diversity_metric(proposals)
     print(f"{d:.6f}")
     return 0

@@ -237,8 +237,8 @@ def score_vocabulary(
     score, and a single row or worker is scored in this process.
     """
     scenes = list(scenes)
-    if not scenes or vocab.k < 1:
-        raise ValueError("need at least one scene and one vocabulary center")
+    if not scenes:
+        raise ValueError("need at least one scene")
     resolve_workers(workers)  # a bad count fails before the checkpoint is touched
 
     ckpt = _Checkpoint(checkpoint, len(scenes), vocab.k) if checkpoint else None

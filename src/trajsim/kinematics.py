@@ -45,14 +45,16 @@ PLAN_DT = 0.5
 
 class Trajectory:
     """Sparse planned motion: (M, 3) array of (x, y, psi) at 0.5 s spacing,
-    the trajectory's own copy, read-only."""
+    M >= 2 for the PID tracker to follow, the trajectory's own copy, read-only."""
 
     __slots__ = ("poses",)
 
     def __init__(self, poses):
         p = np.array(poses, dtype=float)
-        if p.ndim != 2 or p.shape[1] != 3 or p.shape[0] < 1:
+        if p.ndim != 2 or p.shape[1] != 3:
             raise ValueError("trajectory needs an (M, 3) array of waypoints")
+        if len(p) < 2:
+            raise ValueError(f"plan needs at least 2 waypoints, got {len(p)}")
         if not (np.abs(p) <= COORD_LIMIT_M).all():  # headings too, which keeps it one test
             raise _coord_error("trajectory waypoints", p)
         p.setflags(write=False)
@@ -188,11 +190,8 @@ def _pid_ticks(plan: Trajectory, init: EgoState, cfg: KinematicsConfig | None = 
 
     Yields (x, y, psi, v, a, steer) after each of the 40 steps, so a caller
     that has seen enough (selection stops at the first tick that breaks
-    extended comfort) can stop the rollout there.  The plan is checked when
-    the first step is asked for.
+    extended comfort) can stop the rollout there.
     """
-    if plan.m < 2:
-        raise ValueError("plan needs at least 2 waypoints")
     if cfg is None:
         cfg = _DEFAULT_KIN_CFG
     dt = TICK_DT

@@ -234,8 +234,6 @@ class Scene:
             raise ValueError("scene needs at least one drivable polygon")
         if arc_length(self.route) <= 0:
             raise ValueError("route must have positive arc length")
-        if self.human_trajectory.m < 2:  # every consumer rolls it out with the PID
-            raise ValueError(f"human trajectory needs at least 2 waypoints, got {self.human_trajectory.m}")
         self.ego_history = _ego_states(self.ego_history)
         self.agent_ids, self.agent_states, self.agent_half_lengths, self.agent_half_widths = _agent_arrays(
             self.agent_ids, self.agent_states, self.agent_half_lengths, self.agent_half_widths)

@@ -258,8 +258,6 @@ def scene_from_doc(doc: dict) -> Scene:
             raise SceneFormatError("route_polyline_m: route needs at least 2 points")
         plan = _from_array(Trajectory, _field(human, "waypoints", where="human_trajectory_ego"),
                            "human_trajectory_ego.waypoints")
-        if plan.m < 2:  # likewise
-            raise SceneFormatError(f"human_trajectory_ego.waypoints: plan needs at least 2 waypoints, got {plan.m}")
         scene = Scene(
             scene_id=_field(doc, "scene_id", str),
             ego_init=_state_from(_field(ego, "init", where="ego"), "ego.init"),
@@ -650,7 +648,13 @@ def load_proposal_frames(path) -> list:
 
 
 def load_score_frames(path) -> dict:
-    """scene_id -> external score vector, aligned with proposal frames."""
+    """scene_id -> external score vector, aligned with proposal frames; a
+    scene_id may appear in one frame only."""
     with _document(path) as doc:
-        return {_field(f, "scene_id", str, where): _field(f, "scores", np.ndarray, where).astype(float)
-                for where, f in _objects(doc, "frames")}
+        scores = {}
+        for where, f in _objects(doc, "frames"):
+            scene_id = _field(f, "scene_id", str, where)
+            if scene_id in scores:
+                raise SceneFormatError(f"{where}.scene_id: scene {scene_id!r} already has scores")
+            scores[scene_id] = _field(f, "scores", np.ndarray, where).astype(float)
+        return scores

@@ -24,8 +24,8 @@ __all__ = ["ProposalSet", "SelectionState", "comfort_scores", "recalibrate", "se
 
 @dataclass(frozen=True)
 class ProposalSet:
-    """Ego-frame candidate trajectories with their external scores in [0, 1],
-    the set's own read-only copy."""
+    """Ego-frame candidate trajectories (each a Trajectory, so M >= 2) with
+    their external scores in [0, 1], the set's own read-only copy."""
 
     proposals: tuple
     scores: np.ndarray
@@ -38,9 +38,6 @@ class ProposalSet:
             raise ValueError("scores must align one-to-one with proposals")
         if not np.all((scores >= 0.0) & (scores <= 1.0)):  # also rejects NaN
             raise ValueError("scores must lie in [0, 1]")
-        for i, proposal in enumerate(self.proposals):
-            if proposal.m < 2:
-                raise ValueError(f"proposals[{i}] needs at least 2 waypoints, got {proposal.m}")
         object.__setattr__(self, "scores", scores)
         scores.setflags(write=False)
 

@@ -84,6 +84,7 @@ np.sum's order (_pairwise_row_sum), so every center keeps its bits.
 from __future__ import annotations
 
 import mmap
+import numbers
 import struct
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -117,8 +118,9 @@ DESK_SCALE_K = 256
 
 class TrajectoryCorpus:
     """The (x, y) waypoints of N ego-frame trajectories with one waypoint
-    count M >= 2, as one read-only (N, 2M) array `xy`, row i the flattened
-    waypoints of trajectory i.  `items` is read once and not kept."""
+    count M (>= 2, as every Trajectory has), as one read-only (N, 2M) array
+    `xy`, row i the flattened waypoints of trajectory i.  `items` is read
+    once and not kept."""
 
     __slots__ = ("xy", "m")
 
@@ -128,8 +130,6 @@ class TrajectoryCorpus:
         if first is None:
             raise ValueError("corpus is empty")
         m = first.m
-        if m < 2:  # every consumer rolls the centers out with the PID
-            raise ValueError(f"corpus trajectories need at least 2 waypoints, got {m}")
 
         def positions():
             yield first.xy
@@ -166,7 +166,7 @@ class Vocabulary:
             raise ValueError("vocabulary needs a (K, M, 3) array of center waypoints")
         if len(p) < 1:
             raise ValueError(f"k must be >= 1, got {len(p)}")
-        if p.shape[1] < 2:  # every consumer rolls the centers out with the PID
+        if p.shape[1] < 2:  # Trajectory's M >= 2, tested on all K centers at once
             raise ValueError(f"m must be >= 2 waypoints, got {p.shape[1]}")
         # the test Trajectory makes of each center, headings too
         ok = (np.abs(p) <= COORD_LIMIT_M).all(axis=(1, 2))
@@ -479,6 +479,9 @@ def kmeans(
         raise ValueError(f"max_iters must be >= 1, got {max_iters}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+    # the vocabulary file stores the seed as an i64
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or not 0 <= seed < 2**63:
+        raise ValueError(f"seed must be an integer in [0, 2**63), got {seed!r}")
     if corpus.count < k:
         raise ValueError(f"corpus has {corpus.count} trajectories but k={k}")
     x = corpus.xy

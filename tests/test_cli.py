@@ -6,6 +6,7 @@ import subprocess
 import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -53,6 +54,16 @@ def one_waypoint_scene(directory) -> Path:
     del doc["human_trajectory_ego"]["waypoints"][1:]
     bad.write_text(json.dumps(doc))
     return bad
+
+
+# a one-waypoint plan: what a file may hold and no Trajectory can
+ONE_WAYPOINT = [[3.0, 0.0, 0.0]]
+
+
+def write_doc(path, **fields) -> Path:
+    """A JSON file at `path` of the current schema version with `fields`."""
+    path.write_text(json.dumps({"schema_version": 1, **fields}))
+    return path
 
 
 @pytest.fixture
@@ -190,6 +201,16 @@ class TestBuildVocab:
         err = capsys.readouterr().err
         assert "corpus has 1 trajectories but k=5" in err
 
+
+    @pytest.mark.parametrize("seed", ["-3", str(2**63)])
+    def test_unstorable_seed_fails_with_one_error_line(self, tmp_path, capsys, seed):
+        d = tmp_path / "scenes"
+        write_scenes(d, [("clean_straight", s) for s in range(3)])
+        out = tmp_path / "v.bin"
+        code = main(["build-vocab", "--scenes", str(d), "--k", "2", "--seed", seed, "--out", str(out)])
+        assert code == 1
+        assert only_error_line(capsys) == f"error: seed must be an integer in [0, 2**63), got {seed}"
+        assert not out.exists()
 
     @pytest.mark.parametrize("flag, value", [("--max-iters", "0"), ("--workers", "-3")])
     def test_invalid_kmeans_argument_fails_with_one_error_line(self, tmp_path, capsys, flag, value):
@@ -424,12 +445,35 @@ class TestSelectCmd:
         assert only_error_line(capsys) == f"error: {message}"
 
     def test_one_waypoint_proposal_fails_with_one_error_line(self, tmp_path, capsys):
-        # the losing proposal, so no rollout of it is ever needed
+        # the losing proposal: refused where the file is read, before any rollout
         ids = ["clean_straight-00000", "clean_straight-00001"]
-        code, out = self._run(tmp_path, ids, ids, props=[straight_plan(10.0), Trajectory([[3.0, 0.0, 0.0]])])
+        one = SimpleNamespace(poses=np.array(ONE_WAYPOINT))
+        code, out = self._run(tmp_path, ids, ids, props=[straight_plan(10.0), one])
         assert code == 1 and not out.exists()
         assert only_error_line(capsys) == (
-            "error: frame 'clean_straight-00000': proposals[1] needs at least 2 waypoints, got 1"
+            f"error: {tmp_path / 'frames.json'}: frames[0].proposals[1]: plan needs at least 2 waypoints, got 1"
+        )
+
+    def test_scene_id_held_by_two_scene_files_fails_with_one_error_line(self, tmp_path, capsys):
+        d = tmp_path / "scenes"
+        write_scenes(d, [("clean_straight", 0)])
+        (d / "zz-copy.json").write_bytes((d / "clean_straight-00000.json").read_bytes())
+        scene_id = "clean_straight-00000"
+        plan = straight_plan(10.0).poses.tolist()
+        write_doc(tmp_path / "frames.json", frames=[{"scene_id": scene_id, "proposals": [plan]}])
+        write_doc(tmp_path / "scores.json", frames=[{"scene_id": scene_id, "scores": [0.9]}])
+        out = tmp_path / "selected.txt"
+        code = main(["select", "--scenes", str(d), "--proposals", str(tmp_path / "frames.json"),
+                     "--scores", str(tmp_path / "scores.json"), "--out", str(out)])
+        assert code == 1 and not out.exists()
+        assert only_error_line(capsys) == f"error: {d}: two scene files hold scene_id 'clean_straight-00000'"
+
+    def test_scene_id_scored_twice_fails_with_one_error_line(self, tmp_path, capsys):
+        ids = ["clean_straight-00000"]
+        code, out = self._run(tmp_path, ids, ids * 2)
+        assert code == 1 and not out.exists()
+        assert only_error_line(capsys) == (
+            f"error: {tmp_path / 'scores.json'}: frames[1].scene_id: scene 'clean_straight-00000' already has scores"
         )
 
     @pytest.mark.parametrize("frame_gap", [0, 41])
@@ -456,6 +500,40 @@ class TestDiversityCmd:
         path.write_text(json.dumps({"schema_version": 1, "proposals": 5}))
         assert main(["diversity", "--proposals", str(path)]) == 1
         assert only_error_line(capsys) == f"error: {path}: proposals must be an array, not a number"
+
+    def test_empty_proposal_set_fails_naming_the_file(self, tmp_path, capsys):
+        path = write_doc(tmp_path / "props.json", proposals=[])
+        assert main(["diversity", "--proposals", str(path)]) == 1
+        assert only_error_line(capsys) == f"error: {path}: proposals must hold at least one proposal"
+
+
+@pytest.mark.parametrize("kind", ["scene", "trajectory map", "diversity", "render", "select"])
+def test_every_file_kind_names_a_one_waypoint_plan(tmp_path, capsys, kind):
+    d = tmp_path / "scenes"
+    write_scenes(d, [("clean_straight", 0)])
+    scene_id = "clean_straight-00000"
+    good = straight_plan(10.0).poses.tolist()
+    out = str(tmp_path / "out")
+    if kind == "scene":
+        bad, field = one_waypoint_scene(d), "human_trajectory_ego.waypoints"
+        argv = ["score", "--scenes", str(d), "--traj", "human", "--out", out]
+    elif kind == "trajectory map":
+        bad, field = write_doc(tmp_path / "map.json", trajectories={"*": ONE_WAYPOINT}), "trajectories.*"
+        argv = ["score", "--scenes", str(d), "--traj", str(bad), "--out", out]
+    elif kind == "diversity":
+        bad, field = write_doc(tmp_path / "one.json", proposals=[good, ONE_WAYPOINT]), "proposals[1]"
+        argv = ["diversity", "--proposals", str(bad)]
+    elif kind == "render":
+        bad, field = write_doc(tmp_path / "one.json", proposals=[ONE_WAYPOINT]), "proposals[0]"
+        argv = ["render", "--scene", str(d / f"{scene_id}.json"), "--trajs", str(bad), "--out", out]
+    else:
+        frames = [{"scene_id": scene_id, "proposals": [good]}, {"scene_id": scene_id, "proposals": [ONE_WAYPOINT]}]
+        bad, field = write_doc(tmp_path / "frames.json", frames=frames), "frames[1].proposals[0]"
+        scores = write_doc(tmp_path / "scores.json", frames=[{"scene_id": scene_id, "scores": [0.9]}])
+        argv = ["select", "--scenes", str(d), "--proposals", str(bad), "--scores", str(scores), "--out", out]
+    assert main(argv) == 1
+    assert only_error_line(capsys) == f"error: {bad}: {field}: plan needs at least 2 waypoints, got 1"
+    assert not Path(out).exists()
 
 
 class TestRenderCmd:

@@ -736,7 +736,8 @@ def test_center_headings_match_per_center_oracle():
 def _proposal_set(rng):
     """1-12 proposals of 1-8 waypoints, spanning 1-50 m (2% of sets 50-300
     m) about an origin up to 500 m away; a fifth of the sets has every
-    waypoint on the 0.25 m lattice."""
+    waypoint on the 0.25 m lattice.  A plan needs 2 waypoints, so a drawn
+    single waypoint is passed twice: a one-point corridor."""
     origin = rng.uniform(-500.0, 500.0, size=2)
     span = rng.uniform(50.0, 300.0) if rng.random() < 0.02 else math.exp(rng.uniform(0.0, math.log(50.0)))
     heading = rng.uniform(-math.pi, math.pi) if rng.random() < 0.05 else rng.normal(0.0, 0.05)
@@ -748,7 +749,8 @@ def _proposal_set(rng):
         xy = origin + np.cumsum(span / max(m - 1, 1) * np.column_stack([np.cos(psi), np.sin(psi)]), axis=0)
         if on_lattice:
             xy = np.round(xy * 4.0) / 4.0
-        proposals.append(Trajectory(np.column_stack([xy, np.zeros(m)])))
+        poses = np.column_stack([xy, np.zeros(m)])
+        proposals.append(Trajectory(np.repeat(poses, 2, axis=0) if m == 1 else poses))
     return proposals
 
 

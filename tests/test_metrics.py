@@ -555,14 +555,15 @@ class TestCorridorCells:
 class TestCorridorUnion:
     """The corridor union that diversity divides each corridor's area by.
 
-    A one-point proposal on a lattice point covers 52 cells: the centers
-    (a, b) / 8 m with a, b odd and a^2 + b^2 <= 64, that is 4, 6, 8, 8, 8,
-    8, 6 and 4 cells in the columns a = -7, -5, ..., 7.
+    A proposal of two coincident waypoints on a lattice point is a one-point
+    corridor and covers 52 cells: the centers (a, b) / 8 m with a, b odd and
+    a^2 + b^2 <= 64, that is 4, 6, 8, 8, 8, 8, 6 and 4 cells in the columns
+    a = -7, -5, ..., 7.
     """
 
     @staticmethod
     def _dot(x, y=0.0):
-        return Trajectory([[x, y, 0.0]])
+        return Trajectory([[x, y, 0.0]] * 2)
 
     def test_disc_cell_count(self):
         assert np.count_nonzero(metrics._corridor_cells(self._dot(0.0).xy)[1]) == 52

@@ -611,7 +611,7 @@ class TestProposalFiles:
             load_proposal_set(path)
 
 
-POSE = [[1.0, 0.0, 0.0]]
+POSE = [[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]]
 
 LOADER_WRONG_TYPES = [
     (load_trajectory_map, {"trajectories": []}, "trajectories must be an object, not an array"),

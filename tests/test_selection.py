@@ -113,11 +113,11 @@ class TestSelect:
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             ProposalSet((straight(), straight()), np.array([np.nan, 0.5]))
 
-    def test_one_waypoint_proposal_rejected_by_index(self):
-        # a single waypoint cannot be rolled out; comfort may never roll it out
-        one = Trajectory([[5.0, 0.0, 0.0]])
-        with pytest.raises(ValueError, match=r"^proposals\[1\] needs at least 2 waypoints, got 1$"):
-            ProposalSet((straight(), one), np.array([0.2, 0.9]))
+    def test_one_waypoint_proposal_cannot_be_built(self):
+        # a single waypoint cannot be rolled out, so no ProposalSet can be
+        # handed one; the loaders name its file and proposals[i]
+        with pytest.raises(ValueError, match=r"^plan needs at least 2 waypoints, got 1$"):
+            Trajectory([[5.0, 0.0, 0.0]])
 
 
 class TestSelectionState:

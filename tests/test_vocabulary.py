@@ -67,8 +67,9 @@ class TestCorpus:
         assert not corpus.xy.flags.writeable
 
     def test_one_waypoint_rejected(self):
-        with pytest.raises(ValueError, match="corpus trajectories need at least 2 waypoints, got 1"):
-            TrajectoryCorpus([Trajectory([[1.0, 2.0, 0.0]])] * 3)
+        # no corpus can be handed a one-waypoint trajectory: none can be built
+        with pytest.raises(ValueError, match=r"^plan needs at least 2 waypoints, got 1$"):
+            Trajectory([[1.0, 2.0, 0.0]])
 
     def test_mixed_waypoint_counts_rejected(self):
         with pytest.raises(ValueError, match="share one waypoint count"):
@@ -157,6 +158,20 @@ class TestKmeans:
         rng = np.random.default_rng(8)
         with pytest.raises(ValueError):
             kmeans(random_corpus(rng, 5), k=6, seed=0)
+
+    @pytest.mark.parametrize("seed", [-3, 2**63, True, 1.5, "7"])
+    def test_seed_checked_before_clustering(self, monkeypatch, seed):
+        # the vocabulary file stores the seed as an i64
+        monkeypatch.setattr(vocabulary, "_kmeans_pp", None)  # reaching it raises TypeError
+        corpus = random_corpus(np.random.default_rng(8), 5)
+        with pytest.raises(ValueError, match=re.escape(f"seed must be an integer in [0, 2**63), got {seed!r}")):
+            kmeans(corpus, k=2, seed=seed)
+
+    @pytest.mark.parametrize("seed", [0, np.int64(5), 2**63 - 1])
+    def test_every_storable_seed_accepted(self, tmp_path, seed):
+        vocab = kmeans(random_corpus(np.random.default_rng(8), 5), k=2, seed=seed)
+        save_vocabulary(vocab, tmp_path / "v.bin")
+        assert load_vocabulary(tmp_path / "v.bin").seed == seed
 
     def test_empty_cluster_repair(self):
         # three tight groups, k=3, seeded so at least one Lloyd pass runs
