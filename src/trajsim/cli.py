@@ -138,16 +138,20 @@ def cmd_select(args) -> int:
 
     state = selection.SelectionState(previous_selected=None, frame_gap=args.frame_gap)
     lines = []
-    for scene_id, proposals in frames:
+    for j, (scene_id, proposals) in enumerate(frames):
+        where = f"{args.proposals}: frames[{j}]"
         if scene_id not in scenes:
-            raise ValueError(f"frame references unknown scene {scene_id!r}")
+            raise ValueError(f"{where}.scene_id: frame references scene {scene_id!r}, which no file in "
+                             f"{args.scenes} holds")
         if scene_id not in score_map:
-            raise ValueError(f"no scores for scene {scene_id!r}")
+            raise ValueError(f"{where}.scene_id: no scores for scene {scene_id!r} in {args.scores}")
         scene = scenes[scene_id]
         try:
             ps = selection.ProposalSet(tuple(proposals), score_map[scene_id])
-        except ValueError as exc:
-            raise ValueError(f"frame {scene_id!r}: {exc}") from None
+        except ValueError as exc:  # an empty frame, else a score vector that does not fit it
+            k = list(score_map).index(scene_id)  # score_map keeps the score file's frames in order
+            field = f"{args.scores}: frames[{k}].scores" if proposals else f"{where}.proposals"
+            raise ValueError(f"{field}: {exc}") from None
         idx, winner, recal = selection.select(ps, state, scene)
         lines.append(f"{scene_id}\t{idx}\t{recal[idx]:.6f}")
         state = selection.SelectionState(previous_selected=ego_rollout(winner, scene.ego_init),

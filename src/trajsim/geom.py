@@ -26,7 +26,6 @@ __all__ = [
     "wrap_angle",
     "to_world",
     "xy_in_polygon",
-    "arc_length",
     "arc_positions",
     "COORD_LIMIT_M",
 ]
@@ -142,7 +141,7 @@ class Polygon:
 
 
 class Polyline:
-    """Ordered point chain, >= 1 point, no consecutive duplicates (> 1e-9 m).
+    """Ordered point chain, >= 2 points, no consecutive duplicates (> 1e-9 m).
 
     The constructor also keeps the segment arrays every projection reads,
     segment i running from point i to point i+1: `_d`, (n - 1, 2) offsets;
@@ -155,8 +154,10 @@ class Polyline:
 
     def __init__(self, points):
         p = np.array(points, dtype=float)  # a copy: no later write of the caller's reaches it
-        if p.ndim != 2 or p.shape[1] != 2 or p.shape[0] < 1:
-            raise ValueError("polyline needs at least 1 planar point")
+        if p.ndim != 2 or p.shape[1] != 2:
+            raise ValueError("polyline needs an (n, 2) array of points")
+        if len(p) < 2:
+            raise ValueError(f"polyline needs at least 2 points, got {len(p)}")
         if not (np.abs(p) <= COORD_LIMIT_M).all():
             raise _coord_error("polyline points", p)
         d = p[1:] - p[:-1]
@@ -244,10 +245,6 @@ def xy_in_polygon(px: np.ndarray, py: np.ndarray, poly: Polygon) -> np.ndarray:
 # polylines: arc length and projection
 
 
-def arc_length(line: Polyline) -> float:
-    return float(line._cum[-1])
-
-
 def _segment_projection(starts, d, len2, px: np.ndarray, py: np.ndarray):
     """Each of the (n,) points projected onto each segment: (S, n) arrays of
     the clamped parameter along the segment and of the squared distance to
@@ -266,8 +263,6 @@ def arc_positions(line: Polyline, px: np.ndarray, py: np.ndarray) -> np.ndarray:
     """Arc length of the closest polyline point to each of the (n,) points,
     clamped to [0, total length]; equidistant segments break to the lowest
     index."""
-    if len(line) < 2:
-        raise ValueError("projection needs a polyline with at least 2 points")
     t, d2 = _segment_projection(line.points[:-1], line._d, line._len2, px, py)
     seg = d2.argmin(axis=0)
     return line._cum[seg] + t[seg, np.arange(len(px))] * line._seg_len[seg]

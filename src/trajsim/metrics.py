@@ -43,7 +43,6 @@ from .geom import (
     _obb_overlap,
     _ring_meets_polygon,
     _segment_projection,
-    arc_length,
     arc_positions,
     wrap_angle,
     xy_in_polygon,
@@ -94,14 +93,15 @@ COMMANDS = ("left", "forward", "right")
 
 @dataclass(frozen=True, eq=False)
 class Lane:
+    """A lane: its centerline, a Polyline and so at least 2 points, and the
+    direction of legal travel along it."""
+
     centerline: Polyline
     direction_sign: int  # +1: legal travel follows the centerline order, -1: against
 
     def __post_init__(self):
         if self.direction_sign not in (1, -1):
             raise ValueError("direction_sign must be +1 or -1")
-        if len(self.centerline) < 2:
-            raise ValueError("lane centerline needs at least 2 points")
 
 
 @dataclass(frozen=True, eq=False)
@@ -231,9 +231,7 @@ class Scene:
 
     def __post_init__(self):
         if not self.drivable:
-            raise ValueError("scene needs at least one drivable polygon")
-        if arc_length(self.route) <= 0:
-            raise ValueError("route must have positive arc length")
+            raise ValueError("drivable_polygons_m must hold at least one polygon")
         self.ego_history = _ego_states(self.ego_history)
         self.agent_ids, self.agent_states, self.agent_half_lengths, self.agent_half_widths = _agent_arrays(
             self.agent_ids, self.agent_states, self.agent_half_lengths, self.agent_half_widths)
@@ -688,10 +686,12 @@ def score_ec(
 ) -> float:
     """Extended comfort: agreement with the previous frame's plan, 0.0 if
     any tick k < 41 - frame_gap breaks a tolerance (see ``_ec_breaks``)."""
+    if not isinstance(frame_gap, numbers.Integral) or isinstance(frame_gap, bool):  # it slices d_prev
+        raise ValueError(f"frame_gap must be an integer, got {frame_gap!r}")
+    if not 0 <= frame_gap < DENSE_TICKS:
+        raise ValueError(f"frame_gap must be in [0, {DENSE_TICKS}), got {frame_gap}")
     if d_prev is None:
         return 1.0
-    if not 0 <= frame_gap < DENSE_TICKS:
-        raise ValueError("frame_gap must be in [0, 41)")
     breaks = _ec_breaks(d_prev, frame_gap, cfg)
     ticks = list(zip(d_now.x.tolist(), d_now.y.tolist(), d_now.psi.tolist(), d_now.v.tolist()))
     return 0.0 if any(breaks(k, *tick) for k, tick in enumerate(ticks[:DENSE_TICKS - frame_gap])) else 1.0
@@ -732,13 +732,13 @@ def evaluate_rollout(d: DenseTrajectory, ctx: ScoreContext) -> SubScores:
     )
 
 
-def _corridor_polyline(xy: np.ndarray) -> Polyline:
-    """Waypoints as a polyline, dropping consecutive duplicates."""
+def _distinct_points(xy: np.ndarray) -> np.ndarray:
+    """The waypoints without consecutive duplicates (within 1e-9 m)."""
     keep = [0]
     for i in range(1, len(xy)):
         if np.hypot(*(xy[i] - xy[keep[-1]])) > 1e-9:
             keep.append(i)
-    return Polyline(xy[keep])
+    return xy[keep]
 
 
 _CORRIDOR_WIDTH_M = 2.0
@@ -754,10 +754,11 @@ def _corridor_cells(xy: np.ndarray):
     Returns the integer (x, y) lattice index of the window's low corner and
     the window's cells as booleans indexed [x, y].  A cell is occupied iff its
     center lies within half the corridor width of the waypoint polyline
-    (round caps and joins).
+    (round caps and joins).  Coincident waypoints collapse to one point, so
+    the path is a Polyline only where 2 or more distinct points remain; a
+    single point gives a disc.
     """
-    line = _corridor_polyline(xy)
-    pts = line.points
+    pts = _distinct_points(xy)
     radius = 0.5 * _CORRIDOR_WIDTH_M
     lo = np.floor((pts.min(axis=0) - radius - _CELL_M) / _CELL_M).astype(np.int64)
     n = np.ceil((pts.max(axis=0) + radius + _CELL_M - lo * _CELL_M) / _CELL_M).astype(np.int64)
@@ -767,6 +768,7 @@ def _corridor_cells(xy: np.ndarray):
         d2 = (gx - pts[0, 0]) ** 2 + (gy - pts[0, 1]) ** 2
     else:
         # squared distance from every cell center to every segment, min over segments
+        line = Polyline(pts)
         _, d2 = _segment_projection(pts[:-1], line._d, line._len2, gx.ravel(), gy.ravel())
         d2 = d2.min(axis=0).reshape(gx.shape)
     return lo, d2 <= radius * radius
@@ -778,12 +780,12 @@ def diversity(proposals) -> float:
     if not proposals:
         raise ValueError("need at least one proposal")
     corridors = [_corridor_cells(p.xy) for p in proposals]
-    lo = np.min([c for c, _ in corridors], axis=0)
-    hi = np.max([c + cells.shape for c, cells in corridors], axis=0)
-    union = np.zeros(hi - lo, dtype=bool)
-    for c, cells in corridors:
-        (x0, y0), (nx, ny) = c - lo, cells.shape
-        union[x0 : x0 + nx, y0 : y0 + ny] |= cells
-    union_count = np.count_nonzero(union)
+    # the union counted over the occupied cells' sorted (x, y) lattice indices, so that its memory
+    # grows with the corridors and not with the distance between them; kept as pairs, since one
+    # flat index over both axes could overflow int64
+    ix, iy = np.concatenate([lo[:, None] + np.nonzero(cells) for lo, cells in corridors], axis=1)
+    order = np.lexsort((iy, ix))
+    ix, iy = ix[order], iy[order]
+    union_count = 1 + np.count_nonzero((ix[1:] != ix[:-1]) | (iy[1:] != iy[:-1]))
     ratios = np.array([np.count_nonzero(cells) / union_count for _, cells in corridors])
     return float(1.0 - ratios.mean())

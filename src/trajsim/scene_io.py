@@ -251,11 +251,7 @@ def scene_from_doc(doc: dict) -> Scene:
             _from_array(Polygon, v, f"drivable_polygons_m[{i}]")
             for i, v in enumerate(_field(doc, "drivable_polygons_m", list))
         ]
-        if not drivable:
-            raise SceneFormatError("drivable_polygons_m must hold at least one polygon")
         route = _from_array(Polyline, _field(doc, "route_polyline_m"), "route_polyline_m")
-        if len(route) < 2:  # which Scene would reject without naming the field
-            raise SceneFormatError("route_polyline_m: route needs at least 2 points")
         plan = _from_array(Trajectory, _field(human, "waypoints", where="human_trajectory_ego"),
                            "human_trajectory_ego.waypoints")
         scene = Scene(

@@ -12,6 +12,7 @@ proposal out in full and calling ``score_ec``.
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,15 +50,18 @@ class ProposalSet:
 class SelectionState:
     """What selection remembers between frames: the previous world-frame
     rollout of the selected trajectory, if any, and how many ticks later
-    the current frame starts (at least 1, and below 41 so that some tick
-    of the two rollouts overlaps)."""
+    the current frame starts (an integer, at least 1, and below 41 so that
+    some tick of the two rollouts overlaps)."""
 
     previous_selected: DenseTrajectory | None = None
     frame_gap: int = 5
 
     def __post_init__(self):
-        if not 1 <= self.frame_gap < DENSE_TICKS:
-            raise ValueError(f"frame_gap must be in [1, {DENSE_TICKS}), got {self.frame_gap}")
+        gap = self.frame_gap
+        if not isinstance(gap, numbers.Integral) or isinstance(gap, bool):  # it slices the previous rollout
+            raise ValueError(f"frame_gap must be an integer, got {gap!r}")
+        if not 1 <= gap < DENSE_TICKS:
+            raise ValueError(f"frame_gap must be in [1, {DENSE_TICKS}), got {gap}")
 
 
 def comfort_scores(

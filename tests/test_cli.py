@@ -15,6 +15,7 @@ import trajsim
 from trajsim.cli import main
 from trajsim.distill import ScoreMatrix, save_score_matrix
 from trajsim.kinematics import Trajectory
+from trajsim.metrics import _corridor_cells
 from trajsim.render import render_scene_svg
 from trajsim.scene_io import (
     SyntheticSpec,
@@ -405,8 +406,9 @@ class TestDistillCmd:
 class TestSelectCmd:
     PROPS = [straight_plan(10.0), straight_plan(6.0)]
 
-    def _run(self, tmp_path, frame_ids, score_ids, props=PROPS, frame_gap=5):
-        """select over 3 clean scenes, with frames and scores for the given scene ids."""
+    def _run(self, tmp_path, frame_ids, score_ids, props=PROPS, frame_gap=5, scores=None):
+        """select over 3 clean scenes, with frames and scores for the given scene ids; each score
+        vector is `scores[i]`, given as JSON text, if given, else [0.9, 0.6]."""
         d = tmp_path / "scenes"
         d.mkdir()
         for seed in range(3):
@@ -417,11 +419,9 @@ class TestSelectCmd:
             "frames": [{"scene_id": i, "proposals": [p.poses.tolist() for p in props]} for i in frame_ids],
         }
         (tmp_path / "frames.json").write_text(json.dumps(frames))
-        scores = {
-            "schema_version": 1,
-            "frames": [{"scene_id": i, "scores": [0.9, 0.6]} for i in score_ids],
-        }
-        (tmp_path / "scores.json").write_text(json.dumps(scores))
+        scores = scores or ["[0.9, 0.6]"] * len(score_ids)
+        score_frames = ", ".join(f'{{"scene_id": {json.dumps(i)}, "scores": {v}}}' for i, v in zip(score_ids, scores))
+        (tmp_path / "scores.json").write_text(f'{{"schema_version": 1, "frames": [{score_frames}]}}')
         out = tmp_path / "selected.txt"
         code = main(["select", "--scenes", str(d), "--proposals", str(tmp_path / "frames.json"),
                      "--scores", str(tmp_path / "scores.json"), "--out", str(out), "--frame-gap", str(frame_gap)])
@@ -436,13 +436,37 @@ class TestSelectCmd:
         assert all(line.split("\t")[1] == "0" for line in lines)
 
     @pytest.mark.parametrize("frame_ids, score_ids, message", [
-        (["ghost"], ["ghost"], "frame references unknown scene 'ghost'"),
-        (["clean_straight-00001"], ["clean_straight-00000"], "no scores for scene 'clean_straight-00001'"),
+        (["ghost"], ["ghost"], "frame references scene 'ghost', which no file in {scenes} holds"),
+        (["clean_straight-00001"], ["clean_straight-00000"], "no scores for scene 'clean_straight-00001' in {scores}"),
     ])
     def test_missing_scene_fails_with_one_error_line(self, tmp_path, capsys, frame_ids, score_ids, message):
-        code, _ = self._run(tmp_path, frame_ids, score_ids)
-        assert code == 1
-        assert only_error_line(capsys) == f"error: {message}"
+        # named by the proposal file's field that holds the scene id
+        code, out = self._run(tmp_path, frame_ids, score_ids)
+        assert code == 1 and not out.exists()
+        message = message.format(scenes=tmp_path / "scenes", scores=tmp_path / "scores.json")
+        assert only_error_line(capsys) == f"error: {tmp_path / 'frames.json'}: frames[0].scene_id: {message}"
+
+    @pytest.mark.parametrize("bad, message", [
+        ("[0.9]", "scores must align one-to-one with proposals"),
+        ("[0.9, 0.6, 0.3]", "scores must align one-to-one with proposals"),
+        ("[1e400, 0.1]", "scores must lie in [0, 1]"),
+        ("[0.9, -0.5]", "scores must lie in [0, 1]"),
+    ])
+    def test_scores_that_do_not_fit_their_frame_fail_naming_the_score_field(self, tmp_path, capsys, bad, message):
+        # the score file holds one more scene and another order, so its index is not the frame's
+        ids = ["clean_straight-00000", "clean_straight-00001"]
+        score_ids = ["parked_agent-00000", *ids[::-1]]
+        code, out = self._run(tmp_path, ids, score_ids, scores=["[0.9, 0.6]", "[0.9, 0.6]", bad])
+        assert code == 1 and not out.exists()
+        assert only_error_line(capsys) == f"error: {tmp_path / 'scores.json'}: frames[2].scores: {message}"
+
+    def test_frame_without_proposals_fails_naming_the_proposals_field(self, tmp_path, capsys):
+        ids = ["clean_straight-00000"]
+        code, out = self._run(tmp_path, ids, ids, props=[])
+        assert code == 1 and not out.exists()
+        assert only_error_line(capsys) == (
+            f"error: {tmp_path / 'frames.json'}: frames[0].proposals: need at least one proposal"
+        )
 
     def test_one_waypoint_proposal_fails_with_one_error_line(self, tmp_path, capsys):
         # the losing proposal: refused where the file is read, before any rollout
@@ -505,6 +529,29 @@ class TestDiversityCmd:
         path = write_doc(tmp_path / "props.json", proposals=[])
         assert main(["diversity", "--proposals", str(path)]) == 1
         assert only_error_line(capsys) == f"error: {path}: proposals must hold at least one proposal"
+
+    def test_far_apart_proposals_take_no_memory_for_the_gap(self, tmp_path):
+        # 1e7 m apart on both axes, within COORD_LIMIT_M: one boolean grid over both corridors
+        # would take about 1.4 PiB, so the child, limited to 2 GiB, runs only if the union is
+        # counted from the corridors' own cells
+        t = 0.5 * (np.arange(8) + 1)
+        near = Trajectory(np.stack([10 * t, np.zeros(8), np.zeros(8)], axis=1))
+        far = Trajectory(near.poses + [1e7, 1e7, 0.0])
+        path = tmp_path / "props.json"
+        save_proposal_set([near, far], path)
+        src = str(Path(trajsim.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+               "OPENBLAS_NUM_THREADS": "1"}
+        limit = 2 << 30
+        child = ("import resource, sys; "
+                 f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, resource.getrlimit(resource.RLIMIT_AS)[1])); "
+                 "from trajsim.cli import main; sys.exit(main(sys.argv[1:]))")
+        proc = subprocess.run([sys.executable, "-c", child, "diversity", "--proposals", str(path)],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        # disjoint corridors: the union is the sum of the two
+        c = [np.count_nonzero(_corridor_cells(p.xy)[1]) for p in (near, far)]
+        assert proc.stdout == f"{1.0 - np.mean([ci / sum(c) for ci in c]):.6f}\n"
 
 
 @pytest.mark.parametrize("kind", ["scene", "trajectory map", "diversity", "render", "select"])

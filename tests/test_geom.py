@@ -9,7 +9,6 @@ from trajsim.geom import (
     Polyline,
     Pose,
     _obb_overlap,
-    arc_length,
     arc_positions,
     to_world,
     wrap_angle,
@@ -191,7 +190,7 @@ class TestPolyline:
             Polyline([[0, 0], [0, 0], [1, 0]])
 
     def test_arc_length_345(self):
-        assert arc_length(Polyline([[0, 0], [3, 4]])) == pytest.approx(5.0)
+        assert arc_at(Polyline([[0, 0], [3, 4]]), (3, 4)) == pytest.approx(5.0)
 
     def test_projection_axis_aligned(self):
         line = Polyline([[0, 0], [10, 0]])
@@ -214,8 +213,11 @@ class TestPolyline:
             assert s == pytest.approx(s_oracle, abs=2e-3)
 
     def test_needs_two_points_for_projection(self):
-        with pytest.raises(ValueError):
-            arc_at(Polyline([[0, 0]]), (1, 1))
+        # every polyline is projected onto, which takes a segment
+        with pytest.raises(ValueError, match=r"^polyline needs at least 2 points, got 1$"):
+            Polyline([[0, 0]])
+        with pytest.raises(ValueError, match=r"^polyline needs an \(n, 2\) array of points$"):
+            Polyline([])
 
 
 def held_arrays(obj) -> list:
@@ -271,7 +273,7 @@ def test_a_write_to_the_base_of_a_view_changes_nothing_held(name):
     (lambda: Polygon([[0, 0], [2, 0], [0, 2]]), 5),
     (lambda: Polygon([[0, 0], [0, 2], [2, 0]]), 5),  # given CW, stored reversed
     (lambda: Polyline([[0, 0], [3, 4], [3, 9]]), 5),
-    (lambda: Polyline([[1, 2]]), 5),
+    (lambda: Polyline([[1, 2], [1, 3]]), 5),
     *(pytest.param(lambda given=given, make=make: make(given.copy()), count, id=name)
       for name, (given, make, count) in OWNERS.items()),
     (lambda: generate_scene(SyntheticSpec("parked_agent", seed=3)), None),

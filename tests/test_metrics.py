@@ -436,6 +436,27 @@ class TestExtendedComfort:
         b = straight_dense(10.0, y=0.4)
         assert score_ec(a, b, frame_gap=0) == score_ec(b, a, frame_gap=0)
 
+    @pytest.mark.parametrize("with_prev", [True, False])
+    @pytest.mark.parametrize("frame_gap", [2.5, np.float64(5.0), True])
+    def test_gap_must_be_an_integer(self, frame_gap, with_prev):
+        # a float used to fail inside the rule with a TypeError, and True passed as 1; without a
+        # previous frame any gap used to pass
+        d = straight_dense(10.0)
+        with pytest.raises(ValueError, match=f"^frame_gap must be an integer, got {re.escape(repr(frame_gap))}$"):
+            score_ec(d, d if with_prev else None, frame_gap)
+
+    @pytest.mark.parametrize("with_prev", [True, False])
+    @pytest.mark.parametrize("frame_gap", [-1, 41])
+    def test_gap_out_of_range_named(self, frame_gap, with_prev):
+        d = straight_dense(10.0)
+        with pytest.raises(ValueError, match=rf"^frame_gap must be in \[0, 41\), got {frame_gap}$"):
+            score_ec(d, d if with_prev else None, frame_gap)
+
+    def test_numpy_integer_gap_accepted(self):
+        prev = straight_dense(10.0, x0=0.0)
+        now = straight_dense(10.0, x0=5.0)
+        assert score_ec(now, prev, np.int64(5)) == score_ec(now, prev, 5) == 1.0
+
 
 def subs(**kw):
     base = dict(nc=1.0, dac=1.0, ddc=1.0, tlc=1.0, ep=1.0, ttc=1.0, lk=1.0, hc=1.0, ec=1.0, c=1.0)

@@ -353,10 +353,10 @@ class TestWrongJsonType:
 # Constructor errors name the field the constructor's input was read from.
 UNNAMED_BY_CONSTRUCTOR = [
     (("drivable_polygons_m", 0, 0, 0), float("nan"), "drivable_polygons_m[0]: polygon vertices must be finite"),
-    (("route_polyline_m",), [], "route_polyline_m: polyline needs at least 1 planar point"),
+    (("route_polyline_m",), [], "route_polyline_m: polyline needs an (n, 2) array of points"),
     (("drivable_polygons_m", 0), [[0.0, 0.0]], "drivable_polygons_m[0]: polygon needs at least 3 planar vertices"),
     (("drivable_polygons_m",), [], "drivable_polygons_m must hold at least one polygon"),
-    (("lanes", 1, "centerline_m"), [[0.0, 0.0]], "lanes[1]: lane centerline needs at least 2 points"),
+    (("lanes", 1, "centerline_m"), [[0.0, 0.0]], "lanes[1].centerline_m: polyline needs at least 2 points, got 1"),
     (("lanes", 0, "centerline_m", 1, 0), float("inf"), "lanes[0].centerline_m: polyline points must be finite"),
     (("agents", 0, "half_width_m"), 0.0, "agents[0]: agent 'parked-0': half_width must be finite and positive"),
     # a repeated vertex, then a closed ring, each a zero-length edge
@@ -364,6 +364,7 @@ UNNAMED_BY_CONSTRUCTOR = [
      "drivable_polygons_m[0]: polygon has consecutive duplicate vertices"),
     (("drivable_polygons_m", 0), [[-20.0, -6.0], [80.0, -6.0], [80.0, 6.0], [-20.0, 6.0], [-20.0, -6.0]],
      "drivable_polygons_m[0]: polygon has consecutive duplicate vertices"),
+    (("route_polyline_m",), [[0.0, 0.0]], "route_polyline_m: polyline needs at least 2 points, got 1"),
 ]
 
 
@@ -447,7 +448,7 @@ class TestMutatedDocument:
         code, err = score_stderr(mutation[1])
         assert (code, err) == (0, []) or (code == 1 and len(err) == 1 and err[0].startswith("error: ")), err
 
-    @pytest.mark.parametrize("where, value, message", UNNAMED_BY_CONSTRUCTOR[:4] + UNNAMED_BY_CONSTRUCTOR[-2:])
+    @pytest.mark.parametrize("where, value, message", UNNAMED_BY_CONSTRUCTOR[:4] + UNNAMED_BY_CONSTRUCTOR[-3:])
     def test_score_exits_1_with_the_named_error_line(self, scene, where, value, message):
         code, err = score_stderr(doc_with(scene, where, value))
         assert code == 1 and len(err) == 1 and err[0].endswith(f"bad.json: {message}"), err

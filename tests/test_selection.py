@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -129,6 +131,19 @@ class TestSelectionState:
     def test_gaps_without_overlap_rejected(self, frame_gap):
         with pytest.raises(ValueError, match=rf"^frame_gap must be in \[1, 41\), got {frame_gap}$"):
             SelectionState(frame_gap=frame_gap)
+
+    @pytest.mark.parametrize("frame_gap", [2.5, np.float64(5.0), True, "5"])
+    def test_gaps_that_are_not_integers_rejected(self, frame_gap):
+        # each used to pass, or fail with a TypeError, and a float then broke comfort_scores' slices
+        with pytest.raises(ValueError, match=f"^frame_gap must be an integer, got {re.escape(repr(frame_gap))}$"):
+            SelectionState(frame_gap=frame_gap)
+
+    def test_numpy_integer_gap_accepted(self):
+        prev_scene, now_scene = road_scene(0.0), road_scene(5.0)
+        ps = ProposalSet((straight(), swerve(3.0)), np.array([0.9, 0.9]))
+        prev = rollout(straight(), prev_scene)
+        got = comfort_scores(SelectionState(prev, np.int64(5)), ps, now_scene)
+        assert np.array_equal(got, comfort_scores(SelectionState(prev, 5), ps, now_scene))
 
     def test_gap_40_compares_only_the_start(self):
         prev = rollout(straight(), road_scene(0.0))
