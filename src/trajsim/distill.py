@@ -1,4 +1,4 @@
-"""Batch vocabulary scoring, pseudo-teacher mining, and the distillation loss.
+"""Batch vocabulary scoring and pseudo-teacher mining.
 
 score_vocabulary is the throughput-critical path: every (scene, center) cell
 places the ego-frame center at the scene's ego pose, tracks it with the PID
@@ -21,7 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .kinematics import _DEFAULT_KIN_CFG, KinematicsConfig, Trajectory, _check_real_fields, ego_rollout
+from .geom import to_world
+from .kinematics import _DEFAULT_KIN_CFG, KinematicsConfig, Trajectory, _check_real_fields, pid_track
 from .metrics import _DEFAULT_METRIC_CFG, MetricConfig, Scene, ScoreContext, aggregate_epdms, evaluate_rollout
 from .scene_io import scene_to_doc
 from .seeding import stable_seed
@@ -35,7 +36,6 @@ __all__ = [
     "score_vocabulary",
     "resolve_workers",
     "select_pseudo_teachers",
-    "distill_loss",
     "save_score_matrix",
     "load_score_matrix",
     "save_teacher_sets",
@@ -74,19 +74,19 @@ class ScoreMatrix:
 
 @dataclass(frozen=True)
 class PseudoTeacherSet:
-    """High-scoring vocabulary trajectories mined for one scene."""
+    """The pseudo-teachers mined for one scene: the vocabulary indices of the
+    chosen centers and their scores, in index order."""
 
     scene_id: str
-    trajectories: tuple
     source_indices: tuple
     scores: tuple
 
     def __post_init__(self):
-        if not (len(self.trajectories) == len(self.source_indices) == len(self.scores)):
+        if len(self.source_indices) != len(self.scores):
             raise ValueError("teacher fields must have equal lengths")
 
     def __len__(self):
-        return len(self.trajectories)
+        return len(self.source_indices)
 
 
 @dataclass(frozen=True)
@@ -117,11 +117,14 @@ def score_scene_row(
     kin_cfg: KinematicsConfig | None = None,
     metric_cfg: MetricConfig | None = None,
 ) -> np.ndarray:
-    """EPDMS of every center against one scene (the unit of parallel work)."""
+    """EPDMS of every center against one scene (the unit of parallel work);
+    one frame change of `vocab.poses` places all K centers at the ego pose."""
     ctx = ScoreContext(scene, kin_cfg, metric_cfg)
+    init = scene.ego_init
+    plans = to_world(init.pose, vocab.poses.reshape(-1, 3)).reshape(vocab.poses.shape)
     out = np.empty(vocab.k)
-    for i, center in enumerate(vocab.centers):
-        out[i] = aggregate_epdms(evaluate_rollout(ego_rollout(center, scene.ego_init, ctx.kin_cfg), ctx))
+    for i, plan in enumerate(plans):
+        out[i] = aggregate_epdms(evaluate_rollout(pid_track(Trajectory(plan), init, ctx.kin_cfg), ctx))
     return out
 
 
@@ -141,10 +144,12 @@ def _run_fingerprint(scenes, vocab: Vocabulary, kin_cfg, metric_cfg) -> str:
 def resolve_workers(workers: int | None, rows: int | None = None) -> int:
     """Effective worker count: an explicit value wins, else TRAJSIM_THREADS,
     else 1; when `rows` is given, at most that many, since a pool starts no
-    more workers than it has rows to score.  A count below 1 or a variable
-    that is not an integer raises ValueError naming `workers` or the
+    more workers than it has rows to score.  A count that is not an integer
+    (a bool is not) or is below 1 raises ValueError naming `workers` or the
     variable."""
     if workers is not None:
+        if not isinstance(workers, numbers.Integral) or isinstance(workers, bool):
+            raise ValueError(f"workers must be an integer, got {workers!r}")
         name, value = "workers", workers
     else:
         name, value = "TRAJSIM_THREADS", os.environ.get("TRAJSIM_THREADS") or "1"
@@ -171,9 +176,10 @@ class _Checkpoint:
         self.k = k
         self.row_bytes = k * 8
 
-    def load_done(self, fingerprint: str) -> dict:
-        """{scene_index: row} for rows already completed by an earlier run
-        with the same fingerprint; a checkpoint of any other run is refused."""
+    def load_done(self, fingerprint: str, values: np.ndarray) -> set:
+        """The scene indices of the rows an earlier run with the same
+        fingerprint completed, each read into its row of `values`; a
+        checkpoint of any other run is refused."""
         tag = f"sha256:{fingerprint}\n"
         text = self.done_path.read_text() if self.path.exists() and self.done_path.exists() else ""
         # a torn append leaves a last line without its newline: that row's
@@ -181,12 +187,11 @@ class _Checkpoint:
         # the next append could extend it into another index
         complete = text[: text.rfind("\n") + 1]
         if not complete:  # not even the fingerprint line: nothing was recorded
-            self.path.write_bytes(
-                _HEADER.pack(_MAGIC, _VERSION, self.n_scenes, self.k)
-                + b"\x00" * (self.n_scenes * self.row_bytes)
-            )
+            with open(self.path, "wb") as f:  # zero rows, without building them in memory
+                f.write(_HEADER.pack(_MAGIC, _VERSION, self.n_scenes, self.k))
+                f.truncate(_HEADER.size + self.n_scenes * self.row_bytes)
             self.done_path.write_text(tag)
-            return {}
+            return set()
         raw, s, k = _read_matrix(self.path)
         if s != self.n_scenes or k != self.k:
             raise ValueError(
@@ -200,13 +205,13 @@ class _Checkpoint:
             )
         if complete != text:
             self.done_path.write_text(complete)
-        done = {}
+        done = set()
         for line in complete[len(tag):].split():
             if not (line.isdecimal() and int(line) < s):
                 raise ValueError(f"{self.done_path}: {line!r} is not a scene index in [0, {s})")
             idx = int(line)
-            off = _HEADER.size + idx * self.row_bytes
-            done[idx] = np.frombuffer(raw, dtype="<f8", count=self.k, offset=off).copy()
+            values[idx] = np.frombuffer(raw, dtype="<f8", count=self.k, offset=_HEADER.size + idx * self.row_bytes)
+            done.add(idx)
         return done
 
     def write_row(self, idx: int, row: np.ndarray) -> None:
@@ -241,15 +246,14 @@ def score_vocabulary(
         raise ValueError("need at least one scene")
     resolve_workers(workers)  # a bad count fails before the checkpoint is touched
 
+    values = np.empty((len(scenes), vocab.k))
     ckpt = _Checkpoint(checkpoint, len(scenes), vocab.k) if checkpoint else None
-    rows: dict[int, np.ndarray] = {}
-    if ckpt:
-        rows = ckpt.load_done(_run_fingerprint(scenes, vocab, kin_cfg, metric_cfg))
-    todo = [i for i in range(len(scenes)) if i not in rows]
+    done = ckpt.load_done(_run_fingerprint(scenes, vocab, kin_cfg, metric_cfg), values) if ckpt else set()
+    todo = [i for i in range(len(scenes)) if i not in done]
     workers = resolve_workers(workers, len(todo))
 
     def finish(idx: int, row: np.ndarray):
-        rows[idx] = row
+        values[idx] = row
         if ckpt:
             ckpt.write_row(idx, row)
         if progress:
@@ -267,7 +271,6 @@ def score_vocabulary(
             for idx, fut in futures.items():
                 finish(idx, fut.result())
 
-    values = np.stack([rows[i] for i in range(len(scenes))])
     return ScoreMatrix(scene_ids=tuple(s.scene_id for s in scenes), values=values)
 
 
@@ -298,47 +301,9 @@ def select_pseudo_teachers(
         candidates = np.sort(chosen)
     return PseudoTeacherSet(
         scene_id=scene_id,
-        trajectories=tuple(vocab.centers[i] for i in candidates),
         source_indices=tuple(int(i) for i in candidates),
         scores=tuple(float(row[i]) for i in candidates),
     )
-
-
-# ---------------------------------------------------------------------------
-# distillation loss
-
-
-def _traj_xy(t: Trajectory, m: int) -> np.ndarray:
-    if t.m != m:
-        raise ValueError(f"trajectory has {t.m} waypoints, expected {m}")
-    return t.xy.reshape(-1)
-
-
-def distill_loss(proposals_per_iter, human: Trajectory, pseudo, discount: float = 0.1) -> float:
-    """Discounted min-over-proposals distance to the human and each teacher.
-
-    Per refinement iteration l (1..L, later iterations weighted discount^(L-l)),
-    the minimum over proposals is taken independently for the human trajectory
-    and for every pseudo-teacher; distances are Euclidean over the flattened
-    (x, y) waypoints, headings excluded.
-    """
-    iters = [list(props) for props in proposals_per_iter]
-    if not iters or any(not props for props in iters):
-        raise ValueError("need at least one iteration with at least one proposal")
-    m = human.m
-    targets = [_traj_xy(human, m)]
-    teachers = pseudo.trajectories if isinstance(pseudo, PseudoTeacherSet) else list(pseudo)
-    targets.extend(_traj_xy(t, m) for t in teachers)
-    target_mat = np.stack(targets)  # (1 + P, 2M)
-
-    total = 0.0
-    L = len(iters)
-    for ell, props in enumerate(iters, start=1):
-        prop_mat = np.stack([_traj_xy(p, m) for p in props])  # (N, 2M)
-        diff = target_mat[:, None, :] - prop_mat[None, :, :]
-        dists = np.sqrt(np.einsum("tnk,tnk->tn", diff, diff))
-        total += discount ** (L - ell) * float(dists.min(axis=1).sum())
-    return total
 
 
 # ---------------------------------------------------------------------------

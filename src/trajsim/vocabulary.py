@@ -473,6 +473,9 @@ def kmeans(
     empty out are re-seeded to the point currently farthest from its center
     (successive farthest points when several empty at once).
     """
+    for name, value in (("k", k), ("max_iters", max_iters), ("workers", workers)):
+        if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     if k < 1:
         raise ValueError("k must be >= 1")
     if max_iters < 1:

@@ -167,6 +167,20 @@ class TestKmeans:
         with pytest.raises(ValueError, match=re.escape(f"seed must be an integer in [0, 2**63), got {seed!r}")):
             kmeans(corpus, k=2, seed=seed)
 
+    @pytest.mark.parametrize("name", ["k", "max_iters", "workers"])
+    @pytest.mark.parametrize("value", [2.5, True, "2"])
+    def test_counts_checked_before_clustering(self, monkeypatch, name, value):
+        monkeypatch.setattr(vocabulary, "_kmeans_pp", None)  # reaching it raises TypeError
+        corpus = random_corpus(np.random.default_rng(8), 5)
+        with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer, got {value!r}")):
+            kmeans(corpus, **{"k": 2, name: value})
+
+    def test_numpy_integer_counts_accepted(self):
+        corpus = random_corpus(np.random.default_rng(8), 5)
+        want = kmeans(corpus, k=2, max_iters=3, seed=0, workers=2)
+        got = kmeans(corpus, k=np.int64(2), max_iters=np.int64(3), seed=0, workers=np.int64(2))
+        assert np.array_equal(got.poses, want.poses)
+
     @pytest.mark.parametrize("seed", [0, np.int64(5), 2**63 - 1])
     def test_every_storable_seed_accepted(self, tmp_path, seed):
         vocab = kmeans(random_corpus(np.random.default_rng(8), 5), k=2, seed=seed)
