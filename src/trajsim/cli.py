@@ -70,8 +70,21 @@ def cmd_score(args) -> int:
 
 
 def cmd_build_vocab(args) -> int:
-    corpus = vocabulary.TrajectoryCorpus(s.human_trajectory for s in scene_io.iter_scene_dir(args.scenes))
-    vocab = vocabulary.kmeans(corpus, k=args.k, max_iters=args.max_iters, seed=args.seed, workers=args.workers)
+    held = []  # the scene whose plan the corpus is reading, none while one loads
+
+    def plans():
+        for scene in scene_io.iter_scene_dir(args.scenes):
+            held.append(scene.scene_id)
+            yield scene.human_trajectory
+            held.clear()
+
+    try:
+        corpus = vocabulary.TrajectoryCorpus(plans())
+    except ValueError as exc:
+        if not held:  # a scene file that failed to load names itself
+            raise
+        raise ValueError(f"scene {held[0]!r}: {exc}") from None
+    vocab = vocabulary.kmeans(corpus, k=args.k, max_iters=args.max_iters, seed=args.seed)
     vocabulary.save_vocabulary(vocab, args.out)
     if args.csv:
         vocabulary.export_vocabulary_csv(vocab, args.csv)
@@ -92,7 +105,7 @@ def cmd_distill(args) -> int:
     elapsed = time.perf_counter() - t0
     # only the rows scored by this run count; resumed rows cost nothing here
     evals = len(scored) * matrix.vocab_size
-    workers = distill_mod.resolve_workers(args.workers, len(scored))
+    workers = min(args.workers, len(scored))
     resumed = matrix.n_scenes - len(scored)
 
     teacher_sets = [
@@ -196,7 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="vocabulary binary path")
     p.add_argument("--csv", default=None, help="optional CSV export path")
     p.add_argument("--max-iters", type=int, default=100)
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_build_vocab)
 
     p = sub.add_parser("distill", help="batch-score the vocabulary and mine pseudo-teachers")
@@ -204,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vocab", required=True)
     p.add_argument("--threshold", type=float, default=0.95)
     p.add_argument("--n-pseudo", type=int, default=4)
-    p.add_argument("--workers", type=int, default=None, help="default: TRAJSIM_THREADS or 1")
+    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True, help="score-matrix binary (doubles as checkpoint)")
     p.add_argument("--teachers", required=True, help="pseudo-teacher JSONL output")

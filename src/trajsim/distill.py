@@ -13,7 +13,6 @@ from __future__ import annotations
 import hashlib
 import json
 import numbers
-import os
 import struct
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -34,7 +33,6 @@ __all__ = [
     "DistillConfig",
     "score_scene_row",
     "score_vocabulary",
-    "resolve_workers",
     "select_pseudo_teachers",
     "save_score_matrix",
     "load_score_matrix",
@@ -118,13 +116,18 @@ def score_scene_row(
     metric_cfg: MetricConfig | None = None,
 ) -> np.ndarray:
     """EPDMS of every center against one scene (the unit of parallel work);
-    one frame change of `vocab.poses` places all K centers at the ego pose."""
+    one frame change of `vocab.poses` places all K centers at the ego pose.
+    A center that cannot be scored, say one placed out of range, raises
+    ValueError naming the scene and the center."""
     ctx = ScoreContext(scene, kin_cfg, metric_cfg)
     init = scene.ego_init
     plans = to_world(init.pose, vocab.poses.reshape(-1, 3)).reshape(vocab.poses.shape)
     out = np.empty(vocab.k)
-    for i, plan in enumerate(plans):
-        out[i] = aggregate_epdms(evaluate_rollout(pid_track(Trajectory(plan), init, ctx.kin_cfg), ctx))
+    try:
+        for i, plan in enumerate(plans):
+            out[i] = aggregate_epdms(evaluate_rollout(pid_track(Trajectory(plan), init, ctx.kin_cfg), ctx))
+    except ValueError as exc:
+        raise ValueError(f"scene {scene.scene_id!r}, centers[{i}]: {exc}") from None
     return out
 
 
@@ -139,27 +142,6 @@ def _run_fingerprint(scenes, vocab: Vocabulary, kin_cfg, metric_cfg) -> str:
     h.update(repr(kin_cfg or _DEFAULT_KIN_CFG).encode())
     h.update(repr(metric_cfg or _DEFAULT_METRIC_CFG).encode())
     return h.hexdigest()
-
-
-def resolve_workers(workers: int | None, rows: int | None = None) -> int:
-    """Effective worker count: an explicit value wins, else TRAJSIM_THREADS,
-    else 1; when `rows` is given, at most that many, since a pool starts no
-    more workers than it has rows to score.  A count that is not an integer
-    (a bool is not) or is below 1 raises ValueError naming `workers` or the
-    variable."""
-    if workers is not None:
-        if not isinstance(workers, numbers.Integral) or isinstance(workers, bool):
-            raise ValueError(f"workers must be an integer, got {workers!r}")
-        name, value = "workers", workers
-    else:
-        name, value = "TRAJSIM_THREADS", os.environ.get("TRAJSIM_THREADS") or "1"
-        try:
-            value = int(value)
-        except ValueError:
-            raise ValueError(f"TRAJSIM_THREADS must be an integer, got {value!r}") from None
-    if value < 1:
-        raise ValueError(f"{name} must be >= 1, got {value}")
-    return value if rows is None else min(value, rows)
 
 
 class _Checkpoint:
@@ -225,7 +207,7 @@ class _Checkpoint:
 def score_vocabulary(
     scenes,
     vocab: Vocabulary,
-    workers: int | None = None,
+    workers: int = 1,
     checkpoint=None,
     kin_cfg: KinematicsConfig | None = None,
     metric_cfg: MetricConfig | None = None,
@@ -238,19 +220,23 @@ def score_vocabulary(
     written for other scenes, centers or configs raises ValueError.
     `progress` is an optional callable invoked with (scene_index,) as each
     row scored by this call completes (rows resumed from the checkpoint are
-    not reported).  The pool starts no more workers than there are rows to
-    score, and a single row or worker is scored in this process.
+    not reported).  At most `workers` processes, and no more than there are
+    rows to score, score the rows; one row or worker is scored in this
+    process.  A bad count raises ValueError before the checkpoint is touched.
     """
     scenes = list(scenes)
     if not scenes:
         raise ValueError("need at least one scene")
-    resolve_workers(workers)  # a bad count fails before the checkpoint is touched
+    if not isinstance(workers, numbers.Integral) or isinstance(workers, bool):
+        raise ValueError(f"workers must be an integer, got {workers!r}")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
 
     values = np.empty((len(scenes), vocab.k))
     ckpt = _Checkpoint(checkpoint, len(scenes), vocab.k) if checkpoint else None
     done = ckpt.load_done(_run_fingerprint(scenes, vocab, kin_cfg, metric_cfg), values) if ckpt else set()
     todo = [i for i in range(len(scenes)) if i not in done]
-    workers = resolve_workers(workers, len(todo))
+    workers = min(workers, len(todo))
 
     def finish(idx: int, row: np.ndarray):
         values[idx] = row

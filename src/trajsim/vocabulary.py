@@ -11,10 +11,8 @@ Clustering works on positions only; headings are reconstructed on the final
 centers from consecutive displacement tangents (mixing radians into a metric
 of meters would need an arbitrary scale), for all centers in one arctan2.
 The implementation is k-means++ seeding plus Lloyd iterations, with a
-deterministic chunked assignment step: chunks may be processed by a thread
-pool, but labels are order-free and the per-cluster reduction always runs
-in chunk-index order, so the result is bitwise identical for any worker
-count.
+chunked assignment step in one thread: the cluster sums and the inertia are
+reduced in chunk-index order, so the fixed chunk boundaries fix their bits.
 
 kmeans keeps one transposed (2M, N) copy of the embeddings, which seeding
 and every Lloyd chunk read.  In seeding, each new center's squared
@@ -86,7 +84,6 @@ from __future__ import annotations
 import mmap
 import numbers
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -108,7 +105,7 @@ __all__ = [
 
 _MAGIC = b"TVOC"
 _VERSION = 1
-_CHUNK = 4096  # fixed assignment chunk size; must not depend on worker count
+_CHUNK = 4096  # fixed assignment chunk size: it fixes the order of the sums
 _BLOCK = 2**18  # distances per block of rows: 2 MiB, to stay in cache
 
 # vocabulary sizes balancing coverage against batch-scoring cost
@@ -133,9 +130,10 @@ class TrajectoryCorpus:
 
         def positions():
             yield first.xy
-            for t in items:
+            for i, t in enumerate(items, 1):
                 if t.m != m:
-                    raise ValueError("corpus trajectories must share one waypoint count")
+                    raise ValueError(f"corpus trajectories must share one waypoint count: items[{i}] has "
+                                     f"{t.m} waypoints, items[0] has {m}")
                 yield t.xy
 
         # one growing array, not a list of N small ones whose freed heap a
@@ -471,7 +469,8 @@ def kmeans(
 
     Stops at an assignment fixed point or after `max_iters`.  Clusters that
     empty out are re-seeded to the point currently farthest from its center
-    (successive farthest points when several empty at once).
+    (successive farthest points when several empty at once).  Clustering
+    runs in one thread; `workers` must be 1, kept for callers that pass it.
     """
     for name, value in (("k", k), ("max_iters", max_iters), ("workers", workers)):
         if not isinstance(value, numbers.Integral) or isinstance(value, bool):
@@ -480,8 +479,8 @@ def kmeans(
         raise ValueError("k must be >= 1")
     if max_iters < 1:
         raise ValueError(f"max_iters must be >= 1, got {max_iters}")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    if workers != 1:
+        raise ValueError(f"workers must be 1, got {workers}")
     # the vocabulary file stores the seed as an i64
     if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or not 0 <= seed < 2**63:
         raise ValueError(f"seed must be an integer in [0, 2**63), got {seed!r}")
@@ -515,67 +514,56 @@ def kmeans(
         np.sqrt(xx, out=mx[lo:hi])
         mx[lo:hi] *= root2eps
         chunks.append((xt[:, lo:hi], xx, c, mx[lo:hi], labels[lo:hi], u[lo:hi], l[lo:hi]))
-    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
     # one work array for a block of distance rows and the rows of x behind
-    # them, in every chunk and pass, and for the center gaps; pool threads
-    # each take their own.  It is an anonymous mapping, so its pages go back
-    # to the OS when kmeans returns: malloc may keep a freed block this size
-    # resident, and every process forked later (a distill pool) would carry it
+    # them, in every chunk and pass, and for the center gaps.  It is an
+    # anonymous mapping, so its pages go back to the OS when kmeans returns:
+    # malloc may keep a freed block this size resident, and every process
+    # forked later (a distill pool) would carry it
     buf = np.frombuffer(mmap.mmap(-1, 8 * max(_BLOCK // k, 1) * (k + dim)))
-    try:
-        old = s = None
-        history = []
-        for _ in range(max_iters):
-            cc = np.sum(centers * centers, axis=1)
-            ct = np.ascontiguousarray(centers.T)
-            mc = root2eps * np.sqrt(cc.max()) + tiny
-            if old is not None:
-                s = _half_gaps(centers, cc, mc, buf)
-                _drift_bounds(old, centers, labels, u, l, eps, tiny)
-            if pool is None:
-                parts = [_assign_chunk(chunk, centers, ct, cc, s, mc, eps, tiny, buf) for chunk in chunks]
-            else:
-                parts = list(pool.map(
-                    lambda chunk: _assign_chunk(chunk, centers, ct, cc, s, mc, eps, tiny, np.empty(len(buf))),
-                    chunks,
-                ))
-            # reduce in chunk-index order so results never depend on scheduling
-            sums = np.zeros_like(centers)
-            counts = np.zeros(k, dtype=np.int64)
-            inertia = 0.0
-            for part_sums, part_counts, part_inertia, _, _ in parts:
-                sums += part_sums
-                counts += part_counts
-                inertia += part_inertia
-            history.append(inertia)
-            if old is not None and not any(p[4] for p in parts):
-                break  # no label changed: an assignment fixed point
+    old = s = None
+    history = []
+    for _ in range(max_iters):
+        cc = np.sum(centers * centers, axis=1)
+        ct = np.ascontiguousarray(centers.T)
+        mc = root2eps * np.sqrt(cc.max()) + tiny
+        if old is not None:
+            s = _half_gaps(centers, cc, mc, buf)
+            _drift_bounds(old, centers, labels, u, l, eps, tiny)
+        parts = [_assign_chunk(chunk, centers, ct, cc, s, mc, eps, tiny, buf) for chunk in chunks]
+        # reduce in chunk-index order: the chunk boundaries fix the bits
+        sums = np.zeros_like(centers)
+        counts = np.zeros(k, dtype=np.int64)
+        inertia = 0.0
+        for part_sums, part_counts, part_inertia, _, _ in parts:
+            sums += part_sums
+            counts += part_counts
+            inertia += part_inertia
+        history.append(inertia)
+        if old is not None and not any(p[4] for p in parts):
+            break  # no label changed: an assignment fixed point
 
-            empty = np.flatnonzero(counts == 0)
-            if len(empty):
-                dist2 = np.concatenate([p[3] for p in parts])
-                order = np.argsort(-dist2, kind="stable")
-                cursor = 0
-                for cluster in empty:
-                    # take the farthest point whose donor keeps >= 1 member
-                    while counts[labels[order[cursor]]] <= 1:
-                        cursor += 1
-                    idx = int(order[cursor])
+        empty = np.flatnonzero(counts == 0)
+        if len(empty):
+            dist2 = np.concatenate([p[3] for p in parts])
+            order = np.argsort(-dist2, kind="stable")
+            cursor = 0
+            for cluster in empty:
+                # take the farthest point whose donor keeps >= 1 member
+                while counts[labels[order[cursor]]] <= 1:
                     cursor += 1
-                    old_label = labels[idx]
-                    sums[old_label] -= x[idx]
-                    counts[old_label] -= 1
-                    sums[cluster] = x[idx]
-                    counts[cluster] = 1
-                    labels[idx] = cluster
-                    # bounds that held for the old label say nothing now
-                    u[idx] = np.inf
-                    l[idx] = -np.inf
-            old = centers
-            centers = sums / counts[:, None]
-    finally:
-        if pool is not None:
-            pool.shutdown()
+                idx = int(order[cursor])
+                cursor += 1
+                old_label = labels[idx]
+                sums[old_label] -= x[idx]
+                counts[old_label] -= 1
+                sums[cluster] = x[idx]
+                counts[cluster] = 1
+                labels[idx] = cluster
+                # bounds that held for the old label say nothing now
+                u[idx] = np.inf
+                l[idx] = -np.inf
+        old = centers
+        centers = sums / counts[:, None]
 
     return Vocabulary(_center_poses(centers, corpus.m), seed=seed, inertia=history[-1], inertia_history=tuple(history))
 

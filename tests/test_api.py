@@ -58,6 +58,23 @@ def test_no_import_inside_a_function(name):
     assert not nested
 
 
+@pytest.mark.parametrize("name", MODULES)
+def test_only_distill_starts_a_pool(name):
+    # distill's process pool is the one parallel path: no module imports
+    # threading or multiprocessing, and only distill imports concurrent.futures
+    path = Path(trajsim.__file__).parent / f"{name}.py"
+    banned = ("threading", "multiprocessing") + (() if name == "distill" else ("concurrent.futures",))
+    imported = []  # (line, dotted name): each module, and each name a from-import takes
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            imported += [(node.lineno, a.name) for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            imported += [(node.lineno, node.module)] + [(node.lineno, f"{node.module}.{a.name}") for a in node.names]
+    found = {f"{path.name}:{line}" for line, mod in imported
+             if any(mod == b or mod.startswith(b + ".") for b in banned)}
+    assert not found
+
+
 def readme_scene_table() -> dict:
     """{field cell: meaning cell} of each row of the README's scene-file table."""
     text = (Path(__file__).parents[1] / "README.md").read_text()

@@ -213,7 +213,7 @@ class TestBuildVocab:
         assert only_error_line(capsys) == f"error: seed must be an integer in [0, 2**63), got {seed}"
         assert not out.exists()
 
-    @pytest.mark.parametrize("flag, value", [("--max-iters", "0"), ("--workers", "-3")])
+    @pytest.mark.parametrize("flag, value", [("--max-iters", "0")])
     def test_invalid_kmeans_argument_fails_with_one_error_line(self, tmp_path, capsys, flag, value):
         d = tmp_path / "scenes"
         write_scenes(d, [("clean_straight", s) for s in range(3)])
@@ -222,6 +222,29 @@ class TestBuildVocab:
         assert code == 1
         name = flag[2:].replace("-", "_")
         assert only_error_line(capsys) == f"error: {name} must be >= 1, got {value}"
+        assert not out.exists()
+
+    def test_takes_no_worker_count(self, tmp_path, capsys):
+        # clustering runs in one thread; distill's --workers is the only pool size
+        with pytest.raises(SystemExit) as exit_info:
+            main(["build-vocab", "--scenes", str(tmp_path), "--k", "2", "--seed", "0",
+                  "--out", str(tmp_path / "v.bin"), "--workers", "2"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+
+    def test_plan_of_another_waypoint_count_named_in_error(self, tmp_path, capsys):
+        d = tmp_path / "scenes"
+        write_scenes(d, [("clean_straight", s) for s in range(3)])
+        doc = json.loads((d / "clean_straight-00002.json").read_text())
+        del doc["human_trajectory_ego"]["waypoints"][6:]
+        (d / "clean_straight-00002.json").write_text(json.dumps(doc))
+        out = tmp_path / "v.bin"
+        code = main(["build-vocab", "--scenes", str(d), "--k", "2", "--seed", "0", "--out", str(out)])
+        assert code == 1
+        assert only_error_line(capsys) == (
+            "error: scene 'clean_straight-00002': corpus trajectories must share one waypoint count: "
+            "items[2] has 6 waypoints, items[0] has 8"
+        )
         assert not out.exists()
 
 
@@ -265,26 +288,6 @@ class TestDistillCmd:
         assert outs[0] == outs[1]
         assert (tmp_path / "t1.txt").read_bytes() == (tmp_path / "t2.txt").read_bytes()
 
-    def test_env_var_sets_default_workers(self, tmp_path, monkeypatch, capsys):
-        d, vocab_path = self._vocab(tmp_path)
-        monkeypatch.setenv("TRAJSIM_THREADS", "2")
-        out = tmp_path / "m.bin"
-        code = main(["distill", "--scenes", str(d), "--vocab", str(vocab_path), "--seed", "5",
-                     "--out", str(out), "--teachers", str(tmp_path / "t.txt"),
-                     "--report", str(tmp_path / "r.json")])
-        assert code == 0
-        assert json.loads((tmp_path / "r.json").read_text())["workers"] == 2
-
-    def test_workers_flag_beats_env(self, tmp_path, monkeypatch):
-        d, vocab_path = self._vocab(tmp_path)
-        monkeypatch.setenv("TRAJSIM_THREADS", "4")
-        out = tmp_path / "m.bin"
-        code = main(["distill", "--scenes", str(d), "--vocab", str(vocab_path), "--seed", "5",
-                     "--workers", "1", "--out", str(out), "--teachers", str(tmp_path / "t.txt"),
-                     "--report", str(tmp_path / "r.json")])
-        assert code == 0
-        assert json.loads((tmp_path / "r.json").read_text())["workers"] == 1
-
     @pytest.mark.parametrize("workers", ["-3", "0"])
     def test_workers_below_one_fail_with_one_error_line(self, tmp_path, capsys, workers):
         d, vocab_path = self._vocab(tmp_path)
@@ -296,21 +299,21 @@ class TestDistillCmd:
         assert only_error_line(capsys) == f"error: workers must be >= 1, got {workers}"
         assert not out.exists()
 
-    @pytest.mark.parametrize("env, message", [
-        ("0", "TRAJSIM_THREADS must be >= 1, got 0"),
-        ("-2", "TRAJSIM_THREADS must be >= 1, got -2"),
-        ("abc", "TRAJSIM_THREADS must be an integer, got 'abc'"),
-    ])
-    def test_bad_env_workers_fail_with_one_error_line(self, tmp_path, monkeypatch, capsys, env, message):
-        d, vocab_path = self._vocab(tmp_path)
-        capsys.readouterr()
-        monkeypatch.setenv("TRAJSIM_THREADS", env)
-        out = tmp_path / "m.bin"
-        code = main(["distill", "--scenes", str(d), "--vocab", str(vocab_path), "--seed", "5",
-                     "--out", str(out), "--teachers", str(tmp_path / "t.txt")])
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_center_placed_out_of_range_named_with_its_scene(self, tmp_path, capsys, workers):
+        d = tmp_path / "scenes"
+        write_scenes(d, [("clean_straight", s) for s in range(3)])
+        poses = np.zeros((3, 8, 3))
+        poses[:, :, 0] = np.arange(8)
+        poses[2, 7, :2] = 1e9  # a valid center, out of range once placed at the ego pose
+        vocab_path = tmp_path / "vocab.bin"
+        vocab_path.write_bytes(struct.pack("<4sIIIq", b"TVOC", 1, 3, 8, 0) + poses.astype("<f8").tobytes())
+        code = main(["distill", "--scenes", str(d), "--vocab", str(vocab_path), "--seed", "5", "--workers", workers,
+                     "--out", str(tmp_path / "m.bin"), "--teachers", str(tmp_path / "t.txt")])
         assert code == 1
-        assert only_error_line(capsys) == f"error: {message}"
-        assert not out.exists()
+        assert only_error_line(capsys) == (
+            "error: scene 'clean_straight-00000', centers[2]: trajectory waypoints must be at most 1e+09 in magnitude"
+        )
 
     # the 3 scenes have indices 0, 1 and 2; a matrix file is cut to a length,
     # or the sidecar gets one bad line after its fingerprint

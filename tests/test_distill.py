@@ -16,7 +16,6 @@ from trajsim.distill import (
     ScoreMatrix,
     _run_fingerprint,
     load_score_matrix,
-    resolve_workers,
     save_score_matrix,
     save_teacher_sets,
     score_scene_row,
@@ -178,8 +177,10 @@ class TestScoreVocabulary:
             score_vocabulary(scenes, vocab, workers=workers, checkpoint=path)
         assert not path.exists()  # refused before the checkpoint is touched
 
-    def test_numpy_worker_count_accepted(self):
-        assert resolve_workers(np.int64(2)) == 2
+    def test_numpy_worker_count_accepted(self, small_world):
+        scenes, vocab = small_world
+        got = score_vocabulary(scenes, vocab, workers=np.int64(2))
+        assert np.array_equal(got.values, score_vocabulary(scenes, vocab, workers=1).values)
 
     def test_interrupted_run_leaves_zero_rows(self, small_world, tmp_path):
         scenes, vocab = small_world

@@ -72,8 +72,11 @@ class TestCorpus:
             Trajectory([[1.0, 2.0, 0.0]])
 
     def test_mixed_waypoint_counts_rejected(self):
-        with pytest.raises(ValueError, match="share one waypoint count"):
-            TrajectoryCorpus([traj_from_xy(np.ones((3, 2))), traj_from_xy(np.ones((4, 2)))])
+        items = [traj_from_xy(np.ones((3, 2)))] * 2 + [traj_from_xy(np.ones((4, 2)))]
+        with pytest.raises(ValueError, match=re.escape(
+            "corpus trajectories must share one waypoint count: items[2] has 4 waypoints, items[0] has 3"
+        )):
+            TrajectoryCorpus(items)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="corpus is empty"):
@@ -133,13 +136,13 @@ class TestKmeans:
         assert np.array_equal(a.poses[:, :, :2], b.poses[:, :, :2])
         assert a.inertia == b.inertia
 
-    def test_deterministic_across_workers(self):
-        rng = np.random.default_rng(6)
-        corpus = random_corpus(rng, 9000)  # spans multiple assignment chunks
-        a = kmeans(corpus, k=24, seed=11, workers=1)
-        b = kmeans(corpus, k=24, seed=11, workers=4)
-        assert np.array_equal(a.poses[:, :, :2], b.poses[:, :, :2])
-        assert a.inertia_history == b.inertia_history
+    def test_workers_other_than_one_refused(self, monkeypatch):
+        # clustering runs in one thread; the keyword takes only 1
+        monkeypatch.setattr(vocabulary, "_kmeans_pp", None)  # reaching it raises TypeError
+        corpus = random_corpus(np.random.default_rng(6), 5)
+        for workers in (2, 0):
+            with pytest.raises(ValueError, match=re.escape(f"workers must be 1, got {workers}")):
+                kmeans(corpus, k=2, seed=11, workers=workers)
 
     def test_centers_are_cluster_means(self):
         rng = np.random.default_rng(7)
@@ -177,8 +180,8 @@ class TestKmeans:
 
     def test_numpy_integer_counts_accepted(self):
         corpus = random_corpus(np.random.default_rng(8), 5)
-        want = kmeans(corpus, k=2, max_iters=3, seed=0, workers=2)
-        got = kmeans(corpus, k=np.int64(2), max_iters=np.int64(3), seed=0, workers=np.int64(2))
+        want = kmeans(corpus, k=2, max_iters=3, seed=0)
+        got = kmeans(corpus, k=np.int64(2), max_iters=np.int64(3), seed=0, workers=np.int64(1))
         assert np.array_equal(got.poses, want.poses)
 
     @pytest.mark.parametrize("seed", [0, np.int64(5), 2**63 - 1])
