@@ -3,9 +3,10 @@
 score_vocabulary is the throughput-critical path: every (scene, center) cell
 places the ego-frame center at the scene's ego pose, tracks it with the PID
 bicycle, and aggregates the EPDMS subscores.  Work is distributed per scene
-row across a process pool; rows land at fixed offsets keyed by scene index,
-so the result is bitwise identical for any worker count, and an optional
-checkpoint makes long runs resumable one scene row at a time.
+row across a process pool.  Each row goes straight to its fixed offset in the
+checkpoint file, the run's one store of scores, so the result is bitwise
+identical for any worker count and a long run resumes one scene row at a
+time.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import numbers
 import struct
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -158,10 +160,10 @@ class _Checkpoint:
         self.k = k
         self.row_bytes = k * 8
 
-    def load_done(self, fingerprint: str, values: np.ndarray) -> set:
+    def load_done(self, fingerprint: str) -> set:
         """The scene indices of the rows an earlier run with the same
-        fingerprint completed, each read into its row of `values`; a
-        checkpoint of any other run is refused."""
+        fingerprint completed; their scores stay in the file.  A checkpoint
+        of any other run is refused."""
         tag = f"sha256:{fingerprint}\n"
         text = self.done_path.read_text() if self.path.exists() and self.done_path.exists() else ""
         # a torn append leaves a last line without its newline: that row's
@@ -174,7 +176,7 @@ class _Checkpoint:
                 f.truncate(_HEADER.size + self.n_scenes * self.row_bytes)
             self.done_path.write_text(tag)
             return set()
-        raw, s, k = _read_matrix(self.path)
+        s, k = _read_matrix(self.path).shape
         if s != self.n_scenes or k != self.k:
             raise ValueError(
                 f"{self.path}: existing checkpoint does not match this run "
@@ -191,9 +193,7 @@ class _Checkpoint:
         for line in complete[len(tag):].split():
             if not (line.isdecimal() and int(line) < s):
                 raise ValueError(f"{self.done_path}: {line!r} is not a scene index in [0, {s})")
-            idx = int(line)
-            values[idx] = np.frombuffer(raw, dtype="<f8", count=self.k, offset=_HEADER.size + idx * self.row_bytes)
-            done.add(idx)
+            done.add(int(line))
         return done
 
     def write_row(self, idx: int, row: np.ndarray) -> None:
@@ -207,22 +207,26 @@ class _Checkpoint:
 def score_vocabulary(
     scenes,
     vocab: Vocabulary,
+    checkpoint,
     workers: int = 1,
-    checkpoint=None,
     kin_cfg: KinematicsConfig | None = None,
     metric_cfg: MetricConfig | None = None,
     progress=None,
 ) -> ScoreMatrix:
     """Score every (scene, center) pair; bitwise stable across worker counts.
 
-    `checkpoint` names a score-matrix file to maintain incrementally; rerun
-    with the same arguments to resume after an interruption.  A checkpoint
-    written for other scenes, centers or configs raises ValueError.
-    `progress` is an optional callable invoked with (scene_index,) as each
-    row scored by this call completes (rows resumed from the checkpoint are
-    not reported).  At most `workers` processes, and no more than there are
-    rows to score, score the rows; one row or worker is scored in this
-    process.  A bad count raises ValueError before the checkpoint is touched.
+    `checkpoint` names the score-matrix file the run writes each row into as
+    it is scored (with a .done sidecar); the matrix returned is read back
+    from it.  Rerun with the same arguments to resume after an interruption.
+    A checkpoint written for other scenes, centers or configs raises
+    ValueError.  `progress` is an optional callable invoked with
+    (scene_index,) as each row scored by this call completes, in row order
+    (rows resumed from the checkpoint are not reported).  At most `workers`
+    processes, and no more than there are rows to score, score the rows; one
+    row or worker is scored in this process.  A bad count raises ValueError
+    before the checkpoint is touched.  An exception from a row, a write or
+    `progress`, or an interrupt, cancels the rows not yet started and is
+    raised once the rows already running end.
     """
     scenes = list(scenes)
     if not scenes:
@@ -232,32 +236,21 @@ def score_vocabulary(
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
 
-    values = np.empty((len(scenes), vocab.k))
-    ckpt = _Checkpoint(checkpoint, len(scenes), vocab.k) if checkpoint else None
-    done = ckpt.load_done(_run_fingerprint(scenes, vocab, kin_cfg, metric_cfg), values) if ckpt else set()
+    ckpt = _Checkpoint(checkpoint, len(scenes), vocab.k)
+    done = ckpt.load_done(_run_fingerprint(scenes, vocab, kin_cfg, metric_cfg))
     todo = [i for i in range(len(scenes)) if i not in done]
     workers = min(workers, len(todo))
-
-    def finish(idx: int, row: np.ndarray):
-        values[idx] = row
-        if ckpt:
+    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+    args = ([scenes[i] for i in todo], repeat(vocab), repeat(kin_cfg), repeat(metric_cfg))
+    try:
+        for idx, row in zip(todo, (pool.map if pool else map)(score_scene_row, *args)):
             ckpt.write_row(idx, row)
-        if progress:
-            progress(idx)
-
-    if workers <= 1:
-        for idx in todo:
-            finish(idx, score_scene_row(scenes[idx], vocab, kin_cfg, metric_cfg))
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {
-                idx: pool.submit(score_scene_row, scenes[idx], vocab, kin_cfg, metric_cfg)
-                for idx in todo
-            }
-            for idx, fut in futures.items():
-                finish(idx, fut.result())
-
-    return ScoreMatrix(scene_ids=tuple(s.scene_id for s in scenes), values=values)
+            if progress:
+                progress(idx)
+    finally:
+        if pool:
+            pool.shutdown(cancel_futures=True)
+    return ScoreMatrix(scene_ids=tuple(s.scene_id for s in scenes), values=_read_matrix(checkpoint))
 
 
 # ---------------------------------------------------------------------------
@@ -302,9 +295,10 @@ def save_score_matrix(matrix: ScoreMatrix, path) -> None:
         f.write(matrix.values.astype("<f8").tobytes())
 
 
-def _read_matrix(path) -> tuple:
-    """(bytes, S, K) of a score-matrix file whose magic, version and size
-    match its header; anything else raises ValueError naming the file."""
+def _read_matrix(path) -> np.ndarray:
+    """The (S, K) scores of a score-matrix file whose magic, version and size
+    match its header, as a read-only view of its bytes; anything else raises
+    ValueError naming the file."""
     raw = Path(path).read_bytes()
     if len(raw) < _HEADER.size:
         raise ValueError(f"{path}: truncated score matrix")
@@ -315,15 +309,14 @@ def _read_matrix(path) -> tuple:
         raise ValueError(f"{path}: unsupported score-matrix version {version}")
     if len(raw) != _HEADER.size + s * k * 8:
         raise ValueError(f"{path}: size {len(raw)} does not match header")
-    return raw, s, k
+    return np.frombuffer(raw, dtype="<f8", offset=_HEADER.size).reshape(s, k)
 
 
 def load_score_matrix(path) -> ScoreMatrix:
     """The matrix of a file written by save_score_matrix; rows are named by
     their index, since the file holds no scene ids."""
-    raw, s, k = _read_matrix(path)
-    values = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size).reshape(s, k)
-    return ScoreMatrix(scene_ids=tuple(str(i) for i in range(s)), values=values)
+    values = _read_matrix(path)
+    return ScoreMatrix(scene_ids=tuple(str(i) for i in range(len(values))), values=values)
 
 
 def save_teacher_sets(teacher_sets, path) -> None:

@@ -31,7 +31,6 @@ __all__ = [
     "KinematicsConfig",
     "pid_track",
     "ego_rollout",
-    "finite_difference",
     "trajectory_to_world",
     "DENSE_TICKS",
     "PLAN_DT",
@@ -287,16 +286,6 @@ def pid_track(plan: Trajectory, init: EgoState, cfg: KinematicsConfig | None = N
     """
     first = (init.pose.x, init.pose.y, init.pose.psi, init.v, init.a, init.steer)
     return DenseTrajectory(*zip(first, *_pid_ticks(plan, init, cfg)))
-
-
-def finite_difference(values: np.ndarray, dt: float) -> np.ndarray:
-    """Central differences on interior points, one-sided at the ends."""
-    v = np.asarray(values, dtype=float)
-    out = np.empty_like(v)
-    out[1:-1] = (v[2:] - v[:-2]) / (2 * dt)
-    out[0] = (v[1] - v[0]) / dt
-    out[-1] = (v[-1] - v[-2]) / dt
-    return out
 
 
 # ---------------------------------------------------------------------------

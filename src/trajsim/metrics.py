@@ -56,7 +56,6 @@ from .kinematics import (
     Trajectory,
     _check_real_fields,
     ego_rollout,
-    finite_difference,
 )
 
 __all__ = [
@@ -625,17 +624,26 @@ def _unwrap(p: np.ndarray) -> np.ndarray:
     return up
 
 
+def _finite_difference(v: np.ndarray, dt: float) -> np.ndarray:
+    """Central differences on interior points, one-sided at the ends."""
+    out = np.empty_like(v)
+    out[1:-1] = (v[2:] - v[:-2]) / (2 * dt)
+    out[0] = (v[1] - v[0]) / dt
+    out[-1] = (v[-1] - v[-2]) / dt
+    return out
+
+
 def score_hc(d: DenseTrajectory, ctx: ScoreContext) -> float:
     """History comfort: nuPlan bounds over the 1.5 s-padded rollout."""
     cfg = ctx.metric_cfg
     v = np.concatenate([ctx.hist_v, d.v])
     psi = np.concatenate([ctx.hist_psi, d.psi])
-    lon_accel = finite_difference(v, TICK_DT)
-    yaw_rate = finite_difference(_unwrap(psi), TICK_DT)
-    yaw_accel = finite_difference(yaw_rate, TICK_DT)
+    lon_accel = _finite_difference(v, TICK_DT)
+    yaw_rate = _finite_difference(_unwrap(psi), TICK_DT)
+    yaw_accel = _finite_difference(yaw_rate, TICK_DT)
     lat_accel = v * yaw_rate
-    lon_jerk = finite_difference(lon_accel, TICK_DT)
-    jerk = np.hypot(lon_jerk, finite_difference(lat_accel, TICK_DT))
+    lon_jerk = _finite_difference(lon_accel, TICK_DT)
+    jerk = np.hypot(lon_jerk, _finite_difference(lat_accel, TICK_DT))
     ok = (
         lon_accel.min() >= cfg.lon_accel_min
         and lon_accel.max() <= cfg.lon_accel_max

@@ -466,7 +466,7 @@ def _plan_from_profile(x_of_t, y_of_t, m: int = 8) -> Trajectory:
     eps = 1e-3
     dx = np.asarray(x_of_t(t + eps)) - np.asarray(x_of_t(t - eps))
     dy = np.asarray(y_of_t(t + eps)) - np.asarray(y_of_t(t - eps))
-    psi = np.arctan2(dy, dx)
+    psi = np.array(list(map(math.atan2, dy.tolist(), dx.tolist())))  # libm's bits at every SIMD level
     return Trajectory(np.stack([x, y, psi], axis=1))
 
 

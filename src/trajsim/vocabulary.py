@@ -9,7 +9,7 @@ they stay out of its pickle, so a process-pool submit ships one array.
 
 Clustering works on positions only; headings are reconstructed on the final
 centers from consecutive displacement tangents (mixing radians into a metric
-of meters would need an arbitrary scale), for all centers in one arctan2.
+of meters would need an arbitrary scale), by math.atan2 per displacement.
 The implementation is k-means++ seeding plus Lloyd iterations, with a
 chunked assignment step in one thread: the cluster sums and the inertia are
 reduced in chunk-index order, so the fixed chunk boundaries fix their bits.
@@ -81,6 +81,7 @@ np.sum's order (_pairwise_row_sum), so every center keeps its bits.
 
 from __future__ import annotations
 
+import math
 import mmap
 import numbers
 import struct
@@ -200,9 +201,10 @@ class Vocabulary:
 
 def headings_from_tangents(xy: np.ndarray) -> np.ndarray:
     """Headings of the (..., M, 2) waypoints xy from consecutive
-    displacements; the last copies its neighbor."""
+    displacements, each by math.atan2, whose bits, unlike np.arctan2's, do
+    not depend on numpy's SIMD level; the last copies its neighbor."""
     d = np.diff(xy, axis=-2)
-    psi = np.arctan2(d[..., 1], d[..., 0])
+    psi = np.frompyfunc(math.atan2, 2, 1)(d[..., 1], d[..., 0]).astype(float)
     return np.concatenate([psi, psi[..., -1:]], axis=-1) if psi.shape[-1] else np.zeros(xy.shape[:-1])
 
 

@@ -929,15 +929,15 @@ def kmeans(x, k, max_iters, seed, chunk=4096):
 
 
 def center_poses(centers, m):
-    """kmeans' (K, M, 3) center poses as they were assembled before the
-    headings of all centers came from one arctan2: per (2M,) center row, the
-    headings of that center's own displacements, the last one copied, and
-    one Trajectory built from the waypoints and headings."""
+    """kmeans' (K, M, 3) center poses built one center at a time: per (2M,)
+    center row, one math.atan2 call per displacement of that center, the
+    last heading copied, and one Trajectory built from the waypoints and
+    headings."""
     out = []
     for vec in centers:
         xy = vec.reshape(m, 2)
         d = np.diff(xy, axis=0)
-        psi = np.arctan2(d[:, 1], d[:, 0])
+        psi = np.array([math.atan2(dy, dx) for dx, dy in d])
         psi = np.concatenate([psi, psi[-1:]]) if len(psi) else np.zeros(1)
         out.append(Trajectory(np.column_stack([xy, psi])).poses)
     return np.stack(out)

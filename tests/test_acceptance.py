@@ -222,11 +222,11 @@ def _distill_suite():
     return scenes, Vocabulary(poses, seed=11, inertia=vocab.inertia)
 
 
-def test_criterion_7_distillation_pipeline():
+def test_criterion_7_distillation_pipeline(tmp_path):
     with _timed(600.0) as t:
         scenes, vocab = _distill_suite()
-        m1 = score_vocabulary(scenes, vocab, workers=1)
-        m8 = score_vocabulary(scenes, vocab, workers=8)
+        m1 = score_vocabulary(scenes, vocab, workers=1, checkpoint=tmp_path / "w1.bin")
+        m8 = score_vocabulary(scenes, vocab, workers=8, checkpoint=tmp_path / "w8.bin")
         assert np.array_equal(m1.values, m8.values), "worker counts must give bitwise-equal matrices"
 
         # the planted human-trajectory center is a candidate in every clean scene
@@ -270,7 +270,7 @@ def test_criterion_9_momentum_selection():
             f"argmax invariance on 10k vectors; EC passes {momentum} vs {plain}")
 
 
-def test_criterion_10_throughput_report():
+def test_criterion_10_throughput_report(tmp_path):
     # soft goal: reported for regression tracking, not gated
     with _timed(600.0) as t:
         scenes = [generate_scene(SyntheticSpec("parked_agent", seed=s)) for s in range(16)]
@@ -281,7 +281,7 @@ def test_criterion_10_throughput_report():
         rates = {}
         for workers in (1, 8):
             t0 = time.perf_counter()
-            score_vocabulary(scenes, vocab, workers=workers)
+            score_vocabulary(scenes, vocab, workers=workers, checkpoint=tmp_path / f"w{workers}.bin")
             dt = time.perf_counter() - t0
             rates[workers] = len(scenes) * vocab.k / dt
     import os

@@ -6,6 +6,7 @@ import pkgutil
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import trajsim
@@ -72,6 +73,32 @@ def test_only_distill_starts_a_pool(name):
             imported += [(node.lineno, node.module)] + [(node.lineno, f"{node.module}.{a.name}") for a in node.names]
     found = {f"{path.name}:{line}" for line, mod in imported
              if any(mod == b or mod.startswith(b + ".") for b in banned)}
+    assert not found
+
+
+# numpy's transcendental ufuncs, aliases included through the objects they
+# name; their float64 loops may round differently at each SIMD level
+TRANSCENDENTAL = {
+    np.sin, np.cos, np.tan, np.arcsin, np.arccos, np.arctan, np.arctan2, np.sinh, np.cosh, np.tanh,
+    np.arcsinh, np.arccosh, np.arctanh, np.exp, np.exp2, np.expm1, np.log, np.log2, np.log10, np.log1p,
+    np.logaddexp, np.logaddexp2, np.power, np.float_power, np.cbrt, np.hypot, np.sqrt,
+}
+# the ones checked to give the same bits with numpy's AVX2 and AVX-512 loops
+# (np.hypot's are not libm's, but they are the same at both levels)
+SAME_BITS_AT_EVERY_LEVEL = {np.cos, np.sin, np.hypot, np.sqrt}
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_only_level_independent_transcendentals(name):
+    # np.arctan2, np.tan, np.exp and np.log give other bits on AVX-512
+    # machines than on AVX2 ones; math's functions are the same on both
+    path = Path(trajsim.__file__).parent / f"{name}.py"
+    found = [
+        f"{path.name}:{node.lineno}: np.{node.attr}"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")
+        and getattr(np, node.attr, None) in TRANSCENDENTAL - SAME_BITS_AT_EVERY_LEVEL
+    ]
     assert not found
 
 

@@ -652,3 +652,71 @@ class TestEntryPoint:
         )
         assert proc.returncode != 0
         assert "usage" in proc.stderr.lower() or "required" in proc.stderr.lower()
+
+
+# the generated scenes whose bytes numpy's AVX-512 arctan2 changed; seeds 0-1
+# of every template are the same at both levels, so they would show nothing
+LEVEL_SENSITIVE_SCENES = [("parked_agent", 17), ("parked_agent", 18), ("parked_agent", 49), ("oncoming_lane", 18),
+                          ("oncoming_lane", 20), ("oncoming_lane", 31), ("oncoming_lane", 39)]
+AVX512_TARGETS = ("X86_V4", "AVX512_ICL", "AVX512_SPR")  # numpy 2.4's names for its AVX-512 dispatch targets
+
+
+def test_pipeline_bytes_do_not_depend_on_avx512(tmp_path):
+    # scenes, build-vocab, distill, select and diversity in a child, once with
+    # numpy's default dispatch and once with its AVX-512 targets disabled:
+    # every file must have the same bytes
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:
+        pytest.skip("numpy reports no dispatch targets")
+    targets = [t for t in AVX512_TARGETS if t in __cpu_dispatch__ and __cpu_features__.get(t)]
+    if not targets:
+        pytest.skip("this CPU enables none of numpy's AVX-512 dispatch targets")
+    child = f"""
+import contextlib, json, sys
+from pathlib import Path
+from numpy._core._multiarray_umath import __cpu_features__
+from trajsim.cli import main
+from trajsim.distill import load_score_matrix
+from trajsim.scene_io import SyntheticSpec, generate_scene, save_proposal_set, save_scene
+from trajsim.vocabulary import load_vocabulary
+
+out = Path(sys.argv[1])
+d = out / "scenes"
+d.mkdir(parents=True)
+scenes = sorted((generate_scene(SyntheticSpec(t, seed=s)) for t, s in {LEVEL_SENSITIVE_SCENES!r}), key=lambda s: s.scene_id)
+for scene in scenes:
+    save_scene(scene, d / f"{{scene.scene_id}}.json")
+with contextlib.redirect_stdout(None):
+    assert main(["build-vocab", "--scenes", str(d), "--k", "4", "--seed", "0", "--out", str(out / "vocab.bin"),
+                 "--csv", str(out / "vocab.csv")]) == 0
+    assert main(["distill", "--scenes", str(d), "--vocab", str(out / "vocab.bin"), "--seed", "0", "--threshold", "0.5",
+                 "--out", str(out / "matrix.bin"), "--teachers", str(out / "teachers.jsonl")]) == 0
+vocab, matrix = load_vocabulary(out / "vocab.bin"), load_score_matrix(out / "matrix.bin")
+proposals = [p.tolist() for p in vocab.poses]
+(out / "frames.json").write_text(json.dumps({{"schema_version": 1, "frames": [
+    {{"scene_id": s.scene_id, "proposals": proposals}} for s in scenes]}}))
+(out / "scores.json").write_text(json.dumps({{"schema_version": 1, "frames": [
+    {{"scene_id": s.scene_id, "scores": row.tolist()}} for s, row in zip(scenes, matrix.values)]}}))
+save_proposal_set(vocab.centers, out / "proposals.json")
+with contextlib.redirect_stdout(None):
+    assert main(["select", "--scenes", str(d), "--proposals", str(out / "frames.json"), "--scores",
+                 str(out / "scores.json"), "--out", str(out / "selected.tsv")]) == 0
+with open(out / "diversity.txt", "w") as f, contextlib.redirect_stdout(f):
+    assert main(["diversity", "--proposals", str(out / "proposals.json")]) == 0
+print(json.dumps([t for t in {targets!r} if __cpu_features__[t]]))
+"""
+    src = str(Path(trajsim.__file__).resolve().parent.parent)
+    env = {k: v for k, v in os.environ.items() if not k.startswith("NPY_")}
+    env.update(PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])), OPENBLAS_NUM_THREADS="1")
+    files = {}
+    for level, extra in (("default", {}), ("no-avx512", {"NPY_DISABLE_CPU_FEATURES": " ".join(targets)})):
+        proc = subprocess.run([sys.executable, "-c", child, str(tmp_path / level)],
+                              capture_output=True, text=True, env={**env, **extra})
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert json.loads(proc.stdout) == ([] if extra else targets)
+        files[level] = {p.relative_to(tmp_path / level): p.read_bytes()
+                        for p in sorted((tmp_path / level).rglob("*")) if p.is_file()}
+    assert len(files["default"]) == 7 + 10  # the scenes and every output file
+    assert files["default"] == files["no-avx512"], [p for p in files["default"]
+                                                    if files["default"][p] != files["no-avx512"].get(p)]

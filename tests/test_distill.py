@@ -1,15 +1,18 @@
+import functools
 import json
 import multiprocessing
 import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import trajsim
+from trajsim import distill
 from trajsim.distill import (
     DistillConfig,
     PseudoTeacherSet,
@@ -34,6 +37,17 @@ from scenes import OLD_PINNED_FINGERPRINT, pinned_run, rich_scene
 def traj_from_xy(xy):
     xy = np.asarray(xy, dtype=float)
     return Trajectory(np.column_stack([xy, headings_from_tangents(xy)]))
+
+
+def _marking_row(started, fail_first, scene, vocab, kin_cfg, metric_cfg):
+    """A score_scene_row stand-in, once `started` and `fail_first` are bound:
+    it marks the row as started in the directory `started`, then raises on
+    scene seed 0 if `fail_first`, or takes 0.5 s."""
+    (started / scene.scene_id).touch()
+    if fail_first and scene.scene_id.endswith("-00000"):
+        raise ValueError("row 0 failed")
+    time.sleep(0.5)
+    return np.full(vocab.k, 0.5)
 
 
 @pytest.fixture(scope="module")
@@ -64,26 +78,27 @@ class TestScoreVocabulary:
         assert row.min() >= 0.0 and row.max() <= 1.0
         assert row[0] >= 0.95  # planted human trajectory in a clean scene
 
-    def test_worker_counts_bitwise_identical(self, small_world):
+    def test_worker_counts_bitwise_identical(self, small_world, tmp_path):
         scenes, vocab = small_world
-        a = score_vocabulary(scenes, vocab, workers=1)
-        b = score_vocabulary(scenes, vocab, workers=2)
+        a = score_vocabulary(scenes, vocab, workers=1, checkpoint=tmp_path / "w1.bin")
+        b = score_vocabulary(scenes, vocab, workers=2, checkpoint=tmp_path / "w2.bin")
         assert np.array_equal(a.values, b.values)
         assert a.scene_ids == b.scene_ids
 
     @pytest.mark.parametrize("n_scenes, most_children", [(2, 2), (1, 0)])
-    def test_pool_starts_no_more_workers_than_rows(self, small_world, n_scenes, most_children):
+    def test_pool_starts_no_more_workers_than_rows(self, small_world, tmp_path, n_scenes, most_children):
         # 4 workers asked for: 2 rows start at most 2 processes, 1 row is
         # scored in this process
         scenes, vocab = small_world
         children = []
         got = score_vocabulary(
-            scenes[:n_scenes], vocab, workers=4,
+            scenes[:n_scenes], vocab, workers=4, checkpoint=tmp_path / "w4.bin",
             progress=lambda idx: children.append(len(multiprocessing.active_children())),
         )
         assert len(children) == n_scenes
         assert max(children) <= most_children
-        assert np.array_equal(got.values, score_vocabulary(scenes[:n_scenes], vocab, workers=1).values)
+        one = score_vocabulary(scenes[:n_scenes], vocab, workers=1, checkpoint=tmp_path / "w1.bin")
+        assert np.array_equal(got.values, one.values)
 
     def test_checkpoint_resume_skips_done_rows(self, small_world, tmp_path):
         scenes, vocab = small_world
@@ -164,10 +179,12 @@ class TestScoreVocabulary:
         assert resumed_rows == []  # every row came from the checkpoint
         assert np.array_equal(again.values, full.values)
 
-    def test_empty_inputs_rejected(self, small_world):
+    def test_empty_inputs_rejected(self, small_world, tmp_path):
         _, vocab = small_world
+        path = tmp_path / "matrix.bin"
         with pytest.raises(ValueError):
-            score_vocabulary([], vocab)
+            score_vocabulary([], vocab, checkpoint=path)
+        assert not path.exists()
 
     @pytest.mark.parametrize("workers", [2.5, True, "2"])
     def test_worker_count_must_be_an_integer(self, small_world, tmp_path, workers):
@@ -177,10 +194,11 @@ class TestScoreVocabulary:
             score_vocabulary(scenes, vocab, workers=workers, checkpoint=path)
         assert not path.exists()  # refused before the checkpoint is touched
 
-    def test_numpy_worker_count_accepted(self, small_world):
+    def test_numpy_worker_count_accepted(self, small_world, tmp_path):
         scenes, vocab = small_world
-        got = score_vocabulary(scenes, vocab, workers=np.int64(2))
-        assert np.array_equal(got.values, score_vocabulary(scenes, vocab, workers=1).values)
+        got = score_vocabulary(scenes, vocab, workers=np.int64(2), checkpoint=tmp_path / "w2.bin")
+        one = score_vocabulary(scenes, vocab, workers=1, checkpoint=tmp_path / "w1.bin")
+        assert np.array_equal(got.values, one.values)
 
     def test_interrupted_run_leaves_zero_rows(self, small_world, tmp_path):
         scenes, vocab = small_world
@@ -198,18 +216,40 @@ class TestScoreVocabulary:
         assert raw[header:header + row_bytes] == score_scene_row(scenes[0], vocab).astype("<f8").tobytes()
         assert raw[header + row_bytes:] == bytes((len(scenes) - 1) * row_bytes)
 
-    def test_scoring_and_mining_build_no_center_views(self, small_world):
+    @pytest.mark.parametrize("case", ["fail-first", "progress-raises"])
+    def test_a_failure_stops_the_run_early(self, small_world, tmp_path, monkeypatch, case):
+        # 24 rows of 0.5 s on 2 workers: after the failure only the rows
+        # already running (2) or in the pool's call queue (workers + 1 = 3)
+        # start, besides row 0; 8 leaves room for a slow reaction, 24 is
+        # every row
+        _, vocab = small_world
+        scenes = [generate_scene(SyntheticSpec("clean_straight", seed=s)) for s in range(24)]
+        started = tmp_path / "started"
+        started.mkdir()
+        monkeypatch.setattr(distill, "score_scene_row", functools.partial(_marking_row, started, case == "fail-first"))
+
+        def progress(idx):
+            if case == "progress-raises":
+                raise RuntimeError("progress failed")
+
+        error = {"fail-first": (ValueError, "row 0 failed"), "progress-raises": (RuntimeError, "progress failed")}
+        with pytest.raises(error[case][0], match=error[case][1]):
+            score_vocabulary(scenes, vocab, workers=2, checkpoint=tmp_path / "matrix.bin", progress=progress)
+        assert 1 <= len(list(started.iterdir())) <= 8, sorted(p.name for p in started.iterdir())
+
+    def test_scoring_and_mining_build_no_center_views(self, small_world, tmp_path):
         scenes, vocab = small_world
         fresh = Vocabulary(vocab.poses, seed=5, inertia=vocab.inertia)
-        matrix = score_vocabulary(scenes, fresh, workers=1)
+        matrix = score_vocabulary(scenes, fresh, workers=1, checkpoint=tmp_path / "matrix.bin")
         for row, scene in zip(matrix.values, scenes):
             select_pseudo_teachers(row, fresh, DistillConfig(threshold=0.5), scene.scene_id)
         assert fresh._centers is None
 
     def test_memory_grows_with_one_matrix_and_its_copy(self, tmp_path):
-        # the matrix under construction plus ScoreMatrix's own copy, with
-        # scoring stubbed out so only the framework runs; each run is a fresh
-        # child so that its peak RSS is its own
+        # rows go straight to the checkpoint file, so the peak is the one
+        # read of the finished file plus ScoreMatrix's own copy, with scoring
+        # stubbed out so only the framework runs; each run is a fresh child
+        # so that its peak RSS is its own
         src = str(Path(trajsim.__file__).resolve().parent.parent)
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
                "OPENBLAS_NUM_THREADS": "1"}
@@ -311,9 +351,9 @@ class TestSelectPseudoTeachers:
 
 
 class TestSelfConsistency:
-    def test_selected_teachers_rescore_identically(self, small_world):
+    def test_selected_teachers_rescore_identically(self, small_world, tmp_path):
         scenes, vocab = small_world
-        matrix = score_vocabulary(scenes, vocab)
+        matrix = score_vocabulary(scenes, vocab, checkpoint=tmp_path / "matrix.bin")
         cfg = DistillConfig(threshold=0.5, n_pseudo=3, rng_seed=1)
         for i, scene in enumerate(scenes):
             ts = select_pseudo_teachers(matrix.values[i], vocab, cfg, scene.scene_id)

@@ -715,8 +715,8 @@ def test_csv_export_matches_oracle(tmp_path):
 
 
 def test_center_headings_match_per_center_oracle():
-    # one arctan2 over every center's displacements gives the bits of one
-    # call per center, zero displacements and signed zeros included
+    # the headings of every center at once give the bits of one math.atan2
+    # call per displacement, zero displacements and signed zeros included
     rng = np.random.default_rng(73)
     for trial in range(240):
         k, m = int(rng.integers(1, 300)), int(rng.integers(2, 13))
