@@ -30,7 +30,7 @@ def _write_json(path, doc) -> None:
 
 
 def cmd_score(args) -> int:
-    scenes = scene_io.load_scene_dir(args.scenes)
+    scenes = scene_io.iter_scene_dir(args.scenes)  # each scene loads as the loop reaches it
     traj_map = None
     if args.traj != "human":
         traj_map = scene_io.load_trajectory_map(args.traj)
@@ -93,7 +93,7 @@ def cmd_build_vocab(args) -> int:
 
 
 def cmd_distill(args) -> int:
-    scenes = scene_io.load_scene_dir(args.scenes)
+    scenes = list(scene_io.iter_scene_dir(args.scenes))
     vocab = vocabulary.load_vocabulary(args.vocab)
     cfg = distill_mod.DistillConfig(threshold=args.threshold, n_pseudo=args.n_pseudo, rng_seed=args.seed)
 
@@ -247,7 +247,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

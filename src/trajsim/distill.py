@@ -6,7 +6,7 @@ bicycle, and aggregates the EPDMS subscores.  Work is distributed per scene
 row across a process pool.  Each row goes straight to its fixed offset in the
 checkpoint file, the run's one store of scores, so the result is bitwise
 identical for any worker count and a long run resumes one scene row at a
-time.
+time; the finished file is read once, into the array the run returns.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .geom import to_world
-from .kinematics import _DEFAULT_KIN_CFG, KinematicsConfig, Trajectory, _check_real_fields, pid_track
+from .kinematics import _DEFAULT_KIN_CFG, KinematicsConfig, Trajectory, _check_fields, pid_track
 from .metrics import _DEFAULT_METRIC_CFG, MetricConfig, Scene, ScoreContext, aggregate_epdms, evaluate_rollout
 from .scene_io import scene_to_doc
 from .seeding import stable_seed
@@ -49,16 +49,18 @@ _HEADER = struct.Struct("<4sIII")
 @dataclass(frozen=True)
 class ScoreMatrix:
     """EPDMS of every vocabulary center against every scene, (S, K) in [0, 1];
-    `values` is the matrix's own read-only copy."""
+    `values` keeps a read-only float64 array that owns its data, else a copy."""
 
     scene_ids: tuple
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.array(self.values, dtype=float)
+        v = self.values
+        if not (isinstance(v, np.ndarray) and v.dtype == float and v.flags.owndata and not v.flags.writeable):
+            v = np.array(v, dtype=float)
         if v.ndim != 2 or v.shape[0] != len(self.scene_ids):
             raise ValueError("values must be (n_scenes, k)")
-        if not np.all((v >= 0.0) & (v <= 1.0)):  # also rejects NaN
+        if not (v.min(initial=0.0) >= 0.0 and v.max(initial=1.0) <= 1.0):  # also rejects NaN
             raise ValueError("scores must lie in [0, 1]")
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
@@ -96,13 +98,9 @@ class DistillConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        _check_real_fields(self)
+        _check_fields(self)
         if not 0.0 < self.threshold <= 1.0:
             raise ValueError("threshold must be in (0, 1]")
-        for name in ("n_pseudo", "rng_seed"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n_pseudo < 0:
             raise ValueError("n_pseudo must be non-negative")
 
@@ -216,8 +214,8 @@ def score_vocabulary(
     """Score every (scene, center) pair; bitwise stable across worker counts.
 
     `checkpoint` names the score-matrix file the run writes each row into as
-    it is scored (with a .done sidecar); the matrix returned is read back
-    from it.  Rerun with the same arguments to resume after an interruption.
+    it is scored (with a .done sidecar); the matrix returned is the file's
+    one read.  Rerun with the same arguments to resume after an interruption.
     A checkpoint written for other scenes, centers or configs raises
     ValueError.  `progress` is an optional callable invoked with
     (scene_index,) as each row scored by this call completes, in row order
@@ -297,19 +295,23 @@ def save_score_matrix(matrix: ScoreMatrix, path) -> None:
 
 def _read_matrix(path) -> np.ndarray:
     """The (S, K) scores of a score-matrix file whose magic, version and size
-    match its header, as a read-only view of its bytes; anything else raises
-    ValueError naming the file."""
-    raw = Path(path).read_bytes()
-    if len(raw) < _HEADER.size:
-        raise ValueError(f"{path}: truncated score matrix")
-    magic, version, s, k = _HEADER.unpack_from(raw)
-    if magic != _MAGIC:
-        raise ValueError(f"{path}: bad magic {magic!r}, expected {_MAGIC!r}")
-    if version != _VERSION:
-        raise ValueError(f"{path}: unsupported score-matrix version {version}")
-    if len(raw) != _HEADER.size + s * k * 8:
-        raise ValueError(f"{path}: size {len(raw)} does not match header")
-    return np.frombuffer(raw, dtype="<f8", offset=_HEADER.size).reshape(s, k)
+    match its header, read once into a read-only array that owns its data;
+    anything else raises ValueError naming the file."""
+    with open(path, "rb") as f:
+        size = Path(path).stat().st_size
+        if size < _HEADER.size:
+            raise ValueError(f"{path}: truncated score matrix")
+        magic, version, s, k = _HEADER.unpack(f.read(_HEADER.size))
+        if magic != _MAGIC:
+            raise ValueError(f"{path}: bad magic {magic!r}, expected {_MAGIC!r}")
+        if version != _VERSION:
+            raise ValueError(f"{path}: unsupported score-matrix version {version}")
+        if size != _HEADER.size + s * k * 8:
+            raise ValueError(f"{path}: size {size} does not match header")
+        values = np.fromfile(f, dtype="<f8")
+    values.shape = (s, k)  # in place: reshape would return a view that does not own the data
+    values.setflags(write=False)
+    return values
 
 
 def load_score_matrix(path) -> ScoreMatrix:

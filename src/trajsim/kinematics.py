@@ -125,15 +125,17 @@ class DenseTrajectory:
         )
 
 
-def _check_real_fields(cfg) -> None:
-    """Raise ValueError naming the first field of the dataclass `cfg`
-    declared float whose value is not a finite real number (a bool is not
-    one)."""
+def _check_fields(cfg) -> None:
+    """Raise ValueError naming the first field of the dataclass `cfg` whose
+    value is not of its declared kind: a finite real number for a float
+    field, an integer for an int field (a bool is neither)."""
     for field in dataclasses.fields(cfg):
+        value = getattr(cfg, field.name)
         if field.type == "float":
-            value = getattr(cfg, field.name)
             if not isinstance(value, numbers.Real) or isinstance(value, bool) or not math.isfinite(value):
                 raise ValueError(f"{field.name} must be a finite real number, got {value!r}")
+        elif field.type == "int" and (not isinstance(value, numbers.Integral) or isinstance(value, bool)):
+            raise ValueError(f"{field.name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -152,7 +154,7 @@ class KinematicsConfig:
     kd_lat: float = 0.3
 
     def __post_init__(self):
-        _check_real_fields(self)
+        _check_fields(self)
         if self.wheelbase <= 0:
             raise ValueError("wheelbase must be positive")
 

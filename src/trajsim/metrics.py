@@ -54,7 +54,7 @@ from .kinematics import (
     DenseTrajectory,
     EgoState,
     Trajectory,
-    _check_real_fields,
+    _check_fields,
     ego_rollout,
 )
 
@@ -296,11 +296,10 @@ class MetricConfig:
     history_pad_ticks: int = 15
 
     def __post_init__(self):
-        _check_real_fields(self)
+        _check_fields(self)
         for name, least in (("lk_window_ticks", 0), ("ttc_substeps", 1), ("history_pad_ticks", 0)):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < least:
-                raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be an integer of at least {least}, got {getattr(self, name)!r}")
 
 
 _DEFAULT_METRIC_CFG = MetricConfig()

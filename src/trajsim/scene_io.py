@@ -51,7 +51,6 @@ __all__ = [
     "TEMPLATES",
     "save_scene",
     "load_scene",
-    "load_scene_dir",
     "iter_scene_dir",
     "generate_scene",
     "transform_scene",
@@ -594,9 +593,9 @@ _BUILDERS = {
 
 
 def iter_scene_dir(directory):
-    """The scenes of every *.json file in `directory`, in sorted file-name
-    order, each loaded as the iterator reaches it; a missing directory or
-    one without scene files raises FileNotFoundError naming it at once."""
+    """The scenes of every *.json file in `directory` in file-name order, each
+    loaded when reached (list() to hold all); a missing directory or one
+    without scene files raises FileNotFoundError naming it at once."""
     directory = Path(directory)
     if not directory.is_dir():
         raise FileNotFoundError(f"scene directory not found: {directory}")
@@ -604,11 +603,6 @@ def iter_scene_dir(directory):
     if not paths:
         raise FileNotFoundError(f"no scene files (*.json) under {directory}")
     return map(load_scene, paths)
-
-
-def load_scene_dir(directory) -> list:
-    """iter_scene_dir(directory) as a list."""
-    return list(iter_scene_dir(directory))
 
 
 def save_trajectory_map(trajs: dict, path) -> None:

@@ -332,17 +332,13 @@ def _nearest_rows(rows, x, xx, c2, cc, margin, buf):
     of one chunk x, and their second-least computed distances; c2 is the
     centers doubled and margin holds the rows' margins.
 
-    All rows of a chunk that fits the flat work array buf are computed
-    whole.  Otherwise the rows of x are gathered behind their distances in
+    The rows of x are gathered behind their distances in the flat work array
     buf, a block at a time, and a row whose two least distances lie within
     2 margin^2 of each other is taken from the whole chunk's product instead:
     the bits of a product of some rows need not be those of the same rows in
     the whole product, so only a clear least distance settles the label."""
     n, dim = x.shape
     k = len(c2)
-    if len(rows) == n and n * k <= len(buf):
-        labels, second, _ = _nearest_two(x, xx, c2, cc, buf[: n * k].reshape(n, k))
-        return labels, second
     labels = np.empty(len(rows), dtype=np.intp)
     second = np.empty(len(rows))
     close = np.empty(len(rows), dtype=bool)

@@ -67,6 +67,19 @@ def write_doc(path, **fields) -> Path:
     return path
 
 
+def diversity_in_2gib_child(path) -> subprocess.CompletedProcess:
+    """`trajsim diversity --proposals path` in a child process whose address space is limited to 2 GiB."""
+    src = str(Path(trajsim.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+           "OPENBLAS_NUM_THREADS": "1"}
+    limit = 2 << 30
+    child = ("import resource, sys; "
+             f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, resource.getrlimit(resource.RLIMIT_AS)[1])); "
+             "from trajsim.cli import main; sys.exit(main(sys.argv[1:]))")
+    return subprocess.run([sys.executable, "-c", child, "diversity", "--proposals", str(path)],
+                          capture_output=True, text=True, env=env)
+
+
 @pytest.fixture
 def clean_dir(tmp_path):
     d = tmp_path / "clean"
@@ -148,6 +161,8 @@ class TestScore:
         code = main(["score", "--scenes", str(clean_dir), "--traj", "human", "--out", str(tmp_path / "r.json")])
         assert code == 1
         assert only_error_line(capsys) == f"error: {bad}: ego.init.speed_mps must be a number, not a string"
+        # the bad file sorts last: the scenes before it were scored, but no report is written
+        assert not (tmp_path / "r.json").exists()
 
     def test_one_waypoint_human_plan_named_in_error(self, tmp_path, capsys):
         bad = one_waypoint_scene(tmp_path / "scenes")
@@ -542,19 +557,20 @@ class TestDiversityCmd:
         far = Trajectory(near.poses + [1e7, 1e7, 0.0])
         path = tmp_path / "props.json"
         save_proposal_set([near, far], path)
-        src = str(Path(trajsim.__file__).resolve().parent.parent)
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
-               "OPENBLAS_NUM_THREADS": "1"}
-        limit = 2 << 30
-        child = ("import resource, sys; "
-                 f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, resource.getrlimit(resource.RLIMIT_AS)[1])); "
-                 "from trajsim.cli import main; sys.exit(main(sys.argv[1:]))")
-        proc = subprocess.run([sys.executable, "-c", child, "diversity", "--proposals", str(path)],
-                              capture_output=True, text=True, env=env)
+        proc = diversity_in_2gib_child(path)
         assert proc.returncode == 0, proc.stderr[-2000:]
         # disjoint corridors: the union is the sum of the two
         c = [np.count_nonzero(_corridor_cells(p.xy)[1]) for p in (near, far)]
         assert proc.stdout == f"{1.0 - np.mean([ci / sum(c) for ci in c]):.6f}\n"
+
+    def test_proposals_too_far_apart_for_memory_fail_with_one_error_line(self, tmp_path):
+        # 1e6 m apart on both axes: the grid D is computed on needs far more than the child's
+        # 2 GiB, so the run ends with one error line instead of numpy's traceback
+        path = write_doc(tmp_path / "props.json", proposals=[[[0, 0, 0], [1e6, 1e6, 0]]])
+        proc = diversity_in_2gib_child(path)
+        assert proc.returncode == 1, proc.stderr[-2000:]
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and "Traceback" not in proc.stderr, proc.stderr
 
 
 @pytest.mark.parametrize("kind", ["scene", "trajectory map", "diversity", "render", "select"])

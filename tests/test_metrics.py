@@ -402,7 +402,9 @@ class TestMetricConfig:
         ("lk_window_ticks", True),
     ])
     def test_bad_integer_named(self, name, value):
-        with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer of at least")):
+        # a value that is not an integer is named as such before its range is checked
+        message = f"{name} must be an integer" + (" of at least" if type(value) is int else f", got {value!r}")
+        with pytest.raises(ValueError, match=re.escape(message)):
             MetricConfig(**{name: value})
 
     def test_pad_of_zero_uses_no_history(self):

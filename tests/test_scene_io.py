@@ -29,7 +29,6 @@ from trajsim.scene_io import (
     load_proposal_set,
     load_scene,
     iter_scene_dir,
-    load_scene_dir,
     load_score_frames,
     load_trajectory_map,
     save_proposal_set,
@@ -545,25 +544,17 @@ class TestCorpus:
         for i, template in enumerate(TEMPLATES[:3]):
             save_scene(generate_scene(SyntheticSpec(template, seed=i)), tmp_path / f"{template}.json")
         (tmp_path / "notes.txt").write_text("not a scene")
-        scenes = load_scene_dir(tmp_path)
+        scenes = list(iter_scene_dir(tmp_path))
         # sorted by file name, which here is the template name
         assert [s.scene_id for s in scenes] == [f"{t}-{i:05d}" for t, i in sorted(zip(TEMPLATES[:3], range(3)))]
         corpus = TrajectoryCorpus(s.human_trajectory for s in scenes)
         assert corpus.count == 3
         assert corpus.m == 8
 
-    def test_empty_dir_rejected(self, tmp_path):
-        with pytest.raises(FileNotFoundError, match=r"no scene files \(\*\.json\) under"):
-            load_scene_dir(tmp_path)
-
-    def test_missing_dir_rejected(self, tmp_path):
-        with pytest.raises(FileNotFoundError, match="scene directory not found: .*nope"):
-            load_scene_dir(tmp_path / "nope")
-
     def test_iter_checks_the_directory_at_once_and_loads_lazily(self, tmp_path):
-        with pytest.raises(FileNotFoundError, match="scene directory not found"):
+        with pytest.raises(FileNotFoundError, match="scene directory not found: .*nope"):
             iter_scene_dir(tmp_path / "nope")
-        with pytest.raises(FileNotFoundError, match="no scene files"):
+        with pytest.raises(FileNotFoundError, match=r"no scene files \(\*\.json\) under"):
             iter_scene_dir(tmp_path)
         save_scene(generate_scene(SyntheticSpec("clean_straight", seed=1)), tmp_path / "a.json")
         (tmp_path / "b.json").write_text("{}")
@@ -585,7 +576,7 @@ class TestCorpus:
         # one plan step ahead of the origin, never at the world pose
         scene = generate_scene(SyntheticSpec("clean_straight", seed=9))
         save_scene(scene, tmp_path / "s.json")
-        item = load_scene_dir(tmp_path)[0].human_trajectory
+        item = list(iter_scene_dir(tmp_path))[0].human_trajectory
         assert np.array_equal(item.poses, scene.human_trajectory.poses)
         first_step = np.hypot(*item.poses[0, :2])
         assert first_step <= 0.5 * 12.0 + 0.5  # within one plan step of the origin
