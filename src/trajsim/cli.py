@@ -178,8 +178,10 @@ def cmd_diversity(args) -> int:
     proposals = scene_io.load_proposal_set(args.proposals)
     if not proposals:
         raise ValueError(f"{args.proposals}: proposals must hold at least one proposal")
-    d = diversity_metric(proposals)
-    print(f"{d:.6f}")
+    try:
+        print(f"{diversity_metric(proposals):.6f}")
+    except MemoryError as exc:
+        raise MemoryError(f"{args.proposals}: {exc}") from None
     return 0
 
 

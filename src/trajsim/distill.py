@@ -25,8 +25,7 @@ import numpy as np
 from .geom import to_world
 from .kinematics import _DEFAULT_KIN_CFG, KinematicsConfig, Trajectory, _check_fields, pid_track
 from .metrics import _DEFAULT_METRIC_CFG, MetricConfig, Scene, ScoreContext, aggregate_epdms, evaluate_rollout
-from .scene_io import scene_to_doc
-from .seeding import stable_seed
+from .scene_io import scene_to_doc, stable_seed
 from .vocabulary import Vocabulary
 
 __all__ = [

@@ -6,8 +6,9 @@ loader ignores any key it does not list, so older files that carry more
 still load.  Binary formats (vocabulary, score matrix) live with their
 owning modules.
 
-Synthetic templates replace recorded driving data at desk scale.  Each
-template guarantees a documented ground-truth property for every seed:
+Synthetic templates replace recorded driving data at desk scale.  Each is
+one ``_TEMPLATES`` entry (its parameter ranges and its builder) and
+guarantees a documented ground-truth property for every seed:
 
   clean_straight   human rollout scores EPDMS >= 0.95
   parked_agent     human avoids the parked agent (NC=1); a straight
@@ -28,6 +29,7 @@ arrays out and runs the same placement.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import numbers
@@ -41,7 +43,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .geom import Polygon, Polyline, Pose, to_world, wrap_angle
-from .seeding import stable_seed
 from .kinematics import DENSE_TICKS, PLAN_DT, TICK_DT, EgoState, Trajectory
 from .metrics import PHASE_NAMES, PHASE_RED, Intersection, Lane, Scene
 
@@ -64,15 +65,6 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 1
-
-TEMPLATES = (
-    "clean_straight",
-    "parked_agent",
-    "crossing_agent",
-    "red_light",
-    "oncoming_lane",
-    "lane_drift",
-)
 
 
 class SceneFormatError(ValueError):
@@ -424,19 +416,8 @@ class SyntheticSpec:
                 raise ValueError(f"params[{name!r}] must be a real number, got {value!r}")
 
 
-# documented parameter ranges per template
-_RANGES = {
-    "clean_straight": {"v0": (8.0, 12.0)},
-    "parked_agent": {"v0": (7.0, 9.0), "gap_factor": (2.2, 3.0)},
-    "crossing_agent": {"v0": (9.0, 11.0), "cross_x": (18.0, 22.0), "agent_y0": (18.0, 22.0), "agent_speed": (3.5, 4.5)},
-    "red_light": {"v0": (7.0, 9.0), "stopline_x": (18.0, 22.0)},
-    "oncoming_lane": {"v0": (8.0, 10.0), "incursion_t0": (0.8, 1.2)},
-    "lane_drift": {"v0": (8.0, 10.0), "drift_m": (1.0, 1.4)},
-}
-
-
 def _draw_params(spec: SyntheticSpec, rng: np.random.Generator) -> dict:
-    ranges = _RANGES[spec.template]
+    ranges, _ = _TEMPLATES[spec.template]
     unknown = set(spec.params) - set(ranges)
     if unknown:
         raise ValueError(f"unknown parameters for {spec.template}: {sorted(unknown)}")
@@ -457,22 +438,30 @@ def _smoothstep(u):
     return u * u * (3.0 - 2.0 * u)
 
 
-def _plan_from_profile(x_of_t, y_of_t, m: int = 8) -> Trajectory:
-    """Sample waypoints from position profiles; headings from local tangents."""
-    t = PLAN_DT * (np.arange(m) + 1)
-    x = np.asarray(x_of_t(t), dtype=float)
-    y = np.asarray(y_of_t(t), dtype=float)
-    eps = 1e-3
-    dx = np.asarray(x_of_t(t + eps)) - np.asarray(x_of_t(t - eps))
-    dy = np.asarray(y_of_t(t + eps)) - np.asarray(y_of_t(t - eps))
+_PLAN_T = PLAN_DT * (np.arange(8) + 1)  # the times of a template plan's 8 waypoints
+_PLAN_T.setflags(write=False)
+
+
+def _plan_from_profile(x_of_t, y_of_t) -> Trajectory:
+    """Sample waypoints from position profiles, each a function of an array
+    of times; headings from local tangents."""
+    t, eps = _PLAN_T, 1e-3
+    dx = x_of_t(t + eps) - x_of_t(t - eps)
+    dy = y_of_t(t + eps) - y_of_t(t - eps)
     psi = np.array(list(map(math.atan2, dy.tolist(), dx.tolist())))  # libm's bits at every SIMD level
-    return Trajectory(np.stack([x, y, psi], axis=1))
+    return Trajectory(np.stack([x_of_t(t), y_of_t(t), psi], axis=1))
 
 
-def straight_plan(v: float, m: int = 8) -> Trajectory:
+def straight_plan(v: float) -> Trajectory:
     """Constant-speed straight-ahead plan in the ego frame."""
-    t = PLAN_DT * (np.arange(m) + 1)
-    return Trajectory(np.stack([v * t, np.zeros(m), np.zeros(m)], axis=1))
+    zeros = np.zeros(len(_PLAN_T))
+    return Trajectory(np.stack([v * _PLAN_T, zeros, zeros], axis=1))
+
+
+def _shift_plan(v0, shift, t0, duration) -> Trajectory:
+    """The one lane change of the templates: constant speed v0 along x,
+    moving `shift` metres sideways on a smoothstep from t0 to t0 + duration."""
+    return _plan_from_profile(lambda t: v0 * t, lambda t: shift * _smoothstep((t - t0) / duration))
 
 
 def _road_polygon(x_lo, x_hi, y_lo, y_hi) -> np.ndarray:
@@ -500,6 +489,16 @@ def _on_road(v0, human, road_y, lanes=(), agents=(), intersections=()) -> dict:
                 **_agent_fields(agents))
 
 
+def stable_seed(*parts) -> list[int]:
+    """Derive reproducible RNG entropy from arbitrary parts.
+
+    Hash-based, so the result depends only on the values (never on process
+    state or platform), which keeps every seeded draw replayable.
+    """
+    digest = hashlib.sha256("\x1f".join(str(p) for p in parts).encode()).digest()
+    return [int.from_bytes(digest[i : i + 4], "little") for i in range(0, 16, 4)]
+
+
 def generate_scene(spec: SyntheticSpec) -> Scene:
     """Build a synthetic scene; deterministic for a fixed spec and seed.
 
@@ -509,7 +508,8 @@ def generate_scene(spec: SyntheticSpec) -> Scene:
     coincide by accident, and the scene's objects are built once, there.
     """
     rng = np.random.default_rng(stable_seed("trajsim-scene", spec.template, spec.seed))
-    parts = _BUILDERS[spec.template](_draw_params(spec, rng))
+    _, build = _TEMPLATES[spec.template]
+    parts = build(_draw_params(spec, rng))
     world = _Frame(rng.uniform(-200.0, 200.0), rng.uniform(-200.0, 200.0), wrap_angle(rng.uniform(-math.pi, math.pi)))
     return _placed(world, scene_id=f"{spec.template}-{spec.seed:05d}", **parts)
 
@@ -522,12 +522,7 @@ def _build_clean_straight(p):
 def _build_parked_agent(p):
     v0 = p["v0"]
     lane_shift = 3.5
-    t_change, t0 = 1.4, 0.0
-
-    def y_of_t(t):
-        return lane_shift * _smoothstep((np.asarray(t) - t0) / t_change)
-
-    human = _plan_from_profile(lambda t: v0 * np.asarray(t), y_of_t)
+    human = _shift_plan(v0, lane_shift, 0.0, 1.4)
     parked = ("parked-0", 2.3, 0.95, np.tile([p["gap_factor"] * v0, 0.0, 0.0], (DENSE_TICKS, 1)))
     return _on_road(v0, human, (-3.5, 7.0), [(_lane_at(lane_shift), 1)], agents=[parked])
 
@@ -545,47 +540,34 @@ def _build_red_light(p):
     x_stop = stop_x - 5.5  # rest position of the ego center, with controller overshoot margin
     decel = v0 * v0 / (2.0 * x_stop)
     t_stop = v0 / decel
-
-    def x_of_t(t):
-        t = np.asarray(t, dtype=float)
-        moving = v0 * t - 0.5 * decel * t * t
-        return np.where(t < t_stop, moving, x_stop)
-
-    human = _plan_from_profile(x_of_t, lambda t: np.zeros_like(np.asarray(t, dtype=float)))
+    human = _plan_from_profile(lambda t: np.where(t < t_stop, v0 * t - 0.5 * decel * t * t, x_stop), np.zeros_like)
     light = (_road_polygon(stop_x, stop_x + 12.0, -6.0, 6.0), "signal-0", np.full(DENSE_TICKS, PHASE_RED))
     return _on_road(v0, human, (-6.0, 6.0), intersections=[light])
 
 
 def _build_oncoming_lane(p):
-    v0, t0 = p["v0"], p["incursion_t0"]
-    lane_shift, t_change = 3.5, 1.0
-
-    def y_of_t(t):
-        return lane_shift * _smoothstep((np.asarray(t) - t0) / t_change)
-
-    human = _plan_from_profile(lambda t: v0 * np.asarray(t), y_of_t)
-    return _on_road(v0, human, (-3.5, 7.0), [(_lane_at(lane_shift), -1)])
+    lane_shift = 3.5
+    human = _shift_plan(p["v0"], lane_shift, p["incursion_t0"], 1.0)
+    return _on_road(p["v0"], human, (-3.5, 7.0), [(_lane_at(lane_shift), -1)])
 
 
 def _build_lane_drift(p):
-    v0, drift = p["v0"], p["drift_m"]
-    t0, t_change = 1.0, 0.8
-
-    def y_of_t(t):
-        return drift * _smoothstep((np.asarray(t) - t0) / t_change)
-
-    human = _plan_from_profile(lambda t: v0 * np.asarray(t), y_of_t)
-    return _on_road(v0, human, (-3.5, 3.5))
+    v0 = p["v0"]
+    return _on_road(v0, _shift_plan(v0, p["drift_m"], 1.0, 0.8), (-3.5, 3.5))
 
 
-_BUILDERS = {
-    "clean_straight": _build_clean_straight,
-    "parked_agent": _build_parked_agent,
-    "crossing_agent": _build_crossing_agent,
-    "red_light": _build_red_light,
-    "oncoming_lane": _build_oncoming_lane,
-    "lane_drift": _build_lane_drift,
+# template -> (its documented parameter ranges, {name: (lo, hi)}, and its
+# builder of the scene's parts, see _placed, from one draw of them)
+_TEMPLATES = {
+    "clean_straight": ({"v0": (8.0, 12.0)}, _build_clean_straight),
+    "parked_agent": ({"v0": (7.0, 9.0), "gap_factor": (2.2, 3.0)}, _build_parked_agent),
+    "crossing_agent": ({"v0": (9.0, 11.0), "cross_x": (18.0, 22.0), "agent_y0": (18.0, 22.0),
+                        "agent_speed": (3.5, 4.5)}, _build_crossing_agent),
+    "red_light": ({"v0": (7.0, 9.0), "stopline_x": (18.0, 22.0)}, _build_red_light),
+    "oncoming_lane": ({"v0": (8.0, 10.0), "incursion_t0": (0.8, 1.2)}, _build_oncoming_lane),
+    "lane_drift": ({"v0": (8.0, 10.0), "drift_m": (1.0, 1.4)}, _build_lane_drift),
 }
+TEMPLATES = tuple(_TEMPLATES)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import trajsim
-from trajsim.scene_io import scene_to_doc
+from trajsim.scene_io import TEMPLATES, scene_to_doc
 
 from scenes import rich_scene
 
@@ -117,3 +117,10 @@ def test_readme_scene_table_lists_the_keys_a_scene_file_holds():
     assert {name for field in table for name in re.findall(r"`(\w+)", field)} == set(doc)
     # the backquoted plain names of the agents[] row
     assert set(re.findall(r"`(\w+)`", table["`agents[]`"])) == set(doc["agents"][0])
+
+
+def test_readme_template_table_lists_the_templates_in_order():
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    table = text.split("Synthetic templates and their guaranteed properties", 1)[1].split("\n\n", 2)[1]
+    names = [line.split("|")[1].strip() for line in table.splitlines()[2:]]
+    assert tuple(names) == TEMPLATES

@@ -565,12 +565,13 @@ class TestDiversityCmd:
 
     def test_proposals_too_far_apart_for_memory_fail_with_one_error_line(self, tmp_path):
         # 1e6 m apart on both axes: the grid D is computed on needs far more than the child's
-        # 2 GiB, so the run ends with one error line instead of numpy's traceback
+        # 2 GiB, so the run ends with one error line naming the file instead of numpy's traceback
         path = write_doc(tmp_path / "props.json", proposals=[[[0, 0, 0], [1e6, 1e6, 0]]])
         proc = diversity_in_2gib_child(path)
         assert proc.returncode == 1, proc.stderr[-2000:]
         lines = proc.stderr.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: ") and "Traceback" not in proc.stderr, proc.stderr
+        assert len(lines) == 1 and lines[0].startswith(f"error: {path}: "), proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize("kind", ["scene", "trajectory map", "diversity", "render", "select"])

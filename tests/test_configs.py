@@ -59,6 +59,17 @@ def test_int_field_takes_a_numpy_integer(cls, field):
     assert getattr(cls(**{field.name: np.int64(default)}), field.name) == default
 
 
+@pytest.mark.parametrize("cls, name, value, message", [
+    (KinematicsConfig, "wheelbase", 0.0, "wheelbase must be positive"),
+    (DistillConfig, "threshold", 0.0, "threshold must be in (0, 1]"),
+    (DistillConfig, "threshold", 1.5, "threshold must be in (0, 1]"),
+    (DistillConfig, "n_pseudo", -1, "n_pseudo must be non-negative"),
+], ids=["wheelbase", "threshold-0", "threshold-1.5", "n_pseudo"])
+def test_out_of_range_field_named(cls, name, value, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        cls(**{name: value})
+
+
 def test_distill_seed_may_be_negative():
     # the seed is hashed, never handed to numpy as is
     assert DistillConfig(rng_seed=-3).rng_seed == -3

@@ -385,6 +385,15 @@ class TestPersistence:
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             ScoreMatrix(("a",), np.array([[np.nan, 0.2]]))
 
+    @pytest.mark.parametrize("make, message", [
+        (lambda: ScoreMatrix(("a",), np.zeros((2, 3))), "values must be (n_scenes, k)"),
+        (lambda: ScoreMatrix(("a",), np.zeros(3)), "values must be (n_scenes, k)"),
+        (lambda: PseudoTeacherSet("s", (1, 2), (0.97,)), "teacher fields must have equal lengths"),
+    ], ids=["matrix-rows", "matrix-ndim", "teachers"])
+    def test_record_shape_checked(self, make, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make()
+
     def test_matrix_round_trip(self, tmp_path):
         rng = np.random.default_rng(32)
         m = ScoreMatrix(scene_ids=("a", "b", "c"), values=rng.uniform(0, 1, (3, 5)))
@@ -405,12 +414,6 @@ class TestPersistence:
         path = tmp_path / "m.bin"
         path.write_bytes(raw)
         with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
-            load_score_matrix(path)
-
-    def test_matrix_bad_magic(self, tmp_path):
-        path = tmp_path / "m.bin"
-        path.write_bytes(b"XXXX" + b"\x00" * 12)
-        with pytest.raises(ValueError):
             load_score_matrix(path)
 
     def test_teacher_sets_round_trip(self, small_world, tmp_path):

@@ -47,8 +47,7 @@ from trajsim.metrics import (
 )
 from trajsim.selection import ProposalSet, SelectionState, comfort_scores, select
 from trajsim import metrics, scene_io, vocabulary
-from trajsim.scene_io import TEMPLATES, SyntheticSpec, generate_scene, scene_to_doc, transform_scene
-from trajsim.seeding import stable_seed
+from trajsim.scene_io import TEMPLATES, SyntheticSpec, generate_scene, scene_to_doc, stable_seed, transform_scene
 from trajsim.vocabulary import (
     TrajectoryCorpus, Vocabulary, _assign_chunk, _draw, _kmeans_pp, _nearest_rows, _nearest_two, _pairwise_row_sum,
     export_vocabulary_csv, headings_from_tangents, kmeans,
@@ -247,7 +246,7 @@ def oracle_generate_scene(spec):
 def pinned_specs(template):
     """One spec for each corner of the template's parameter box: every
     parameter pinned at one end of its documented range."""
-    ranges = scene_io._RANGES[template]
+    ranges, _ = scene_io._TEMPLATES[template]
     for i, ends in enumerate(itertools.product(*ranges.values())):
         yield SyntheticSpec(template, seed=i, params=dict(zip(ranges, ends)))
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -185,3 +186,17 @@ class TestFrames:
     def test_dense_trajectory_requires_41(self):
         with pytest.raises(ValueError):
             DenseTrajectory(*[np.zeros(40)] * 6)
+
+    @pytest.mark.parametrize("before, after, refused", [
+        (0.0, math.pi, True),
+        (0.0, 3.0, False),
+        (3.1, -3.1, False),  # across the wrap, 0.08 rad
+    ])
+    def test_dense_trajectory_refuses_a_heading_jump_of_pi(self, before, after, refused):
+        psi = np.where(np.arange(DENSE_TICKS) < 20, before, after)
+        z = np.zeros(DENSE_TICKS)
+        if refused:
+            with pytest.raises(ValueError, match=re.escape("heading jumps by >= pi between consecutive ticks")):
+                DenseTrajectory(z, z, psi, z, z, z)
+        else:
+            assert np.array_equal(DenseTrajectory(z, z, psi, z, z, z).psi, psi)

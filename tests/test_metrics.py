@@ -269,6 +269,16 @@ class TestLaneKeeping:
         assert score_lk(d, ScoreContext(make_scene(intersections=[inter]))) == 1.0
 
 
+@pytest.mark.parametrize("rule", [score_ddc, score_lk], ids=["ddc", "lk"])
+def test_a_scene_without_lanes_passes_lane_rules(rule):
+    # 1.2 m off the only lane for 2 s: LK fails with the lane, and neither rule has a lane to read without it
+    y = np.zeros(DENSE_TICKS)
+    y[10:30] = 1.2
+    d = dense_from_xy(10.0 * T, y, np.full(DENSE_TICKS, 10.0))
+    assert score_lk(d, ScoreContext(make_scene())) == 0.0
+    assert rule(d, ScoreContext(make_scene(lanes=[]))) == 1.0
+
+
 class TestHistoryComfort:
     def test_smooth_rollout(self):
         assert score_hc(straight_dense(10.0), ScoreContext(make_scene(v0=10.0))) == 1.0

@@ -76,6 +76,13 @@ class TestRoundTrip:
         assert again.ego_init.pose.x == scene.ego_init.pose.x
         assert np.array_equal(again.agent_states, scene.agent_states)
 
+    def test_failed_save_leaves_no_temp_file(self, scene, tmp_path):
+        # the rename onto a directory fails after the temp file was written
+        (tmp_path / "scene.json").mkdir()
+        with pytest.raises(OSError):
+            save_scene(scene, tmp_path / "scene.json")
+        assert [p.name for p in tmp_path.iterdir()] == ["scene.json"]
+
 
 # The SHA-256 of scene files: as the format before this one wrote them,
 # with route_polygon_m and each agent's is_static, and as save_scene writes
@@ -366,6 +373,14 @@ UNNAMED_BY_CONSTRUCTOR = [
     (("route_polyline_m",), [[0.0, 0.0]], "route_polyline_m: polyline needs at least 2 points, got 1"),
 ]
 
+# values of the right JSON type that a constructor's range check refuses
+OUT_OF_RANGE = [
+    (("drivable_polygons_m", 0), [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]],
+     "drivable_polygons_m[0]: polygon is degenerate (zero area)"),
+    (("lanes", 0, "direction_sign"), 0, "lanes[0]: direction_sign must be +1 or -1"),
+    (("command",), "back", "command must be one of ('left', 'forward', 'right')"),
+]
+
 
 def fuzz_base(template):
     return scene_to_doc(generate_scene(SyntheticSpec(template, seed=1)))
@@ -427,7 +442,7 @@ FUZZ = settings(max_examples=300, deadline=None, derandomize=True)
 
 
 class TestMutatedDocument:
-    @pytest.mark.parametrize("where, value, message", UNNAMED_BY_CONSTRUCTOR)
+    @pytest.mark.parametrize("where, value, message", UNNAMED_BY_CONSTRUCTOR + OUT_OF_RANGE)
     def test_constructor_error_names_the_field(self, scene, where, value, message):
         with pytest.raises(SceneFormatError, match=re.escape(message)):
             scene_from_doc(doc_with(scene, where, value))

@@ -178,6 +178,17 @@ class TestKmeans:
         with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer, got {value!r}")):
             kmeans(corpus, **{"k": 2, name: value})
 
+    @pytest.mark.parametrize("name, value, message", [
+        ("k", 0, "k must be >= 1"),
+        ("k", -2, "k must be >= 1"),
+        ("max_iters", 0, "max_iters must be >= 1, got 0"),
+    ])
+    def test_counts_below_one_checked_before_clustering(self, monkeypatch, name, value, message):
+        monkeypatch.setattr(vocabulary, "_kmeans_pp", None)  # reaching it raises TypeError
+        corpus = random_corpus(np.random.default_rng(8), 5)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            kmeans(corpus, **{"k": 2, name: value})
+
     def test_numpy_integer_counts_accepted(self):
         corpus = random_corpus(np.random.default_rng(8), 5)
         want = kmeans(corpus, k=2, max_iters=3, seed=0)
@@ -303,6 +314,16 @@ class TestPersistence:
         with pytest.raises(ValueError) as err:
             load_vocabulary(path)
         assert "magic" in str(err.value)
+
+    @pytest.mark.parametrize("raw, message", [
+        (b"TVOC" + bytes(8), "truncated vocabulary file"),
+        (b"TVOC" + (2).to_bytes(4, "little") + bytes(20), "unsupported vocabulary version 2"),
+    ], ids=["header", "version"])
+    def test_header_error_named(self, tmp_path, raw, message):
+        path = tmp_path / "vocab.bin"
+        path.write_bytes(raw)
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            load_vocabulary(path)
 
     def test_truncated_file(self, tmp_path):
         rng = np.random.default_rng(12)
