@@ -165,10 +165,16 @@ def cmd_select(args) -> int:
             k = list(score_map).index(scene_id)  # score_map keeps the score file's frames in order
             field = f"{args.scores}: frames[{k}].scores" if proposals else f"{where}.proposals"
             raise ValueError(f"{field}: {exc}") from None
-        idx, winner, recal = selection.select(ps, state, scene)
+        try:  # a proposal placed out of range, which select names proposals[i]
+            idx, winner, recal = selection.select(ps, state, scene)
+        except ValueError as exc:
+            raise ValueError(f"{where}.{exc}") from None
         lines.append(f"{scene_id}\t{idx}\t{recal[idx]:.6f}")
-        state = selection.SelectionState(previous_selected=ego_rollout(winner, scene.ego_init),
-                                         frame_gap=args.frame_gap)
+        try:  # the winner, when select placed no proposal (the first frame, or tick 0 broke)
+            rollout = ego_rollout(winner, scene.ego_init)
+        except ValueError as exc:
+            raise ValueError(f"{where}.proposals[{idx}]: {exc}") from None
+        state = selection.SelectionState(previous_selected=rollout, frame_gap=args.frame_gap)
     Path(args.out).write_text("\n".join(lines) + "\n")
     print(f"selected over {len(lines)} frames -> {args.out}")
     return 0

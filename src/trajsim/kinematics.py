@@ -186,32 +186,30 @@ def _tick_schedule(m: int) -> tuple:
     return tuple(out)
 
 
-def _pid_ticks(plan: Trajectory, init: EgoState, cfg: KinematicsConfig | None = None):
-    """The PID tracking loop of ``pid_track``, one control step at a time.
+def _pid_ticks(poses: np.ndarray, init: EgoState, cfg: KinematicsConfig | None = None):
+    """The PID tracking loop of ``pid_track``, one control step at a time,
+    for the (M, 3) waypoint rows `poses` of a plan (M >= 2) in the frame of
+    `init`.
 
     Yields (x, y, psi, v, a, steer) after each of the 40 steps, so a caller
     that has seen enough (selection stops at the first tick that breaks
-    extended comfort) can stop the rollout there.
+    extended comfort) can stop the rollout there.  An interval's node terms
+    are computed when the steps first reach it, so a rollout stopped early
+    pays only for the intervals it reached.
     """
     if cfg is None:
         cfg = _DEFAULT_KIN_CFG
     dt = TICK_DT
     # the control step at tick k tracks the target at tick time k - 1
-    schedule = _tick_schedule(plan.m)
-
-    nodes_x = [init.pose.x] + plan.poses[:, 0].tolist()
-    nodes_y = [init.pose.y] + plan.poses[:, 1].tolist()
-    nodes_psi = [init.pose.psi] + plan.poses[:, 2].tolist()
-    nodes_s = [0.0]
-    for i in range(1, len(nodes_x)):
-        nodes_s.append(nodes_s[-1] + math.hypot(nodes_x[i] - nodes_x[i - 1], nodes_y[i] - nodes_y[i - 1]))
-    # per interval: node deltas, heading delta along the shortest arc
-    n = len(nodes_x) - 1
-    dx = [nodes_x[i + 1] - nodes_x[i] for i in range(n)]
-    dy = [nodes_y[i + 1] - nodes_y[i] for i in range(n)]
-    dpsi = [wrap_angle(nodes_psi[i + 1] - nodes_psi[i]) for i in range(n)]
-    ds = [nodes_s[i + 1] - nodes_s[i] for i in range(n)]
-    last = (nodes_x[-1], nodes_y[-1], nodes_psi[-1], nodes_s[-1])
+    schedule = _tick_schedule(len(poses))
+    nodes = poses.tolist()
+    n = len(nodes)  # intervals: node i (init is node 0) to node i + 1
+    reached = 0     # intervals whose terms have been computed
+    # the last interval reached: its start node (x, y, psi, arc length),
+    # node deltas, heading delta along the shortest arc, and its end node
+    ax = ay = apsi = a_s = dx = dy = dpsi = ds = 0.0
+    bx, by, bpsi, b_s = init.pose.x, init.pose.y, init.pose.psi, 0.0
+    hypot = math.hypot
 
     kp_lon, ki_lon, kd_lon = cfg.kp_lon, cfg.ki_lon, cfg.kd_lon
     kp_lat, kd_lat = cfg.kp_lat, cfg.kd_lat
@@ -227,14 +225,25 @@ def _pid_ticks(plan: Trajectory, init: EgoState, cfg: KinematicsConfig | None = 
     e_s_prev = 0.0
     e_s_int = 0.0
     for target in schedule:
+        # None, once the tick time reaches the last node, needs every interval's arc length
+        upto = n if target is None else target[0] + 1
+        while reached < upto:
+            ax, ay, apsi, a_s = bx, by, bpsi, b_s
+            bx, by, bpsi = nodes[reached]
+            dx = bx - ax
+            dy = by - ay
+            b_s = a_s + hypot(dx, dy)
+            dpsi = wrap_angle(bpsi - apsi)
+            ds = b_s - a_s
+            reached += 1
         if target is None:
-            tx, ty, tpsi, ts = last
+            tx, ty, tpsi, ts = bx, by, bpsi, b_s
         else:
-            j, w = target
-            tx = nodes_x[j] + w * dx[j]
-            ty = nodes_y[j] + w * dy[j]
-            tpsi = nodes_psi[j] + w * dpsi[j]
-            ts = nodes_s[j] + w * ds[j]
+            w = target[1]
+            tx = ax + w * dx
+            ty = ay + w * dy
+            tpsi = apsi + w * dpsi
+            ts = a_s + w * ds
         cos_psi = cos(psi)
         sin_psi = sin(psi)
         # longitudinal PID on arc-length progress at the current tick time
@@ -287,7 +296,7 @@ def pid_track(plan: Trajectory, init: EgoState, cfg: KinematicsConfig | None = N
     Deterministic; infeasible plans saturate the commands and roll out as-is.
     """
     first = (init.pose.x, init.pose.y, init.pose.psi, init.v, init.a, init.steer)
-    return DenseTrajectory(*zip(first, *_pid_ticks(plan, init, cfg)))
+    return DenseTrajectory(*zip(first, *_pid_ticks(plan.poses, init, cfg)))
 
 
 # ---------------------------------------------------------------------------

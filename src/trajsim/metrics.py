@@ -30,6 +30,7 @@ record again and never receive another rollout's values.
 from __future__ import annotations
 
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -665,22 +666,43 @@ def _ec_breaks(d_prev: DenseTrajectory, frame_gap: int, cfg: MetricConfig):
     The arithmetic is that of the array form (numpy's hypot, a floored
     remainder, plain differences), and a tick breaks unless each error is
     <= its tolerance, so a NaN error breaks, as it fails a max() test.
+
+    The position test first screens the squared error d2 = dx*dx + dy*dy:
+    a tick passes if d2 <= pos_m**2 * (1 - 2**-40) and breaks if d2 >
+    pos_m**2 * (1 + 2**-40); only in between does it call numpy's hypot.
+    The screen gives hypot's verdict: d2, hypot and the two thresholds are
+    each within a few rounding errors (2**-53 relative) of their exact
+    values, far inside 2**-40, as long as pos_m**2 is a normal float (an
+    underflowing d2 is off by less than 2**-1073, far below pos_m**2 *
+    2**-40).  For any other tolerance (zero, negative, or one whose square
+    underflows or overflows) every tick calls hypot.  A NaN d2 passes
+    neither screen, so it reaches hypot and breaks.
     """
     px = d_prev.x[frame_gap:].tolist()
     py = d_prev.y[frame_gap:].tolist()
     ppsi = d_prev.psi[frame_gap:].tolist()
     pv = d_prev.v[frame_gap:].tolist()
     pos_m, heading_rad, speed_mps = cfg.ec_pos_m, cfg.ec_heading_rad, cfg.ec_speed_mps
+    pos2 = pos_m * pos_m
+    if pos_m > 0.0 and sys.float_info.min <= pos2 <= sys.float_info.max:
+        sure_in, sure_out = pos2 * (1.0 - 2.0**-40), pos2 * (1.0 + 2.0**-40)
+    else:
+        sure_in, sure_out = -np.inf, np.inf  # no d2 is below or above these
     hypot = np.hypot
     pi = np.pi
     tau = 2 * np.pi
 
     def breaks(k, x, y, psi, v) -> bool:
-        return not (
-            abs(v - pv[k]) <= speed_mps
-            and abs((psi - ppsi[k] + pi) % tau - pi) <= heading_rad
-            and hypot(x - px[k], y - py[k]) <= pos_m
-        )
+        if not (abs(v - pv[k]) <= speed_mps and abs((psi - ppsi[k] + pi) % tau - pi) <= heading_rad):
+            return True
+        dx = x - px[k]
+        dy = y - py[k]
+        d2 = dx * dx + dy * dy
+        if d2 <= sure_in:
+            return False
+        if d2 > sure_out:
+            return True
+        return not hypot(dx, dy) <= pos_m
 
     return breaks
 

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kinematics import DENSE_TICKS, DenseTrajectory, KinematicsConfig, _pid_ticks, trajectory_to_world
+from .geom import COORD_LIMIT_M, _coord_error, to_world
+from .kinematics import DENSE_TICKS, DenseTrajectory, KinematicsConfig, _pid_ticks
 from .metrics import _DEFAULT_METRIC_CFG, MetricConfig, Scene, _ec_breaks
 
 __all__ = ["ProposalSet", "SelectionState", "comfort_scores", "recalibrate", "select"]
@@ -77,7 +78,9 @@ def comfort_scores(
     the previously selected rollout under the extended-comfort tolerances.
     Without a previous frame every proposal is comfortable.  Tick 0 is the
     ego state itself, so it is tested once for all proposals; past it, a
-    proposal's rollout stops at its first breaking tick.
+    proposal's rollout stops at its first breaking tick.  All proposals are
+    placed at the ego pose by one frame change; one placed out of range
+    raises ValueError naming ``proposals[i]``.
     """
     if state.previous_selected is None:
         return np.ones(len(ps))
@@ -85,10 +88,16 @@ def comfort_scores(
     init = scene.ego_init
     if breaks(0, init.pose.x, init.pose.y, init.pose.psi, init.v):
         return np.zeros(len(ps))
+    ends = np.cumsum([len(p) for p in ps.proposals])  # a set may mix waypoint counts
+    rows = to_world(init.pose, np.concatenate([p.poses for p in ps.proposals]))
+    plans = np.split(rows, ends[:-1])
+    if not (np.abs(rows) <= COORD_LIMIT_M).all():  # Trajectory's rule, headings too
+        i = next(i for i, plan in enumerate(plans) if not (np.abs(plan) <= COORD_LIMIT_M).all())
+        raise _coord_error(f"proposals[{i}]: trajectory waypoints", plans[i])
     compared = DENSE_TICKS - 1 - state.frame_gap  # ticks 1 .. 40 - frame_gap reach the previous rollout
     out = np.ones(len(ps))
-    for i, proposal in enumerate(ps.proposals):
-        ticks = itertools.islice(_pid_ticks(trajectory_to_world(proposal, init.pose), init, kin_cfg), compared)
+    for i, plan in enumerate(plans):
+        ticks = itertools.islice(_pid_ticks(plan, init, kin_cfg), compared)
         if any(breaks(k, x, y, psi, v) for k, (x, y, psi, v, _, _) in enumerate(ticks, 1)):
             out[i] = 0.0
     return out

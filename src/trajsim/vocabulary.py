@@ -474,7 +474,7 @@ def kmeans(
         if not isinstance(value, numbers.Integral) or isinstance(value, bool):
             raise ValueError(f"{name} must be an integer, got {value!r}")
     if k < 1:
-        raise ValueError("k must be >= 1")
+        raise ValueError(f"k must be >= 1, got {k}")
     if max_iters < 1:
         raise ValueError(f"max_iters must be >= 1, got {max_iters}")
     if workers != 1:

@@ -12,7 +12,7 @@ import numpy as np
 from trajsim.geom import Polygon, Polyline, Pose
 from trajsim.kinematics import DENSE_TICKS, TICK_DT, EgoState, Trajectory
 from trajsim.metrics import PHASE_RED, Intersection, Lane, Scene
-from trajsim.scene_io import _agent_fields, _plan_from_profile, _smoothstep, straight_plan
+from trajsim.scene_io import _agent_fields
 
 
 def sample_points_in_box(rng, x, y, psi, hl, hw, n):
@@ -262,6 +262,31 @@ def transform_scene(scene, frame):
 # the scene generator as it was before each template gave plain arrays that
 # one placement builds into a scene: every template built and validated a
 # canonical scene, which transform_scene then rebuilt at the world pose
+
+
+def _smoothstep(u):
+    u = np.clip(u, 0.0, 1.0)
+    return u * u * (3.0 - 2.0 * u)
+
+
+def _plan_times():
+    """The times of a template plan's 8 waypoints, 0.5 s apart from 0.5 s."""
+    return 0.5 * (np.arange(8) + 1)
+
+
+def _plan_from_profile(x_of_t, y_of_t):
+    """Waypoints sampled from position profiles at the plan times; each
+    heading that of the chord between the positions 1 ms either side."""
+    t, eps = _plan_times(), 1e-3
+    dx = x_of_t(t + eps) - x_of_t(t - eps)
+    dy = y_of_t(t + eps) - y_of_t(t - eps)
+    psi = [math.atan2(b, a) for a, b in zip(dx.tolist(), dy.tolist())]
+    return Trajectory(np.stack([x_of_t(t), y_of_t(t), psi], axis=1))
+
+
+def straight_plan(v):
+    t = _plan_times()
+    return Trajectory(np.stack([v * t, np.zeros(8), np.zeros(8)], axis=1))
 
 
 def _history(v0, n=16):

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -14,7 +15,7 @@ import pytest
 import trajsim
 from trajsim.cli import main
 from trajsim.distill import ScoreMatrix, save_score_matrix
-from trajsim.kinematics import Trajectory
+from trajsim.kinematics import Trajectory, ego_rollout
 from trajsim.metrics import _corridor_cells
 from trajsim.render import render_scene_svg
 from trajsim.scene_io import (
@@ -517,6 +518,33 @@ class TestSelectCmd:
         assert only_error_line(capsys) == (
             f"error: {tmp_path / 'scores.json'}: frames[1].scene_id: scene 'clean_straight-00000' already has scores"
         )
+
+    @pytest.mark.parametrize("frame, scores", [(0, [0.6, 0.9]), (1, [0.9, 0.6])])
+    def test_proposal_placed_out_of_range_fails_naming_it(self, tmp_path, capsys, frame, scores):
+        # proposals[1] is in range in the ego frame, beyond 1e9 m once placed.
+        # Frame 0 has no previous rollout, so only the rollout of its winner
+        # places it; frame 1 starts at frame 0's winner 5 ticks in, so
+        # comfort places every proposal
+        far = [[1e9, 1e9, 0.0], [1e9, 1e9 - 1.0, 0.0]]
+        good = straight_plan(10.0)
+        first = generate_scene(SyntheticSpec("clean_straight", seed=0))
+        second = dataclasses.replace(first, scene_id="next",
+                                     ego_init=ego_rollout(good, first.ego_init).state(5))
+        d = tmp_path / "scenes"
+        d.mkdir()
+        for scene in (first, second):
+            save_scene(scene, d / f"{scene.scene_id}.json")
+        ids = [first.scene_id, second.scene_id]
+        write_doc(tmp_path / "frames.json",
+                  frames=[{"scene_id": i, "proposals": [good.poses.tolist(), far]} for i in ids])
+        write_doc(tmp_path / "scores.json",
+                  frames=[{"scene_id": i, "scores": scores if j == frame else [0.9, 0.6]} for j, i in enumerate(ids)])
+        out = tmp_path / "selected.txt"
+        code = main(["select", "--scenes", str(d), "--proposals", str(tmp_path / "frames.json"),
+                     "--scores", str(tmp_path / "scores.json"), "--out", str(out)])
+        assert code == 1 and not out.exists()
+        assert only_error_line(capsys) == (f"error: {tmp_path / 'frames.json'}: frames[{frame}].proposals[1]: "
+                                           "trajectory waypoints must be at most 1e+09 in magnitude")
 
     @pytest.mark.parametrize("frame_gap", [0, 41])
     def test_frame_gap_without_overlap_fails_with_one_error_line(self, tmp_path, capsys, frame_gap):

@@ -11,7 +11,9 @@ before its seeding distances were summed over a transposed copy and its
 loop-invariant terms hoisted, diversity before every corridor was
 rasterized on one shared lattice, and extended comfort over whole arrays
 and selection comfort over full rollouts, before either stopped at the
-first tick that breaks a tolerance.  The rigid frame change keeps its
+first tick that breaks a tolerance (or EC screened its position test by
+the squared error), and the PID with every interval's node terms built
+before its first step.  The rigid frame change keeps its
 per-coordinate form (``oracles._compose``), as the scene transform had it
 before scenes, plans and render's boxes all placed their rows through one
 geom.to_world, and the templates build a canonical scene that the oracle
@@ -88,9 +90,22 @@ def centers(vocab):
     return vocab.centers
 
 
+def _with_length(plan, m):
+    """`plan` cut to its first m waypoints, or continued to m by repeating
+    its last step (heading held), as an ego-frame Trajectory."""
+    p = plan.poses
+    if m <= len(p):
+        return Trajectory(p[:m])
+    extra = p[-1] + np.outer(np.arange(1, m - len(p) + 1), np.append(p[-1, :2] - p[-2, :2], 0.0))
+    return Trajectory(np.concatenate([p, extra]))
+
+
 def test_rollouts_match_oracle(scenes, centers):
+    # plans of 2, 3 and 5 waypoints end before the 40 steps do, so the
+    # steps past their last node track it; 8 and 12 never reach theirs
+    lengths = [_with_length(centers[i], m) for i, m in enumerate((2, 3, 5, 8, 12) * 3)]
     for scene in scenes:
-        for plan in (scene.human_trajectory, *centers):
+        for plan in (scene.human_trajectory, *centers, *lengths):
             world = trajectory_to_world(plan, scene.ego_init.pose)
             want_world = oracles.trajectory_to_world(plan, scene.ego_init.pose)
             assert bits(world.poses) == bits(want_world.poses)
@@ -808,8 +823,14 @@ def test_comfort_scores_match_full_rollout_oracle(centers, frame_gap, kin_cfg, m
                 if f % 3 == 1:
                     scene = dataclasses.replace(scene, ego_init=prev.state(frame_gap))
             proposals = [centers[i] for i in rng.choice(len(centers), size=16, replace=False)]
-            if prev is not None and (plan := _continuation(prev, frame_gap, scene.ego_init)) is not None:
+            plan = None if prev is None else _continuation(prev, frame_gap, scene.ego_init)
+            if plan is not None:
                 proposals[int(rng.integers(16))] = plan
+            if f % 2:  # a frame of mixed plan lengths, 2 to 12 waypoints, one a cut continuation
+                for slot in rng.choice(16, size=6, replace=False).tolist():
+                    proposals[slot] = _with_length(proposals[slot], int(rng.integers(2, 13)))
+                if plan is not None:
+                    proposals[int(rng.integers(16))] = _with_length(plan, 2)
             ps = ProposalSet(tuple(proposals), rng.uniform(0.0, 1.0, size=16))
             got = comfort_scores(state, ps, scene, kin_cfg, metric_cfg)
             want = oracles.comfort_scores(prev, frame_gap, proposals, scene.ego_init, kin_cfg, tol)
@@ -890,6 +911,43 @@ def test_ec_position_error_at_exactly_the_tolerance():
     assert rounding_differs >= 3
     # exactly the default 1 m along an axis
     assert assert_ec_matches_oracle(_one_tick(7, x=1.0), _standing(), 5, MetricConfig()) == 1.0
+
+
+def _ulps(value, n):
+    """`value` moved by n ulps, up for n > 0, down for n < 0."""
+    for _ in range(abs(n)):
+        value = float(np.nextafter(value, math.copysign(np.inf, n)))
+    return value
+
+
+@pytest.mark.parametrize("pos_m", [1.0, 0.3, 2.5, 7.0, 1e-150, 1e150])
+def test_ec_position_error_a_few_ulps_from_the_tolerance(pos_m):
+    # within a few ulps of the tolerance the squared error is inside the
+    # screen's margin, so numpy's hypot decides: exactly along an axis, and
+    # as the oracle's array hypot does on a diagonal
+    cfg = MetricConfig(ec_pos_m=pos_m)
+    for n in (-4, -1, 0, 1, 4):
+        error = _ulps(pos_m, n)
+        for now in (_one_tick(6, x=error), _one_tick(6, y=-error)):
+            assert assert_ec_matches_oracle(now, _standing(), 5, cfg) == (1.0 if n <= 0 else 0.0), n
+        d = _ulps(pos_m / math.sqrt(2.0), n)
+        assert_ec_matches_oracle(_one_tick(6, x=d, y=-d), _standing(), 5, cfg)
+
+
+@pytest.mark.parametrize("pos_m, errors", [
+    (0.0, [(0.0, 1.0), (5e-324, 0.0), (1.0, 0.0)]),
+    (-1.0, [(0.0, 0.0), (0.5, 0.0)]),
+    (1e-200, [(0.0, 1.0), (1e-200, 1.0), (2e-200, 0.0), (1e-150, 0.0)]),
+    (1e200, [(1e150, 1.0), (1e200, 1.0), (2e200, 0.0), (1e300, 0.0)]),
+])
+def test_ec_position_tolerance_without_a_normal_square(pos_m, errors):
+    # zero, negative, and tolerances whose square underflows or overflows:
+    # no screen applies, numpy's hypot decides every tick (a negative
+    # tolerance breaks every tick)
+    cfg = MetricConfig(ec_pos_m=pos_m)
+    for error, want in errors:
+        for frame_gap in (0, 5):
+            assert assert_ec_matches_oracle(_one_tick(3, x=error), _standing(), frame_gap, cfg) == want, error
 
 
 @pytest.mark.parametrize("prev_psi, now_psi", [

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from trajsim.geom import Polygon, Polyline, Pose
-from trajsim.kinematics import EgoState, Trajectory, pid_track, trajectory_to_world
+from trajsim.kinematics import DenseTrajectory, EgoState, Trajectory, pid_track, trajectory_to_world
 from trajsim.metrics import Lane, Scene, score_ec
+from trajsim.scene_io import SyntheticSpec, generate_scene
 from trajsim.selection import ProposalSet, SelectionState, comfort_scores, recalibrate, select
 
 
@@ -120,6 +121,28 @@ class TestSelect:
         # handed one; the loaders name its file and proposals[i]
         with pytest.raises(ValueError, match=r"^plan needs at least 2 waypoints, got 1$"):
             Trajectory([[5.0, 0.0, 0.0]])
+
+    @pytest.mark.parametrize("counts, bad", [
+        ((2,), 0),
+        ((8, 2), 1),
+        ((3, 12, 2, 8), 2),
+        ((12, 2, 5, 2), 1),   # the first of two
+    ])
+    def test_proposal_placed_out_of_range_named(self, counts, bad):
+        # in range in the ego frame, beyond 1e9 m once placed at the ego
+        # pose; the set mixes waypoint counts, so only the per-proposal
+        # offsets find the index
+        far = Trajectory([[1e9, 1e9, 0.0], [1e9, 1e9 - 1.0, 0.0]])
+        scene = generate_scene(SyntheticSpec("clean_straight", seed=0))
+        e = scene.ego_init
+        z = np.zeros(41)
+        standing = DenseTrajectory(z + e.pose.x, z + e.pose.y, z + e.pose.psi, z + e.v, z, z)
+        proposals = tuple(far if m == 2 else Trajectory(straight().poses[np.arange(m) % 8])
+                          for m in counts)
+        ps = ProposalSet(proposals, np.full(len(counts), 0.5))
+        message = f"proposals[{bad}]: trajectory waypoints must be at most 1e+09 in magnitude"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            select(ps, SelectionState(standing), scene)
 
 
 class TestSelectionState:

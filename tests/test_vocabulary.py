@@ -179,8 +179,8 @@ class TestKmeans:
             kmeans(corpus, **{"k": 2, name: value})
 
     @pytest.mark.parametrize("name, value, message", [
-        ("k", 0, "k must be >= 1"),
-        ("k", -2, "k must be >= 1"),
+        ("k", 0, "k must be >= 1, got 0"),
+        ("k", -2, "k must be >= 1, got -2"),
         ("max_iters", 0, "max_iters must be >= 1, got 0"),
     ])
     def test_counts_below_one_checked_before_clustering(self, monkeypatch, name, value, message):
