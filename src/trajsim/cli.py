@@ -10,7 +10,6 @@ deterministic artifacts.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from pathlib import Path
@@ -23,10 +22,6 @@ from .metrics import diversity as diversity_metric
 from .render import render_scene_svg
 
 __all__ = ["main"]
-
-
-def _write_json(path, doc) -> None:
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
 
 
 def cmd_score(args) -> int:
@@ -43,12 +38,13 @@ def cmd_score(args) -> int:
     for scene in scenes:
         ctx = ScoreContext(scene)
         if traj_map is None:
-            plan = scene.human_trajectory
+            rollout = ctx.reference  # the human plan's rollout, which EP rolls out anyway
         else:
             plan = traj_map.get(scene.scene_id) or traj_map.get("*")
             if plan is None:
                 raise ValueError(f"no trajectory for scene {scene.scene_id!r} (and no '*' default)")
-        sub = evaluate_rollout(ego_rollout(plan, scene.ego_init, ctx.kin_cfg), ctx)
+            rollout = ego_rollout(plan, scene.ego_init, ctx.kin_cfg)
+        sub = evaluate_rollout(rollout, ctx)
         score = aggregate(sub)
         scores.append(score)
         rows.append({"scene_id": scene.scene_id, "subscores": sub.as_dict(), metric_name: score})
@@ -61,7 +57,7 @@ def cmd_score(args) -> int:
         "scenes": rows,
         f"mean_{metric_name}": sum(scores) / len(scores),
     }
-    _write_json(args.out, report)
+    scene_io.write_json(report, args.out)
     print(
         f"scored {len(rows)} scenes in {elapsed:.2f} s "
         f"({len(rows) / elapsed:.1f} scenes/s); mean {metric_name} = {report[f'mean_{metric_name}']:.4f}"
@@ -123,8 +119,7 @@ def cmd_distill(args) -> int:
     )
     print(f"teachers: {sum(len(t) for t in teacher_sets)} selected across {len(teacher_sets)} scenes")
     if args.report:
-        _write_json(
-            args.report,
+        scene_io.write_json(
             {
                 "schema_version": 1,
                 "n_scenes": matrix.n_scenes,
@@ -136,6 +131,7 @@ def cmd_distill(args) -> int:
                 "evals_per_s": per_s,
                 "evals_per_s_per_worker": per_worker,
             },
+            args.report,
         )
     return 0
 

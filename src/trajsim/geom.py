@@ -133,9 +133,6 @@ class Polygon:
         v, nxt = self.vertices, self._nxt
         return 0.5 * float(np.sum(v[:, 0] * nxt[:, 1] - nxt[:, 0] * v[:, 1]))
 
-    def __eq__(self, other):
-        return isinstance(other, Polygon) and np.array_equal(self.vertices, other.vertices)
-
     def __repr__(self):
         return f"Polygon({len(self.vertices)} vertices, area={self.area:.3f})"
 

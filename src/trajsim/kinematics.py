@@ -6,8 +6,9 @@ directly; they consume the 41-state, 10 Hz rollout produced by tracking the
 plan with a PID-controlled kinematic bicycle.  ``ego_rollout`` is that step
 for an ego-frame plan: it places the plan at the initial pose
 (``trajectory_to_world``, one ``geom.to_world`` of the plan's pose rows) and
-tracks it in the world frame (EP's reference, distillation rows and the CLI
-all call it).  The tracking loop itself is one generator, ``_pid_ticks``,
+tracks it in the world frame (EP's reference and the CLI call it; a
+distillation row places all K centers with one ``to_world`` and calls
+``pid_track``).  The tracking loop itself is one generator, ``_pid_ticks``,
 that yields each state as it is computed: ``pid_track`` collects all 40, and
 selection comfort stops at the first tick that fails it.
 """

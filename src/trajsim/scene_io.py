@@ -34,7 +34,6 @@ import json
 import math
 import numbers
 import os
-import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -274,41 +273,46 @@ def scene_from_doc(doc: dict) -> Scene:
     return scene
 
 
-def save_scene(scene: Scene, path) -> None:
-    """Write a scene file; the write is atomic (temp file + rename)."""
-    path = Path(path)
-    data = json.dumps(scene_to_doc(scene), indent=2) + "\n"
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+def write_json(doc, path) -> None:
+    """Write the JSON document `doc`, indented by 2 and with a final newline,
+    atomically: a new file beside `path`, with the mode open(path, "w") gives
+    a new file, is renamed over it."""
+    data = json.dumps(doc, indent=2) + "\n"
+    tmp = f"{path}.{os.urandom(6).hex()}.tmp"  # O_EXCL refuses a name that exists
+    try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:  # a missing or unwritable directory: name the file asked for
+        exc.filename = os.fspath(path)
+        raise
     try:
         with os.fdopen(fd, "w") as f:
             f.write(data)
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        os.unlink(tmp)
         raise
 
 
-def _load_json_object(path) -> dict:
-    """The top-level JSON object of a file; SceneFormatError names the file."""
-    path = Path(path)
-    try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise SceneFormatError(f"{path}: not valid JSON ({exc})") from None
-    if not isinstance(doc, dict):
-        raise SceneFormatError(f"{path}: top-level JSON value must be an object, not {type(doc).__name__}")
-    return doc
+def save_scene(scene: Scene, path) -> None:
+    """Write a scene file, atomically."""
+    write_json(scene_to_doc(scene), path)
 
 
 @contextmanager
 def _document(path):
-    """The top-level JSON object of `path`, of the supported schema_version;
-    a ValueError in the body becomes a SceneFormatError naming the file."""
-    doc = _load_json_object(path)
+    """The top-level JSON object of the file `path`, of the supported
+    schema_version; a ValueError in parsing it or in the body becomes a
+    SceneFormatError that names the file as `path` spells it."""
+    with open(path) as f:
+        text = f.read()
     try:
+        doc = json.loads(text)
+        if not isinstance(doc, dict):
+            raise SceneFormatError(f"top-level JSON value must be an object, not {type(doc).__name__}")
         _check_version(doc)
         yield doc
+    except json.JSONDecodeError as exc:
+        raise SceneFormatError(f"{path}: not valid JSON ({exc})") from None
     except ValueError as exc:
         raise SceneFormatError(f"{path}: {exc}") from None
 
@@ -593,7 +597,7 @@ def save_trajectory_map(trajs: dict, path) -> None:
         "schema_version": SCHEMA_VERSION,
         "trajectories": {k: v.poses.tolist() for k, v in trajs.items()},
     }
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
+    write_json(doc, path)
 
 
 def load_trajectory_map(path) -> dict:
@@ -603,8 +607,7 @@ def load_trajectory_map(path) -> dict:
 
 
 def save_proposal_set(proposals, path) -> None:
-    doc = {"schema_version": SCHEMA_VERSION, "proposals": [p.poses.tolist() for p in proposals]}
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
+    write_json({"schema_version": SCHEMA_VERSION, "proposals": [p.poses.tolist() for p in proposals]}, path)
 
 
 def load_proposal_set(path) -> list:

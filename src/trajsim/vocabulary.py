@@ -55,14 +55,15 @@ distance to another center, less C sqrt(2 eps) + tiny, a lower bound on
 half the true gap; it is computed in row blocks, never as a (k, k) array.
 After a pass, u grows by its label's center drift and l shrinks by the
 largest drift of another center, each sum stepped one ulp outward; a point
-moved by the empty-cluster repair gets u = inf and l = -inf.  A point whose
-max(l, s[label]) - u exceeds m keeps its label: every other center is
-farther by more than m, so its true squared distance exceeds the label's by
-more than 2 E, and the computed row's argmin is the label, with no tie.  A
-point that fails first has u replaced by its direct distance and is tested
-again; only then is its row computed.  eps is over 32 times the (D + 3)
-2^-53 relative rounding of a row entry, which leaves room for the roundings
-of the norms and bounds themselves.
+moved by the empty-cluster repair gets u = inf and l = -inf, and the first
+pass starts from u = inf, l = -inf and s = -inf, which settle no point.  A
+point whose max(l, s[label]) - u exceeds m keeps its label: every other
+center is farther by more than m, so its true squared distance exceeds the
+label's by more than 2 E, and the computed row's argmin is the label, with
+no tie.  A point that fails first has u replaced by its direct distance
+and is tested again; only then is its row computed.  eps is over 32 times
+the (D + 3) 2^-53 relative rounding of a row entry, which leaves room for
+the roundings of the norms and bounds themselves.
 
 A computed row comes from a product of the rows being recomputed, gathered
 a block at a time into a small anonymous mapping, with the doubled centers:
@@ -369,25 +370,23 @@ def _loose(rows, lab, u, l, s, mx, mc):
     return gap <= mc
 
 
-def _assign_chunk(chunk, centers, ct, cc, s, mc, eps, tiny, buf):
-    """Assign one chunk to the centers and refresh its bounds.
+def _assign_chunk(chunk, centers, ct, cc, s, mc, eps, tiny, buf, sums, counts):
+    """Assign one chunk to the centers, refresh its bounds and add it into
+    the pass's per-cluster sums and counts.
 
-    chunk is (x.T, xx, x, mx, labels, u, l) over the same points, the last
-    four views of kmeans' per-point arrays, which this updates in place; ct
-    is centers.T.  With s None every row is recomputed (the first pass);
-    otherwise only the rows whose bounds leave the label open.  Returns the
-    per-cluster sums and counts, the inertia, each point's squared distance
-    to its center and the number of labels that changed."""
-    xt, xx, x, mx, lab, u, l = chunk
+    chunk is (x.T, xx, x, mx, labels, u, l, d2) over the same points, the
+    last five views of kmeans' per-point arrays, which this updates in place;
+    ct is centers.T.  Only the rows whose bounds leave the label open are
+    recomputed: on the first pass u = inf, l = -inf and s = -inf leave every
+    row open.  d2 gets each point's squared distance to its center.  Returns
+    the chunk's inertia and the number of labels that changed."""
+    xt, xx, x, mx, lab, u, l, d2 = chunk
     k = len(centers)
-    if s is None:
-        rows = np.arange(xt.shape[1])
-    else:
-        rows = np.flatnonzero(_loose(slice(None), lab, u, l, s, mx, mc))
-        # the cheaper check first: the distance to the point's own center
-        cols = np.take(xt, rows, axis=1)
-        u[rows] = _upper(_sq_dist_to(cols, np.take(ct, lab[rows], axis=1), cols), eps, tiny)
-        rows = rows[_loose(rows, lab, u, l, s, mx, mc)]
+    rows = np.flatnonzero(_loose(slice(None), lab, u, l, s, mx, mc))
+    # the cheaper check first: the distance to the point's own center
+    cols = np.take(xt, rows, axis=1)
+    u[rows] = _upper(_sq_dist_to(cols, np.take(ct, lab[rows], axis=1), cols), eps, tiny)
+    rows = rows[_loose(rows, lab, u, l, s, mx, mc)]
     changed = 0
     if len(rows):
         margin = mx[rows] + mc
@@ -399,13 +398,12 @@ def _assign_chunk(chunk, centers, ct, cc, s, mc, eps, tiny, buf):
     # recompute the chosen distance directly: the expansion can go slightly
     # negative from cancellation
     own = np.take(ct, lab, axis=1)
-    dist2 = _sq_dist_to(xt, own, own)
-    _upper(dist2, eps, tiny, out=u)
-    sums = np.empty_like(centers)
+    d2[:] = _sq_dist_to(xt, own, own)
+    _upper(d2, eps, tiny, out=u)
     for j in range(len(xt)):
-        sums[:, j] = np.bincount(lab, weights=xt[j], minlength=k)
-    counts = np.bincount(lab, minlength=k)
-    return sums, counts, float(dist2.sum()), dist2, changed
+        sums[:, j] += np.bincount(lab, weights=xt[j], minlength=k)
+    counts += np.bincount(lab, minlength=k)
+    return float(d2.sum()), changed
 
 
 def _upper(d2, eps, tiny, out=None):
@@ -499,9 +497,10 @@ def kmeans(
     # center, lower bound l on the distance to every other center, and the
     # margin term sqrt(2 eps) |x|
     labels = np.zeros(n, dtype=np.intp)
-    u = np.empty(n)
-    l = np.empty(n)
+    u = np.full(n, np.inf)
+    l = np.full(n, -np.inf)
     mx = np.empty(n)
+    d2 = np.empty(n)  # each point's squared distance to its center
     # each chunk with the terms no iteration changes: its transpose and
     # squared norms
     chunks = []
@@ -511,14 +510,15 @@ def kmeans(
         xx = np.sum(c * c, axis=1)
         np.sqrt(xx, out=mx[lo:hi])
         mx[lo:hi] *= root2eps
-        chunks.append((xt[:, lo:hi], xx, c, mx[lo:hi], labels[lo:hi], u[lo:hi], l[lo:hi]))
+        chunks.append((xt[:, lo:hi], xx, c, mx[lo:hi], labels[lo:hi], u[lo:hi], l[lo:hi], d2[lo:hi]))
     # one work array for a block of distance rows and the rows of x behind
     # them, in every chunk and pass, and for the center gaps.  It is an
     # anonymous mapping, so its pages go back to the OS when kmeans returns:
     # malloc may keep a freed block this size resident, and every process
     # forked later (a distill pool) would carry it
     buf = np.frombuffer(mmap.mmap(-1, 8 * max(_BLOCK // k, 1) * (k + dim)))
-    old = s = None
+    s = np.full(k, -np.inf)  # with u and l, bounds that settle no point
+    old = None
     history = []
     for _ in range(max_iters):
         cc = np.sum(centers * centers, axis=1)
@@ -527,23 +527,22 @@ def kmeans(
         if old is not None:
             s = _half_gaps(centers, cc, mc, buf)
             _drift_bounds(old, centers, labels, u, l, eps, tiny)
-        parts = [_assign_chunk(chunk, centers, ct, cc, s, mc, eps, tiny, buf) for chunk in chunks]
         # reduce in chunk-index order: the chunk boundaries fix the bits
         sums = np.zeros_like(centers)
         counts = np.zeros(k, dtype=np.int64)
         inertia = 0.0
-        for part_sums, part_counts, part_inertia, _, _ in parts:
-            sums += part_sums
-            counts += part_counts
-            inertia += part_inertia
+        changed = 0
+        for chunk in chunks:
+            part, moved = _assign_chunk(chunk, centers, ct, cc, s, mc, eps, tiny, buf, sums, counts)
+            inertia += part
+            changed += moved
         history.append(inertia)
-        if old is not None and not any(p[4] for p in parts):
+        if old is not None and not changed:
             break  # no label changed: an assignment fixed point
 
         empty = np.flatnonzero(counts == 0)
         if len(empty):
-            dist2 = np.concatenate([p[3] for p in parts])
-            order = np.argsort(-dist2, kind="stable")
+            order = np.argsort(-d2, kind="stable")
             cursor = 0
             for cluster in empty:
                 # take the farthest point whose donor keeps >= 1 member

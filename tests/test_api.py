@@ -76,6 +76,30 @@ def test_only_distill_starts_a_pool(name):
     assert not found
 
 
+def _indented_json_calls(tree) -> set:
+    """The lines of the json.dump and json.dumps calls under `tree` that pass
+    indent=."""
+    return {
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and any(kw.arg == "indent" for kw in node.keywords)
+        and getattr(node.func, "attr", getattr(node.func, "id", None)) in ("dump", "dumps")
+    }
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_only_write_json_indents_json(name):
+    # every indented JSON document goes through scene_io.write_json, the one
+    # atomic writer
+    path = Path(trajsim.__file__).parent / f"{name}.py"
+    tree = ast.parse(path.read_text())
+    found = _indented_json_calls(tree)
+    if name == "scene_io":
+        [writer] = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef) and f.name == "write_json"]
+        assert found == _indented_json_calls(writer) and len(found) == 1
+    else:
+        assert not found
+
+
 # numpy's transcendental ufuncs, aliases included through the objects they
 # name; their float64 loops may round differently at each SIMD level
 TRANSCENDENTAL = {

@@ -13,12 +13,14 @@ import numpy as np
 import pytest
 
 import trajsim
+from trajsim import cli
 from trajsim.cli import main
 from trajsim.distill import ScoreMatrix, save_score_matrix
 from trajsim.kinematics import Trajectory, ego_rollout
 from trajsim.metrics import _corridor_cells
 from trajsim.render import render_scene_svg
 from trajsim.scene_io import (
+    TEMPLATES,
     SyntheticSpec,
     generate_scene,
     save_proposal_set,
@@ -180,11 +182,32 @@ class TestScore:
         assert code != 0
         assert "error" in capsys.readouterr().err
 
+    def test_report_in_a_missing_directory_named(self, clean_dir, tmp_path, capsys):
+        out = tmp_path / "nope" / "r.json"
+        assert main(["score", "--scenes", str(clean_dir), "--traj", "human", "--out", str(out)]) == 1
+        assert only_error_line(capsys) == f"error: [Errno 2] No such file or directory: '{out}'"
+
     def test_idempotent_bytes(self, clean_dir, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         main(["score", "--scenes", str(clean_dir), "--traj", "human", "--out", str(a)])
         main(["score", "--scenes", str(clean_dir), "--traj", "human", "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+    def test_human_plan_rolled_out_once_per_scene(self, tmp_path, monkeypatch):
+        # --traj human scores the context's reference rollout; a map holding
+        # each scene's human plan rolls it out again, to the same report bytes
+        d = tmp_path / "scenes"
+        scenes = write_scenes(d, [(template, 3) for template in TEMPLATES])
+        tmap = tmp_path / "human-plans.json"
+        save_trajectory_map({s.scene_id: s.human_trajectory for s in scenes}, tmap)
+        calls = []
+        monkeypatch.setattr(cli, "ego_rollout", lambda *args: calls.append(args) or ego_rollout(*args))
+        human, mapped = tmp_path / "human.json", tmp_path / "mapped.json"
+        assert main(["score", "--scenes", str(d), "--traj", "human", "--out", str(human)]) == 0
+        assert not calls
+        assert main(["score", "--scenes", str(d), "--traj", str(tmap), "--out", str(mapped)]) == 0
+        assert len(calls) == len(scenes)
+        assert human.read_bytes() == mapped.read_bytes()
 
 
 class TestBuildVocab:

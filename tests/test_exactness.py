@@ -495,11 +495,13 @@ def test_pairwise_row_sum_is_numpys_row_sum_order():
 
 
 def _chunk(x):
-    """kmeans' per-chunk tuple for the points x, with room for their bounds."""
+    """kmeans' per-chunk tuple for the points x, with the bounds of its first
+    pass and room for their distances."""
     xx = np.sum(x * x, axis=1)
     mx = np.sqrt(2.0 * (x.shape[1] + 8) * 2.0**-48) * np.sqrt(xx)
     n = len(x)
-    return (np.ascontiguousarray(x.T), xx, x, mx, np.zeros(n, dtype=np.intp), np.empty(n), np.empty(n))
+    return (np.ascontiguousarray(x.T), xx, x, mx, np.zeros(n, dtype=np.intp), np.full(n, np.inf),
+            np.full(n, -np.inf), np.empty(n))
 
 
 def _bisector_points(rng, centers, n):
@@ -518,10 +520,12 @@ def test_assign_chunk_matches_oracle_at_near_ties():
     x = _bisector_points(rng, centers, 4096)
     chunk = _chunk(x)
     cc = np.sum(centers * centers, axis=1)
-    got = _assign_chunk(chunk, centers, np.ascontiguousarray(centers.T), cc, None, 0.0, 0.0, 0.0, np.empty(4096 * 22))
+    sums, counts = np.zeros_like(centers), np.zeros(6, dtype=np.int64)
+    inertia, _ = _assign_chunk(chunk, centers, np.ascontiguousarray(centers.T), cc, np.full(6, -np.inf), 0.0, 0.0,
+                               0.0, np.empty(4096 * 22), sums, counts)
     want = oracles.assign_chunk(x, centers, 6)
-    assert np.array_equal(chunk[4], want[0]) and np.array_equal(got[1], want[2])
-    assert bits(got[0]) == bits(want[1]) and bits(got[2]) == bits(want[3]) and bits(got[3]) == bits(want[4])
+    assert np.array_equal(chunk[4], want[0]) and np.array_equal(counts, want[2])
+    assert bits(sums) == bits(want[1]) and bits(inertia) == bits(want[3]) and bits(chunk[7]) == bits(want[4])
 
 
 @pytest.mark.parametrize("k", [6, 37, 256])
@@ -568,6 +572,14 @@ def test_kmeans_matches_oracle(m, k, seed):
     rng = np.random.default_rng(100 + seed)
     xy = np.cumsum(rng.normal(size=(5000, m, 2)) * rng.uniform(0.2, 5.0, size=(5000, 1, 1)), axis=1)
     _assert_kmeans_matches_oracle(xy, k, seed)
+
+
+def test_kmeans_of_three_chunks_matches_oracle():
+    # with two chunks their order cannot change a sum's bits (a + b = b + a);
+    # 9000 points make three, so the chunk-index order of the reduction shows
+    rng = np.random.default_rng(108)
+    xy = np.cumsum(rng.normal(size=(9000, 8, 2)) * rng.uniform(0.2, 5.0, size=(9000, 1, 1)), axis=1)
+    _assert_kmeans_matches_oracle(xy, 12, 8, max_iters=3)
 
 
 def test_kmeans_with_empty_cluster_repair_matches_oracle():

@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import operator
+import os
 import re
 import tempfile
 from pathlib import Path
@@ -36,6 +37,7 @@ from trajsim.scene_io import (
     scene_from_doc,
     scene_to_doc,
     straight_plan,
+    write_json,
 )
 
 from scenes import rich_scene
@@ -82,6 +84,19 @@ class TestRoundTrip:
         with pytest.raises(OSError):
             save_scene(scene, tmp_path / "scene.json")
         assert [p.name for p in tmp_path.iterdir()] == ["scene.json"]
+
+    @pytest.mark.parametrize("mask", [0o022, 0o027], ids=["022", "027"])
+    def test_written_files_get_the_mode_of_a_plain_write(self, scene, tmp_path, mask):
+        # the mode open(path, "w") gives a new file, not the 0o600 of mkstemp
+        old = os.umask(mask)
+        try:
+            save_scene(scene, tmp_path / "scene.json")
+            write_json({"schema_version": 1}, tmp_path / "doc.json")
+        finally:
+            os.umask(old)
+        modes = {p.name: p.stat().st_mode & 0o777 for p in tmp_path.iterdir()}
+        assert modes == {"scene.json": 0o666 & ~mask, "doc.json": 0o666 & ~mask}
+        assert (tmp_path / "doc.json").read_text() == '{\n  "schema_version": 1\n}\n'
 
 
 # The SHA-256 of scene files: as the format before this one wrote them,
@@ -663,6 +678,15 @@ class TestLoaderJsonTypes:
         with pytest.raises(SceneFormatError) as err:
             loader(path)
         assert str(err.value) == f"{path}: unsupported schema_version 2 (expected 1)"
+
+    @pytest.mark.parametrize("text", [
+        "{not json", "[1]", json.dumps({"schema_version": 2}), json.dumps({"schema_version": 1, "proposals": 5}),
+    ], ids=["parse", "top-level", "version", "field"])
+    def test_every_error_names_the_file_as_given(self, tmp_path, monkeypatch, text):
+        monkeypatch.chdir(tmp_path)
+        Path("p.json").write_text(text)
+        with pytest.raises(SceneFormatError, match=r"^\./p\.json: "):
+            load_proposal_set("./p.json")
 
     def test_well_typed_frames_load(self, tmp_path):
         path = tmp_path / "frames.json"

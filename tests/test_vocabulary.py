@@ -182,7 +182,7 @@ class TestKmeans:
         ("k", 0, "k must be >= 1, got 0"),
         ("k", -2, "k must be >= 1, got -2"),
         ("max_iters", 0, "max_iters must be >= 1, got 0"),
-    ])
+    ], ids=["k-0", "k-minus-2", "max_iters-0"])
     def test_counts_below_one_checked_before_clustering(self, monkeypatch, name, value, message):
         monkeypatch.setattr(vocabulary, "_kmeans_pp", None)  # reaching it raises TypeError
         corpus = random_corpus(np.random.default_rng(8), 5)
@@ -217,6 +217,21 @@ class TestKmeans:
         emb = vocab.poses[:, :, :2].reshape(vocab.k, -1)
         assert np.all(np.isfinite(emb))
         assert vocab.inertia == 0.0  # every point sits exactly on some center
+
+    def test_first_pass_recomputes_every_row(self, monkeypatch):
+        # the first pass's bounds settle no point: each chunk sends all its
+        # rows to _nearest_rows
+        corpus = random_corpus(np.random.default_rng(9), 5000)
+        sent = []
+        real = vocabulary._nearest_rows
+
+        def recording(rows, *args):
+            sent.append(rows.copy())
+            return real(rows, *args)
+
+        monkeypatch.setattr(vocabulary, "_nearest_rows", recording)
+        kmeans(corpus, k=8, max_iters=1, seed=4)
+        assert [r.tolist() for r in sent] == [list(range(4096)), list(range(5000 - 4096))]
 
     def test_lloyd_passes_after_the_first_recompute_under_half_the_rows(self, monkeypatch):
         # a refactor that stops the bounds from skipping rows fails here, not
